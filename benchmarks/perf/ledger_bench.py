@@ -21,20 +21,19 @@ evaluation pipeline:
   metrics and reports both speedups plus cache hit statistics.  The
   parallel speedup is hardware-bound (``params.cpu_count`` records what
   was available); the warm-cache speedup is not.
-* ``negotiation_fastpath`` — picky near-full-cluster dialogues run in
-  probe, analytical, and oracle negotiation modes.  Bookings must be
-  bit-identical across all three; the scenario records probes per
-  dialogue, predictor queries per dialogue, and the probe-vs-analytical
-  wall time, plus a grid-level ``prediction.trace.queries`` comparison on
-  the ``figures_grid`` points.  The ≥10× probe/query reduction gates in
-  ``tests/test_perf_smoke.py`` apply here (count-based, so CI-noise-proof).
+* ``negotiation_fastpath`` — picky near-full-cluster dialogues on the
+  analytical fast path: wall time, probes and predictor queries per
+  dialogue, and pruned candidates.  The ≥10× probe/query reduction gates
+  against the probe loop live in tier-1
+  (``tests/fastpath/test_reduction_gates.py``), where the probe loop is
+  kept as the reference oracle.
 * ``scale`` — streamed big-cluster replays (1k/10k/100k nodes) through
   ``benchmarks/perf/scale_bench.py``, one subprocess per configuration so
   peak RSS is attributable.  Records events/sec per (node count, ledger
-  implementation, event-loop backend), asserts trajectory-checksum
-  identity across all configurations at each node count, reports the
-  current-vs-seed throughput ratio the ≥10× acceptance gate applies to,
-  and carries the ``reserve`` list-vs-NodeSet normalisation micro-bench.
+  implementation), asserts trajectory-checksum identity across the
+  configurations at each node count, reports the current-vs-seed
+  throughput ratio the ≥10× acceptance gate applies to, and carries the
+  ``reserve`` list-vs-NodeSet normalisation micro-bench.
 
 The first three scenarios run on the optimised
 :class:`~repro.cluster.reservations.ReservationLedger` *and* on the frozen
@@ -110,13 +109,13 @@ PRESETS: Dict[str, Dict] = {
 #: ``figures_grid`` scenario (sequential vs process-pool vs warm-cache
 #: sweep execution, with ``speedup_parallel``/``speedup_warm`` instead of
 #: the current-vs-seed ``speedup``).  Schema 4 added the
-#: ``negotiation_fastpath`` scenario (probe vs analytical vs oracle mode:
-#: probes/queries per dialogue, ``probe_reduction``/``query_reduction``
-#: ratios, and a grid-level predictor-query comparison under ``grid``).
+#: ``negotiation_fastpath`` scenario (probes/queries per dialogue on the
+#: fast path; the probe- and oracle-mode runs it first carried left with
+#: those modes, without a schema change since no kept key moved).
 #: Schema 5 added the ``scale`` scenario: big-cluster streaming replays in
 #: per-config subprocesses (events/sec, isolated peak RSS, trajectory
-#: checksums across ledger implementations and event-loop backends) plus
-#: the ``reserve`` normalisation micro-benchmark (list vs NodeSet input).
+#: checksums across ledger implementations) plus the ``reserve``
+#: normalisation micro-benchmark (list vs NodeSet input).
 SCHEMA_VERSION = 5
 
 
@@ -431,17 +430,19 @@ def bench_figures_grid(params: Dict, seed: int, repeats: int) -> Optional[Dict]:
 
 
 def run_fastpath_dialogues(
-    mode: str, nodes: int, jobs: int, seed: int, registry=None
+    nodes: int, jobs: int, seed: int, registry=None
 ) -> List[Tuple]:
-    """``jobs`` picky, near-full-cluster dialogues in one negotiation mode.
+    """``jobs`` picky, near-full-cluster dialogues on the fast path.
 
-    Engineered so the probe loop hurts: requests want (nearly) the whole
-    cluster, the failure trace is dense enough that every long window is
-    dirty, and at accuracy 1.0 a U=0.97 user only accepts once the first
-    detectable failure in the window carries ``p_x ≤ 0.03`` — so probe
-    mode prices ~30 candidates per dialogue while the analytical bound
-    (exact at full cluster, near-exact one node short of it) prunes the
-    hopeless ones without ever touching the predictor.
+    Engineered so a per-candidate probe loop hurts: requests want (nearly)
+    the whole cluster, the failure trace is dense enough that every long
+    window is dirty, and at accuracy 1.0 a U=0.97 user only accepts once
+    the first detectable failure in the window carries ``p_x ≤ 0.03`` —
+    so the probe loop prices ~30 candidates per dialogue while the
+    analytical bound (exact at full cluster, near-exact one node short of
+    it) prunes the hopeless ones without ever touching the predictor.
+    ``tests/fastpath/test_reduction_gates.py`` runs this fixture with the
+    probe oracle patched in for this module's ``AnalyticalEvaluator``.
     """
     rng = random.Random(seed + 3)
     horizon = 120.0 * 86400.0
@@ -453,23 +454,15 @@ def run_fastpath_dialogues(
     predictor = TracePredictor(failures, accuracy=1.0, seed=seed)
     if registry is not None:
         predictor.bind_registry(registry)
-    ledger = ReservationLedger(nodes)
-    evaluator = (
-        AnalyticalEvaluator(predictor, nodes, registry=registry)
-        if mode != "probe"
-        else None
-    )
-    # Mirror the system wiring: in analytical mode the placement scorer
-    # reads the evaluator's cached terms; probe and oracle score off the
-    # live predictor.
-    query_source = evaluator if mode == "analytical" else predictor
+    # Mirror the system wiring: the placement scorer reads the
+    # evaluator's cached terms.
+    evaluator = AnalyticalEvaluator(predictor, nodes, registry=registry)
     negotiator = Negotiator(
-        ledger,
+        ReservationLedger(nodes),
         FlatTopology(nodes),
         predictor,
-        fault_aware_scorer(query_source),
+        fault_aware_scorer(evaluator),
         registry=registry,
-        mode=mode,
         evaluator=evaluator,
     )
     user = RiskThresholdUser(0.97)
@@ -493,84 +486,22 @@ def run_fastpath_dialogues(
 
 
 def bench_negotiation_fastpath(params: Dict, seed: int, repeats: int) -> Dict:
-    """Probe vs analytical vs oracle negotiation on hard dialogues.
+    """Analytical negotiation on hard dialogues.
 
-    Bookings must be bit-identical across all three modes (oracle mode
-    additionally cross-checks every priced offer at 1e-9 and raises on
-    disagreement).  The headline numbers are count-based — probes and
-    predictor queries per dialogue — so the ≥10× gates downstream are
-    immune to timer noise; wall time is recorded as corroboration.
+    The work numbers are count-based — probes, predictor queries and
+    pruned candidates — so they are immune to timer noise and gated by
+    ``bench compare --counts-only``; wall time is recorded alongside.
     """
     nodes, jobs = params["nodes"], params["fastpath_jobs"]
-
-    probe_samples, probe_out = _timed(
-        lambda: run_fastpath_dialogues("probe", nodes, jobs, seed), repeats
+    samples, _ = _timed(
+        lambda: run_fastpath_dialogues(nodes, jobs, seed), repeats
     )
-    ana_samples, ana_out = _timed(
-        lambda: run_fastpath_dialogues("analytical", nodes, jobs, seed), repeats
-    )
-    if ana_out != probe_out:
-        raise AssertionError("analytical bookings diverge from probe mode")
-    # Oracle mode raises OracleDisagreement if any priced offer's analytical
-    # probability strays from the probe value; one untimed pass suffices.
-    oracle_out = run_fastpath_dialogues("oracle", nodes, jobs, seed)
-    if oracle_out != probe_out:
-        raise AssertionError("oracle bookings diverge from probe mode")
-
-    obs: Dict[str, Dict[str, float]] = {}
-    for mode in ("probe", "analytical"):
-        registry = MetricsRegistry()
-        run_fastpath_dialogues(mode, nodes, jobs, seed, registry=registry)
-        obs[mode] = _obs_counters(registry)
-    dialogues = obs["probe"]["negotiation.dialogue.dialogues"]
-    probe_probes = obs["probe"]["negotiation.dialogue.probes"]
-    ana_probes = obs["analytical"]["negotiation.dialogue.probes"]
-    probe_queries = obs["probe"]["prediction.trace.queries"]
-    ana_queries = obs["analytical"]["prediction.trace.queries"]
-
-    # Grid-level comparison: the same figures-grid points simulated end to
-    # end in both modes.  The trajectories are identical by construction,
-    # so the metrics must match bit for bit while the predictor query
-    # count collapses.
-    grid = None
-    grid_jobs = params.get("grid_jobs", 0)
-    if grid_jobs > 0:
-        accuracy_count = params["grid_accuracies"]
-        accuracies = [
-            round(k / (accuracy_count - 1), 6) for k in range(accuracy_count)
-        ] if accuracy_count > 1 else [0.5]
-        points = [(a, u) for u in params["grid_users"] for a in accuracies]
-        setup = ExperimentSetup(workload="sdsc", job_count=grid_jobs, seed=seed)
-        grid_queries = {}
-        grid_metrics = {}
-        for mode in ("probe", "analytical"):
-            registry = MetricsRegistry()
-            context = ExperimentContext.prepare(setup, registry=registry)
-            grid_metrics[mode] = context.run_points(
-                points, negotiation_mode=mode
-            )
-            grid_queries[mode] = _obs_counters(registry).get(
-                "prediction.trace.queries", 0
-            )
-        if grid_metrics["probe"] != grid_metrics["analytical"]:
-            raise AssertionError("grid metrics diverge between negotiation modes")
-        grid = {
-            "grid_jobs": grid_jobs,
-            "points": len(points),
-            "predictor_queries": dict(grid_queries),
-            "query_reduction": (
-                grid_queries["probe"] / max(grid_queries["analytical"], 1.0)
-            ),
-            "metrics_identical": True,
-        }
-
-    probe_med = statistics.median(probe_samples)
-    ana_med = statistics.median(ana_samples)
+    registry = MetricsRegistry()
+    run_fastpath_dialogues(nodes, jobs, seed, registry=registry)
+    obs = _obs_counters(registry)
+    dialogues = obs["negotiation.dialogue.dialogues"]
     return {
-        "description": (
-            "picky near-full-cluster dialogues: probe vs analytical vs "
-            "oracle negotiation modes"
-        ),
+        "description": "picky near-full-cluster dialogues on the analytical fast path",
         "params": {
             "nodes": nodes,
             "jobs": jobs,
@@ -579,33 +510,22 @@ def bench_negotiation_fastpath(params: Dict, seed: int, repeats: int) -> Dict:
             "user_threshold": 0.97,
             "seed": seed,
         },
-        "probe": _entry(probe_samples),
-        "analytical": _entry(ana_samples),
-        "speedup": probe_med / ana_med if ana_med > 0 else float("inf"),
+        "analytical": _entry(samples),
         "probes_per_dialogue": {
-            "probe": probe_probes / dialogues,
-            "analytical": ana_probes / dialogues,
+            "analytical": obs["negotiation.dialogue.probes"] / dialogues,
         },
-        "probe_reduction": probe_probes / max(ana_probes, 1.0),
         "predictor_queries_per_dialogue": {
-            "probe": probe_queries / dialogues,
-            "analytical": ana_queries / dialogues,
+            "analytical": obs.get("prediction.trace.queries", 0) / dialogues,
         },
-        "query_reduction": probe_queries / max(ana_queries, 1.0),
-        "pruned": obs["analytical"]["negotiation.dialogue.pruned"],
-        "bookings_identical": True,
-        "oracle_agrees": True,
-        "grid": grid,
-        "obs": obs["analytical"],
+        "pruned": obs["negotiation.dialogue.pruned"],
+        "obs": obs,
     }
 
 
 # ----------------------------------------------------------------------
 # Scale scenario (big-cluster replays in per-config subprocesses)
 # ----------------------------------------------------------------------
-def _run_scale_subprocess(
-    nodes: int, jobs: int, impl: str, event_loop: str, seed: int
-) -> Dict:
+def _run_scale_subprocess(nodes: int, jobs: int, impl: str, seed: int) -> Dict:
     """One ``scale_bench.py`` replay in a fresh interpreter.
 
     A subprocess per configuration is what makes the reported peak RSS
@@ -626,7 +546,6 @@ def _run_scale_subprocess(
             "--nodes", str(nodes),
             "--jobs", str(jobs),
             "--impl", impl,
-            "--event-loop", event_loop,
             "--seed", str(seed),
         ],
         capture_output=True,
@@ -683,11 +602,11 @@ def bench_reserve_normalization(
 def bench_scale(params: Dict, seed: int, repeats: int) -> Dict:
     """Streaming replays at 1k/10k/100k nodes: throughput, RSS, identity.
 
-    Each configuration — (node count, ledger implementation, event-loop
-    backend) — replays the same streamed synthetic arrival process in its
-    own subprocess.  The trajectory checksums must agree across every
-    configuration at a given node count (the optimised substrate changes
-    nothing but speed); events/sec medians feed the ≥10× acceptance gate
+    Each configuration — (node count, ledger implementation) — replays the
+    same streamed synthetic arrival process in its own subprocess.  The
+    trajectory checksums must agree across every configuration at a given
+    node count (the optimised substrate changes nothing but speed);
+    events/sec medians feed the ≥10× acceptance gate
     against the seed ledger, and per-config peak RSS shows the footprint
     staying sub-linear in cluster width.  Replays are capped at
     ``min(repeats, 3)`` samples: the seed ledger's quadratic replay is
@@ -699,31 +618,29 @@ def bench_scale(params: Dict, seed: int, repeats: int) -> Dict:
     jobs = params["scale_jobs"]
     scale_repeats = max(1, min(repeats, 3))
 
-    matrix: List[Tuple[int, str, str]] = []
-    for n in node_counts:
-        matrix.append((n, "current", "calendar"))
-        matrix.append((n, "current", "heap"))
+    matrix: List[Tuple[int, str]] = [(n, "current") for n in node_counts]
     for n in seed_node_counts:
         if n not in node_counts:
             raise ValueError(f"seed baseline at {n} nodes has no current run")
-        matrix.append((n, "seed", "heap"))
+        matrix.append((n, "seed"))
 
     configs: Dict[str, Dict] = {}
-    for n, impl, event_loop in matrix:
+    for n, impl in matrix:
         runs = [
-            _run_scale_subprocess(n, jobs, impl, event_loop, seed)
+            _run_scale_subprocess(n, jobs, impl, seed)
             for _ in range(scale_repeats)
         ]
         checksums = {r["checksum"] for r in runs}
         if len(checksums) != 1:
             raise AssertionError(
-                f"scale replay not deterministic for {impl}/{event_loop}@{n}"
+                f"scale replay not deterministic for {impl}@{n}"
             )
         eps_samples = [r["events_per_s"] for r in runs]
-        configs[f"{impl}-{event_loop}-n{n}"] = {
+        # "heap" in the key is the event loop the configs have always run
+        # on; it stays so ledger history lines up across runs.
+        configs[f"{impl}-heap-n{n}"] = {
             "nodes": n,
             "impl": impl,
-            "event_loop": event_loop,
             "events": runs[0]["events"],
             "events_per_s_median": statistics.median(eps_samples),
             "events_per_s_samples": eps_samples,
@@ -741,14 +658,14 @@ def bench_scale(params: Dict, seed: int, repeats: int) -> Dict:
 
     speedup_vs_seed = {
         str(n): (
-            configs[f"current-calendar-n{n}"]["events_per_s_median"]
+            configs[f"current-heap-n{n}"]["events_per_s_median"]
             / configs[f"seed-heap-n{n}"]["events_per_s_median"]
         )
         for n in seed_node_counts
     }
     n_lo, n_hi = min(node_counts), max(node_counts)
-    rss_lo = configs[f"current-calendar-n{n_lo}"]["peak_rss_bytes"]
-    rss_hi = configs[f"current-calendar-n{n_hi}"]["peak_rss_bytes"]
+    rss_lo = configs[f"current-heap-n{n_lo}"]["peak_rss_bytes"]
+    rss_hi = configs[f"current-heap-n{n_hi}"]["peak_rss_bytes"]
     rss = {
         "node_growth": n_hi / n_lo,
         "rss_growth": rss_hi / rss_lo if rss_lo > 0 else float("inf"),
@@ -846,16 +763,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f" {norm['nodeset']['median_s'] * 1e3:7.2f} ms"
                 f" ({norm['speedup']:.2f}x)"
             )
-        elif "probe_reduction" in data:
-            ppd = data["probes_per_dialogue"]
-            qpd = data["predictor_queries_per_dialogue"]
+        elif "probes_per_dialogue" in data:
             print(
-                f"{name:24s} probe {data['probe']['median_s'] * 1e3:9.2f} ms"
-                f"   analytical {data['analytical']['median_s'] * 1e3:9.2f} ms"
-                f" ({data['speedup']:.2f}x)"
-                f"   probes/dlg {ppd['probe']:.1f} -> {ppd['analytical']:.1f}"
-                f" ({data['probe_reduction']:.1f}x)"
-                f"   queries/dlg {qpd['probe']:.1f} -> {qpd['analytical']:.1f}"
+                f"{name:24s} analytical {data['analytical']['median_s'] * 1e3:9.2f} ms"
+                f"   probes/dlg {data['probes_per_dialogue']['analytical']:.1f}"
+                f"   queries/dlg"
+                f" {data['predictor_queries_per_dialogue']['analytical']:.1f}"
+                f"   pruned {data['pruned']:.0f}"
             )
         elif "speedup" in data:
             print(

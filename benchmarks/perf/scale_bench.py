@@ -1,7 +1,7 @@
 """Big-cluster replay driver for the ``scale`` BENCH scenario.
 
-Runs ONE configuration — ``(nodes, jobs, ledger impl, event-loop
-backend)`` — as a standalone process and prints a JSON record with
+Runs ONE configuration — ``(nodes, jobs, ledger impl)`` — as a
+standalone process and prints a JSON record with
 events/sec, peak RSS, and a trajectory checksum.  One process per
 configuration is the point: ``ru_maxrss`` is a high-water mark for the
 whole process, so the only way to attribute peak memory to a
@@ -20,13 +20,13 @@ profile.
 
 The trajectory checksum hashes every booking (job id, exact start, full
 node membership), so two configurations agree iff they booked the exact
-same schedule.  Seed-vs-current and heap-vs-calendar identity checks in
-``bench_scale`` are byte-equality on this digest.
+same schedule.  The seed-vs-current identity check in ``bench_scale`` is
+byte-equality on this digest.
 
 Usage (normally via bench_scale, but hand-runnable):
 
     PYTHONPATH=src python benchmarks/perf/scale_bench.py \
-        --nodes 10000 --jobs 2000 --impl current --event-loop calendar
+        --nodes 10000 --jobs 2000 --impl current
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ def run_config(
     nodes: int,
     jobs: int,
     impl: str = "current",
-    event_loop: str = "calendar",
     seed: int = 20050628,
     offered_load: float = 0.7,
 ) -> Dict[str, object]:
@@ -80,7 +79,7 @@ def run_config(
         ledger = SeedReservationLedger(nodes)
     spec = BigClusterSpec(nodes=nodes, offered_load=offered_load)
     stream = stream_jobs(spec, seed=seed, job_count=jobs)
-    loop = EventLoop(queue=event_loop)
+    loop = EventLoop()
     digest = hashlib.sha256()
     state = {"peak_bookings": 0}
 
@@ -117,7 +116,6 @@ def run_config(
         "nodes": nodes,
         "jobs": jobs,
         "impl": impl,
-        "event_loop": event_loop,
         "seed": seed,
         "offered_load": offered_load,
         "events": events,
@@ -134,10 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--nodes", type=int, required=True)
     parser.add_argument("--jobs", type=int, required=True)
     parser.add_argument("--impl", choices=IMPLS, default="current")
-    parser.add_argument(
-        "--event-loop", choices=["heap", "calendar"], default="calendar",
-        dest="event_loop",
-    )
     parser.add_argument("--seed", type=int, default=20050628)
     parser.add_argument("--offered-load", type=float, default=0.7)
     args = parser.parse_args(argv)
@@ -145,7 +139,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         nodes=args.nodes,
         jobs=args.jobs,
         impl=args.impl,
-        event_loop=args.event_loop,
         seed=args.seed,
         offered_load=args.offered_load,
     )

@@ -18,7 +18,6 @@ from ledger_bench import (
     PRESETS,
     bench_find_slot,
     bench_negotiation,
-    bench_negotiation_fastpath,
     bench_scale,
 )
 
@@ -43,29 +42,6 @@ def test_negotiation_dialogue_not_slower_than_seed():
     assert result["speedup"] >= 1.0, (
         f"negotiation dialogue slower than the seed ledger "
         f"({result['speedup']:.2f}x)"
-    )
-
-
-@pytest.mark.perf
-def test_analytical_mode_kills_the_probe_loop_at_least_10x():
-    # Count-based, so deterministic for the seed: the smoke-scale version
-    # of this gate also runs in tier-1 (tests/test_perf_smoke.py).
-    result = bench_negotiation_fastpath(PRESETS["default"], seed=SEED, repeats=1)
-    assert result["bookings_identical"]
-    assert result["oracle_agrees"]
-    assert result["probe_reduction"] >= 10.0, (
-        f"probes per dialogue: {result['probes_per_dialogue']} "
-        f"({result['probe_reduction']:.1f}x)"
-    )
-    assert result["query_reduction"] >= 10.0, (
-        f"predictor queries per dialogue: "
-        f"{result['predictor_queries_per_dialogue']}"
-    )
-    assert result["grid"]["query_reduction"] >= 10.0, (
-        f"figures-grid predictor queries: {result['grid']['predictor_queries']}"
-    )
-    assert result["speedup"] >= 1.0, (
-        f"analytical mode slower than probe mode ({result['speedup']:.2f}x)"
     )
 
 

@@ -24,6 +24,7 @@ from repro.cluster.topology import FlatTopology
 from repro.core.negotiation import Negotiator
 from repro.core.users import RiskThresholdUser
 from repro.failures.events import FailureEvent, FailureTrace
+from repro.obs.registry import MetricsRegistry
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.placement import fault_aware_scorer
 
@@ -42,13 +43,14 @@ def main() -> None:
     # Accuracy 0.9: the failures are almost certainly detectable.
     predictor = TracePredictor(failures, accuracy=0.9, seed=11)
     cluster = Cluster(node_count=NODES)
-    # mode="probe" shows every offer actually laid on the table; the
-    # analytical default books identically but prunes offers a threshold
-    # user is certain to decline, which would hide the dialogue this demo
-    # exists to display (see DESIGN.md "Analytical negotiation fast path").
+    # The negotiator skips offers a threshold user is certain to decline
+    # without laying them on the table (see DESIGN.md "Analytical
+    # negotiation fast path"); the registry counts those pruned offers.
+    registry = MetricsRegistry()
+    pruned = registry.counter("negotiation.dialogue.pruned")
     negotiator = Negotiator(
         cluster.ledger, FlatTopology(NODES), predictor,
-        scorer=fault_aware_scorer(predictor), mode="probe",
+        scorer=fault_aware_scorer(predictor), registry=registry,
     )
 
     size, duration = NODES, 4 * HOUR  # a 4-hour job needing every node
@@ -67,6 +69,7 @@ def main() -> None:
 
     for threshold in (0.1, 0.95):
         user = RiskThresholdUser(threshold)
+        pruned_before = pruned.value
         outcome = negotiator.negotiate(
             job_id=int(threshold * 100), size=size, duration=duration,
             now=0.0, user=user,
@@ -74,7 +77,8 @@ def main() -> None:
         g = outcome.guarantee
         print(
             f"\nuser with U={threshold:g} accepted after declining "
-            f"{g.offers_declined} offer(s):\n"
+            f"{g.offers_declined} offer(s) and skipping "
+            f"{pruned.value - pruned_before:.0f} pruned one(s):\n"
             f"  \"job can be completed by t={g.deadline / HOUR:.2f}h "
             f"with probability {g.probability:.3f}\""
         )

@@ -423,15 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_negotiation_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--negotiation-mode",
-        choices=["probe", "analytical", "oracle"],
-        default="analytical",
-        dest="negotiation_mode",
-        help="offer pricing: 'analytical' (default; cached fast path with "
-        "candidate pruning), 'probe' (per-candidate predictor queries), or "
-        "'oracle' (probe values cross-checked against the fast path)",
-    )
-    parser.add_argument(
         "--jump-epsilon",
         type=float,
         default=1.0,
@@ -439,15 +430,6 @@ def _add_negotiation_args(parser: argparse.ArgumentParser) -> None:
         dest="jump_epsilon",
         help="seconds the dialogue advances a candidate start past a "
         "predicted failure (default 1.0)",
-    )
-    parser.add_argument(
-        "--event-loop",
-        choices=["heap", "calendar"],
-        default="heap",
-        dest="event_loop",
-        help="pending-event store: 'heap' (default, the seed binary heap) "
-        "or 'calendar' (O(1) amortised bucketed queue for big clusters); "
-        "trajectories are bit-identical across the two",
     )
 
 
@@ -771,9 +753,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 checkpoint_policy=args.policy,
                 placement=args.placement,
                 topology=args.topology,
-                negotiation_mode=args.negotiation_mode,
                 failure_jump_epsilon=args.jump_epsilon,
-                event_loop=args.event_loop,
             )
         finally:
             if trace_stream is not None:
@@ -788,9 +768,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             checkpoint_policy=args.policy,
             placement=args.placement,
             topology=args.topology,
-            negotiation_mode=args.negotiation_mode,
             failure_jump_epsilon=args.jump_epsilon,
-            event_loop=args.event_loop,
         )
     pairs = [
         ("QoS", f"{metrics.qos:.4f}"),
@@ -851,9 +829,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     config = SystemConfig(
         accuracy=args.accuracy,
         seed=setup.seed,
-        negotiation_mode=args.negotiation_mode,
         failure_jump_epsilon=args.jump_epsilon,
-        event_loop=args.event_loop,
     )
     system = ProbabilisticQoSSystem(config, JobLog([], name="empty"), ctx.failures)
     probe = Job(job_id=1, arrival_time=0.0, size=args.size, runtime=args.runtime)

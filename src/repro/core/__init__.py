@@ -15,11 +15,9 @@ from repro.core.metrics import (
     SimulationMetrics,
 )
 from repro.core.negotiation import (
-    NEGOTIATION_MODES,
     DeadlineSuggestion,
     NegotiationOutcome,
     Negotiator,
-    OracleDisagreement,
 )
 from repro.core.system import (
     ProbabilisticQoSSystem,
@@ -46,11 +44,9 @@ __all__ = [
     "JobOutcome",
     "MetricsCollector",
     "SimulationMetrics",
-    "NEGOTIATION_MODES",
     "DeadlineSuggestion",
     "NegotiationOutcome",
     "Negotiator",
-    "OracleDisagreement",
     "ProbabilisticQoSSystem",
     "SimulationResult",
     "SystemConfig",

@@ -25,8 +25,8 @@ queries from cached per-node per-window terms:
   computed once per dialogue instead of once per offer.
 * **Anything else** falls back to the same memoised path under the
   independence assumption the paper itself makes for multi-node
-  partitions; the oracle negotiation mode checks the agreement at
-  runtime (see DESIGN.md for the tolerance contract).
+  partitions; the test suite's checking oracle asserts that both paths
+  agree within 1e-9 (see DESIGN.md for the tolerance contract).
 
 The term cache is *dialogue-scoped*: the ledger is never mutated while
 one dialogue enumerates offers, so every term computed for one offer is
@@ -37,7 +37,7 @@ lives for the evaluator's lifetime.
 The evaluator is itself a :class:`~repro.prediction.base.Predictor`, so
 it can stand in wherever one is consumed — the placement scorer, the
 checkpoint-decision context, and the evacuation check all route through
-it in analytical mode, which is what empties the
+it, which is what empties the
 ``prediction.trace.queries`` counter on the figures grid.
 """
 

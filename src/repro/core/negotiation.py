@@ -18,36 +18,24 @@ the best partition until the promise clears the threshold (the failure
 trace is finite, so this terminates), with a hard cap as a safety valve —
 if the cap is hit, the best offer seen is imposed and flagged.
 
-Negotiation modes
------------------
+Offer pricing
+-------------
 
-The dialogue can price offers three ways (``Negotiator(mode=...)``):
-
-``analytical`` (default)
-    Offers are priced by an :class:`~repro.core.fastpath
-    .AnalyticalEvaluator` — cached per-node survival terms combined
-    analytically instead of re-querying the predictor per candidate.  For
-    :class:`~repro.core.users.RiskThresholdUser` dialogues the enumeration
-    additionally *prunes*: before probing a candidate window, a sound upper
-    bound on the promise any partition could earn there is compared against
-    the user's threshold, and provably-declined candidates are skipped
-    without partition selection or pricing.  Pruned candidates still count
-    toward the dialogue cap (keeping the enumeration aligned with probe
-    mode), and if a pruned dialogue ends without acceptance the negotiator
-    reruns it unpruned, so the accepted/imposed outcome is always identical
-    to probe mode — only ``offers_made`` / ``offers_declined`` shrink,
-    because pruned offers were never laid on the table.
-
-``probe``
-    The original simulated dialogue: every candidate is priced by a live
-    predictor query.  Kept as the oracle of record.
-
-``oracle``
-    Probe mode with a built-in cross-check: every offer is priced both
-    ways and the two must agree within ``oracle_tolerance``; the *probe*
-    value is emitted, so accepted offers are bit-identical to probe mode
-    by construction.  Use it to validate the fast path against a new
-    predictor.
+Offers are priced by an :class:`~repro.core.fastpath.AnalyticalEvaluator`
+— cached per-node survival terms combined analytically instead of
+re-querying the predictor per candidate.  For
+:class:`~repro.core.users.RiskThresholdUser` dialogues the enumeration
+additionally *prunes*: before probing a candidate window, a sound upper
+bound on the promise any partition could earn there is compared against
+the user's threshold, and provably-declined candidates are skipped without
+partition selection or pricing.  Pruned candidates still count toward the
+dialogue cap (keeping the enumeration aligned with an unpruned dialogue),
+and if a pruned dialogue ends without acceptance the negotiator reruns it
+unpruned, so the accepted/imposed outcome is always identical to pricing
+every candidate with the live predictor — only ``offers_made`` /
+``offers_declined`` shrink, because pruned offers were never laid on the
+table.  The test suite keeps that per-candidate probe loop as its
+reference oracle (``tests/fastpath/probe_oracle.py``).
 """
 
 from __future__ import annotations
@@ -65,24 +53,10 @@ from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.prediction.base import Predictor
 
-#: Valid values for ``Negotiator(mode=...)``.
-NEGOTIATION_MODES: Tuple[str, ...] = ("probe", "analytical", "oracle")
-
-#: Default absolute tolerance for the oracle-mode cross-check.  The trace
-#: and online fast paths are bit-identical by construction, so any
-#: disagreement here means a predictor's ``node_failure_term`` does not
-#: match its ``failure_probability`` decomposition (see DESIGN.md).
-DEFAULT_ORACLE_TOLERANCE = 1e-9
-
 #: Acceptance slack shared with ``RiskThresholdUser.accepts`` — the pruning
 #: bound must use the exact same epsilon or it could skip an offer the user
 #: would have taken.
 _ACCEPT_EPSILON = 1e-12
-
-
-class OracleDisagreement(RuntimeError):
-    """Raised in oracle mode when the analytical promise strays from the
-    probe promise by more than the configured tolerance."""
 
 
 @dataclass(frozen=True)
@@ -146,15 +120,12 @@ class Negotiator:
         registry: Optional obs registry; when live, every dialogue records
             its probe depth, offer count, and the rank of the accepted
             offer under ``negotiation.dialogue.*``.
-        mode: Offer-pricing mode, one of :data:`NEGOTIATION_MODES` (see
-            the module docstring).
         failure_jump_epsilon: Seconds added when advancing a candidate
             start past a predicted failure; must be positive or the jump
             loop could stall on the failure instant itself.
         evaluator: The analytical evaluator to price offers with (built
             from ``predictor`` when omitted).  The system passes a shared
             instance so placement scoring reuses the same term cache.
-        oracle_tolerance: Absolute tolerance for the oracle cross-check.
         profiler: Optional hierarchical profiler (:mod:`repro.obs.prof`);
             when live, each dialogue runs inside the
             ``negotiation.dialogue.negotiate`` zone, and a self-built
@@ -169,18 +140,12 @@ class Negotiator:
         scorer: Optional[NodeScorer] = None,
         max_offers: int = 400,
         registry: Optional[MetricsRegistry] = None,
-        mode: str = "analytical",
         failure_jump_epsilon: float = 1.0,
         evaluator: Optional[AnalyticalEvaluator] = None,
-        oracle_tolerance: float = DEFAULT_ORACLE_TOLERANCE,
         profiler: Optional[Profiler] = None,
     ) -> None:
         if max_offers < 1:
             raise ValueError(f"max_offers must be >= 1, got {max_offers}")
-        if mode not in NEGOTIATION_MODES:
-            raise ValueError(
-                f"mode must be one of {NEGOTIATION_MODES}, got {mode!r}"
-            )
         if failure_jump_epsilon <= 0.0:
             raise ValueError(
                 "failure_jump_epsilon must be positive, got "
@@ -192,28 +157,18 @@ class Negotiator:
         # (the frozen seed ledger only speaks lists); both iterate the same
         # nodes ascending, so offers are identical either way.
         self._free_query = getattr(ledger, "free_nodes_set", ledger.free_nodes)
-        self._predictor = predictor
         self._scorer = scorer
         self._max_offers = max_offers
-        self._mode = mode
         self._jump_epsilon = float(failure_jump_epsilon)
-        self._oracle_tolerance = float(oracle_tolerance)
         registry = registry if registry is not None else NULL_REGISTRY
         profiler = profiler if profiler is not None else NULL_PROFILER
-        if mode == "probe":
-            self._eval: Optional[AnalyticalEvaluator] = None
-        elif evaluator is not None:
-            self._eval = evaluator
-        else:
-            self._eval = AnalyticalEvaluator(
+        self._eval = (
+            evaluator
+            if evaluator is not None
+            else AnalyticalEvaluator(
                 predictor, ledger.node_count, registry=registry,
                 profiler=profiler,
             )
-        # Jump targets come from the evaluator only in analytical mode;
-        # probe and oracle stay faithful to the live predictor.
-        self._jump_source: Predictor = (
-            self._eval if self._mode == "analytical" and self._eval is not None
-            else predictor
         )
         self._obs = registry.enabled
         self._c_dialogues = registry.counter("negotiation.dialogue.dialogues")
@@ -224,9 +179,6 @@ class Negotiator:
         self._c_pruned = registry.counter("negotiation.dialogue.pruned")
         self._c_forced = registry.counter("negotiation.dialogue.forced")
         self._c_advisories = registry.counter("negotiation.dialogue.advisories")
-        self._c_oracle_checks = registry.counter(
-            "negotiation.fastpath.oracle_checks"
-        )
         self._h_offers = registry.histogram("negotiation.dialogue.offers_per_job")
         self._h_accepted_rank = registry.histogram(
             "negotiation.dialogue.accepted_rank"
@@ -235,42 +187,18 @@ class Negotiator:
         self._z_negotiate = profiler.zone("negotiation.dialogue.negotiate")
 
     @property
-    def mode(self) -> str:
-        """The configured pricing mode."""
-        return self._mode
-
-    @property
     def failure_jump_epsilon(self) -> float:
         """Seconds added when jumping past a predicted failure."""
         return self._jump_epsilon
 
     @property
-    def evaluator(self) -> Optional[AnalyticalEvaluator]:
-        """The analytical evaluator (None in probe mode)."""
+    def evaluator(self) -> AnalyticalEvaluator:
+        """The analytical evaluator every offer is priced with."""
         return self._eval
 
     # ------------------------------------------------------------------
     # Offer generation
     # ------------------------------------------------------------------
-    def _price(self, nodes: Sequence[int], start: float, end: float) -> float:
-        """The promised failure probability for a concrete partition."""
-        if self._mode == "analytical":
-            assert self._eval is not None
-            return self._eval.failure_probability(nodes, start, end)
-        p_f = self._predictor.failure_probability(nodes, start, end)
-        if self._mode == "oracle":
-            assert self._eval is not None
-            analytical = self._eval.failure_probability(nodes, start, end)
-            if abs(analytical - p_f) > self._oracle_tolerance:
-                raise OracleDisagreement(
-                    f"analytical promise {analytical!r} disagrees with probe "
-                    f"promise {p_f!r} for nodes={nodes} window=[{start}, {end})"
-                    f" beyond tolerance {self._oracle_tolerance}"
-                )
-            if self._obs:
-                self._c_oracle_checks.inc()
-        return p_f
-
     def make_offer(
         self, size: int, duration: float, start: float
     ) -> Optional[DeadlineOffer]:
@@ -288,7 +216,7 @@ class Negotiator:
         if nodes is None:
             return None
         partition = freeze_nodes(nodes)
-        p_f = self._price(partition, start, start + duration)
+        p_f = self._eval.failure_probability(partition, start, start + duration)
         return DeadlineOffer(
             start=start,
             nodes=partition,
@@ -315,7 +243,7 @@ class Negotiator:
             size: Nodes required.
             duration: Padded runtime to reserve.
             earliest: No offer starts before this.
-            threshold: When set (analytical mode only), candidates whose
+            threshold: When set, candidates whose
                 best-achievable promise provably falls short of this user
                 threshold are skipped without pricing.  Pruned candidates
                 count toward the cap so the enumeration stays aligned with
@@ -330,11 +258,7 @@ class Negotiator:
         obs = self._obs
         probes = self._c_probes
         evaluator = self._eval
-        if evaluator is not None:
-            evaluator.begin_dialogue()
-        prune = threshold is not None and self._mode == "analytical"
-        if prune:
-            assert evaluator is not None
+        evaluator.begin_dialogue()
         # Capacity prefilter: reject candidates that cannot possibly have
         # enough simultaneously free nodes without per-node scans.  The
         # ledger is not mutated during one dialogue, so its cached profile
@@ -353,7 +277,7 @@ class Negotiator:
                 if obs:
                     self._c_prefilter.inc()
                 continue
-            if prune:
+            if threshold is not None:
                 bound = evaluator.best_case_probability(
                     size, start, start + duration
                 )
@@ -380,7 +304,7 @@ class Negotiator:
         # Past the booking horizon: jump beyond predicted failures.
         start = last_start
         while produced < self._max_offers:
-            if prune:
+            if threshold is not None:
                 bound = evaluator.best_case_probability(
                     size, start, start + duration
                 )
@@ -422,7 +346,7 @@ class Negotiator:
             yield offer
             if produced >= self._max_offers:
                 return
-            predicted = self._jump_source.first_predicted_failure(
+            predicted = evaluator.first_predicted_failure(
                 offer.nodes, start, start + duration
             )
             if predicted is None:
@@ -501,7 +425,7 @@ class Negotiator:
         # subclasses or look-alikes (SlackBoundedUser also accepts on
         # patience, which the bound knows nothing about).
         threshold: Optional[float] = None
-        if self._mode == "analytical" and type(user) is RiskThresholdUser:
+        if type(user) is RiskThresholdUser:
             threshold = user.risk_threshold
 
         best, accepted, offers_made = self._run_dialogue(
@@ -510,7 +434,8 @@ class Negotiator:
         if accepted is None and threshold is not None:
             # The pruned pass ended without acceptance (cap or exhaustion).
             # Rerun unpruned so the imposed offer — and the RuntimeError
-            # below, if it comes to that — are bit-identical to probe mode.
+            # below, if it comes to that — are bit-identical to an unpruned
+            # dialogue.
             best, accepted, offers_made = self._run_dialogue(
                 size, duration, now, user, None
             )
@@ -597,15 +522,14 @@ class Negotiator:
         """
         if self._obs:
             self._c_advisories.inc()
-        threshold = (
-            target_probability if self._mode == "analytical" else None
+        suggestion = self._advise(
+            size, duration, now, target_probability, target_probability
         )
-        suggestion = self._advise(size, duration, now, target_probability, threshold)
-        if suggestion.status == "cap_reached" and threshold is not None:
+        if suggestion.status == "cap_reached":
             # Pruned candidates count toward the cap (including ones an
             # unpruned pass would have skipped as infeasible), so the
             # pruned pass can exhaust the cap slightly early; rerun
-            # unpruned for a probe-identical verdict.
+            # unpruned for the verdict an unpruned search would reach.
             suggestion = self._advise(
                 size, duration, now, target_probability, None
             )

@@ -35,7 +35,6 @@ from repro.cluster.topology import Topology, topology_by_name
 from repro.core.fastpath import AnalyticalEvaluator
 from repro.core.guarantee import QoSGuarantee
 from repro.core.metrics import MetricsCollector, SimulationMetrics
-from repro.core.negotiation import NEGOTIATION_MODES
 from repro.core.users import RiskThresholdUser, UserModel
 from repro.failures.events import FailureTrace
 from repro.obs.audit import NULL_AUDIT, AuditReport, GuaranteeAudit
@@ -48,7 +47,6 @@ from repro.prediction.trace import TracePredictor
 from repro.scheduling.fcfs import ConservativeBackfillScheduler
 from repro.scheduling.placement import scorer_by_name
 from repro.scheduling.queue import PendingStarts
-from repro.sim.calendar_queue import EVENT_QUEUE_KINDS
 from repro.sim.engine import EventLoop
 from repro.sim.events import Event, EventKind
 from repro.workload.job import Job, JobLog
@@ -84,20 +82,8 @@ class SystemConfig:
         evacuation_threshold: Minimum predicted failure probability that
             triggers an evacuation.
         max_offers: Negotiation dialogue cap.
-        negotiation_mode: Offer-pricing mode — ``"analytical"`` (default;
-            cached fast path with candidate pruning), ``"probe"`` (the
-            original per-candidate predictor queries), or ``"oracle"``
-            (probe values, analytically cross-checked).  All three produce
-            identical accepted offers; see DESIGN.md "Analytical
-            negotiation fast path".
         failure_jump_epsilon: Seconds the negotiation dialogue advances a
             candidate start past a predicted failure.
-        event_loop: Pending-event store backend, one of
-            :data:`~repro.sim.calendar_queue.EVENT_QUEUE_KINDS` —
-            ``"heap"`` (default, the seed binary heap) or ``"calendar"``
-            (O(1) amortised bucketed queue for big-cluster replays).  The
-            dispatched event sequence — and therefore the whole trajectory
-            — is bit-identical across backends.
     """
 
     node_count: int = 128
@@ -115,21 +101,9 @@ class SystemConfig:
     proactive_evacuation: bool = False
     evacuation_threshold: float = 0.0
     max_offers: int = 400
-    negotiation_mode: str = "analytical"
     failure_jump_epsilon: float = 1.0
-    event_loop: str = "heap"
 
     def __post_init__(self) -> None:
-        if self.negotiation_mode not in NEGOTIATION_MODES:
-            raise ValueError(
-                f"negotiation_mode must be one of {NEGOTIATION_MODES}, "
-                f"got {self.negotiation_mode!r}"
-            )
-        if self.event_loop not in EVENT_QUEUE_KINDS:
-            raise ValueError(
-                f"event_loop must be one of {EVENT_QUEUE_KINDS}, "
-                f"got {self.event_loop!r}"
-            )
         if self.failure_jump_epsilon <= 0:
             raise ValueError(
                 "failure_jump_epsilon must be > 0, got "
@@ -293,24 +267,16 @@ class ProbabilisticQoSSystem:
             profiler=self.profiler,
         )
         self.topology: Topology = topology_by_name(config.topology, config.node_count)
-        # In analytical/oracle mode one shared evaluator answers every
-        # prediction-shaped query the simulation makes — offer pricing,
-        # placement scoring, checkpoint decisions, evacuation checks — so
-        # the live predictor is only consulted where the evaluator cannot
-        # stand in (its values are identical; see repro.core.fastpath).
-        self.evaluator: Optional[AnalyticalEvaluator] = None
-        if config.negotiation_mode != "probe":
-            self.evaluator = AnalyticalEvaluator(
-                self.predictor, config.node_count, registry=self.registry,
-                profiler=self.profiler,
-            )
-        query_predictor: Predictor = (
-            self.evaluator
-            if self.evaluator is not None and config.negotiation_mode == "analytical"
-            else self.predictor
+        # One shared evaluator answers every prediction-shaped query the
+        # simulation makes — offer pricing, placement scoring, checkpoint
+        # decisions, evacuation checks — so the live predictor is only
+        # consulted where the evaluator cannot stand in (its values are
+        # identical; see repro.core.fastpath).
+        self.evaluator = AnalyticalEvaluator(
+            self.predictor, config.node_count, registry=self.registry,
+            profiler=self.profiler,
         )
-        self._query_predictor = query_predictor
-        scorer = scorer_by_name(config.placement, query_predictor, config.seed)
+        scorer = scorer_by_name(config.placement, self.evaluator, config.seed)
         self.scheduler = ConservativeBackfillScheduler(
             self.cluster.ledger,
             self.topology,
@@ -318,7 +284,6 @@ class ProbabilisticQoSSystem:
             scorer,
             max_offers=config.max_offers,
             registry=self.registry,
-            negotiation_mode=config.negotiation_mode,
             failure_jump_epsilon=config.failure_jump_epsilon,
             evaluator=self.evaluator,
             profiler=self.profiler,
@@ -330,10 +295,7 @@ class ProbabilisticQoSSystem:
             recorder if isinstance(recorder, SpanBuilder) else None
         )
 
-        self.loop = EventLoop(
-            registry=self.registry, queue=config.event_loop,
-            profiler=self.profiler,
-        )
+        self.loop = EventLoop(registry=self.registry, profiler=self.profiler)
         if self._span_builder is not None:
             # Exported timelines carry the event-mix breakdown in their
             # metadata; counting costs one bool test per event otherwise.
@@ -585,7 +547,7 @@ class ProbabilisticQoSSystem:
             skipped_since_checkpoint=run.skipped_since_checkpoint,
             remaining_work=run.remaining_work,
             deadline=state.guarantee.deadline if state.guarantee else None,
-            predictor=self._query_predictor,
+            predictor=self.evaluator,
         )
         if not self._prof:
             decision = self.policy.decide(ctx)
@@ -766,7 +728,7 @@ class ProbabilisticQoSSystem:
             run.remaining_work + self.config.checkpoint_overhead,
             self.config.checkpoint_interval + 2 * self.config.checkpoint_overhead,
         )
-        p_f = self._query_predictor.failure_probability(nodes, now, now + horizon)
+        p_f = self.evaluator.failure_probability(nodes, now, now + horizon)
         if p_f <= self.config.evacuation_threshold:
             return False
 

@@ -87,9 +87,8 @@ class ModuleContext:
     def memo(self, key: str, compute: Callable[[], _T]) -> _T:
         """Cache a module-level pre-pass under ``key``.
 
-        Flow rules share one context per file; pre-passes (async-def name
-        collection, module-level mutable bindings, ...) run once however
-        many rules ask for them.
+        Flow rules share one context per file; pre-passes (module-level
+        mutable bindings, ...) run once however many rules ask for them.
         """
         if key not in self._memo:
             self._memo[key] = compute()
@@ -181,10 +180,6 @@ class FunctionAnalysis:
     @property
     def is_module(self) -> bool:
         return isinstance(self.function, ast.Module)
-
-    @property
-    def is_async(self) -> bool:
-        return isinstance(self.function, ast.AsyncFunctionDef)
 
     @property
     def cfg(self):  # -> repro.lint.cfg.CFG

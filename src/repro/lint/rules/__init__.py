@@ -8,15 +8,14 @@ rules policing one determinism failure mode; the rule docstrings and
 
 Families: QOS1xx are single-pass pattern rules; QOS2xx follow taint
 through per-function dataflow; QOS3xx check the probability and time-unit
-domains; QOS4xx police coroutine safety; QOS5xx (in
-:mod:`repro.lint.arch`, run by ``--arch``) enforce the layer DAG.
+domains; QOS5xx (in :mod:`repro.lint.arch`, run by ``--arch``) enforce
+the layer DAG.
 """
 
 from __future__ import annotations
 
 from repro.lint import arch  # noqa: F401  (registers QOS501/QOS502)
 from repro.lint.rules import (  # noqa: F401
-    asyncsafety,
     dataflow,
     defaults,
     env,

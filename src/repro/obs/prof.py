@@ -18,8 +18,8 @@ Design constraints, in order (mirroring :mod:`repro.obs.registry`):
   a zone is a dict-free push.
 * **Deterministic shape.**  The zone *tree structure*, call counts, and
   sim-time bucket indices are pure functions of the simulated trajectory
-  and therefore bit-identical across reruns and event-queue backends;
-  only the wall-ns payloads vary run to run.  Tests pin the shape with
+  and therefore bit-identical across reruns; only the wall-ns payloads
+  vary run to run.  Tests pin the shape with
   :func:`strip_wall_ns`.
 * **Sim-time bucketing.**  The owner calls :meth:`Profiler.set_sim_time`
   as simulated time advances (the engine does this per dispatched
@@ -376,7 +376,7 @@ def strip_wall_ns(snapshot: Dict[str, Any]) -> Dict[str, Any]:
 
     What remains — tree structure, call counts, bucket indices and
     per-bucket call counts — is the deterministic surface: bit-identical
-    across reruns and event-queue backends for the same trajectory.
+    across reruns of the same trajectory.
     """
 
     def strip_node(node: Dict[str, Any]) -> Dict[str, Any]:

@@ -48,11 +48,6 @@ class PredictionQuality:
     precision: float
     calibration: CalibrationSummary
 
-    @property
-    def mean_probability(self) -> float:
-        """Mean disclosed probability over scored alarms (back-compat)."""
-        return self.calibration.mean_forecast
-
 
 def evaluate_predictor(
     predictor: Predictor,

@@ -63,9 +63,6 @@ class ConservativeBackfillScheduler:
         registry: Optional obs registry; when live, restart bookings and
             pull-forward attempts are counted under ``scheduling.fcfs.*``
             and the registry is forwarded to the negotiator.
-        negotiation_mode: Offer-pricing mode forwarded to the
-            :class:`~repro.core.negotiation.Negotiator` (one of
-            ``probe`` / ``analytical`` / ``oracle``).
         failure_jump_epsilon: Seconds the dialogue advances past a
             predicted failure; forwarded to the negotiator.
         evaluator: Shared analytical evaluator (the system passes the same
@@ -83,7 +80,6 @@ class ConservativeBackfillScheduler:
         scorer: Optional[NodeScorer],
         max_offers: int = 400,
         registry: Optional[MetricsRegistry] = None,
-        negotiation_mode: str = "analytical",
         failure_jump_epsilon: float = 1.0,
         evaluator: Optional[AnalyticalEvaluator] = None,
         profiler: Optional[Profiler] = None,
@@ -98,8 +94,7 @@ class ConservativeBackfillScheduler:
         registry = registry if registry is not None else NULL_REGISTRY
         self.negotiator = Negotiator(
             ledger, topology, predictor, scorer, max_offers=max_offers,
-            registry=registry, mode=negotiation_mode,
-            failure_jump_epsilon=failure_jump_epsilon, evaluator=evaluator,
+            registry=registry, failure_jump_epsilon=failure_jump_epsilon, evaluator=evaluator,
             profiler=profiler,
         )
         self._obs = registry.enabled

@@ -1,11 +1,5 @@
 """Discrete-event simulation substrate (engine, events, seeded RNG)."""
 
-from repro.sim.calendar_queue import (
-    EVENT_QUEUE_KINDS,
-    CalendarEventQueue,
-    HeapEventQueue,
-    make_event_queue,
-)
 from repro.sim.engine import EventLoop, SimulationError
 from repro.sim.events import Event, EventKind, TIE_BREAK_ORDER
 from repro.sim.rng import (
@@ -17,10 +11,6 @@ from repro.sim.rng import (
 )
 
 __all__ = [
-    "EVENT_QUEUE_KINDS",
-    "CalendarEventQueue",
-    "HeapEventQueue",
-    "make_event_queue",
     "EventLoop",
     "SimulationError",
     "Event",

@@ -1,17 +1,10 @@
 """A small, deterministic discrete-event simulation engine.
 
 The engine is a classic event loop: pending
-:class:`~repro.sim.events.Event` objects ordered by
+:class:`~repro.sim.events.Event` objects sit in one binary heap ordered by
 ``(time, kind tie-break, insertion sequence)``.  Handlers are registered per
 :class:`~repro.sim.events.EventKind` and invoked with the event; handlers may
 schedule or cancel further events.
-
-The pending-event store is pluggable (``EventLoop(queue=...)``): the
-default is the seed binary heap, and big-cluster runs select the
-calendar queue (see :mod:`repro.sim.calendar_queue`) for O(1) amortised
-scheduling at million-event depth.  Both backends honour the same total
-ordering, so the dispatched sequence — and therefore every simulation
-trajectory — is bit-identical across them.
 
 Design notes
 ------------
@@ -29,12 +22,12 @@ Design notes
 
 from __future__ import annotations
 
+import heapq
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.prof import NULL_PROFILER, Profiler, Zone
 from repro.obs.registry import NULL_REGISTRY, Counter, Histogram, MetricsRegistry
-from repro.sim.calendar_queue import EVENT_QUEUE_KINDS, EventQueue, make_event_queue
 from repro.sim.events import Event, EventKind
 from repro.sim.units import SimSeconds
 
@@ -63,25 +56,20 @@ class EventLoop:
         self,
         start_time: float = 0.0,
         registry: Optional[MetricsRegistry] = None,
-        queue: str = "heap",
         profiler: Optional[Profiler] = None,
     ) -> None:
         """Args:
             start_time: Initial simulated clock.
             registry: Optional obs registry (see class docstring).
-            queue: Pending-event store, one of
-                :data:`~repro.sim.calendar_queue.EVENT_QUEUE_KINDS` —
-                ``"heap"`` (default, the seed backend) or ``"calendar"``
-                (O(1) amortised at big-cluster depth).  Both dispatch the
-                exact same event sequence.
             profiler: Optional hierarchical profiler
                 (:mod:`repro.obs.prof`); when live, each dispatched event
                 runs inside a per-kind ``sim.engine.dispatch.*`` zone and
                 advances the profiler's sim-time bucket clock.
         """
         self._now = float(start_time)
-        self._queue: EventQueue = make_event_queue(queue)
-        self._queue_kind = queue
+        # ``(sort_key, event)`` entries; keys are unique (the seq
+        # component), so tuple comparison never falls through to events.
+        self._heap: List[Tuple[tuple, Event]] = []
         self._seq = 0
         self._live = 0
         self._handlers: Dict[EventKind, Handler] = {}
@@ -118,11 +106,6 @@ class EventLoop:
         return self._now
 
     @property
-    def queue_kind(self) -> str:
-        """The configured queue backend (``"heap"`` or ``"calendar"``)."""
-        return self._queue_kind
-
-    @property
     def processed_events(self) -> int:
         """Number of events dispatched so far (excludes cancelled)."""
         return self._processed
@@ -143,8 +126,13 @@ class EventLoop:
         the cost of lazy cancellation is paid once per cancelled event
         rather than on every peek; a peek with a live head is O(1).
         """
-        event = self._queue.peek()
-        return event.time if event is not None else None
+        heap = self._heap
+        while heap:
+            event = heap[0][1]
+            if not event.cancelled:
+                return event.time
+            heapq.heappop(heap)
+        return None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -185,7 +173,7 @@ class EventLoop:
             event.on_cancel = self._on_cancel
         self._seq += 1
         self._live += 1
-        self._queue.push(event)
+        heapq.heappush(self._heap, (event.sort_key(), event))
         return event
 
     def schedule_in(
@@ -205,9 +193,9 @@ class EventLoop:
 
     def step(self) -> Optional[Event]:
         """Dispatch the next live event; returns it, or None if drained."""
-        event = self._queue.pop()
-        if event is None:
+        if self.peek_time() is None:
             return None
+        event = heapq.heappop(self._heap)[1]
         # Off the queue: a late cancel() must not touch the live count.
         event.on_cancel = None
         self._live -= 1

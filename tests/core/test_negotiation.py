@@ -11,6 +11,7 @@ from repro.core.users import EarliestDeadlineUser, RiskThresholdUser
 from repro.failures.events import FailureEvent, FailureTrace
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.placement import fault_aware_scorer
+from tests.fastpath.probe_oracle import PRICING
 
 HOUR = 3600.0
 
@@ -18,6 +19,8 @@ HOUR = 3600.0
 def make_negotiator(
     node_count=8, failures=None, accuracy=1.0, max_offers=400, mode="analytical"
 ):
+    """``mode`` picks the pricing: the library's fast path, or one of the
+    reference oracles (``probe``, ``oracle``) of the fast-path tests."""
     ledger = ReservationLedger(node_count)
     trace = failures if failures is not None else FailureTrace([])
     predictor = TracePredictor(trace, accuracy=accuracy, seed=1)
@@ -27,7 +30,7 @@ def make_negotiator(
         predictor,
         fault_aware_scorer(predictor),
         max_offers=max_offers,
-        mode=mode,
+        evaluator=PRICING[mode](predictor, node_count),
     )
     return negotiator, ledger, predictor
 

@@ -5,7 +5,8 @@ predictors the fast path is *bit-identical*; for survival-decomposable
 predictors (online) the cached reconstruction is also bit-identical
 because it combines the same raw hazard terms in the same order; for
 arbitrary predictors the documented tolerance is 1e-9 under the
-independence assumption, checked at runtime by oracle mode.
+independence assumption, checked by the checking oracle
+(``probe_oracle.CheckingOracle``).
 
 The exhaustive randomized sweep below covers well over the required 1000
 (cluster, trace, job) cases with a fixed seed, so any disagreement is a

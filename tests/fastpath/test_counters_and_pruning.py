@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.system
 from repro.cluster.reservations import ReservationLedger
 from repro.cluster.topology import FlatTopology
 from repro.core.fastpath import AnalyticalEvaluator
@@ -23,6 +24,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.placement import fault_aware_scorer
 from repro.workload.job import JobLog
+from tests.fastpath.probe_oracle import PRICING
 
 HOUR = 3600.0
 
@@ -38,7 +40,7 @@ def build(mode, node_count=8, trace=None, registry=None, **kwargs):
         predictor,
         fault_aware_scorer(predictor),
         registry=registry,
-        mode=mode,
+        evaluator=PRICING[mode](predictor, node_count),
         **kwargs,
     )
     return negotiator, ledger
@@ -82,7 +84,7 @@ class TestCounterSplit:
         assert tallies["probe"].get("negotiation.dialogue.pruned", 0) == 0
         pruned = tallies["analytical"]["negotiation.dialogue.pruned"]
         assert pruned > 0
-        # Every pruned candidate is a probe the analytical mode did not pay.
+        # Every pruned candidate is a probe the fast path did not pay.
         assert (
             tallies["analytical"]["negotiation.dialogue.probes"] + pruned
             >= tallies["probe"]["negotiation.dialogue.probes"]
@@ -118,7 +120,6 @@ class TestCounterSplit:
             predictor,
             fault_aware_scorer(evaluator),
             registry=registry,
-            mode="analytical",
             evaluator=evaluator,
         )
         negotiator.negotiate(
@@ -211,19 +212,19 @@ class TestParameterPlumbing:
             )
             assert outcome.start == HOUR + 600.0
 
-    def test_system_config_plumbs_mode_and_epsilon(self):
-        trace = FailureTrace([])
-        config = SystemConfig(
-            node_count=8,
-            negotiation_mode="probe",
-            failure_jump_epsilon=42.0,
+    def test_system_config_plumbs_mode_and_epsilon(self, monkeypatch):
+        # The only pricing seam is the evaluator class the system builds;
+        # a substituted one reaches the negotiator untouched.
+        monkeypatch.setattr(
+            repro.core.system, "AnalyticalEvaluator", PRICING["probe"]
         )
+        trace = FailureTrace([])
+        config = SystemConfig(node_count=8, failure_jump_epsilon=42.0)
         system = ProbabilisticQoSSystem(config, JobLog([], name="empty"), trace)
         negotiator = system.scheduler.negotiator
-        assert negotiator.mode == "probe"
         assert negotiator.failure_jump_epsilon == 42.0
-        assert negotiator.evaluator is None
-        assert system.evaluator is None
+        assert isinstance(system.evaluator, PRICING["probe"])
+        assert negotiator.evaluator is system.evaluator
 
     def test_system_shares_one_evaluator(self):
         system = ProbabilisticQoSSystem(
@@ -233,14 +234,15 @@ class TestParameterPlumbing:
         assert system.scheduler.negotiator.evaluator is system.evaluator
 
     def test_invalid_mode_and_epsilon_rejected(self):
-        with pytest.raises(ValueError, match="negotiation_mode"):
-            SystemConfig(negotiation_mode="telepathy")
+        # There is one pricing path: no mode switch is accepted anywhere.
+        with pytest.raises(TypeError, match="negotiation_mode"):
+            SystemConfig(negotiation_mode="probe")
         with pytest.raises(ValueError, match="failure_jump_epsilon"):
             SystemConfig(failure_jump_epsilon=0.0)
         ledger = ReservationLedger(4)
         predictor = TracePredictor(FailureTrace([]), accuracy=1.0, seed=1)
-        with pytest.raises(ValueError, match="mode"):
-            Negotiator(ledger, FlatTopology(4), predictor, mode="telepathy")
+        with pytest.raises(TypeError, match="mode"):
+            Negotiator(ledger, FlatTopology(4), predictor, mode="probe")
         with pytest.raises(ValueError, match="failure_jump_epsilon"):
             Negotiator(
                 ledger, FlatTopology(4), predictor, failure_jump_epsilon=-1.0

@@ -3,8 +3,9 @@
 When the cap ends a dialogue, the negotiator imposes the *safest* offer
 seen, flags the outcome ``forced``, counts it under
 ``negotiation.dialogue.forced``, and ``offers_declined`` must reflect that
-every tabled offer was declined.  All of it must hold identically in probe
-and analytical modes (the analytical forced path reruns unpruned).
+every tabled offer was declined.  All of it must hold identically on the
+fast path and on the probe oracle (the fast path's forced dialogue reruns
+unpruned).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.failures.events import FailureEvent, FailureTrace
 from repro.obs.registry import MetricsRegistry
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.placement import fault_aware_scorer
+from tests.fastpath.probe_oracle import PRICING
 
 HOUR = 3600.0
 CAP = 5
@@ -45,7 +47,7 @@ def forced_negotiator(mode, registry=None, max_offers=CAP):
         fault_aware_scorer(predictor),
         max_offers=max_offers,
         registry=registry,
-        mode=mode,
+        evaluator=PRICING[mode](predictor, 4),
     )
     return negotiator
 
@@ -67,7 +69,7 @@ class TestForcedDialogue:
     def test_imposed_offer_is_safest_seen(self, mode):
         negotiator = forced_negotiator(mode)
         # Replay the enumeration the dialogue saw (threshold-free, so it is
-        # the exact candidate walk for both modes) and find the safest.
+        # the exact candidate walk for both pricings) and find the safest.
         offers = list(negotiator.iter_offers(4, 50 * HOUR, 0.0))
         assert len(offers) == CAP
         safest = max(offers, key=lambda o: o.probability)

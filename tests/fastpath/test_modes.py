@@ -1,8 +1,9 @@
-"""Mode equivalence: probe, analytical, and oracle produce identical
-bookings, dialogue outcomes, and full-simulation trajectories.
+"""The fast path against the reference oracles: the analytical evaluator,
+the probe oracle and the checking oracle (``probe_oracle.py``) produce
+identical bookings, dialogue outcomes, and full-simulation trajectories.
 
 Pruned candidates never reach the table, so ``offers_made`` /
-``offers_declined`` may legitimately shrink in analytical mode; everything
+``offers_declined`` may legitimately shrink on the fast path; everything
 the simulation acts on — start, partition, deadline, promise, forcedness —
 must match bit for bit.
 """
@@ -12,9 +13,10 @@ from __future__ import annotations
 import random
 from typing import Iterable, List
 
+import repro.core.system
 from repro.cluster.reservations import ReservationLedger
 from repro.cluster.topology import FlatTopology
-from repro.core.negotiation import Negotiator, OracleDisagreement
+from repro.core.negotiation import Negotiator
 from repro.core.system import SystemConfig, simulate
 from repro.core.users import RiskThresholdUser
 from repro.experiments.runner import estimate_horizon
@@ -25,6 +27,11 @@ from repro.prediction.online import OnlinePredictor
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.placement import fault_aware_scorer
 from repro.workload.synthetic import log_by_name
+from tests.fastpath.probe_oracle import (
+    PRICING,
+    CheckingOracle,
+    OracleDisagreement,
+)
 
 import pytest
 
@@ -78,7 +85,7 @@ def run_mode(mode, nodes, trace, accuracy, bookings, jobs, seed):
         predictor,
         fault_aware_scorer(predictor),
         max_offers=60,
-        mode=mode,
+        evaluator=PRICING[mode](predictor, nodes),
     )
     results = []
     for job_id, size, duration, threshold in jobs:
@@ -132,7 +139,7 @@ class TestDialogueEquivalence:
                 FlatTopology(nodes),
                 predictor,
                 fault_aware_scorer(predictor),
-                mode=mode,
+                evaluator=PRICING[mode](predictor, nodes),
             )
             results[mode] = [
                 booking_fields(
@@ -155,21 +162,19 @@ class TestSimulationEquivalence:
             {"opportunistic_start": True},
         ],
     )
-    def test_full_simulation_identical_across_modes(self, overrides):
+    def test_full_simulation_identical_across_modes(self, overrides, monkeypatch):
         log = log_by_name("sdsc", seed=23, job_count=80)
         horizon = estimate_horizon(log, 128)
         trace = generate_failure_trace(
             horizon, FailureModelSpec(nodes=128, rate_per_day=6.0), seed=23
         )
+        config = SystemConfig(
+            accuracy=0.9, user_threshold=0.9, seed=23, **overrides
+        )
         results = {}
-        for mode in ("probe", "analytical", "oracle"):
-            config = SystemConfig(
-                accuracy=0.9,
-                user_threshold=0.9,
-                seed=23,
-                negotiation_mode=mode,
-                **overrides,
-            )
+        for mode, pricing in PRICING.items():
+            # The system builds its one shared evaluator by this name.
+            monkeypatch.setattr(repro.core.system, "AnalyticalEvaluator", pricing)
             outcome = simulate(config, log, trace)
             results[mode] = (outcome.metrics, outcome.outcomes)
         assert results["probe"] == results["analytical"]
@@ -210,7 +215,7 @@ class TestOracleContract:
             FlatTopology(4),
             predictor,
             scorer=None,
-            mode="oracle",
+            evaluator=CheckingOracle(predictor, 4),
         )
         with pytest.raises(OracleDisagreement):
             negotiator.make_offer(size=4, duration=HOUR, start=0.0)
@@ -222,8 +227,7 @@ class TestOracleContract:
             FlatTopology(4),
             predictor,
             scorer=None,
-            mode="oracle",
-            oracle_tolerance=1.0,
+            evaluator=CheckingOracle(predictor, 4, tolerance=1.0),
         )
         offer = negotiator.make_offer(size=4, duration=HOUR, start=0.0)
         # The probe value is emitted, not the analytical one.

@@ -111,7 +111,9 @@ class TestBenchCli:
     def test_regression_fails_loudly_with_the_zone_diff(self, tmp_path, capsys):
         doc = json.loads(COMMITTED_LEDGER.read_text())
         grid = doc["scenarios"]["figures_grid"]
-        grid["sequential"]["median_s"] *= 2.0
+        # Twice as slow and a full second slower: past both the ratio and
+        # the absolute gate, whatever the committed baseline's own timing.
+        grid["sequential"]["median_s"] = 2.0 * grid["sequential"]["median_s"] + 1.0
         slow = tmp_path / "slow.json"
         slow.write_text(json.dumps(doc))
         code = main(

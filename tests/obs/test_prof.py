@@ -244,10 +244,10 @@ def _nasa_context(job_count: int = 40) -> ExperimentContext:
 
 
 class TestEndToEndDeterminism:
-    def _snapshot(self, ctx: ExperimentContext, **overrides) -> dict:
+    def _snapshot(self, ctx: ExperimentContext) -> dict:
         prof = Profiler()
         simulate(
-            ctx.config(0.5, 0.5, **overrides),
+            ctx.config(0.5, 0.5),
             ctx.log,
             ctx.failures,
             profiler=prof,
@@ -259,12 +259,6 @@ class TestEndToEndDeterminism:
         first = self._snapshot(ctx)
         second = self._snapshot(ctx)
         assert strip_wall_ns(first) == strip_wall_ns(second)
-
-    def test_zone_tree_is_identical_across_event_loop_backends(self):
-        ctx = _nasa_context()
-        heap = self._snapshot(ctx, event_loop="heap")
-        calendar = self._snapshot(ctx, event_loop="calendar")
-        assert strip_wall_ns(heap) == strip_wall_ns(calendar)
 
     def test_profiling_does_not_change_simulation_results(self):
         ctx = _nasa_context()

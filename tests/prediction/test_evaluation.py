@@ -93,7 +93,7 @@ class TestAlarmCalibration:
         assert s.successes == quality.alarms  # every p=1 alarm came true
         assert s.brier == 0.0
         assert s.expected_calibration_error == 0.0
-        assert quality.mean_probability == 1.0  # back-compat property
+        assert quality.calibration.mean_forecast == 1.0
 
     def test_noisy_alarms_land_in_an_overconfident_bin(self, trace):
         quality = evaluate_predictor(NoisyPredictor(), trace, nodes=64)
@@ -104,12 +104,12 @@ class TestAlarmCalibration:
         assert bin9.low == pytest.approx(0.9)
         assert bin9.mean_forecast > bin9.success_rate
         assert s.brier > 0.5
-        assert quality.mean_probability == pytest.approx(0.9)
+        assert quality.calibration.mean_forecast == pytest.approx(0.9)
 
     def test_empty_truth_has_an_empty_calibration(self):
         quality = evaluate_predictor(NullPredictor(), FailureTrace([]), nodes=8)
         assert quality.calibration.count == 0
-        assert quality.mean_probability == 0.0
+        assert quality.calibration.mean_forecast == 0.0
 
 
 class TestRecallByLead:

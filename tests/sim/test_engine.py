@@ -87,6 +87,17 @@ class TestTieBreaking:
         loop.run()
         assert [p["marker"] for _, _, p in log] == [0, 1, 2, 3, 4]
 
+    def test_same_time_tie_breaks_follow_kind_then_insertion_order(self):
+        loop, log = make_loop_with_log()
+        loop.schedule(10.0, EventKind.ARRIVAL, n=0)
+        loop.schedule(10.0, EventKind.FINISH, n=1)
+        loop.schedule(10.0, EventKind.FINISH, n=2)
+        loop.schedule(10.0, EventKind.FAILURE, n=3)
+        loop.run()
+        # FINISH (tie-break 1) before FAILURE (3) before ARRIVAL (4);
+        # equal kinds by insertion order.
+        assert [p["n"] for _, _, p in log] == [1, 2, 3, 0]
+
 
 class TestCancellation:
     def test_cancelled_event_is_not_dispatched(self):
@@ -111,6 +122,17 @@ class TestCancellation:
         later["event"] = loop.schedule(2.0, EventKind.RECOVERY, node=0)
         loop.run()
         assert log == []
+
+    def test_cancelled_head_is_skipped_by_peek_and_pop(self):
+        loop, _ = make_loop_with_log()
+        first = loop.schedule(1.0, EventKind.WAKEUP)
+        second = loop.schedule(2.0, EventKind.WAKEUP)
+        assert loop.peek_time() == 1.0
+        first.cancel()
+        assert loop.peek_time() == 2.0
+        assert loop.step() is second
+        assert loop.peek_time() is None
+        assert loop.step() is None
 
     def test_cancelled_events_do_not_count_as_pending(self):
         loop, _ = make_loop_with_log()
@@ -228,7 +250,7 @@ class TestQueueIntrospectionFastPaths:
             event.cancel()
         assert loop.peek_time() == 4.0
         # The cancelled prefix was physically removed from the heap.
-        assert len(loop._queue._heap) == 1
+        assert len(loop._heap) == 1
 
     def test_peek_time_does_not_advance_clock_or_dispatch(self):
         loop, log = make_loop_with_log()

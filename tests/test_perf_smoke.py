@@ -71,29 +71,14 @@ def test_perf_harness_smoke(tmp_path):
         grid["params"]["grid_jobs"] * grid["params"]["points"]
     )
 
-    # Schema 4: the negotiation fast-path scenario.  The ≥10x gates are
-    # count-based (probes and predictor queries, not wall time), so they
-    # are deterministic for the fixed seed and immune to CI noise.
+    # Schema 4: the negotiation fast-path scenario.  Its ≥10x gates
+    # against the probe loop live in tests/fastpath/test_reduction_gates.py;
+    # here only the shape and that pruning happened.
     fastpath = scenarios["negotiation_fastpath"]
-    assert fastpath["bookings_identical"]
-    assert fastpath["oracle_agrees"]
-    assert fastpath["probe_reduction"] >= 10.0, (
-        f"analytical mode no longer kills the probe loop: "
-        f"{fastpath['probes_per_dialogue']} "
-        f"({fastpath['probe_reduction']:.1f}x)"
-    )
-    assert fastpath["query_reduction"] >= 10.0, (
-        f"analytical mode still hits the predictor: "
-        f"{fastpath['predictor_queries_per_dialogue']}"
-    )
-    assert fastpath["pruned"] > 0
-    assert fastpath["probe"]["median_s"] > 0
     assert fastpath["analytical"]["median_s"] > 0
-    # Grid-level: the figure sweep must stop paying per-probe predictor
-    # queries in analytical (default) mode, with bit-identical metrics.
-    assert fastpath["grid"]["metrics_identical"]
-    assert fastpath["grid"]["query_reduction"] >= 10.0, (
-        f"figures-grid predictor queries: {fastpath['grid']['predictor_queries']}"
+    assert fastpath["pruned"] > 0
+    assert fastpath["obs"]["negotiation.dialogue.dialogues"] == (
+        fastpath["params"]["jobs"]
     )
 
     # Schema 5: the scale scenario (streamed big-cluster replays in
@@ -105,15 +90,11 @@ def test_perf_harness_smoke(tmp_path):
     node_counts = scale["params"]["node_counts"]
     configs = scale["configs"]
     for n in node_counts:
-        for impl, event_loop in (
-            ("current", "calendar"),
-            ("current", "heap"),
-        ):
-            cfg = configs[f"{impl}-{event_loop}-n{n}"]
-            assert cfg["events"] == 2 * scale["params"]["jobs"]
-            assert cfg["events_per_s_median"] > 0
-            assert cfg["peak_rss_bytes"] > 0
-            assert cfg["peak_bookings"] > 0
+        cfg = configs[f"current-heap-n{n}"]
+        assert cfg["events"] == 2 * scale["params"]["jobs"]
+        assert cfg["events_per_s_median"] > 0
+        assert cfg["peak_rss_bytes"] > 0
+        assert cfg["peak_bookings"] > 0
     for n in scale["params"]["seed_node_counts"]:
         assert f"seed-heap-n{n}" in configs
         assert scale["speedup_vs_seed"][str(n)] > 0
