@@ -37,7 +37,7 @@ evaluation pipeline:
 
 The first three scenarios run on the optimised
 :class:`~repro.cluster.reservations.ReservationLedger` *and* on the frozen
-:class:`~repro.cluster.reference.SeedReservationLedger`, asserting along
+:class:`seed_ledger.SeedReservationLedger`, asserting along
 the way that both return identical answers; timings are reported as the
 median over ``--repeats`` runs.  Results go to ``BENCH_ledger.json`` so
 the perf trajectory is diffable across PRs:
@@ -49,6 +49,7 @@ the perf trajectory is diffable across PRs:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import random
@@ -64,7 +65,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import repro
 import repro.cluster.machine as machine_module
 from repro.cluster.nodeset import NodeSet
-from repro.cluster.reference import SeedReservationLedger
 from repro.cluster.reservations import ReservationLedger
 from repro.cluster.topology import FlatTopology
 from repro.core.fastpath import AnalyticalEvaluator
@@ -78,6 +78,15 @@ from repro.obs.registry import MetricsRegistry
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.placement import fault_aware_scorer
 from repro.failures.generator import FailureModelSpec, generate_failure_trace
+
+# Loaded by path: tier-1 tests exec this file by path too, with this
+# directory off ``sys.path``.
+_seed_spec = importlib.util.spec_from_file_location(
+    "seed_ledger", Path(__file__).resolve().parent / "seed_ledger.py"
+)
+_seed_ledger = importlib.util.module_from_spec(_seed_spec)
+_seed_spec.loader.exec_module(_seed_ledger)
+SeedReservationLedger = _seed_ledger.SeedReservationLedger
 
 #: Presets trade fidelity for wall clock; ``smoke`` exists so the tier-1
 #: suite can exercise the harness end-to-end in a couple of seconds.

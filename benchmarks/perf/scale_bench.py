@@ -39,11 +39,11 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from repro.cluster.reference import SeedReservationLedger
 from repro.cluster.reservations import ReservationLedger
 from repro.sim.engine import EventLoop
 from repro.sim.events import EventKind
 from repro.workload.synthetic import BigClusterSpec, stream_jobs
+from seed_ledger import SeedReservationLedger
 
 #: Ledger implementations selectable via ``--impl``.
 IMPLS = ("current", "seed")

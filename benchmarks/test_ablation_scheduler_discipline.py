@@ -12,23 +12,24 @@ trace (prediction off in both, periodic checkpointing in both, so the
 from __future__ import annotations
 
 from _support import time_representative_point
-from repro.scheduling.easy import EasyConfig, simulate_easy
+from repro.core.easy import EasyBackfillSystem
+from repro.core.system import SystemConfig
 
 
 def test_scheduler_discipline(benchmark, sdsc_context):
     setup = sdsc_context.setup
     conservative = sdsc_context.run_point(0.0, 0.5, checkpoint_policy="periodic")
-    easy = simulate_easy(
-        EasyConfig(
+    easy = EasyBackfillSystem(
+        SystemConfig(
             node_count=setup.node_count,
             downtime=setup.downtime,
             checkpoint_overhead=setup.checkpoint_overhead,
             checkpoint_interval=setup.checkpoint_interval,
-            checkpointing=True,
+            checkpoint_policy="periodic",
         ),
         sdsc_context.log,
         sdsc_context.failures,
-    )
+    ).run().metrics
 
     print()
     print(f"{'discipline':>14}  {'util':>7}  {'mean wait (s)':>14}  "

@@ -13,10 +13,10 @@ Run:  python examples/price_of_promises.py
 
 from __future__ import annotations
 
+from repro.core.easy import EasyBackfillSystem
 from repro.core.system import SystemConfig, simulate
 from repro.experiments.runner import estimate_horizon
 from repro.failures import aix_like_trace
-from repro.scheduling import EasyConfig, simulate_easy
 from repro.workload import sdsc_log
 
 SEED = 29
@@ -27,9 +27,9 @@ def main() -> None:
     log = sdsc_log(seed=SEED, job_count=JOBS)
     failures = aix_like_trace(estimate_horizon(log, 128), seed=SEED)
 
-    easy = simulate_easy(
-        EasyConfig(node_count=128, checkpointing=True), log, failures
-    )
+    easy = EasyBackfillSystem(
+        SystemConfig(checkpoint_policy="periodic"), log, failures
+    ).run().metrics
     blind = simulate(
         SystemConfig(accuracy=0.0, checkpoint_policy="periodic", seed=SEED),
         log,

@@ -3,7 +3,6 @@
 from repro.cluster.machine import Cluster
 from repro.cluster.node import Node, NodeState
 from repro.cluster.nodeset import NodeSet, freeze_nodes
-from repro.cluster.reference import SeedReservationLedger
 from repro.cluster.reservations import CapacityProfile, Reservation, ReservationLedger
 from repro.cluster.topology import (
     FlatTopology,
@@ -21,7 +20,6 @@ __all__ = [
     "freeze_nodes",
     "Reservation",
     "ReservationLedger",
-    "SeedReservationLedger",
     "FlatTopology",
     "RingTopology",
     "Topology",

@@ -7,6 +7,7 @@ from repro.core.calibration import (
     calibration_gap,
     reliability_diagram,
 )
+from repro.core.easy import EasyBackfillSystem
 from repro.core.fastpath import AnalyticalEvaluator
 from repro.core.guarantee import DeadlineOffer, QoSGuarantee
 from repro.core.metrics import (
@@ -38,6 +39,7 @@ __all__ = [
     "calibration_buckets",
     "calibration_gap",
     "reliability_diagram",
+    "EasyBackfillSystem",
     "AnalyticalEvaluator",
     "DeadlineOffer",
     "QoSGuarantee",

@@ -662,7 +662,7 @@ class ProbabilisticQoSSystem:
         self._after_capacity_freed(now)
 
     def _kill_job(self, job_id: int, now: float) -> None:
-        """Failure handling for the occupying job: charge, requeue, rebook."""
+        """Failure handling for the occupying job: charge, release, requeue."""
         state = self._states[job_id]
         run = state.run
         assert run is not None, f"victim {job_id} has no active run"
@@ -682,9 +682,11 @@ class ProbabilisticQoSSystem:
             state.run_event = None
         self.cluster.remove_job(job_id)
         self.cluster.ledger.release(job_id)
+        self._requeue(job_id, state, now)
 
-        # Back to the queue: earliest slot for the remaining work, fresh
-        # fault-aware placement, original deadline and promise retained.
+    def _requeue(self, job_id: int, state: _JobState, now: float) -> None:
+        """Back to the queue: earliest slot for the remaining work, fresh
+        fault-aware placement, original deadline and promise retained."""
         remaining = state.job.runtime - state.saved_progress
         padded = padded_remaining(
             remaining, self.config.checkpoint_interval, self.config.checkpoint_overhead

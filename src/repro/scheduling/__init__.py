@@ -1,10 +1,5 @@
 """Scheduling: fault-aware conservative backfilling, placement, queues."""
 
-from repro.scheduling.easy import (
-    EasyBackfillSimulator,
-    EasyConfig,
-    simulate_easy,
-)
 from repro.scheduling.fcfs import ConservativeBackfillScheduler, RestartReservation
 from repro.scheduling.placement import (
     fault_aware_scorer,
@@ -15,9 +10,6 @@ from repro.scheduling.placement import (
 from repro.scheduling.queue import PendingStarts, RequeueQueue
 
 __all__ = [
-    "EasyBackfillSimulator",
-    "EasyConfig",
-    "simulate_easy",
     "ConservativeBackfillScheduler",
     "RestartReservation",
     "fault_aware_scorer",

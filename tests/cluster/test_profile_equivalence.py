@@ -17,12 +17,19 @@ into both ledgers side by side and cross-checks after each op; with
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
-from repro.cluster.reference import SeedReservationLedger
 from repro.cluster.reservations import CapacityProfile, ReservationLedger
+
+_SEED = Path(__file__).resolve().parents[2] / "benchmarks" / "perf" / "seed_ledger.py"
+_spec = importlib.util.spec_from_file_location("seed_ledger", _SEED)
+seed_ledger = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(seed_ledger)
+SeedReservationLedger = seed_ledger.SeedReservationLedger
 
 #: Independent random mutation sequences (acceptance floor: 1000).
 NUM_SEQUENCES = 1000

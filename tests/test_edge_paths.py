@@ -8,12 +8,12 @@ from repro.analysis.gantt import render_gantt
 from repro.analysis.tracelog import TraceRecorder, load_jsonl
 from repro.cluster.reservations import ReservationLedger
 from repro.cluster.topology import RingTopology
+from repro.core.easy import EasyBackfillSystem
 from repro.core.negotiation import Negotiator
 from repro.core.system import SystemConfig, simulate
 from repro.core.users import EarliestDeadlineUser
 from repro.failures.events import FailureEvent, FailureTrace
 from repro.prediction.trace import TracePredictor
-from repro.scheduling.easy import EasyBackfillSimulator, EasyConfig
 from repro.sim.engine import EventLoop
 from repro.sim.events import EventKind
 from repro.workload.job import Job, JobLog
@@ -76,8 +76,8 @@ class TestNegotiationWithConstrainedTopology:
 
 class TestEasyInternals:
     def make_simulator(self, jobs):
-        return EasyBackfillSimulator(
-            EasyConfig(node_count=8, checkpointing=False),
+        return EasyBackfillSystem(
+            SystemConfig(node_count=8, checkpoint_policy="never"),
             JobLog(jobs, name="x"),
             FailureTrace([]),
         )
@@ -90,7 +90,7 @@ class TestEasyInternals:
 
     def test_queued_job_waits_for_the_full_width_head(self):
         sim = self.make_simulator([Job(1, 0.0, 8, HOUR), Job(2, 1.0, 4, HOUR)])
-        metrics = sim.run()
+        metrics = sim.run().metrics
         assert metrics.completed_jobs == 2
         # Job 2 could not backfill around a full-width job: it started only
         # when job 1 released the cluster.
