@@ -197,7 +197,8 @@ def load_jsonl(lines: Iterable[str], strict: bool = True) -> List[TraceRecord]:
     validates them on the way in — a trace written by a newer (or corrupted)
     build should fail loudly here, not at the end of whatever analysis
     consumed it.  Pass ``strict=False`` to keep unknown-kind rows anyway,
-    e.g. to salvage what a mixed-version trace still contains.
+    e.g. to salvage what a mixed-version trace still contains.  A line
+    that is not a JSON object raises ValueError naming the line.
     """
     records = []
     for lineno, line in enumerate(lines, start=1):
@@ -205,6 +206,10 @@ def load_jsonl(lines: Iterable[str], strict: bool = True) -> List[TraceRecord]:
         if not line:
             continue
         data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"line {lineno}: expected a JSON object, got {type(data).__name__}"
+            )
         kind = data["kind"]
         if strict and kind not in RECORD_KINDS:
             raise ValueError(

@@ -613,8 +613,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         registry = MetricsRegistry()
     jobs = args.jobs
     cache = _point_cache(args)
-    trace_stream = recorder = None
-    audit = None
+    trace_stream = recorder = audit = None
     if args.trace or args.audit:
         # Recorders and audits cannot cross process boundaries and cache
         # hits skip the simulations that would produce records/promises,
@@ -624,14 +623,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             print(f"{flag} forces --jobs 1 and ignores --cache-dir")
             jobs, cache = 1, None
     if args.trace:
-        from repro.analysis.tracelog import TraceRecorder
-
         trace_stream = open(args.trace, "w")
-        recorder = TraceRecorder(stream=trace_stream, keep_in_memory=False)
     if args.audit:
         from repro.obs.audit import GuaranteeAudit
 
-        audit = GuaranteeAudit()
+        recorder = audit = GuaranteeAudit(stream=trace_stream)
+    elif args.trace:
+        from repro.analysis.tracelog import TraceRecorder
+
+        recorder = TraceRecorder(stream=trace_stream, keep_in_memory=False)
     # Profiles DO cross process boundaries (workers ship snapshots that
     # the parent folds), so --prof neither forces --jobs 1 nor disables
     # the cache — cache hits simply contribute no zones.
@@ -650,7 +650,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 jobs=jobs,
                 cache=cache,
                 recorder=recorder,
-                audit=audit,
                 profiler=profiler,
             )
         print(format_figure(catalog.figure(args.number)))
@@ -726,7 +725,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     audit_report = None
     profiler = _make_profiler(args)
     if args.obs or args.trace or args.audit or args.prof:
-        builder = trace_stream = audit = None
+        recorder = trace_stream = None
         if args.obs:
             from repro.obs.registry import MetricsRegistry
 
@@ -735,11 +734,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             from repro.obs.trace import SpanBuilder
 
             trace_stream = open(args.trace, "w")
-            builder = SpanBuilder(stream=trace_stream)
-        if args.audit:
+            # With --audit as well, keep the records for the audit to fold.
+            recorder = SpanBuilder(
+                stream=trace_stream, keep_in_memory=bool(args.audit)
+            )
+        elif args.audit:
             from repro.obs.audit import GuaranteeAudit
 
-            audit = GuaranteeAudit()
+            recorder = GuaranteeAudit()
         interval = args.obs_interval if args.obs_interval is not None else 3600.0
         try:
             result, sampler = ctx.run_instrumented(
@@ -747,8 +749,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 args.user_threshold,
                 registry,
                 sample_interval=interval if registry is not None else None,
-                recorder=builder,
-                audit=audit,
+                recorder=recorder,
                 profiler=profiler,
                 checkpoint_policy=args.policy,
                 placement=args.placement,
@@ -760,7 +761,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 trace_stream.close()
         metrics = result.metrics
         spans = result.spans
-        audit_report = result.audit
+        if args.audit:
+            from repro.obs.audit import GuaranteeAudit
+
+            # Replaying the builder's records equals the live fold.
+            audit = GuaranteeAudit().consume(recorder) if args.trace else recorder
+            audit_report = audit.report(
+                meta={
+                    "source": "live",
+                    "workload_jobs": len(ctx.log),
+                    "events_processed": result.events_processed,
+                }
+            )
     else:
         metrics = ctx.run_point(
             args.accuracy,
@@ -1070,8 +1082,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         with open(args.path) as fh:
             records = load_jsonl(fh)
-    except (OSError, ValueError, KeyError) as exc:
+    except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, KeyError) as exc:
+        print(f"cannot parse trace: {exc}", file=sys.stderr)
         return 2
     timeline = timeline_from_records(records, meta={"source": args.path})
 
@@ -1172,9 +1187,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"invalid audit configuration: {exc}", file=sys.stderr)
             return 2
-        report = audit_from_records(
-            records, config=config, meta={"source": args.path}
-        )
+        try:
+            report = audit_from_records(
+                records, config=config, meta={"source": args.path}
+            )
+        except ValueError as exc:
+            print(f"cannot parse trace: {exc}", file=sys.stderr)
+            return 2
 
     if args.audit_format == "json":
         print(report.to_json())

@@ -35,8 +35,9 @@ class EasyBackfillSystem(ProbabilisticQoSSystem):
     Takes the arguments of :class:`ProbabilisticQoSSystem`.  The schedule
     depends only on the cluster and checkpoint fields of ``config``; EASY
     runs usually pick ``checkpoint_policy="periodic"`` or ``"never"``.  No
-    ``negotiated`` record or audit promise is ever emitted, so a live
-    :class:`~repro.obs.audit.GuaranteeAudit` reports zero promises.
+    ``negotiated`` record is ever emitted, so a live
+    :class:`~repro.obs.audit.GuaranteeAudit` passed as ``recorder=``
+    reports zero promises.
     """
 
     def __init__(

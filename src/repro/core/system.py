@@ -37,7 +37,6 @@ from repro.core.guarantee import QoSGuarantee
 from repro.core.metrics import MetricsCollector, SimulationMetrics
 from repro.core.users import RiskThresholdUser, UserModel
 from repro.failures.events import FailureTrace
-from repro.obs.audit import NULL_AUDIT, AuditReport, GuaranteeAudit
 from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.sampler import Sampler
@@ -157,9 +156,6 @@ class SimulationResult:
         spans: Assembled :class:`~repro.obs.trace.SpanTimeline` when the
             system ran with a live :class:`~repro.obs.trace.SpanBuilder`;
             None otherwise.
-        audit: Promise-vs-outcome :class:`~repro.obs.audit.AuditReport`
-            when the system ran with a live
-            :class:`~repro.obs.audit.GuaranteeAudit`; None otherwise.
         prof: Final profile snapshot (``profiler.snapshot()``) when the
             system ran with a live :class:`~repro.obs.prof.Profiler`; None
             otherwise.
@@ -171,7 +167,6 @@ class SimulationResult:
     events_processed: int
     obs: Optional[dict] = None
     spans: Optional[SpanTimeline] = None
-    audit: Optional[AuditReport] = None
     prof: Optional[dict] = None
 
 
@@ -193,9 +188,10 @@ class ProbabilisticQoSSystem:
             transition (see :mod:`repro.analysis.tracelog`); defaults to a
             zero-cost null recorder.  Pass a
             :class:`~repro.obs.trace.SpanBuilder` to get the assembled
-            span timeline on :attr:`SimulationResult.spans` as well.
-        spans: Convenience alias: a :class:`~repro.obs.trace.SpanBuilder`
-            to use as the recorder (mutually exclusive with ``recorder``).
+            span timeline on :attr:`SimulationResult.spans` as well, or a
+            :class:`~repro.obs.audit.GuaranteeAudit` to fold every promise
+            and outcome into a calibration audit (take it afterwards with
+            ``audit.report(meta=...)``).
         registry: Optional :class:`~repro.obs.registry.MetricsRegistry`;
             defaults to the shared null registry, which costs one boolean
             test per instrumented decision point.  A live registry threads
@@ -206,11 +202,6 @@ class ProbabilisticQoSSystem:
             (with a live registry) a :class:`~repro.obs.sampler.Sampler`
             records a time-series via recurring ``OBS_SAMPLE`` events,
             reachable afterwards as ``system.sampler``.
-        audit: Optional :class:`~repro.obs.audit.GuaranteeAudit` fed every
-            promise at negotiation time and every outcome at finish time;
-            defaults to the shared zero-cost :data:`~repro.obs.audit.NULL_AUDIT`
-            (one boolean test per promise/outcome).  A live audit's report
-            rides on :attr:`SimulationResult.audit`.
         profiler: Optional :class:`~repro.obs.prof.Profiler`; defaults to
             the shared zero-cost :data:`~repro.obs.prof.NULL_PROFILER`.  A
             live profiler threads through the hot paths (event dispatch,
@@ -228,14 +219,8 @@ class ProbabilisticQoSSystem:
         recorder: Optional[TraceRecorder] = None,
         registry: Optional[MetricsRegistry] = None,
         sample_interval: Optional[float] = None,
-        spans: Optional[SpanBuilder] = None,
-        audit: Optional[GuaranteeAudit] = None,
         profiler: Optional[Profiler] = None,
     ) -> None:
-        if spans is not None:
-            if recorder is not None:
-                raise ValueError("pass either recorder= or spans=, not both")
-            recorder = spans
         self.config = config
         self.workload = workload
         self.failures = failures
@@ -243,8 +228,6 @@ class ProbabilisticQoSSystem:
             registry if registry is not None else NULL_REGISTRY
         )
         self._obs = self.registry.enabled
-        self.audit: GuaranteeAudit = audit if audit is not None else NULL_AUDIT
-        self._audit_on = self.audit.enabled
         self.profiler: Profiler = (
             profiler if profiler is not None else NULL_PROFILER
         )
@@ -388,15 +371,6 @@ class ProbabilisticQoSSystem:
                     "config": asdict(self.config),
                 },
             )
-        audit: Optional[AuditReport] = None
-        if self._audit_on:
-            audit = self.audit.report(
-                meta={
-                    "source": "live",
-                    "workload_jobs": len(self.workload),
-                    "events_processed": self.loop.processed_events,
-                }
-            )
         return SimulationResult(
             metrics=self.metrics.finalize(self.config.node_count),
             config=self.config,
@@ -404,7 +378,6 @@ class ProbabilisticQoSSystem:
             events_processed=self.loop.processed_events,
             obs=self.registry.snapshot() if self._obs else None,
             spans=spans,
-            audit=audit,
             prof=(
                 self.profiler.snapshot(
                     meta={
@@ -450,15 +423,6 @@ class ProbabilisticQoSSystem:
             offers_declined=outcome.guarantee.offers_declined,
             forced=outcome.forced,
         )
-        if self._audit_on:
-            self.audit.observe_promise(
-                job_id=job.job_id,
-                probability=outcome.guarantee.probability,
-                deadline=outcome.guarantee.deadline,
-                size=job.size,
-                user_id=job.user_id,
-                nodes=outcome.nodes,
-            )
         state.start_event = self.loop.schedule(
             outcome.start, EventKind.START, job_id=job.job_id
         )
@@ -639,8 +603,6 @@ class ProbabilisticQoSSystem:
             met=guarantee.kept(now) if guarantee is not None else None,
             margin=guarantee.margin(now) if guarantee is not None else None,
         )
-        if self._audit_on:
-            self.audit.observe_outcome(job_id=job_id, finish_time=now)
         self._after_capacity_freed(now)
 
     # ------------------------------------------------------------------
@@ -862,13 +824,12 @@ def simulate(
     registry: Optional[MetricsRegistry] = None,
     sample_interval: Optional[float] = None,
     recorder: Optional[TraceRecorder] = None,
-    audit: Optional[GuaranteeAudit] = None,
     profiler: Optional[Profiler] = None,
 ) -> SimulationResult:
     """One-call convenience: build the system and run it to completion."""
     system = ProbabilisticQoSSystem(
         config, workload, failures, predictor=predictor, user=user,
         registry=registry, sample_interval=sample_interval, recorder=recorder,
-        audit=audit, profiler=profiler,
+        profiler=profiler,
     )
     return system.run()

@@ -82,10 +82,6 @@ class FigureCatalog:
         jobs: Worker processes for contexts the catalog builds itself
             (supplied contexts keep their own settings).
         cache: Persistent point cache for catalog-built contexts.
-        audit: Optional shared :class:`~repro.obs.audit.GuaranteeAudit`
-            threaded into catalog-built contexts (``--audit`` on figure
-            commands).  Callers should keep ``jobs=1`` and no cache so
-            every simulated promise actually streams through it.
     """
 
     def __init__(
@@ -94,7 +90,6 @@ class FigureCatalog:
         nasa: Optional[ExperimentContext] = None,
         jobs: int = 1,
         cache=None,
-        audit=None,
     ) -> None:
         self._contexts: Dict[str, Optional[ExperimentContext]] = {
             "sdsc": sdsc,
@@ -102,14 +97,12 @@ class FigureCatalog:
         }
         self._jobs = jobs
         self._cache = cache
-        self._audit = audit
 
     def context(self, workload: str) -> ExperimentContext:
         ctx = self._contexts.get(workload)
         if ctx is None:
             ctx = ExperimentContext.prepare(
-                bench_setup(workload), jobs=self._jobs, cache=self._cache,
-                audit=self._audit,
+                bench_setup(workload), jobs=self._jobs, cache=self._cache
             )
             self._contexts[workload] = ctx
         return ctx

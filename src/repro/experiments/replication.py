@@ -205,8 +205,8 @@ class ReplicatedExperiment:
 
         Each seed runs instrumented (never memoised — a cached metrics
         object carries no promises) with its own
-        :class:`~repro.obs.audit.GuaranteeAudit`; the per-seed
-        :class:`~repro.obs.audit.AuditReport` shards are folded with
+        :class:`~repro.obs.audit.GuaranteeAudit` as the recorder; the
+        per-seed :class:`~repro.obs.audit.AuditReport` shards are folded with
         :func:`~repro.obs.audit.merge_reports`, mirroring
         ``MetricsRegistry.merge``.  Runs sequentially in-process: audits
         do not cross process boundaries.
@@ -216,10 +216,17 @@ class ReplicatedExperiment:
             context = self._context(setup)
             audit = GuaranteeAudit(audit_config)
             result, _ = context.run_instrumented(
-                accuracy, user_threshold, audit=audit, **overrides
+                accuracy, user_threshold, recorder=audit, **overrides
             )
-            assert result.audit is not None  # live audit always reports
-            reports.append(result.audit)
+            reports.append(
+                audit.report(
+                    meta={
+                        "source": "live",
+                        "workload_jobs": len(context.log),
+                        "events_processed": result.events_processed,
+                    }
+                )
+            )
         return merge_reports(reports)
 
 

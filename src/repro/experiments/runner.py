@@ -20,7 +20,6 @@ from repro.experiments.cache import PointCache
 from repro.experiments.config import ExperimentSetup
 from repro.failures.events import FailureTrace
 from repro.failures.generator import FailureModelSpec, generate_failure_trace
-from repro.obs.audit import GuaranteeAudit
 from repro.obs.prof import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.workload.job import JobLog
@@ -69,17 +68,14 @@ class ExperimentContext:
             simulated point.
         recorder: Optional trace recorder threaded into every simulation
             this context executes in-process (``--trace`` on batch
-            commands).  Memo/cache hits skip simulation and therefore
-            contribute no records; recorders do not cross process
-            boundaries, so callers should keep ``jobs=1`` when tracing.
-        audit: Optional :class:`~repro.obs.audit.GuaranteeAudit` threaded
-            into every simulation this context executes in-process
-            (``--audit`` on batch commands).  Same caveats as
-            ``recorder``: cache hits contribute no promises and audits do
-            not cross process boundaries — keep ``jobs=1`` when auditing.
+            commands; a :class:`~repro.obs.audit.GuaranteeAudit` recorder
+            for ``--audit``).  Memo/cache hits skip simulation and
+            therefore contribute no records; recorders do not cross
+            process boundaries, so callers should keep ``jobs=1`` when
+            tracing or auditing.
         profiler: Optional :class:`~repro.obs.prof.Profiler` threaded into
-            every simulation this context executes.  Unlike recorders and
-            audits, profiles *do* cross process boundaries: pooled workers
+            every simulation this context executes.  Unlike recorders,
+            profiles *do* cross process boundaries: pooled workers
             profile into private instances and the parent folds their
             snapshots with :meth:`~repro.obs.prof.Profiler.merge_snapshot`
             (the registry model).  Cache hits skip simulation and
@@ -94,7 +90,6 @@ class ExperimentContext:
     jobs: int = 1
     cache: Optional[PointCache] = None
     recorder: Optional[TraceRecorder] = None
-    audit: Optional[GuaranteeAudit] = None
     profiler: Optional[Profiler] = None
 
     @classmethod
@@ -107,7 +102,6 @@ class ExperimentContext:
         jobs: int = 1,
         cache: Optional[PointCache] = None,
         recorder: Optional[TraceRecorder] = None,
-        audit: Optional[GuaranteeAudit] = None,
         profiler: Optional[Profiler] = None,
     ) -> "ExperimentContext":
         """Build the context, synthesising whatever is not supplied.
@@ -129,8 +123,7 @@ class ExperimentContext:
             )
         return cls(
             setup=setup, log=log, failures=failures, registry=registry,
-            jobs=jobs, cache=cache, recorder=recorder, audit=audit,
-            profiler=profiler,
+            jobs=jobs, cache=cache, recorder=recorder, profiler=profiler,
         )
 
     # ------------------------------------------------------------------
@@ -172,13 +165,12 @@ class ExperimentContext:
             with self.profiler.zone("experiments.runner.point"):
                 result = simulate(
                     config, self.log, self.failures, registry=self.registry,
-                    recorder=self.recorder, audit=self.audit,
-                    profiler=self.profiler,
+                    recorder=self.recorder, profiler=self.profiler,
                 )
         else:
             result = simulate(
                 config, self.log, self.failures, registry=self.registry,
-                recorder=self.recorder, audit=self.audit,
+                recorder=self.recorder,
             )
         self._cache[key] = result.metrics
         return result.metrics
@@ -242,7 +234,6 @@ class ExperimentContext:
         registry: Optional[MetricsRegistry] = None,
         sample_interval: Optional[float] = None,
         recorder: Optional[TraceRecorder] = None,
-        audit: Optional[GuaranteeAudit] = None,
         profiler: Optional[Profiler] = None,
         **overrides,
     ):
@@ -251,13 +242,13 @@ class ExperimentContext:
         Instrumented runs bypass the cache in both directions: a cached
         metrics object carries no counters or records, and the output of a
         fresh run must reflect exactly one simulation, not whichever point
-        happened to run first.  Any of a metrics ``registry``, a trace
-        ``recorder`` (e.g. a :class:`~repro.obs.trace.SpanBuilder`), or a
-        guarantee ``audit`` may be attached.
+        happened to run first.  A metrics ``registry`` and a trace
+        ``recorder`` (e.g. a :class:`~repro.obs.trace.SpanBuilder` or a
+        :class:`~repro.obs.audit.GuaranteeAudit`) may be attached.
 
         Returns:
             ``(result, sampler)`` — the full :class:`SimulationResult`
-            (with ``.obs``/``.spans``/``.audit`` attached as applicable)
+            (with ``.obs``/``.spans``/``.prof`` attached as applicable)
             and the system's sampler (None unless ``sample_interval`` was
             given with a live registry).
         """
@@ -267,7 +258,7 @@ class ExperimentContext:
         system = ProbabilisticQoSSystem(
             config, self.log, self.failures,
             registry=registry, sample_interval=sample_interval,
-            recorder=recorder, audit=audit, profiler=profiler,
+            recorder=recorder, profiler=profiler,
         )
         return system.run(), system.sampler
 

@@ -5,10 +5,11 @@ The instrumentation substrate for the whole control system.  Every layer
 accepts a :class:`MetricsRegistry` and records its decision points into
 named metrics following ``<layer>.<component>.<name>``; the default
 :class:`NullRegistry` makes all of it free for uninstrumented sweeps.
-``repro.obs.trace`` assembles causal per-job spans,
+``repro.obs.trace`` assembles causal per-job spans and
 ``repro.obs.audit`` folds promise/outcome pairs into calibration & SLO
-audit reports, ``repro.obs.prof`` attributes wall time to hierarchical
-zones (same naming scheme, same null-default pattern), and
+audit reports — both are trace recorders, views over the simulator's
+one record stream.  ``repro.obs.prof`` attributes wall time to
+hierarchical zones (same naming scheme, same null-default pattern), and
 ``repro.obs.bench`` diffs BENCH ledgers for perf-regression gating.
 See DESIGN.md "Observability" for the naming scheme and the overhead
 budget.
@@ -18,14 +19,12 @@ from repro.obs.audit import (
     AUDIT_DIMENSIONS,
     AUDIT_SCHEMA_VERSION,
     AUDIT_STATUSES,
-    NULL_AUDIT,
     VERDICT_EPSILON,
     AuditConfig,
     AuditReport,
     CalibrationCurve,
     CalibrationSummary,
     GuaranteeAudit,
-    NullAudit,
     ReliabilityBin,
     RollupStat,
     audit_from_records,
@@ -110,14 +109,12 @@ __all__ = [
     "AUDIT_DIMENSIONS",
     "AUDIT_SCHEMA_VERSION",
     "AUDIT_STATUSES",
-    "NULL_AUDIT",
     "VERDICT_EPSILON",
     "AuditConfig",
     "AuditReport",
     "CalibrationCurve",
     "CalibrationSummary",
     "GuaranteeAudit",
-    "NullAudit",
     "ReliabilityBin",
     "RollupStat",
     "audit_from_records",

@@ -14,15 +14,16 @@ aggregate :class:`AuditReport`:
   partition, job-size bucket and promise decile, with configurable alert
   thresholds that mark a run ``DEGRADED`` or ``VIOLATED``.
 
-The same :class:`GuaranteeAudit` aggregator is fed two ways and produces
-*identical* reports (tested property):
+:class:`GuaranteeAudit` is a view over the simulator's record stream: a
+:class:`~repro.analysis.tracelog.TraceRecorder` that folds the
+``negotiated`` (promise) and ``finish`` (outcome) records as they arrive
+and keeps none of them.  The one fold serves two feeds, which therefore
+produce *identical* reports (tested property):
 
-* **live** — ``ProbabilisticQoSSystem(..., audit=GuaranteeAudit())``
-  calls :meth:`GuaranteeAudit.observe_promise` at negotiation time and
-  :meth:`GuaranteeAudit.observe_outcome` at finish time;
-* **replay** — :func:`audit_from_records` feeds the same aggregator from
-  a JSONL trace's ``negotiated``/``finish`` records via
-  :meth:`GuaranteeAudit.ingest`.
+* **live** — pass the audit as the simulator's trace recorder
+  (``recorder=GuaranteeAudit()``);
+* **replay** — :func:`audit_from_records` folds a loaded JSONL trace (or
+  any record iterable) through :meth:`GuaranteeAudit.consume`.
 
 Verdicts are always recomputed inside the aggregator from
 ``(deadline, finish_time)`` using the canonical epsilon comparison
@@ -46,10 +47,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple
 
-from repro.analysis.tracelog import TraceRecord
+from repro.analysis.tracelog import TraceRecord, TraceRecorder
 
 #: Version stamp embedded in every serialized :class:`AuditReport`.
 AUDIT_SCHEMA_VERSION = 1
@@ -847,20 +849,53 @@ def _build_report(
     )
 
 
-class GuaranteeAudit:
-    """Streaming promise-vs-outcome aggregator.
+def _describe(record: TraceRecord) -> str:
+    return f"{record.kind} record of job {record.job_id} at t={record.time}"
 
-    Fed live by ``ProbabilisticQoSSystem`` (``observe_promise`` at
-    negotiation, ``observe_outcome`` at finish) or offline from a trace
-    via :meth:`ingest`/:meth:`consume`.  :meth:`report` is
-    non-destructive: pending promises are folded in as BROKEN in the
-    report without mutating the aggregator, so it can be called
-    mid-stream.
+
+def _job_id(record: TraceRecord) -> int:
+    if record.job_id is None:
+        raise ValueError(f"{_describe(record)}: no job_id")
+    return int(record.job_id)
+
+
+def _finite_field(record: TraceRecord, name: str) -> float:
+    """``record.detail[name]`` as a finite float, or ValueError."""
+    value = record.detail.get(name)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(
+            f"{_describe(record)}: {name} {value!r} is not a finite number"
+        )
+    return float(value)
+
+
+class GuaranteeAudit(TraceRecorder):
+    """Streaming promise-vs-outcome aggregator over the record stream.
+
+    A :class:`~repro.analysis.tracelog.TraceRecorder` whose :meth:`_ingest`
+    folds ``negotiated`` records into pending promises and ``finish``
+    records into verdicts, so it is fed live as the simulator's
+    ``recorder`` or offline from a trace via :meth:`consume`.  It retains
+    no records; ``stream`` still writes each one as JSONL (the
+    ``--trace PATH`` flight recorder).  :meth:`report` is non-destructive:
+    pending promises are folded in as BROKEN in the report without
+    mutating the aggregator, so it can be called mid-stream.
+
+    Raises:
+        ValueError: from the fold, on a ``negotiated``/``finish`` record
+            with no ``job_id``, or a ``negotiated`` record whose
+            ``probability`` or ``deadline`` is missing or not finite, or
+            whose ``probability`` lies outside ``[0, 1]``.
     """
 
-    enabled = True
-
-    def __init__(self, config: Optional[AuditConfig] = None) -> None:
+    def __init__(
+        self, config: Optional[AuditConfig] = None, stream: Optional[TextIO] = None
+    ) -> None:
+        super().__init__(stream=stream, keep_in_memory=False)
         self.config = config if config is not None else AuditConfig()
         self._curve = CalibrationCurve(self.config.bin_count, self.config.confidence_z)
         self._rollups: Dict[str, Dict[str, List[float]]] = {
@@ -913,29 +948,33 @@ class GuaranteeAudit:
         honoured = margin_honours(promise_margin(promise.deadline, finish_time))
         self._score(promise, honoured)
 
-    def ingest(self, record: TraceRecord) -> None:
-        """Fold one replayed trace record (negotiated/finish; rest ignored)."""
+    def _ingest(self, record: TraceRecord) -> None:
+        """Fold one record (negotiated/finish; the rest only stream)."""
+        super()._ingest(record)
         if record.kind == "negotiated":
             detail = record.detail
+            probability = _finite_field(record, "probability")
+            if not 0.0 <= probability <= 1.0:
+                raise ValueError(
+                    f"{_describe(record)}: probability {probability!r} "
+                    "is not in [0, 1]"
+                )
             nodes = detail.get("planned_nodes") or ()
             self.observe_promise(
-                job_id=int(record.job_id if record.job_id is not None else -1),
-                probability=float(detail["probability"]),
-                deadline=float(detail["deadline"]),
+                job_id=_job_id(record),
+                probability=probability,
+                deadline=_finite_field(record, "deadline"),
                 size=int(detail.get("size", 0)),
                 user_id=int(detail.get("user_id", -1)),
                 nodes=[int(n) for n in nodes],
             )
         elif record.kind == "finish":
-            self.observe_outcome(
-                job_id=int(record.job_id if record.job_id is not None else -1),
-                finish_time=record.time,
-            )
+            self.observe_outcome(job_id=_job_id(record), finish_time=record.time)
 
     def consume(self, records: Iterable[TraceRecord]) -> "GuaranteeAudit":
         """Fold a whole record stream; returns self for chaining."""
         for record in records:
-            self.ingest(record)
+            self._ingest(record)
         return self
 
     def _score(self, promise: _Promise, honoured: bool) -> None:
@@ -974,38 +1013,6 @@ class GuaranteeAudit:
             config=self.config,
             meta=meta,
         )
-
-
-class NullAudit(GuaranteeAudit):
-    """Do-nothing audit so uninstrumented runs pay ~0.
-
-    Safe as a shared module-level default because it drops every
-    observation — it holds no per-run state (same contract as
-    ``NullRegistry``/``NullRecorder``).
-    """
-
-    enabled = False
-
-    def observe_promise(
-        self,
-        job_id: int,
-        probability: float,
-        deadline: float,
-        size: int = 0,
-        user_id: int = -1,
-        nodes: Sequence[int] = (),
-    ) -> None:
-        pass
-
-    def observe_outcome(self, job_id: int, finish_time: Optional[float]) -> None:
-        pass
-
-    def ingest(self, record: TraceRecord) -> None:
-        pass
-
-
-#: Shared default sink: drops everything, holds no state.
-NULL_AUDIT = NullAudit()
 
 
 def merge_reports(reports: Sequence[AuditReport]) -> AuditReport:

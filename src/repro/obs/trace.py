@@ -131,9 +131,9 @@ class SpanBuilder(TraceRecorder):
     """A trace recorder that assembles lifecycle spans as records arrive.
 
     It *is* a :class:`~repro.analysis.tracelog.TraceRecorder` — pass it to
-    :class:`~repro.core.system.ProbabilisticQoSSystem` via ``spans=`` (or
-    ``recorder=``) and it captures the JSONL-able record stream and the
-    span timeline in one pass.  Replaying a loaded trace through
+    :class:`~repro.core.system.ProbabilisticQoSSystem` as ``recorder=`` and
+    it captures the JSONL-able record stream and the span timeline in one
+    pass.  Replaying a loaded trace through
     :meth:`from_records` produces the identical timeline, so spans are
     reconstructible offline from the flight-recorder file alone.
 

@@ -16,13 +16,11 @@ from repro.obs.audit import (
     AUDIT_STATUS_DEGRADED,
     AUDIT_STATUS_OK,
     AUDIT_STATUS_VIOLATED,
-    NULL_AUDIT,
     VERDICT_EPSILON,
     AuditConfig,
     AuditReport,
     CalibrationCurve,
     GuaranteeAudit,
-    NullAudit,
     audit_from_records,
     breach_excess_pvalue,
     margin_honours,
@@ -487,61 +485,43 @@ class TestRendering:
         assert "no promises" in reliability_diagram_text(())
 
 
-class TestNullAudit:
-    def test_disabled_and_shared(self):
-        assert NullAudit.enabled is False
-        assert NULL_AUDIT.enabled is False
-        assert GuaranteeAudit.enabled is True
-
-    def test_observations_are_dropped(self):
-        null = NullAudit()
-        null.observe_promise(job_id=1, probability=0.9, deadline=100.0)
-        null.observe_outcome(job_id=1, finish_time=50.0)
-        report = null.report()
-        assert report.total == 0 and report.status == AUDIT_STATUS_OK
-
-
 class TestLiveReplayEquivalence:
-    def run_traced(self, tiny_jobs, tiny_failures, stream=None):
-        recorder = TraceRecorder(stream=stream, keep_in_memory=True)
-        audit = GuaranteeAudit()
-        system = ProbabilisticQoSSystem(
+    def run(self, tiny_jobs, tiny_failures, recorder):
+        ProbabilisticQoSSystem(
             SystemConfig(node_count=16, accuracy=0.5, seed=7),
             tiny_jobs,
             tiny_failures,
             recorder=recorder,
-            audit=audit,
-        )
-        result = system.run()
-        return result, recorder
+        ).run()
+        return recorder
 
     def test_live_report_equals_replay_of_its_own_trace(
         self, tiny_jobs, tiny_failures
     ):
-        result, recorder = self.run_traced(tiny_jobs, tiny_failures)
+        """The same (deterministic) simulation, recorded by a plain
+        TraceRecorder and replayed, audits equal to the live fold."""
+        live = self.run(tiny_jobs, tiny_failures, GuaranteeAudit())
+        live_report = live.report(meta={"source": "live"})
+        recorder = self.run(tiny_jobs, tiny_failures, TraceRecorder())
         replayed = audit_from_records(recorder.records)
-        assert result.audit == replayed
-        assert result.audit.meta != replayed.meta  # provenance differs only
+        assert live_report.total > 0
+        assert live_report == replayed
+        assert live_report.meta != replayed.meta  # provenance differs only
 
     def test_equality_survives_the_jsonl_file_roundtrip(
         self, tiny_jobs, tiny_failures, tmp_path
     ):
         path = tmp_path / "trace.jsonl"
         with open(path, "w") as fh:
-            result, _ = self.run_traced(tiny_jobs, tiny_failures, stream=fh)
+            live = self.run(tiny_jobs, tiny_failures, GuaranteeAudit(stream=fh))
         with open(path) as fh:
             records = load_jsonl(fh)
-        assert audit_from_records(records) == result.audit
+        assert audit_from_records(records) == live.report()
 
-    def test_simulation_result_defaults_to_no_audit_report(
-        self, tiny_jobs, tiny_failures
-    ):
-        system = ProbabilisticQoSSystem(
-            SystemConfig(node_count=16, accuracy=0.5, seed=7),
-            tiny_jobs,
-            tiny_failures,
-        )
-        assert system.run().audit is None
+    def test_live_audit_retains_no_records(self, tiny_jobs, tiny_failures):
+        live = self.run(tiny_jobs, tiny_failures, GuaranteeAudit())
+        assert live.audited > 0
+        assert len(live) == 0 and live.records == []
 
 
 class TestSimulationAcceptance:
@@ -558,10 +538,9 @@ class TestSimulationAcceptance:
         """With a = 1 every promised probability must survive the audit:
         no bin's breach count may exceed what its promises allowed, so no
         bin flags over-confident and the run's status is OK."""
-        result, _ = nasa_context.run_instrumented(
-            1.0, 0.5, audit=GuaranteeAudit()
-        )
-        report = result.audit
+        audit = GuaranteeAudit()
+        nasa_context.run_instrumented(1.0, 0.5, recorder=audit)
+        report = audit.report()
         assert report.total == 120
         assert report.status == AUDIT_STATUS_OK
         assert not any(b.over_confident for b in report.bins)
@@ -597,9 +576,10 @@ class TestSimulationAcceptance:
             SystemConfig(node_count=16, accuracy=0.0, seed=11),
             jobs,
             failures,
-            audit=audit,
+            recorder=audit,
         )
-        report = system.run().audit
+        system.run()
+        report = audit.report()
         assert report.status in (AUDIT_STATUS_DEGRADED, AUDIT_STATUS_VIOLATED)
         assert any(b.over_confident for b in report.bins)
         assert report.honoured < report.total

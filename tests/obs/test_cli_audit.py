@@ -125,6 +125,44 @@ class TestAuditCommand:
         assert "cannot read audit input" in capsys.readouterr().err
 
 
+def _negotiated(job_id=1, **detail) -> str:
+    return json.dumps(
+        {"time": 10.0, "kind": "negotiated", "job_id": job_id, "node": None,
+         "detail": dict({"size": 2, "planned_nodes": [0, 1]}, **detail)}
+    )
+
+
+_FINISH = json.dumps(
+    {"time": 50.0, "kind": "finish", "job_id": 1, "node": None, "detail": {}}
+)
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("audit", _negotiated(deadline=100.0)),
+        ("audit", _negotiated(probability=1.7, deadline=100.0)),
+        ("audit", _negotiated(probability=float("nan"), deadline=100.0)),
+        ("audit", _negotiated(probability=0.9, deadline="soon")),
+        ("audit", _negotiated(job_id=None, probability=0.9, deadline=100.0)),
+        ("audit", "[1, 2, 3]"),
+        ("trace explain", "[1, 2, 3]"),
+    ],
+    ids=[
+        "no-probability", "probability-1.7", "probability-nan",
+        "deadline-soon", "no-job-id", "array-line", "explain-array-line",
+    ],
+)
+def test_malformed_trace_is_a_usage_error(tmp_path, capsys, command, line):
+    """A corrupt trace exits 2, never 1 (a violated audit under --fail-on)."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n" + _FINISH + "\n")
+    argv = command.split() + [str(path)]
+    argv += ["--fail-on", "violated"] if command == "audit" else ["--job", "1"]
+    assert main(argv) == 2
+    assert "cannot parse trace" in capsys.readouterr().err
+
+
 class TestExplainJson:
     def test_explain_format_json(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"

@@ -286,37 +286,21 @@ class TestEndToEndDeterminism:
         assert "sim.engine.dispatch.arrival" in report
         assert "Sim-time buckets" in report
 
-    def test_null_path_never_touches_a_zone(self, monkeypatch):
-        """Structural zero-cost guarantee: with no profiler attached, no
-        zone is ever entered (the one-bool guards skip them entirely)."""
+    @pytest.mark.parametrize(
+        "profiler", [None, NullProfiler()], ids=["default", "null-profiler"]
+    )
+    def test_null_path_never_touches_a_zone(self, monkeypatch, profiler):
+        """Structural zero-cost guarantee: with no profiler attached, or an
+        explicit NullProfiler, no zone is ever entered (the one-bool
+        guards skip them entirely) — both are the identical guarded fast
+        path."""
         def boom(self):
             raise AssertionError(f"zone {self.name} entered on the null path")
 
         monkeypatch.setattr(Zone, "__enter__", boom)
         ctx = _nasa_context(job_count=10)
-        result = simulate(ctx.config(0.5, 0.5), ctx.log, ctx.failures)
-        assert result.metrics.job_count == 10
-
-    def test_null_profiler_overhead_is_within_noise(self):
-        """The default (null) path times the same as an explicitly passed
-        NullProfiler — both must be the identical guarded fast path."""
-        ctx = _nasa_context(job_count=40)
-        config = ctx.config(0.5, 0.5)
-        simulate(config, ctx.log, ctx.failures)  # warm caches
-
-        def best_of(profiler, repeats=5):
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                simulate(config, ctx.log, ctx.failures, profiler=profiler)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        default = best_of(None)
-        null = best_of(NullProfiler())
-        # Identical code paths: minima agree within noise (2% + 2ms floor
-        # so a sub-100ms workload cannot flake on scheduler jitter).
-        assert abs(null - default) <= max(0.02 * max(null, default), 0.002), (
-            f"null-profiler path diverged: default {default:.4f}s "
-            f"vs null {null:.4f}s"
+        result = simulate(
+            ctx.config(0.5, 0.5), ctx.log, ctx.failures, profiler=profiler
         )
+        assert result.metrics.job_count == 10
+        assert result.prof is None

@@ -6,7 +6,6 @@ import copy
 
 import pytest
 
-from repro.analysis.tracelog import TraceRecorder
 from repro.obs.trace import (
     SPAN_SCHEMA_VERSION,
     SpanBuilder,
@@ -216,7 +215,7 @@ class TestReplayEquivalence:
             SystemConfig(node_count=16, accuracy=0.5, seed=7),
             tiny_jobs,
             tiny_failures,
-            spans=builder,
+            recorder=builder,
         )
         result = system.run()
         assert result.spans is not None
@@ -233,26 +232,12 @@ class TestReplayEquivalence:
             SystemConfig(node_count=16, accuracy=0.5, seed=7),
             tiny_jobs,
             tiny_failures,
-            spans=SpanBuilder(),
+            recorder=SpanBuilder(),
         )
         meta = system.run().spans.meta
         assert meta["workload_jobs"] == 5
         assert meta["dispatch_counts"]["arrival"] == 5
         assert meta["config"]["accuracy"] == 0.5
-
-    def test_recorder_and_spans_arguments_are_exclusive(
-        self, tiny_jobs, tiny_failures
-    ):
-        from repro.core.system import ProbabilisticQoSSystem, SystemConfig
-
-        with pytest.raises(ValueError, match="either"):
-            ProbabilisticQoSSystem(
-                SystemConfig(node_count=16, seed=7),
-                tiny_jobs,
-                tiny_failures,
-                recorder=TraceRecorder(),
-                spans=SpanBuilder(),
-            )
 
 
 class TestChromeExport:

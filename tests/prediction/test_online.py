@@ -92,7 +92,9 @@ class TestConfigDefault:
 
 class TestEndToEndQuality:
     def test_sahoo_regime_on_synthetic_telemetry(self):
-        duration = 90 * 86400.0
+        # 15 days keeps tier-1 fast; benchmarks/perf/test_perf_online.py
+        # runs the same check over 90 days.
+        duration = 15 * 86400.0
         truth = generate_failure_trace(duration, seed=23)
         raw = generate_raw_log(truth, duration, seed=23)
         predictor = OnlinePredictor(raw, health=HealthModel(truth, seed=23))

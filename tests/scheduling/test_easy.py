@@ -231,9 +231,11 @@ class TestCheckpointAccounting:
 
 class TestAudit:
     def test_live_audit_sees_no_promises(self, tiny_jobs, tiny_failures):
+        audit = GuaranteeAudit()
         result = EasyBackfillSystem(
-            periodic(16), tiny_jobs, tiny_failures, audit=GuaranteeAudit()
+            periodic(16), tiny_jobs, tiny_failures, recorder=audit
         ).run()
         assert result.metrics.completed_jobs == 5
-        assert result.audit.total == 0
-        assert result.audit.status == AUDIT_STATUS_OK
+        report = audit.report()
+        assert report.total == 0
+        assert report.status == AUDIT_STATUS_OK
