@@ -24,13 +24,12 @@ layers can run unmodified on top of either ledger.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cluster.reservations import (
-    CapacityProfile,
-    NodeScorer,
-    Reservation,
-)
+from repro.cluster.reservations import CapacityProfile, Reservation
+
+#: The seed's per-node scoring callback: (node, start, end) -> sort key.
+NodeScorer = Callable[[int, float, float], float]
 
 
 class SeedReservationLedger:

@@ -13,6 +13,8 @@ sweeps pay nothing for the facility.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, TextIO
 
@@ -30,6 +32,10 @@ RECORD_KINDS = (
     "node_down",
     "node_up",
 )
+
+
+#: Kinds that describe one job, so a record of one must name the job.
+JOB_RECORD_KINDS = frozenset(RECORD_KINDS) - {"failure", "node_down", "node_up"}
 
 
 @dataclass(frozen=True)
@@ -178,6 +184,68 @@ class TraceRecorder:
     def counts(self) -> Dict[str, int]:
         """Record count per kind (only kinds that occurred)."""
         return {kind: len(rows) for kind, rows in self._by_kind.items()}
+
+
+def _describe(record: TraceRecord) -> str:
+    return f"{record.kind} record of job {record.job_id} at t={record.time}"
+
+
+def _is_finite(value: Any) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _check_finite(record: TraceRecord, name: str, optional: bool = False) -> None:
+    value = record.detail.get(name)
+    if optional and value is None:
+        return
+    if not _is_finite(value):
+        raise ValueError(
+            f"{_describe(record)}: {name} {value!r} is not a finite number"
+        )
+
+
+def check_record(record: TraceRecord) -> None:
+    """Reject a record missing what the trace folds rely on.
+
+    The folds over a record stream — the guarantee audit and the span
+    timeline — call this on every record they ingest, so a malformed
+    trace fails with one ValueError naming the record instead of a crash
+    deep inside a fold.  A record is malformed when:
+
+    * its ``time`` is not a finite number;
+    * it is a job record (:data:`JOB_RECORD_KINDS`) with no ``job_id``;
+    * it is a ``negotiated`` record whose ``probability`` is missing, not
+      finite or outside ``[0, 1]``, or whose ``deadline`` is missing or
+      not finite;
+    * a ``finish`` record's ``deadline`` or a ``checkpoint_performed``
+      record's ``began_at`` is present but not a finite number.
+
+    Raises:
+        ValueError: naming the record and the offending field.
+    """
+    if not _is_finite(record.time):
+        raise ValueError(
+            f"{record.kind} record: time {record.time!r} is not a finite number"
+        )
+    if record.job_id is None and record.kind in JOB_RECORD_KINDS:
+        raise ValueError(f"{_describe(record)}: no job_id")
+    if record.kind == "negotiated":
+        _check_finite(record, "probability")
+        _check_finite(record, "deadline")
+        probability = record.detail["probability"]
+        if not 0.0 <= probability <= 1.0:
+            raise ValueError(
+                f"{_describe(record)}: probability {probability!r} "
+                "is not in [0, 1]"
+            )
+    elif record.kind == "finish":
+        _check_finite(record, "deadline", optional=True)
+    elif record.kind == "checkpoint_performed":
+        _check_finite(record, "began_at", optional=True)
 
 
 class NullRecorder(TraceRecorder):

@@ -1082,13 +1082,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         with open(args.path) as fh:
             records = load_jsonl(fh)
+        timeline = timeline_from_records(records, meta={"source": args.path})
     except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
         print(f"cannot parse trace: {exc}", file=sys.stderr)
         return 2
-    timeline = timeline_from_records(records, meta={"source": args.path})
 
     if args.trace_command == "export":
         doc = to_chrome_trace(timeline)

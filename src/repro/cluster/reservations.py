@@ -43,9 +43,9 @@ structures below exploit that asymmetry (see DESIGN.md "Performance" and
   cluster width.  A 100k-node ledger with a hundred live jobs costs the
   same as a 1k-node one;
 * free-node queries answer in run-length :class:`~repro.cluster.nodeset
-  .NodeSet` form (:meth:`ReservationLedger.free_nodes_set`), and the
-  scorerless ``find_slot`` path stops scanning as soon as the requested
-  width is covered, so a first-fit placement on a mostly-idle big cluster
+  .NodeSet` form (:meth:`ReservationLedger.free_nodes_set`), and
+  ``find_slot`` stops scanning as soon as the requested width is
+  covered, so a first-fit placement on a mostly-idle big cluster
   touches a handful of runs instead of materialising 100k-element lists;
 * mutations locate a job's per-node interval by bisecting on the known
   reservation start instead of scanning the interval list.
@@ -59,7 +59,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -67,22 +66,11 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.cluster.nodeset import NodeSet
 from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-
-#: Scoring callback: (node, start, end) -> sort key; lower is preferred.
-NodeScorer = Callable[[int, float, float], float]
-
-#: What ``find_slot`` returns for the chosen partition: a run-length
-#: :class:`NodeSet` on the scorerless path, a sorted list when a scorer
-#: ranked individual nodes.  Both iterate ascending and compare equal to
-#: the legacy list representation.
-ChosenNodes = Union[NodeSet, List[int]]
-
 
 class CapacityProfile:
     """Aggregate usage over time, for cheap infeasibility prefiltering.
@@ -669,46 +657,34 @@ class ReservationLedger:
         return self._end_times[-1] if self._end_times else 0.0
 
     def find_slot(
-        self,
-        size: int,
-        duration: float,
-        earliest: float,
-        scorer: Optional[NodeScorer] = None,
-    ) -> Tuple[float, ChosenNodes]:
+        self, size: int, duration: float, earliest: float
+    ) -> Tuple[float, NodeSet]:
         """Earliest start >= ``earliest`` with ``size`` nodes free for
-        ``duration``; picks the ``size`` best-scoring free nodes.
+        ``duration``, and the ``size`` lowest-indexed free nodes there
+        (first-fit; scored placement is :meth:`Topology.select_partition`'s
+        job).
 
         Args:
             size: Nodes required.
             duration: Window length in seconds.
-            scorer: Optional ``(node, start, end) -> key``; lower keys are
-                preferred (the fault-aware scheduler passes predicted
-                per-node failure probability here).  Ties and the no-scorer
-                case fall back to ascending node index, keeping placement
-                deterministic.
 
         Returns:
-            ``(start, nodes)`` — ``nodes`` is a :class:`NodeSet` on the
-            scorerless (first-fit) path and a sorted list when a scorer
-            ranked nodes; both iterate ascending and compare equal to the
-            legacy list.
+            ``(start, nodes)`` — ``nodes`` is a run-length
+            :class:`NodeSet`; it iterates ascending and compares equal to
+            the legacy list.
 
         Raises:
             ValueError: If ``size`` exceeds the cluster width (can never be
                 satisfied) or ``duration`` is non-positive.
         """
         if not self._prof:
-            return self._find_slot(size, duration, earliest, scorer)
+            return self._find_slot(size, duration, earliest)
         with self._z_find_slot:
-            return self._find_slot(size, duration, earliest, scorer)
+            return self._find_slot(size, duration, earliest)
 
     def _find_slot(
-        self,
-        size: int,
-        duration: float,
-        earliest: float,
-        scorer: Optional[NodeScorer],
-    ) -> Tuple[float, ChosenNodes]:
+        self, size: int, duration: float, earliest: float
+    ) -> Tuple[float, NodeSet]:
         if size > self._n:
             raise ValueError(f"requested {size} nodes on a {self._n}-node cluster")
         if size < 1:
@@ -724,22 +700,13 @@ class ReservationLedger:
             if not profile.window_fits(start, start + duration, size, self._n):
                 rejects += 1
                 continue
-            if scorer is None:
-                # First-fit wants the lowest `size` free indexes; stop the
-                # booked-node walk the moment they are covered instead of
-                # materialising the whole free set.
-                prefix = self._free_prefix(start, start + duration, size)
-                if prefix is not None:
-                    if obs:
-                        self._record_find_slot(probes, rejects)
-                    return start, prefix
-                continue
-            free = self.free_nodes_set(start, start + duration)
-            if len(free) >= size:
-                chosen = self._select(free, size, start, start + duration, scorer)
+            # Stop the booked-node walk the moment the lowest `size` free
+            # indexes are covered instead of materialising the free set.
+            prefix = self._free_prefix(start, start + duration, size)
+            if prefix is not None:
                 if obs:
                     self._record_find_slot(probes, rejects)
-                return start, chosen
+                return start, prefix
         # Unreachable: the window after the last booking end is always free.
         raise RuntimeError("no feasible slot found past the final booking")
 
@@ -865,19 +832,6 @@ class ReservationLedger:
             i = bisect.bisect_left(booked, node)
             if i < len(booked) and booked[i] == node:
                 yield node
-
-    def _select(
-        self,
-        free: Sequence[int],
-        size: int,
-        start: float,
-        end: float,
-        scorer: Optional[NodeScorer],
-    ) -> List[int]:
-        if scorer is None:
-            return list(free[:size])
-        scored = sorted(free, key=lambda n: (scorer(n, start, end), n))
-        return sorted(scored[:size])
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self._n:

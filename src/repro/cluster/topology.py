@@ -8,15 +8,25 @@ constraints; the torus here is the 1-D ring simplification (contiguous
 blocks with wraparound), enough to study the fragmentation effects the
 paper attributes to size mix (Section 5.1) without modelling full 3-D
 midplane allocation.
+
+Placement is a set-level question — the paper's scheduler "uses event
+prediction to break ties among otherwise equivalent partitions" — so a
+scorer is asked once per window for a sparse ``{node: score}`` map
+(:data:`WindowScorer`), never once per node.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+from typing import Callable, Container, List, Mapping, Optional, Sequence
 
 from repro.cluster.nodeset import NodeSet
-from repro.cluster.reservations import NodeScorer
+
+#: Placement scorer: ``(free_nodes, start, end) -> {node: score}`` for the
+#: window.  Scores are non-negative badness (the fault-aware scorer's are
+#: failure probabilities); the map is sparse — a node it omits scores 0.0
+#: — and entries for nodes outside ``free_nodes`` are ignored.
+WindowScorer = Callable[[Sequence[int], float, float], Mapping[int, float]]
 
 
 class Topology(abc.ABC):
@@ -34,7 +44,7 @@ class Topology(abc.ABC):
         size: int,
         start: float,
         end: float,
-        scorer: Optional[NodeScorer] = None,
+        scorer: Optional[WindowScorer] = None,
     ) -> Optional[Sequence[int]]:
         """Choose a valid partition of ``size`` from ``free_nodes``.
 
@@ -43,9 +53,10 @@ class Topology(abc.ABC):
             size: Required partition size.
             start: Window start (passed to the scorer).
             end: Window end (passed to the scorer).
-            scorer: Optional per-node badness; the topology picks the valid
-                partition minimising total score, breaking ties toward
-                lower indexes.
+            scorer: Optional :data:`WindowScorer`, asked once for the
+                window; the topology picks the valid partition minimising
+                its members' total score, breaking ties toward lower
+                indexes.
 
         Returns:
             An ascending node sequence (a sorted list, or a run-length
@@ -56,8 +67,19 @@ class Topology(abc.ABC):
         """
 
 
+def _block_score(scores: Mapping[int, float], block: Sequence[int]) -> float:
+    """Total score of ``block``, summed in block order."""
+    return sum(scores.get(node, 0.0) for node in block)
+
+
 class FlatTopology(Topology):
-    """All-to-all network: every node subset is a valid partition."""
+    """All-to-all network: every node subset is a valid partition.
+
+    With a scorer, the partition takes the clean free nodes (score 0.0) in
+    ascending order, then the dirty ones by ``(score, node)``: the same
+    nodes as ranking every free node by ``(score, node)``, at the cost of
+    sorting the few dirty ones only.
+    """
 
     def select_partition(
         self,
@@ -65,7 +87,7 @@ class FlatTopology(Topology):
         size: int,
         start: float,
         end: float,
-        scorer: Optional[NodeScorer] = None,
+        scorer: Optional[WindowScorer] = None,
     ) -> Optional[Sequence[int]]:
         if len(free_nodes) < size:
             return None
@@ -75,8 +97,28 @@ class FlatTopology(Topology):
             if isinstance(free_nodes, NodeSet):
                 return free_nodes[:size]
             return list(free_nodes[:size])
-        ranked = sorted(free_nodes, key=lambda n: (scorer(n, start, end), n))
-        return sorted(ranked[:size])
+        scores = scorer(free_nodes, start, end)
+        members: Container[int] = free_nodes
+        if scores and not isinstance(free_nodes, NodeSet):
+            members = set(free_nodes)
+        dirty = sorted(
+            (score, node)
+            for node, score in scores.items()
+            if score and node in members
+        )
+        if not dirty:
+            return list(free_nodes[:size])
+        dirty_nodes = {node for _, node in dirty}
+        clean_needed = min(size, len(free_nodes) - len(dirty))
+        chosen: List[int] = []
+        if clean_needed:
+            for node in free_nodes:
+                if node not in dirty_nodes:
+                    chosen.append(node)
+                    if len(chosen) == clean_needed:
+                        break
+        chosen.extend(node for _, node in dirty[: size - clean_needed])
+        return sorted(chosen)
 
 
 class RingTopology(Topology):
@@ -93,11 +135,12 @@ class RingTopology(Topology):
         size: int,
         start: float,
         end: float,
-        scorer: Optional[NodeScorer] = None,
+        scorer: Optional[WindowScorer] = None,
     ) -> Optional[List[int]]:
         if len(free_nodes) < size:
             return None
         free_set = set(free_nodes)
+        scores = scorer(free_nodes, start, end) if scorer is not None else {}
         best: Optional[List[int]] = None
         best_score = float("inf")
         for origin in free_nodes:
@@ -106,7 +149,7 @@ class RingTopology(Topology):
                 continue
             if scorer is None:
                 return sorted(block)
-            score = sum(scorer(n, start, end) for n in block)
+            score = _block_score(scores, block)
             if score < best_score or (
                 score == best_score and best is not None and block < best
             ):
@@ -164,11 +207,12 @@ class MeshTopology(Topology):
         size: int,
         start: float,
         end: float,
-        scorer: Optional[NodeScorer] = None,
+        scorer: Optional[WindowScorer] = None,
     ) -> Optional[List[int]]:
         if len(free_nodes) < size:
             return None
         free_set = set(free_nodes)
+        scores = scorer(free_nodes, start, end) if scorer is not None else {}
         best: Optional[List[int]] = None
         best_score = float("inf")
         for h, w in self._candidate_shapes(size):
@@ -183,7 +227,7 @@ class MeshTopology(Topology):
                         continue
                     if scorer is None:
                         return sorted(block)
-                    score = sum(scorer(n, start, end) for n in block)
+                    score = _block_score(scores, block)
                     if score < best_score:
                         best, best_score = sorted(block), score
             if best is not None and scorer is None:

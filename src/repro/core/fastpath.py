@@ -1,28 +1,32 @@
 """Analytical offer evaluation — the negotiation fast path.
 
-The probe path prices every candidate slot by re-querying the predictor
-per (partition, window): one set-level ``failure_probability`` for the
-promise plus one ``node_failure_probability`` per free node for the
-fault-aware placement ranking.  On a figure-sized run that is >100k
-predictor queries, almost all recomputing the same per-node facts
-(BENCH_ledger.json showed a 448/126,300 hit rate before this module).
+Every candidate slot of a dialogue asks the predictor three things about
+one window: which free nodes carry a detectable failure (the fault-aware
+placement ranking), the set-level ``failure_probability`` of the chosen
+partition (the promise), and the bound the pruning step compares against
+the user's threshold.  Asking a live predictor per candidate and per node
+recomputes the same facts over and over.
 
 :class:`AnalyticalEvaluator` wraps a predictor and answers the same
-queries from cached per-node per-window terms:
+queries analytically:
 
 * **Trace predictors** (the paper's simulation device) get an exact fast
   path: a :class:`~repro.prediction.index.FailureIntervalIndex` over the
-  detectable failures answers set- and node-level queries in O(log f)
-  per node with *bit-identical* floats — the first-detectable-failure
-  semantics, including the ``(time, event_id)`` tie-break, are
-  reproduced, not approximated.
+  detectable failures answers set-level queries in O(log f) per node, and
+  placement and the pruning bound from one window query
+  (:meth:`~repro.prediction.index.FailureIntervalIndex.window_firsts`)
+  that lists the few dirty nodes of the window — no per-node query at
+  all.  Floats are *bit-identical* to the predictor's: the
+  first-detectable-failure semantics, including the ``(time, event_id)``
+  tie-break, are reproduced, not approximated.
 * **Survival-decomposable predictors** (e.g. the online predictor, whose
   set probability is the independent combination of per-node hazards)
   get a memoised path: per-(node, window) terms from
   :meth:`~repro.prediction.base.Predictor.node_failure_term`, combined
   with :func:`~repro.prediction.base.combine_independent` in caller
   order — the exact computation the probe path performs, with each term
-  computed once per dialogue instead of once per offer.
+  computed once per dialogue instead of once per offer.  Placement scores
+  are the same memoised terms over the free nodes.
 * **Anything else** falls back to the same memoised path under the
   independence assumption the paper itself makes for multi-node
   partitions; the test suite's checking oracle asserts that both paths
@@ -177,6 +181,25 @@ class AnalyticalEvaluator(Predictor):
         if end <= start:
             return 0.0
         return self._term(node, start, end)
+
+    def window_scores(
+        self, nodes: Iterable[int], start: float, end: float
+    ) -> Dict[int, float]:
+        """Sparse per-node failure probability over the window.
+
+        Trace-backed evaluators answer from one index window query: the
+        map holds the dirty nodes of the whole cluster (members of
+        ``nodes`` or not), each with its first detectable ``p_x``.  Other
+        predictors get the memoised term of every member of ``nodes``.
+        """
+        if end <= start:
+            return {}
+        if self._index is not None:
+            return {
+                node: first[2]
+                for node, first in self._index.window_firsts(start, end).items()
+            }
+        return {node: self._term(node, start, end) for node in nodes}
 
     def predicted_failures(
         self, nodes: Iterable[int], start: float, end: float

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.cluster.nodeset import freeze_nodes
-from repro.cluster.reservations import NodeScorer, ReservationLedger
-from repro.cluster.topology import Topology
+from repro.cluster.reservations import ReservationLedger
+from repro.cluster.topology import Topology, WindowScorer
 from repro.core.fastpath import AnalyticalEvaluator
 from repro.core.guarantee import DeadlineOffer, QoSGuarantee
 from repro.core.users import RiskThresholdUser, UserModel
@@ -114,7 +114,7 @@ class Negotiator:
         ledger: The scheduler's reservation book.
         topology: Allocation-shape constraint (flat in the paper).
         predictor: The event predictor behind every promise.
-        scorer: Node ranking used to pick partitions; the paper's system
+        scorer: Window scorer used to pick partitions; the paper's system
             passes the fault-aware scorer.
         max_offers: Dialogue safety cap.
         registry: Optional obs registry; when live, every dialogue records
@@ -125,7 +125,8 @@ class Negotiator:
             loop could stall on the failure instant itself.
         evaluator: The analytical evaluator to price offers with (built
             from ``predictor`` when omitted).  The system passes a shared
-            instance so placement scoring reuses the same term cache.
+            instance so placement and pricing share one failure index and
+            term cache.
         profiler: Optional hierarchical profiler (:mod:`repro.obs.prof`);
             when live, each dialogue runs inside the
             ``negotiation.dialogue.negotiate`` zone, and a self-built
@@ -137,7 +138,7 @@ class Negotiator:
         ledger: ReservationLedger,
         topology: Topology,
         predictor: Predictor,
-        scorer: Optional[NodeScorer] = None,
+        scorer: Optional[WindowScorer] = None,
         max_offers: int = 400,
         registry: Optional[MetricsRegistry] = None,
         failure_jump_epsilon: float = 1.0,

@@ -47,11 +47,10 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple
 
-from repro.analysis.tracelog import TraceRecord, TraceRecorder
+from repro.analysis.tracelog import TraceRecord, TraceRecorder, check_record
 
 #: Version stamp embedded in every serialized :class:`AuditReport`.
 AUDIT_SCHEMA_VERSION = 1
@@ -849,30 +848,6 @@ def _build_report(
     )
 
 
-def _describe(record: TraceRecord) -> str:
-    return f"{record.kind} record of job {record.job_id} at t={record.time}"
-
-
-def _job_id(record: TraceRecord) -> int:
-    if record.job_id is None:
-        raise ValueError(f"{_describe(record)}: no job_id")
-    return int(record.job_id)
-
-
-def _finite_field(record: TraceRecord, name: str) -> float:
-    """``record.detail[name]`` as a finite float, or ValueError."""
-    value = record.detail.get(name)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-    ):
-        raise ValueError(
-            f"{_describe(record)}: {name} {value!r} is not a finite number"
-        )
-    return float(value)
-
-
 class GuaranteeAudit(TraceRecorder):
     """Streaming promise-vs-outcome aggregator over the record stream.
 
@@ -886,10 +861,10 @@ class GuaranteeAudit(TraceRecorder):
     mutating the aggregator, so it can be called mid-stream.
 
     Raises:
-        ValueError: from the fold, on a ``negotiated``/``finish`` record
-            with no ``job_id``, or a ``negotiated`` record whose
-            ``probability`` or ``deadline`` is missing or not finite, or
-            whose ``probability`` lies outside ``[0, 1]``.
+        ValueError: from the fold, on any record
+            :func:`~repro.analysis.tracelog.check_record` rejects (a job
+            record with no ``job_id``, a ``negotiated`` record whose
+            ``probability`` or ``deadline`` is missing or not finite, ...).
     """
 
     def __init__(
@@ -950,26 +925,25 @@ class GuaranteeAudit(TraceRecorder):
 
     def _ingest(self, record: TraceRecord) -> None:
         """Fold one record (negotiated/finish; the rest only stream)."""
+        check_record(record)
         super()._ingest(record)
+        if record.kind not in ("negotiated", "finish"):
+            return
+        assert record.job_id is not None  # check_record guarantees it
+        job_id = int(record.job_id)
         if record.kind == "negotiated":
             detail = record.detail
-            probability = _finite_field(record, "probability")
-            if not 0.0 <= probability <= 1.0:
-                raise ValueError(
-                    f"{_describe(record)}: probability {probability!r} "
-                    "is not in [0, 1]"
-                )
             nodes = detail.get("planned_nodes") or ()
             self.observe_promise(
-                job_id=_job_id(record),
-                probability=probability,
-                deadline=_finite_field(record, "deadline"),
+                job_id=job_id,
+                probability=float(detail["probability"]),
+                deadline=float(detail["deadline"]),
                 size=int(detail.get("size", 0)),
                 user_id=int(detail.get("user_id", -1)),
                 nodes=[int(n) for n in nodes],
             )
-        elif record.kind == "finish":
-            self.observe_outcome(job_id=_job_id(record), finish_time=record.time)
+        else:
+            self.observe_outcome(job_id=job_id, finish_time=record.time)
 
     def consume(self, records: Iterable[TraceRecord]) -> "GuaranteeAudit":
         """Fold a whole record stream; returns self for chaining."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
-from repro.analysis.tracelog import TraceRecord, TraceRecorder
+from repro.analysis.tracelog import TraceRecord, TraceRecorder, check_record
 from repro.obs.audit import margin_honours, promise_margin
 
 #: Version stamp embedded in timeline metadata and Chrome exports.
@@ -135,7 +135,9 @@ class SpanBuilder(TraceRecorder):
     it captures the JSONL-able record stream and the span timeline in one
     pass.  Replaying a loaded trace through
     :meth:`from_records` produces the identical timeline, so spans are
-    reconstructible offline from the flight-recorder file alone.
+    reconstructible offline from the flight-recorder file alone.  Every
+    record passes :func:`~repro.analysis.tracelog.check_record` first, so
+    a malformed one raises ValueError, as in the guarantee audit.
 
     Args:
         stream: Optional text stream each record is streamed to as JSONL
@@ -162,6 +164,7 @@ class SpanBuilder(TraceRecorder):
     # Assembly (fed by TraceRecorder.record / from_records)
     # ------------------------------------------------------------------
     def _ingest(self, record: TraceRecord) -> None:
+        check_record(record)
         super()._ingest(record)
         self._last_time = max(self._last_time, record.time)
         handler = _SPAN_HANDLERS.get(record.kind)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.obs.prof import Profiler, Zone
@@ -129,8 +129,23 @@ class Predictor(abc.ABC):
         return predicted[0] if predicted else None
 
     def node_failure_probability(self, node: int, start: float, end: float) -> float:
-        """Single-node convenience used for placement scoring."""
+        """Single-node variant of :meth:`failure_probability`."""
         return self.failure_probability((node,), start, end)
+
+    def window_scores(
+        self, nodes: Iterable[int], start: float, end: float
+    ) -> Dict[int, float]:
+        """Per-node failure probability over the window, for placement.
+
+        The map is sparse: a node it omits scores 0.0, and it may name
+        nodes outside ``nodes``.  This default asks
+        :meth:`node_failure_probability` once per member of ``nodes``;
+        the analytical evaluator (:mod:`repro.core.fastpath`) answers
+        from one window query instead.
+        """
+        return {
+            node: self.node_failure_probability(node, start, end) for node in nodes
+        }
 
     def node_failure_term(self, node: int, start: float, end: float) -> float:
         """Per-node hazard term for survival-decomposable predictors.

@@ -6,19 +6,23 @@ queries answered many times per dialogue, each over a different window:
 * the detectability ``p_x`` of the *first* detectable failure on a node
   set — exactly :meth:`~repro.prediction.trace.TracePredictor
   .failure_probability`, the paper's retrieval semantics;
-* the per-node variant of the same (the fault-aware placement score);
+* which nodes carry a detectable failure in the window, and each one's
+  first ``p_x`` (the fault-aware placement ranking);
 * a sound upper bound on the promise *any* partition of a given size
   could earn in a window (the candidate-pruning bound).
 
-The trace predictor answers the first two by materialising every failure
-in the window and scanning it (``in_window`` allocates a merged, sorted
-list per query).  This index pre-filters the trace once — keeping only
-failures the predictor can actually see (``p_x <= a``) — and stores, per
-failing node, parallel arrays of ``(time, event_id, p_x)`` sorted by
-``(time, event_id)``.  Each query then reduces to one ``bisect`` per
-node: O(log f) with no allocation, and *bit-identical* results, because
-the ``(time, event_id)`` order is exactly the tie-break
-:meth:`~repro.failures.events.FailureTrace.in_window` applies.
+The trace predictor answers the first by materialising every failure in
+the window and scanning it (``in_window`` allocates a merged, sorted list
+per query).  This index pre-filters the trace once — keeping only
+failures the predictor can actually see (``p_x <= a``) — and stores them
+twice, both sorted by ``(time, event_id)``: per failing node as parallel
+``(time, event_id, p_x)`` arrays, and as one global array.  A node query
+is one ``bisect`` on the node's arrays; a window query
+(:meth:`FailureIntervalIndex.window_firsts`) is one ``bisect`` on the
+global array plus a walk over the failures inside the window.  Results are
+*bit-identical* to the predictor's, because the ``(time, event_id)``
+order is exactly the tie-break :meth:`~repro.failures.events.FailureTrace
+.in_window` applies.
 
 Undetectable failures (``p_x > a``) are excluded at build time: the
 predictor cannot see them, so they can never influence a query result.
@@ -27,6 +31,7 @@ predictor cannot see them, so they can never influence a query result.
 from __future__ import annotations
 
 import bisect
+import itertools
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cluster.nodeset import NodeSet
@@ -38,7 +43,7 @@ if TYPE_CHECKING:
 
 
 class FailureIntervalIndex:
-    """Per-node sorted detectable-failure arrays with O(log f) lookups.
+    """Sorted detectable-failure arrays with O(log f) lookups.
 
     Args:
         trace: The failure trace the predictor replays.
@@ -61,21 +66,32 @@ class FailureIntervalIndex:
         times: Dict[int, List[float]] = {}
         event_ids: Dict[int, List[int]] = {}
         px: Dict[int, List[float]] = {}
-        # ``for_node`` preserves the trace's global (time, event_id) sort,
-        # so the per-node arrays inherit exactly the in_window scan order.
-        for node in trace.nodes:
-            for event in trace.for_node(node):
-                value = detectability[event.event_id]
-                if value <= self._accuracy:
-                    times.setdefault(node, []).append(event.time)
-                    event_ids.setdefault(node, []).append(event.event_id)
-                    px.setdefault(node, []).append(value)
+        # The trace iterates in its global (time, event_id) sort, so both
+        # the global and the per-node arrays inherit exactly the in_window
+        # scan order.
+        all_times: List[float] = []
+        all_rows: List[Tuple[int, Tuple[float, int, float]]] = []
+        for event in trace:
+            value = detectability[event.event_id]
+            if value <= self._accuracy:
+                times.setdefault(event.node, []).append(event.time)
+                event_ids.setdefault(event.node, []).append(event.event_id)
+                px.setdefault(event.node, []).append(value)
+                all_times.append(event.time)
+                all_rows.append((event.node, (event.time, event.event_id, value)))
         self._times = times
         self._event_ids = event_ids
         self._px = px
+        self._all_times = all_times
+        #: ``(node, (time, event_id, p_x))`` per detectable failure, in
+        #: ``(time, event_id)`` order, parallel to ``_all_times``.
+        self._all_rows = all_rows
         #: Nodes carrying at least one detectable failure, ascending; every
         #: other node is clean in every window and never needs scanning.
         self._failing_nodes: List[int] = sorted(times)
+        # The last window query and its answer (see window_firsts).
+        self._window: Tuple[float, float] = (0.0, 0.0)
+        self._firsts: Dict[int, Tuple[float, int, float]] = {}
         # Profiling (repro.obs.prof): off until bind_profiler.
         self._prof = False
         self._z_query: Optional["Zone"] = None
@@ -220,6 +236,42 @@ class FailureIntervalIndex:
         ]
 
     # ------------------------------------------------------------------
+    # Window query
+    # ------------------------------------------------------------------
+    def window_firsts(
+        self, start: float, end: float
+    ) -> Dict[int, Tuple[float, int, float]]:
+        """Every node with a detectable failure in ``[start, end)``, mapped
+        to its first one there as ``(time, event_id, p_x)``.
+
+        The map iterates in ``(time, event_id)`` order of those first
+        failures: one bisection of the global array, then a walk over the
+        failures inside the window that stops once every failing node is
+        seen.  Nodes absent from the map are clean in the window.
+
+        One dialogue asks about the same window several times in a row
+        (the pruning bound, placement, pricing), so the last answer is
+        memoised; the index is immutable, so the memo never goes stale.
+        Callers must not mutate the returned map.
+        """
+        if (start, end) == self._window:
+            return self._firsts
+        firsts: Dict[int, Tuple[float, int, float]] = {}
+        if start < end:
+            times = self._all_times
+            lo = bisect.bisect_left(times, start)
+            hi = bisect.bisect_left(times, end, lo)
+            failing = len(self._failing_nodes)
+            for node, first in self._all_rows[lo:hi]:
+                if node not in firsts:
+                    firsts[node] = first
+                    if len(firsts) == failing:
+                        break
+        self._window = (start, end)
+        self._firsts = firsts
+        return firsts
+
+    # ------------------------------------------------------------------
     # Pruning bound
     # ------------------------------------------------------------------
     def best_case_probability(
@@ -243,23 +295,18 @@ class FailureIntervalIndex:
           is ``1 - min(x_1..x_{k-m+1})``.
 
         Any achievable offer probability is ``<=`` this bound, for every
-        topology (supersets of ``size`` only add failures).
+        topology (supersets of ``size`` only add failures).  The dirty
+        nodes, in time order, are exactly :meth:`window_firsts`.
         """
         if end <= start:
             return 1.0
-        dirty: List[Tuple[float, int, float]] = []
-        for node in self._failing_nodes:
-            first = self._node_first(node, start, end)
-            if first is not None:
-                dirty.append(first)
-        clean = node_count - len(dirty)
-        deficit = size - clean
+        dirty = self.window_firsts(start, end)
+        deficit = size - (node_count - len(dirty))
         if deficit <= 0:
             return 1.0
         if deficit > len(dirty):
             # size exceeds the cluster: no partition exists at all.  Do not
             # prune — the probe path reports infeasibility naturally.
             return 1.0
-        dirty.sort(key=lambda d: (d[0], d[1]))
-        reachable = dirty[: len(dirty) - deficit + 1]
-        return 1.0 - min(d[2] for d in reachable)
+        reachable = itertools.islice(dirty.values(), len(dirty) - deficit + 1)
+        return 1.0 - min(first[2] for first in reachable)

@@ -162,9 +162,9 @@ class TracePredictor(Predictor):
 
         Note the trace predictor is *not* survival-decomposable — the
         set-level ``p_f`` is the first-failure detectability, not an
-        independent combination — so the fast path uses
-        :meth:`interval_index` for set queries and these terms only for
-        placement scoring, where they match
+        independent combination — so the fast path answers set queries
+        and placement from :meth:`interval_index` and uses these terms
+        only for single-node queries, where they match
         :meth:`node_failure_probability` exactly.
         """
         if end <= start:

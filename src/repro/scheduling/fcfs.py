@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cluster.nodeset import freeze_nodes
-from repro.cluster.reservations import NodeScorer, ReservationLedger
-from repro.cluster.topology import Topology
+from repro.cluster.reservations import ReservationLedger
+from repro.cluster.topology import Topology, WindowScorer
 from repro.core.fastpath import AnalyticalEvaluator
 from repro.core.negotiation import NegotiationOutcome, Negotiator
 from repro.core.users import UserModel
@@ -57,7 +57,7 @@ class ConservativeBackfillScheduler:
         topology: Allocation-shape constraint.
         predictor: Event predictor used for fault-aware placement and for
             the promises quoted during negotiation.
-        scorer: Node-ranking policy; pass the fault-aware scorer for the
+        scorer: Window scorer; pass the fault-aware scorer for the
             paper's system or an uninformed one for baselines.
         max_offers: Negotiation dialogue cap.
         registry: Optional obs registry; when live, restart bookings and
@@ -77,7 +77,7 @@ class ConservativeBackfillScheduler:
         ledger: ReservationLedger,
         topology: Topology,
         predictor: Predictor,
-        scorer: Optional[NodeScorer],
+        scorer: Optional[WindowScorer],
         max_offers: int = 400,
         registry: Optional[MetricsRegistry] = None,
         failure_jump_epsilon: float = 1.0,

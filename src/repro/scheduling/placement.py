@@ -2,52 +2,51 @@
 
 The paper's scheduler "uses event prediction to break ties among otherwise
 equivalent partitions": at the chosen start time it selects, among the free
-nodes, the partition with the lowest probability of failure.  In the flat
-topology that reduces to ranking individual free nodes by their predicted
-failure probability over the job's window and taking the best ``n_j``.
+nodes, the partition with the lowest probability of failure.  That is a
+set-level question — which free nodes carry a predicted failure in the
+job's window — so a scorer answers it once per window.
 
-Scorers are plain callables ``(node, start, end) -> float`` (lower is
-better) plugged into :meth:`ReservationLedger.find_slot` and
+Scorers are :data:`~repro.cluster.topology.WindowScorer` callables
+``(free_nodes, start, end) -> {node: score}`` (lower is better; a node
+the sparse map omits scores 0.0) plugged into
 :meth:`Topology.select_partition`; this keeps the policy choice orthogonal
 to the mechanics.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-from repro.cluster.reservations import NodeScorer
+from repro.cluster.topology import WindowScorer
 from repro.prediction.base import Predictor
-from repro.sim.rng import make_rng, stable_uniform
+from repro.sim.rng import stable_uniform
 
 
-def fault_aware_scorer(predictor: Predictor) -> NodeScorer:
+def fault_aware_scorer(predictor: Predictor) -> WindowScorer:
     """Rank nodes by predicted failure probability over the window.
 
     With the trace predictor this steers jobs away from nodes carrying a
     *detectable* upcoming failure; undetectable failures (``p_x > a``) are
     invisible, which is exactly how prediction accuracy couples into
-    placement quality.
+    placement quality.  The scores are the predictor's
+    :meth:`~repro.prediction.base.Predictor.window_scores`: one window
+    query on the analytical evaluator's failure index for trace
+    predictors.
     """
-
-    def score(node: int, start: float, end: float) -> float:
-        return predictor.node_failure_probability(node, start, end)
-
-    return score
+    return predictor.window_scores
 
 
-def index_scorer() -> NodeScorer:
-    """First-fit: prefer low node indexes (deterministic, uninformed)."""
+def index_scorer() -> WindowScorer:
+    """First-fit: every node scores 0.0, so placement keeps the lowest
+    indexes (deterministic, uninformed)."""
 
-    def score(node: int, start: float, end: float) -> float:
-        return float(node)
+    def score(free: Sequence[int], start: float, end: float) -> Dict[int, float]:
+        return {}
 
     return score
 
 
-def random_scorer(seed: Optional[int] = None) -> NodeScorer:
+def random_scorer(seed: Optional[int] = None) -> WindowScorer:
     """Uninformed random placement, deterministic per (node, window).
 
     Keyed on the query so repeated calls during one negotiation are
@@ -55,15 +54,18 @@ def random_scorer(seed: Optional[int] = None) -> NodeScorer:
     "no information" baseline for the placement ablation.
     """
 
-    def score(node: int, start: float, end: float) -> float:
-        return stable_uniform(f"placement:{node}:{start:.3f}:{end:.3f}", seed)
+    def score(free: Sequence[int], start: float, end: float) -> Dict[int, float]:
+        return {
+            node: stable_uniform(f"placement:{node}:{start:.3f}:{end:.3f}", seed)
+            for node in free
+        }
 
     return score
 
 
 def scorer_by_name(
     name: str, predictor: Predictor, seed: Optional[int] = None
-) -> NodeScorer:
+) -> WindowScorer:
     """Factory: ``"fault-aware"`` (paper), ``"first-fit"``, ``"random"``."""
     key = name.lower()
     if key == "fault-aware":

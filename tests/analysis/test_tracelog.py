@@ -10,6 +10,7 @@ from repro.analysis.tracelog import (
     NullRecorder,
     TraceRecord,
     TraceRecorder,
+    check_record,
     load_jsonl,
 )
 
@@ -159,3 +160,61 @@ class TestFromRecords:
             "node": None,
             "detail": {"probability": 0.9},
         }
+
+
+class TestCheckRecord:
+    """One validator guards both folds over the record stream."""
+
+    GOOD = {"probability": 0.9, "deadline": 100.0}
+
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            (TraceRecord(1.0, "negotiated", None, None, dict(GOOD)), "no job_id"),
+            (TraceRecord(1.0, "start", None, None, {}), "no job_id"),
+            (
+                TraceRecord(1.0, "negotiated", 3, None, {"probability": 0.9}),
+                "deadline None",
+            ),
+            (
+                TraceRecord(
+                    1.0, "negotiated", 3, None,
+                    {"probability": 0.9, "deadline": "soon"},
+                ),
+                "deadline 'soon'",
+            ),
+            (
+                TraceRecord(
+                    1.0, "negotiated", 3, None,
+                    {"probability": 1.5, "deadline": 100.0},
+                ),
+                r"not in \[0, 1\]",
+            ),
+            (TraceRecord(1.0, "finish", 3, None, {"deadline": "x"}), "deadline"),
+            (
+                TraceRecord(1.0, "checkpoint_performed", 3, None, {"began_at": "x"}),
+                "began_at",
+            ),
+            (TraceRecord("t", "failure", None, 2, {}), "time 't'"),
+        ],
+        ids=[
+            "negotiated-no-job", "start-no-job", "no-deadline", "string-deadline",
+            "probability-1.5", "finish-string-deadline", "string-began-at",
+            "string-time",
+        ],
+    )
+    def test_malformed_records_rejected_by_both_folds(self, record, match):
+        from repro.obs.audit import GuaranteeAudit
+        from repro.obs.trace import timeline_from_records
+
+        with pytest.raises(ValueError, match=match):
+            check_record(record)
+        with pytest.raises(ValueError, match=match):
+            timeline_from_records([record])
+        with pytest.raises(ValueError, match=match):
+            GuaranteeAudit().consume([record])
+
+    def test_well_formed_records_pass(self):
+        check_record(TraceRecord(1.0, "negotiated", 3, None, dict(self.GOOD)))
+        check_record(TraceRecord(2.0, "finish", 3, None, {"deadline": None}))
+        check_record(TraceRecord(2.0, "failure", None, 4, {}))

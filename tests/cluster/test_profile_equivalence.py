@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.reservations import CapacityProfile, ReservationLedger
+from repro.cluster.topology import FlatTopology
 
 _SEED = Path(__file__).resolve().parents[2] / "benchmarks" / "perf" / "seed_ledger.py"
 _spec = importlib.util.spec_from_file_location("seed_ledger", _SEED)
@@ -140,8 +141,13 @@ def test_profile_is_cached_between_mutations():
     assert second.max_usage(10.0, 15.0) == 3
 
 
-def test_find_slot_with_scorer_matches_seed():
-    scorer = lambda node, start, end: (node * 7919) % 13
+def test_scored_flat_placement_matches_seed_find_slot():
+    # The seed ledger ranks every free node with a per-node scorer inside
+    # find_slot; the library places at find_slot's start through the
+    # topology's window scorer.  Both must book the same nodes.
+    seed_scorer = lambda node, start, end: (node * 7919) % 13
+    scorer = lambda free, start, end: {n: seed_scorer(n, start, end) for n in free}
+    topology = FlatTopology(NODES)
     rng = random.Random(42)
     fast = ReservationLedger(NODES)
     seed = SeedReservationLedger(NODES)
@@ -149,8 +155,13 @@ def test_find_slot_with_scorer_matches_seed():
         size = rng.randint(1, NODES // 2)
         duration = rng.uniform(10.0, 300.0)
         earliest = rng.uniform(0.0, 500.0)
-        got = fast.find_slot(size, duration, earliest, scorer=scorer)
-        assert got == seed.find_slot(size, duration, earliest, scorer=scorer)
-        start, nodes = got
+        start, _ = fast.find_slot(size, duration, earliest)
+        free = fast.free_nodes_set(start, start + duration)
+        nodes = topology.select_partition(
+            free, size, start, start + duration, scorer
+        )
+        assert (start, nodes) == seed.find_slot(
+            size, duration, earliest, scorer=seed_scorer
+        )
         fast.reserve(job_id, nodes, start, start + duration)
         seed.reserve(job_id, nodes, start, start + duration)

@@ -149,16 +149,6 @@ class TestFindSlot:
         start, nodes = ledger.find_slot(8, 50.0, earliest=0.0)
         assert start == 0.0  # the hole before the big booking
 
-    def test_scorer_picks_preferred_nodes(self, ledger):
-        scorer = lambda node, start, end: -node  # prefer high indexes
-        _, nodes = ledger.find_slot(2, 10.0, earliest=0.0, scorer=scorer)
-        assert nodes == [6, 7]
-
-    def test_scorer_ties_break_by_index(self, ledger):
-        scorer = lambda node, start, end: 0.0
-        _, nodes = ledger.find_slot(2, 10.0, earliest=0.0, scorer=scorer)
-        assert nodes == [0, 1]
-
     def test_oversized_request_rejected(self, ledger):
         with pytest.raises(ValueError, match="on a 8-node"):
             ledger.find_slot(9, 10.0, earliest=0.0)

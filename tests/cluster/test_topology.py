@@ -22,13 +22,29 @@ class TestFlat:
 
     def test_scorer_selects_best(self):
         topo = FlatTopology(8)
-        scorer = lambda node, s, e: {1: 0.9, 3: 0.1, 5: 0.5, 7: 0.2}[node]
+        scorer = lambda free, s, e: {1: 0.9, 3: 0.1, 5: 0.5, 7: 0.2}
         assert topo.select_partition([1, 3, 5, 7], 2, 0.0, 1.0, scorer) == [3, 7]
 
     def test_result_sorted(self):
         topo = FlatTopology(8)
-        scorer = lambda node, s, e: -node
+        scorer = lambda free, s, e: {node: 8.0 - node for node in free}
         assert topo.select_partition([1, 3, 5], 2, 0.0, 1.0, scorer) == [3, 5]
+
+    def test_scorer_picks_preferred_nodes(self):
+        # Prefer high indexes: every node but the top two is scored dirty.
+        scorer = lambda free, s, e: {node: 1.0 for node in free if node < 6}
+        topo = FlatTopology(8)
+        assert topo.select_partition(list(range(8)), 2, 0.0, 10.0, scorer) == [6, 7]
+
+    def test_scorer_ties_break_by_index(self):
+        scorer = lambda free, s, e: {node: 0.0 for node in free}
+        topo = FlatTopology(8)
+        assert topo.select_partition(list(range(8)), 2, 0.0, 10.0, scorer) == [0, 1]
+
+    def test_scores_outside_the_free_set_are_ignored(self):
+        scorer = lambda free, s, e: {0: 0.9, 2: 0.9, 3: 0.1}
+        topo = FlatTopology(8)
+        assert topo.select_partition([1, 3, 4], 2, 0.0, 1.0, scorer) == [1, 4]
 
 
 class TestRing:
@@ -52,7 +68,7 @@ class TestRing:
     def test_scorer_picks_lowest_total(self):
         topo = RingTopology(8)
         free = [0, 1, 2, 3]
-        scorer = lambda node, s, e: {0: 1.0, 1: 1.0, 2: 0.0, 3: 0.0}[node]
+        scorer = lambda free, s, e: {0: 1.0, 1: 1.0}
         # Blocks of 2: (0,1)=2.0, (1,2)=1.0, (2,3)=0.0 -> pick (2,3).
         assert topo.select_partition(free, 2, 0.0, 1.0, scorer) == [2, 3]
 
@@ -111,7 +127,7 @@ class TestMesh:
         from repro.cluster.topology import MeshTopology
 
         mesh = MeshTopology(16)
-        scorer = lambda node, s, e: 1.0 if node < 8 else 0.0
+        scorer = lambda free, s, e: {node: 1.0 for node in range(8)}
         block = mesh.select_partition(list(range(16)), 4, 0.0, 1.0, scorer)
         assert all(n >= 8 for n in block)
 

@@ -3,8 +3,9 @@
 :class:`ProbeOracle` is the per-candidate probe loop the fast path
 replaced, kept here as the test suite's reference: it stands in for
 :class:`~repro.core.fastpath.AnalyticalEvaluator` (same constructor, same
-surface) but answers every offer price, placement score and jump target
-with a live predictor query, and never prunes — its pruning bound is the
+surface) but answers every offer price, placement window query and jump
+target with live predictor queries — one per node for placement — and
+never prunes — its pruning bound is the
 trivial 1.0.  A negotiator or system built on it books exactly what the
 fast path must book.
 
@@ -64,6 +65,15 @@ class ProbeOracle(Predictor):
 
     def node_failure_probability(self, node: int, start: float, end: float) -> float:
         return self._predictor.node_failure_probability(node, start, end)
+
+    def window_scores(
+        self, nodes: Iterable[int], start: float, end: float
+    ) -> Dict[int, float]:
+        """The placement window query, one live node query per member."""
+        return {
+            node: self._predictor.node_failure_probability(node, start, end)
+            for node in nodes
+        }
 
     def predicted_failures(
         self, nodes: Iterable[int], start: float, end: float

@@ -9,6 +9,8 @@ plumbing for the negotiation fast path.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import repro.core.system
@@ -18,9 +20,10 @@ from repro.core.fastpath import AnalyticalEvaluator
 from repro.core.negotiation import Negotiator
 from repro.core.system import ProbabilisticQoSSystem, SystemConfig
 from repro.core.users import RiskThresholdUser, SlackBoundedUser
-from repro.failures.events import FailureEvent, FailureTrace
+from repro.failures.events import FailureEvent, FailureTrace, RawEvent, Severity
 from repro.failures.generator import FailureModelSpec, generate_failure_trace
 from repro.obs.registry import MetricsRegistry
+from repro.prediction.online import OnlinePredictor
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.placement import fault_aware_scorer
 from repro.workload.job import JobLog
@@ -105,29 +108,49 @@ class TestCounterSplit:
 
     def test_fastpath_cache_counters_live(self):
         # Mirror the system wiring: one shared evaluator answers both the
-        # offer pricing and the fault-aware placement scoring, so the
-        # dialogue-scoped term cache sees the scorer's per-node queries.
-        registry = MetricsRegistry()
+        # offer pricing and the fault-aware placement.  Trace-backed
+        # placement is one window query on the failure index, so it never
+        # touches the per-node term cache; an online predictor's placement
+        # scores are memoised terms, so its dialogue does.
         trace = generate_failure_trace(
             30 * 86400.0, FailureModelSpec(nodes=8, rate_per_day=12.0), seed=5
         )
-        ledger = ReservationLedger(8, registry=registry)
-        predictor = TracePredictor(trace, accuracy=1.0, seed=1)
-        evaluator = AnalyticalEvaluator(predictor, 8, registry=registry)
-        negotiator = Negotiator(
-            ledger,
-            FlatTopology(8),
-            predictor,
-            fault_aware_scorer(evaluator),
-            registry=registry,
-            evaluator=evaluator,
+        rng = random.Random(5)
+        log = sorted(
+            (
+                RawEvent(
+                    time=rng.uniform(0.0, 30 * HOUR),
+                    node=rng.randrange(8),
+                    severity=rng.choice([Severity.WARNING, Severity.ERROR]),
+                )
+                for _ in range(80)
+            ),
+            key=lambda e: e.time,
         )
-        negotiator.negotiate(
-            1, size=6, duration=6 * HOUR, now=0.0, user=RiskThresholdUser(0.9)
-        )
-        tally = counters(registry)
-        assert tally["negotiation.fastpath.evaluations"] >= 1
-        assert tally["negotiation.fastpath.term_cache_misses"] >= 1
+        predictors = {
+            "trace": TracePredictor(trace, accuracy=1.0, seed=1),
+            "online": OnlinePredictor(log, health=None),
+        }
+        tallies = {}
+        for name, predictor in predictors.items():
+            registry = MetricsRegistry()
+            evaluator = AnalyticalEvaluator(predictor, 8, registry=registry)
+            negotiator = Negotiator(
+                ReservationLedger(8, registry=registry),
+                FlatTopology(8),
+                predictor,
+                fault_aware_scorer(evaluator),
+                registry=registry,
+                evaluator=evaluator,
+            )
+            negotiator.negotiate(
+                1, size=6, duration=6 * HOUR, now=0.0, user=RiskThresholdUser(0.9)
+            )
+            tallies[name] = counters(registry)
+        assert tallies["trace"]["negotiation.fastpath.evaluations"] >= 1
+        assert tallies["trace"].get("negotiation.fastpath.term_cache_misses", 0) == 0
+        assert tallies["online"]["negotiation.fastpath.evaluations"] >= 1
+        assert tallies["online"]["negotiation.fastpath.term_cache_misses"] >= 1
 
 
 class TestPruningSafety:

@@ -147,10 +147,17 @@ _FINISH = json.dumps(
         ("audit", _negotiated(job_id=None, probability=0.9, deadline=100.0)),
         ("audit", "[1, 2, 3]"),
         ("trace explain", "[1, 2, 3]"),
+        ("trace explain", _negotiated(job_id=None, probability=0.9, deadline=100.0)),
+        ("trace explain", _negotiated(probability=0.9, deadline="soon")),
+        ("trace explain --format json", _negotiated(probability=0.9, deadline="soon")),
+        ("trace export", _negotiated(job_id=None, probability=0.9, deadline=100.0)),
+        ("trace export", _negotiated(probability=0.9, deadline="soon")),
     ],
     ids=[
         "no-probability", "probability-1.7", "probability-nan",
         "deadline-soon", "no-job-id", "array-line", "explain-array-line",
+        "explain-no-job-id", "explain-deadline-soon", "explain-json-deadline-soon",
+        "export-no-job-id", "export-deadline-soon",
     ],
 )
 def test_malformed_trace_is_a_usage_error(tmp_path, capsys, command, line):
@@ -158,7 +165,12 @@ def test_malformed_trace_is_a_usage_error(tmp_path, capsys, command, line):
     path = tmp_path / "bad.jsonl"
     path.write_text(line + "\n" + _FINISH + "\n")
     argv = command.split() + [str(path)]
-    argv += ["--fail-on", "violated"] if command == "audit" else ["--job", "1"]
+    if command == "audit":
+        argv += ["--fail-on", "violated"]
+    elif "explain" in command:
+        argv += ["--job", "1"]
+    else:
+        argv += ["--out", str(tmp_path / "bad.chrome.json")]
     assert main(argv) == 2
     assert "cannot parse trace" in capsys.readouterr().err
 
