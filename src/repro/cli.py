@@ -39,6 +39,8 @@ off (``--jobs 1``, no cache), which is the exact sequential behaviour.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
 from typing import List, Optional
 
@@ -96,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_prof_args(run)
     run.add_argument(
         "--obs-interval",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help="sim-seconds between registry samples "
@@ -495,6 +497,19 @@ def _add_audit_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_seconds(text: str) -> float:
+    """Argparse type: a finite number of seconds greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected finite seconds > 0, got {text!r}"
+        )
+    return value
+
+
 def _add_prof_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--prof",
@@ -506,7 +521,7 @@ def _add_prof_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--prof-bucket",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         dest="prof_bucket",
@@ -526,6 +541,11 @@ def _make_profiler(args: argparse.Namespace):
         else DEFAULT_BUCKET_WIDTH
     )
     return Profiler(bucket_width=width)
+
+
+def _attached(profiler):
+    """``profiler.attach()``, or a no-op block when not profiling."""
+    return contextlib.nullcontext() if profiler is None else profiler.attach()
 
 
 def _write_profile(args: argparse.Namespace, profiler) -> None:
@@ -650,9 +670,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 jobs=jobs,
                 cache=cache,
                 recorder=recorder,
-                profiler=profiler,
             )
-        print(format_figure(catalog.figure(args.number)))
+        with _attached(profiler):
+            figure = catalog.figure(args.number)
+        print(format_figure(figure))
     finally:
         if trace_stream is not None:
             trace_stream.close()
@@ -744,18 +765,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             recorder = GuaranteeAudit()
         interval = args.obs_interval if args.obs_interval is not None else 3600.0
         try:
-            result, sampler = ctx.run_instrumented(
-                args.accuracy,
-                args.user_threshold,
-                registry,
-                sample_interval=interval if registry is not None else None,
-                recorder=recorder,
-                profiler=profiler,
-                checkpoint_policy=args.policy,
-                placement=args.placement,
-                topology=args.topology,
-                failure_jump_epsilon=args.jump_epsilon,
-            )
+            with _attached(profiler):
+                result, sampler = ctx.run_instrumented(
+                    args.accuracy,
+                    args.user_threshold,
+                    registry,
+                    sample_interval=interval if registry is not None else None,
+                    recorder=recorder,
+                    checkpoint_policy=args.policy,
+                    placement=args.placement,
+                    topology=args.topology,
+                    failure_jump_epsilon=args.jump_epsilon,
+                )
         finally:
             if trace_stream is not None:
                 trace_stream.close()
@@ -967,7 +988,7 @@ def _cmd_prof(args: argparse.Namespace) -> int:
 
     try:
         snapshot = load_profile(args.path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read profile: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.node import Node, NodeState
 from repro.cluster.reservations import ReservationLedger
-from repro.obs.prof import Profiler
 from repro.obs.registry import MetricsRegistry
 
 
@@ -27,8 +26,6 @@ class Cluster:
             Only passed through when live, so drop-in ledger replacements
             (e.g. the frozen seed baseline in perf benchmarks) keep their
             single-argument constructor.
-        profiler: Optional hierarchical profiler forwarded to the hosted
-            ledger, under the same only-when-live rule as ``registry``.
     """
 
     def __init__(
@@ -36,7 +33,6 @@ class Cluster:
         node_count: int = 128,
         downtime: float = 120.0,
         registry: Optional[MetricsRegistry] = None,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         if node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {node_count}")
@@ -44,14 +40,8 @@ class Cluster:
             raise ValueError(f"downtime must be >= 0, got {downtime}")
         self.downtime = float(downtime)
         self._nodes: List[Node] = [Node(index=i) for i in range(node_count)]
-        live_registry = registry is not None and registry.enabled
-        live_profiler = profiler is not None and profiler.enabled
-        if live_registry or live_profiler:
-            self.ledger = ReservationLedger(
-                node_count,
-                registry=registry if live_registry else None,
-                profiler=profiler if live_profiler else None,
-            )
+        if registry is not None and registry.enabled:
+            self.ledger = ReservationLedger(node_count, registry=registry)
         else:
             self.ledger = ReservationLedger(node_count)
         self._job_nodes: Dict[int, List[int]] = {}

@@ -69,7 +69,6 @@ from typing import (
 )
 
 from repro.cluster.nodeset import NodeSet
-from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
 class CapacityProfile:
@@ -235,16 +234,12 @@ class ReservationLedger:
             probe volume, prefilter effectiveness, and profile-cache hit
             rate under ``cluster.ledger.*`` (see DESIGN.md
             "Observability").
-        profiler: Optional hierarchical profiler (:mod:`repro.obs.prof`);
-            when live, ``find_slot``/``reserve`` calls and profile
-            rebuilds run inside ``cluster.ledger.*`` zones.
     """
 
     def __init__(
         self,
         node_count: int,
         registry: Optional[MetricsRegistry] = None,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         if node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {node_count}")
@@ -299,12 +294,6 @@ class ReservationLedger:
         self._h_probe_depth = registry.histogram("cluster.ledger.probe_depth")
         self._g_reservations = registry.gauge("cluster.ledger.reservations")
         self._g_skyline = registry.gauge("cluster.ledger.skyline_size")
-        # Profiling: zones bound once, gated on one bool like the registry.
-        profiler = profiler if profiler is not None else NULL_PROFILER
-        self._prof = profiler.enabled
-        self._z_find_slot = profiler.zone("cluster.ledger.find_slot")
-        self._z_reserve = profiler.zone("cluster.ledger.reserve")
-        self._z_profile_rebuild = profiler.zone("cluster.ledger.profile_rebuild")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -345,11 +334,7 @@ class ReservationLedger:
         call after the first is O(1).
         """
         if self._profile is None or self._profile_version != self._version:
-            if self._prof:
-                with self._z_profile_rebuild:
-                    self._profile = CapacityProfile.from_deltas(self._deltas)
-            else:
-                self._profile = CapacityProfile.from_deltas(self._deltas)
+            self._profile = CapacityProfile.from_deltas(self._deltas)
             self._profile_version = self._version
             if self._obs:
                 self._c_profile_misses.inc()
@@ -386,19 +371,6 @@ class ReservationLedger:
                 ``allow_overlap``), a duplicate job id, an out-of-range
                 node, or a degenerate window.
         """
-        if not self._prof:
-            return self._reserve(job_id, nodes, start, end, allow_overlap)
-        with self._z_reserve:
-            return self._reserve(job_id, nodes, start, end, allow_overlap)
-
-    def _reserve(
-        self,
-        job_id: int,
-        nodes: Iterable[int],
-        start: float,
-        end: float,
-        allow_overlap: bool,
-    ) -> Reservation:
         node_seq: Sequence[int]
         if isinstance(nodes, NodeSet):
             node_seq = nodes
@@ -677,14 +649,6 @@ class ReservationLedger:
             ValueError: If ``size`` exceeds the cluster width (can never be
                 satisfied) or ``duration`` is non-positive.
         """
-        if not self._prof:
-            return self._find_slot(size, duration, earliest)
-        with self._z_find_slot:
-            return self._find_slot(size, duration, earliest)
-
-    def _find_slot(
-        self, size: int, duration: float, earliest: float
-    ) -> Tuple[float, NodeSet]:
         if size > self._n:
             raise ValueError(f"requested {size} nodes on a {self._n}-node cluster")
         if size < 1:

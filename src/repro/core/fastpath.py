@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.prediction.base import (
     PredictedFailure,
@@ -70,10 +69,6 @@ class AnalyticalEvaluator(Predictor):
             count clean nodes without enumerating them).
         registry: Optional obs registry; when live, evaluations and term
             cache traffic are counted under ``negotiation.fastpath.*``.
-        profiler: Optional hierarchical profiler; when live, offer
-            evaluations run inside the ``negotiation.fastpath.evaluate``
-            zone and the backing interval index gets its
-            ``prediction.index.query`` zone bound too.
     """
 
     _obs_component = "fastpath"
@@ -83,7 +78,6 @@ class AnalyticalEvaluator(Predictor):
         predictor: Predictor,
         node_count: int,
         registry: Optional[MetricsRegistry] = None,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         while isinstance(predictor, AnalyticalEvaluator):
             predictor = predictor.backing
@@ -106,11 +100,6 @@ class AnalyticalEvaluator(Predictor):
         self._c_term_misses = registry.counter(
             "negotiation.fastpath.term_cache_misses"
         )
-        profiler = profiler if profiler is not None else NULL_PROFILER
-        self._prof = profiler.enabled
-        self._z_evaluate = profiler.zone("negotiation.fastpath.evaluate")
-        if self._prof and self._index is not None:
-            self._index.bind_profiler(profiler)
 
     @property
     def backing(self) -> Predictor:
@@ -157,14 +146,6 @@ class AnalyticalEvaluator(Predictor):
     # Predictor interface (analytical answers)
     # ------------------------------------------------------------------
     def failure_probability(
-        self, nodes: Iterable[int], start: float, end: float
-    ) -> float:
-        if not self._prof:
-            return self._failure_probability(nodes, start, end)
-        with self._z_evaluate:
-            return self._failure_probability(nodes, start, end)
-
-    def _failure_probability(
         self, nodes: Iterable[int], start: float, end: float
     ) -> float:
         if end <= start:

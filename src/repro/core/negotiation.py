@@ -49,7 +49,6 @@ from repro.cluster.topology import Topology, WindowScorer
 from repro.core.fastpath import AnalyticalEvaluator
 from repro.core.guarantee import DeadlineOffer, QoSGuarantee
 from repro.core.users import RiskThresholdUser, UserModel
-from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.prediction.base import Predictor
 
@@ -127,10 +126,6 @@ class Negotiator:
             from ``predictor`` when omitted).  The system passes a shared
             instance so placement and pricing share one failure index and
             term cache.
-        profiler: Optional hierarchical profiler (:mod:`repro.obs.prof`);
-            when live, each dialogue runs inside the
-            ``negotiation.dialogue.negotiate`` zone, and a self-built
-            evaluator inherits it.
     """
 
     def __init__(
@@ -143,7 +138,6 @@ class Negotiator:
         registry: Optional[MetricsRegistry] = None,
         failure_jump_epsilon: float = 1.0,
         evaluator: Optional[AnalyticalEvaluator] = None,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         if max_offers < 1:
             raise ValueError(f"max_offers must be >= 1, got {max_offers}")
@@ -162,13 +156,11 @@ class Negotiator:
         self._max_offers = max_offers
         self._jump_epsilon = float(failure_jump_epsilon)
         registry = registry if registry is not None else NULL_REGISTRY
-        profiler = profiler if profiler is not None else NULL_PROFILER
         self._eval = (
             evaluator
             if evaluator is not None
             else AnalyticalEvaluator(
-                predictor, ledger.node_count, registry=registry,
-                profiler=profiler,
+                predictor, ledger.node_count, registry=registry
             )
         )
         self._obs = registry.enabled
@@ -184,8 +176,6 @@ class Negotiator:
         self._h_accepted_rank = registry.histogram(
             "negotiation.dialogue.accepted_rank"
         )
-        self._prof = profiler.enabled
-        self._z_negotiate = profiler.zone("negotiation.dialogue.negotiate")
 
     @property
     def failure_jump_epsilon(self) -> float:
@@ -402,19 +392,6 @@ class Negotiator:
         Raises:
             ValueError: If the job can never fit (size > cluster width).
         """
-        if not self._prof:
-            return self._negotiate(job_id, size, duration, now, user)
-        with self._z_negotiate:
-            return self._negotiate(job_id, size, duration, now, user)
-
-    def _negotiate(
-        self,
-        job_id: int,
-        size: int,
-        duration: float,
-        now: float,
-        user: UserModel,
-    ) -> NegotiationOutcome:
         if size > self._ledger.node_count:
             raise ValueError(
                 f"job {job_id}: size {size} exceeds cluster width "

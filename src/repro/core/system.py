@@ -37,7 +37,6 @@ from repro.core.guarantee import QoSGuarantee
 from repro.core.metrics import MetricsCollector, SimulationMetrics
 from repro.core.users import RiskThresholdUser, UserModel
 from repro.failures.events import FailureTrace
-from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.sampler import Sampler
 from repro.obs.trace import SpanBuilder, SpanTimeline
@@ -156,9 +155,6 @@ class SimulationResult:
         spans: Assembled :class:`~repro.obs.trace.SpanTimeline` when the
             system ran with a live :class:`~repro.obs.trace.SpanBuilder`;
             None otherwise.
-        prof: Final profile snapshot (``profiler.snapshot()``) when the
-            system ran with a live :class:`~repro.obs.prof.Profiler`; None
-            otherwise.
     """
 
     metrics: SimulationMetrics
@@ -167,7 +163,6 @@ class SimulationResult:
     events_processed: int
     obs: Optional[dict] = None
     spans: Optional[SpanTimeline] = None
-    prof: Optional[dict] = None
 
 
 class ProbabilisticQoSSystem:
@@ -202,11 +197,6 @@ class ProbabilisticQoSSystem:
             (with a live registry) a :class:`~repro.obs.sampler.Sampler`
             records a time-series via recurring ``OBS_SAMPLE`` events,
             reachable afterwards as ``system.sampler``.
-        profiler: Optional :class:`~repro.obs.prof.Profiler`; defaults to
-            the shared zero-cost :data:`~repro.obs.prof.NULL_PROFILER`.  A
-            live profiler threads through the hot paths (event dispatch,
-            ledger, negotiation, prediction, checkpoint decisions) and its
-            snapshot rides on :attr:`SimulationResult.prof`.
     """
 
     def __init__(
@@ -219,7 +209,6 @@ class ProbabilisticQoSSystem:
         recorder: Optional[TraceRecorder] = None,
         registry: Optional[MetricsRegistry] = None,
         sample_interval: Optional[float] = None,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         self.config = config
         self.workload = workload
@@ -228,10 +217,6 @@ class ProbabilisticQoSSystem:
             registry if registry is not None else NULL_REGISTRY
         )
         self._obs = self.registry.enabled
-        self.profiler: Profiler = (
-            profiler if profiler is not None else NULL_PROFILER
-        )
-        self._prof = self.profiler.enabled
         self.predictor: Predictor = (
             predictor
             if predictor is not None
@@ -239,15 +224,12 @@ class ProbabilisticQoSSystem:
         )
         if self._obs:
             self.predictor.bind_registry(self.registry)
-        if self._prof:
-            self.predictor.bind_profiler(self.profiler)
         self.user: UserModel = (
             user if user is not None else RiskThresholdUser(config.user_threshold)
         )
 
         self.cluster = Cluster(
-            config.node_count, downtime=config.downtime, registry=self.registry,
-            profiler=self.profiler,
+            config.node_count, downtime=config.downtime, registry=self.registry
         )
         self.topology: Topology = topology_by_name(config.topology, config.node_count)
         # One shared evaluator answers every prediction-shaped query the
@@ -256,8 +238,7 @@ class ProbabilisticQoSSystem:
         # consulted where the evaluator cannot stand in (its values are
         # identical; see repro.core.fastpath).
         self.evaluator = AnalyticalEvaluator(
-            self.predictor, config.node_count, registry=self.registry,
-            profiler=self.profiler,
+            self.predictor, config.node_count, registry=self.registry
         )
         scorer = scorer_by_name(config.placement, self.evaluator, config.seed)
         self.scheduler = ConservativeBackfillScheduler(
@@ -269,7 +250,6 @@ class ProbabilisticQoSSystem:
             registry=self.registry,
             failure_jump_epsilon=config.failure_jump_epsilon,
             evaluator=self.evaluator,
-            profiler=self.profiler,
         )
         self.policy: CheckpointPolicy = policy_by_name(config.checkpoint_policy)
         self.metrics = MetricsCollector()
@@ -278,7 +258,7 @@ class ProbabilisticQoSSystem:
             recorder if isinstance(recorder, SpanBuilder) else None
         )
 
-        self.loop = EventLoop(registry=self.registry, profiler=self.profiler)
+        self.loop = EventLoop(registry=self.registry)
         if self._span_builder is not None:
             # Exported timelines carry the event-mix breakdown in their
             # metadata; counting costs one bool test per event otherwise.
@@ -291,7 +271,6 @@ class ProbabilisticQoSSystem:
         self._g_running = self.registry.gauge("core.system.running_jobs")
         self._c_completed = self.registry.counter("core.system.jobs_completed")
         self._c_evacuations = self.registry.counter("core.system.evacuations")
-        self._z_decide = self.profiler.zone("checkpointing.policy.decide")
         self._states: Dict[int, _JobState] = {}
         self._pending = PendingStarts()
         self._unfinished = 0
@@ -378,16 +357,6 @@ class ProbabilisticQoSSystem:
             events_processed=self.loop.processed_events,
             obs=self.registry.snapshot() if self._obs else None,
             spans=spans,
-            prof=(
-                self.profiler.snapshot(
-                    meta={
-                        "workload_jobs": len(self.workload),
-                        "events_processed": self.loop.processed_events,
-                    }
-                )
-                if self._prof
-                else None
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -513,11 +482,7 @@ class ProbabilisticQoSSystem:
             deadline=state.guarantee.deadline if state.guarantee else None,
             predictor=self.evaluator,
         )
-        if not self._prof:
-            decision = self.policy.decide(ctx)
-        else:
-            with self._z_decide:
-                decision = self.policy.decide(ctx)
+        decision = self.policy.decide(ctx)
         if decision.perform:
             state.pending_decision = decision
             state.run_event = self.loop.schedule(
@@ -824,12 +789,10 @@ def simulate(
     registry: Optional[MetricsRegistry] = None,
     sample_interval: Optional[float] = None,
     recorder: Optional[TraceRecorder] = None,
-    profiler: Optional[Profiler] = None,
 ) -> SimulationResult:
     """One-call convenience: build the system and run it to completion."""
     system = ProbabilisticQoSSystem(
         config, workload, failures, predictor=predictor, user=user,
         registry=registry, sample_interval=sample_interval, recorder=recorder,
-        profiler=profiler,
     )
     return system.run()

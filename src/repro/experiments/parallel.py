@@ -31,7 +31,10 @@ back; the parent folds the snapshots into its registry with
 :meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot` in submission
 order.  Counter totals therefore match a sequential instrumented run up to
 float summation order; cache hits (memo or disk) contribute no counters in
-either mode.
+either mode.  Profiles travel the same way: while a
+:class:`~repro.obs.prof.Profiler` is attached in the parent, each worker
+attaches its own (same bucket width) around every point and ships its
+snapshot back for :meth:`~repro.obs.prof.Profiler.merge_snapshot`.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.metrics import SimulationMetrics
 from repro.experiments.cache import PointCache
 from repro.experiments.config import ExperimentSetup
-from repro.obs.prof import Profiler
+from repro.obs.prof import Profiler, attached
 from repro.obs.registry import MetricsRegistry
 
 #: Precision at which sweep coordinates are considered the same point —
@@ -134,32 +137,19 @@ def _run_spec_task(
     registry snapshot, and, when ``prof_bucket_width`` is given, the
     worker-local profile snapshot — both for the parent to fold in.
     """
-    from repro.core.system import simulate
-
     context = _worker_context(spec.setup)
     registry = MetricsRegistry() if instrument else None
-    profiler = (
-        Profiler(bucket_width=prof_bucket_width)
-        if prof_bucket_width is not None
-        else None
-    )
     config = context.config(
         spec.accuracy, spec.user_threshold, **dict(spec.overrides)
     )
-    if profiler is not None:
-        # Same zone the in-process path opens in run_point, so folded
-        # trees have the same shape regardless of jobs.
-        with profiler.zone("experiments.runner.point"):
-            result = simulate(
-                config, context.log, context.failures, registry=registry,
-                profiler=profiler,
-            )
+    if prof_bucket_width is None:
+        result = context.simulate_point(config, registry)
+        prof_snapshot = None
     else:
-        result = simulate(
-            config, context.log, context.failures, registry=registry
-        )
+        with Profiler(bucket_width=prof_bucket_width).attach() as profiler:
+            result = context.simulate_point(config, registry)
+        prof_snapshot = profiler.snapshot()
     snapshot = registry.snapshot() if registry is not None else None
-    prof_snapshot = profiler.snapshot() if profiler is not None else None
     return result.metrics, snapshot, prof_snapshot
 
 
@@ -172,7 +162,6 @@ def run_specs(
     cache: Optional[PointCache] = None,
     registry: Optional[MetricsRegistry] = None,
     contexts: Optional[Dict[ExperimentSetup, Any]] = None,
-    profiler: Optional[Profiler] = None,
 ) -> List[SimulationMetrics]:
     """Resolve every spec to its metrics, in input order.
 
@@ -193,10 +182,11 @@ def run_specs(
         contexts: Optional mutable ``{setup: ExperimentContext}`` map for
             in-process execution; prepared contexts are reused and fresh
             ones are stored back for the caller (lazy construction).
-        profiler: Parent profiler, handled exactly like ``registry``:
-            in-process runs profile into it directly, pooled workers
-            profile into private instances (same bucket width) and the
-            parent folds their snapshots in submission order.
+
+    An attached profiler is handled like ``registry``: in-process runs
+    profile into it directly, pooled workers attach private ones (same
+    bucket width) and the parent folds their snapshots in submission
+    order.
     """
     results: List[Optional[SimulationMetrics]] = [None] * len(specs)
 
@@ -228,9 +218,9 @@ def run_specs(
     if jobs > 1 and len(unique) > 1:
         for context in (contexts or {}).values():
             register_context(context)  # inherited by forked workers
-        computed = _run_pooled(unique, jobs, registry, profiler)
+        computed = _run_pooled(unique, jobs, registry)
     else:
-        computed = _run_local(unique, registry, contexts, profiler)
+        computed = _run_local(unique, registry, contexts)
 
     for spec, metrics in zip(unique, computed):
         if cache is not None:
@@ -244,7 +234,6 @@ def _run_local(
     specs: Sequence[PointSpec],
     registry: Optional[MetricsRegistry],
     contexts: Optional[Dict[ExperimentSetup, Any]],
-    profiler: Optional[Profiler],
 ) -> List[SimulationMetrics]:
     """The sequential path: run through (possibly shared) live contexts."""
     from repro.experiments.runner import ExperimentContext
@@ -254,9 +243,7 @@ def _run_local(
     for spec in specs:
         context = contexts.get(spec.setup)
         if context is None:
-            context = ExperimentContext.prepare(
-                spec.setup, registry=registry, profiler=profiler
-            )
+            context = ExperimentContext.prepare(spec.setup, registry=registry)
             contexts[spec.setup] = context
         computed.append(
             context.run_point(
@@ -270,12 +257,11 @@ def _run_pooled(
     specs: Sequence[PointSpec],
     jobs: int,
     registry: Optional[MetricsRegistry],
-    profiler: Optional[Profiler],
 ) -> List[SimulationMetrics]:
     """Fan specs out across a process pool; gather in submission order."""
     instrument = registry is not None and registry.enabled
-    profile = profiler is not None and profiler.enabled
-    prof_bucket_width = profiler.bucket_width if profile else None
+    profiler = attached()
+    prof_bucket_width = profiler.bucket_width if profiler is not None else None
     workers = min(jobs, len(specs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
@@ -288,6 +274,6 @@ def _run_pooled(
         computed.append(metrics)
         if instrument and snapshot is not None:
             registry.merge_snapshot(snapshot)
-        if profile and prof_snapshot is not None:
+        if profiler is not None and prof_snapshot is not None:
             profiler.merge_snapshot(prof_snapshot)
     return computed

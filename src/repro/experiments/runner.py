@@ -20,7 +20,6 @@ from repro.experiments.cache import PointCache
 from repro.experiments.config import ExperimentSetup
 from repro.failures.events import FailureTrace
 from repro.failures.generator import FailureModelSpec, generate_failure_trace
-from repro.obs.prof import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.workload.job import JobLog
 from repro.workload.synthetic import log_by_name
@@ -73,13 +72,6 @@ class ExperimentContext:
             therefore contribute no records; recorders do not cross
             process boundaries, so callers should keep ``jobs=1`` when
             tracing or auditing.
-        profiler: Optional :class:`~repro.obs.prof.Profiler` threaded into
-            every simulation this context executes.  Unlike recorders,
-            profiles *do* cross process boundaries: pooled workers
-            profile into private instances and the parent folds their
-            snapshots with :meth:`~repro.obs.prof.Profiler.merge_snapshot`
-            (the registry model).  Cache hits skip simulation and
-            contribute no zones.
     """
 
     setup: ExperimentSetup
@@ -90,7 +82,6 @@ class ExperimentContext:
     jobs: int = 1
     cache: Optional[PointCache] = None
     recorder: Optional[TraceRecorder] = None
-    profiler: Optional[Profiler] = None
 
     @classmethod
     def prepare(
@@ -102,7 +93,6 @@ class ExperimentContext:
         jobs: int = 1,
         cache: Optional[PointCache] = None,
         recorder: Optional[TraceRecorder] = None,
-        profiler: Optional[Profiler] = None,
     ) -> "ExperimentContext":
         """Build the context, synthesising whatever is not supplied.
 
@@ -123,7 +113,7 @@ class ExperimentContext:
             )
         return cls(
             setup=setup, log=log, failures=failures, registry=registry,
-            jobs=jobs, cache=cache, recorder=recorder, profiler=profiler,
+            jobs=jobs, cache=cache, recorder=recorder,
         )
 
     # ------------------------------------------------------------------
@@ -161,19 +151,23 @@ class ExperimentContext:
         if cached is not None:
             return cached
         config = self.config(accuracy, user_threshold, **overrides)
-        if self.profiler is not None and self.profiler.enabled:
-            with self.profiler.zone("experiments.runner.point"):
-                result = simulate(
-                    config, self.log, self.failures, registry=self.registry,
-                    recorder=self.recorder, profiler=self.profiler,
-                )
-        else:
-            result = simulate(
-                config, self.log, self.failures, registry=self.registry,
-                recorder=self.recorder,
-            )
-        self._cache[key] = result.metrics
-        return result.metrics
+        metrics = self.simulate_point(config, self.registry, self.recorder).metrics
+        self._cache[key] = metrics
+        return metrics
+
+    def simulate_point(
+        self,
+        config: SystemConfig,
+        registry: Optional[MetricsRegistry] = None,
+        recorder: Optional[TraceRecorder] = None,
+    ) -> SimulationResult:
+        """One fresh simulation of ``config`` on this context's workload and
+        failure trace: the point boundary that sequential and pooled sweeps
+        share (profiled as ``experiments.runner.point``)."""
+        return simulate(
+            config, self.log, self.failures, registry=registry,
+            recorder=recorder,
+        )
 
     def run_points(
         self,
@@ -220,7 +214,6 @@ class ExperimentContext:
                 cache=cache,
                 registry=self.registry,
                 contexts={self.setup: self},
-                profiler=self.profiler,
             )
             for i, metrics in zip(todo, computed):
                 self._cache[keys[i]] = metrics
@@ -234,7 +227,6 @@ class ExperimentContext:
         registry: Optional[MetricsRegistry] = None,
         sample_interval: Optional[float] = None,
         recorder: Optional[TraceRecorder] = None,
-        profiler: Optional[Profiler] = None,
         **overrides,
     ):
         """Simulate one point with live instrumentation (never memoised).
@@ -248,7 +240,7 @@ class ExperimentContext:
 
         Returns:
             ``(result, sampler)`` — the full :class:`SimulationResult`
-            (with ``.obs``/``.spans``/``.prof`` attached as applicable)
+            (with ``.obs``/``.spans`` attached as applicable)
             and the system's sampler (None unless ``sample_interval`` was
             given with a live registry).
         """
@@ -258,7 +250,7 @@ class ExperimentContext:
         system = ProbabilisticQoSSystem(
             config, self.log, self.failures,
             registry=registry, sample_interval=sample_interval,
-            recorder=recorder, profiler=profiler,
+            recorder=recorder,
         )
         return system.run(), system.sampler
 

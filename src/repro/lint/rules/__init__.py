@@ -25,7 +25,6 @@ from repro.lint.rules import (  # noqa: F401
     ordering,
     pickling,
     probability,
-    profzones,
     rng,
     state,
     wallclock,

@@ -9,8 +9,9 @@ named metrics following ``<layer>.<component>.<name>``; the default
 ``repro.obs.audit`` folds promise/outcome pairs into calibration & SLO
 audit reports — both are trace recorders, views over the simulator's
 one record stream.  ``repro.obs.prof`` attributes wall time to
-hierarchical zones (same naming scheme, same null-default pattern), and
-``repro.obs.bench`` diffs BENCH ledgers for perf-regression gating.
+hierarchical zones (same naming scheme) by wrapping layer methods from
+outside, only while a profiler is attached, and ``repro.obs.bench``
+diffs BENCH ledgers for perf-regression gating.
 See DESIGN.md "Observability" for the naming scheme and the overhead
 budget.
 """
@@ -57,13 +58,10 @@ from repro.obs.export import (
 )
 from repro.obs.prof import (
     DEFAULT_BUCKET_WIDTH,
-    NULL_PROFILER,
     PROF_SCHEMA_VERSION,
-    NullProfiler,
+    ZONE_POINTS,
     Profiler,
-    Zone,
     load_profile,
-    profiled,
     strip_wall_ns,
     to_collapsed,
     validate_collapsed,
@@ -141,13 +139,10 @@ __all__ = [
     "render_trend",
     "trend_data",
     "DEFAULT_BUCKET_WIDTH",
-    "NULL_PROFILER",
     "PROF_SCHEMA_VERSION",
-    "NullProfiler",
+    "ZONE_POINTS",
     "Profiler",
-    "Zone",
     "load_profile",
-    "profiled",
     "strip_wall_ns",
     "to_collapsed",
     "validate_collapsed",

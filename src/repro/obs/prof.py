@@ -1,29 +1,29 @@
 """Hierarchical wall-clock profiler with sim-time bucketing.
 
 The missing leg of the observability triad (metrics, traces, audits —
-see DESIGN.md "Observability"): *where does the wall clock go?*  Every
-hot path in the control system opens a **zone** — engine event dispatch,
-``find_slot``, negotiation dialogues, fastpath evaluations, predictor
-queries, checkpoint decisions — and the profiler maintains the live zone
-stack, attributing self and cumulative nanoseconds plus call counts to
-each node of the resulting call tree.
+see DESIGN.md "Observability"): *where does the wall clock go?*  A
+:class:`Profiler` maintains a stack of open **zones** — engine event
+dispatch, ``find_slot``, negotiation dialogues, fastpath evaluations,
+predictor queries, checkpoint decisions — attributing self and
+cumulative nanoseconds plus call counts to each node of the resulting
+call tree.
 
-Design constraints, in order (mirroring :mod:`repro.obs.registry`):
+Design constraints, in order:
 
-* **~zero cost when off.**  The default is :data:`NULL_PROFILER`
-  (pattern of :class:`~repro.obs.registry.NullRegistry`): its ``enabled``
-  flag is False and its zones are inert, so instrumented hot paths guard
-  with one attribute test and uninstrumented sweeps pay nothing.
-  Components bind :class:`Zone` objects once at construction — entering
-  a zone is a dict-free push.
+* **Profiled from outside.**  The library carries no profiling code.
+  ``with profiler.attach(): ...`` wraps the methods named in
+  :data:`ZONE_POINTS` for the duration of the block and puts the
+  original functions back on the way out (also on an exception), so a
+  run without an attached profiler executes exactly the unprofiled code.
 * **Deterministic shape.**  The zone *tree structure*, call counts, and
   sim-time bucket indices are pure functions of the simulated trajectory
   and therefore bit-identical across reruns; only the wall-ns payloads
   vary run to run.  Tests pin the shape with
   :func:`strip_wall_ns`.
-* **Sim-time bucketing.**  The owner calls :meth:`Profiler.set_sim_time`
-  as simulated time advances (the engine does this per dispatched
-  event); each zone entry charges its *self* nanoseconds to the bucket
+* **Sim-time bucketing.**  The dispatch wrapper advances the profiler's
+  clock to each event's time (:meth:`Profiler.set_sim_time`) and the
+  point wrapper resets it to 0 at each sweep point; each zone entry
+  charges its *self* nanoseconds to the bucket
   ``floor(sim_time_at_entry / bucket_width)``, so a profile can answer
   "which phase of the trace got slow", not just "which function".
 * **Mergeable.**  :meth:`Profiler.merge_snapshot` folds per-worker
@@ -34,41 +34,61 @@ Design constraints, in order (mirroring :mod:`repro.obs.registry`):
   export is the classic FlameGraph / speedscope ``frame;frame value``
   stack format.
 
-Zone names follow the repo-wide ``<layer>.<component>.<name>`` scheme,
-validated at :meth:`Profiler.zone` registration and statically by the
-QOS111 lint rule.
+Zone names follow the repo-wide ``<layer>.<component>.<name>`` scheme.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import importlib
 import json
-import re
+import math
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Version of the on-disk profile layout.
 PROF_SCHEMA_VERSION = 1
-
-#: Zone names share the metric naming contract: dot-separated lowercase
-#: identifiers, at least ``<layer>.<component>.<name>`` deep.
-ZONE_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+){2,}$")
 
 #: Default sim-time bucket width, seconds (one simulated hour — the
 #: paper's checkpoint interval, a natural phase length for these traces).
 DEFAULT_BUCKET_WIDTH = 3600.0
 
-_F = TypeVar("_F", bound=Callable[..., Any])
+#: Zone of each dispatched event; the event kind is appended
+#: (``sim.engine.dispatch.arrival``).
+DISPATCH_ZONE = "sim.engine.dispatch"
 
+#: Zone of one simulated sweep point.
+POINT_ZONE = "experiments.runner.point"
 
-def _validate_zone_name(name: str) -> None:
-    if not ZONE_NAME_RE.match(name):
-        raise ValueError(
-            f"zone name {name!r} does not follow "
-            "'<layer>.<component>.<name>' (lowercase, dot-separated, "
-            ">= 3 components)"
-        )
-
+#: Where an attached profiler hooks in: ``(zone, module, class, method)``.
+#: The method is wrapped on the class and on every subclass that defines
+#: it itself.  Modules are imported when a profiler attaches, not here:
+#: ``repro.obs`` sits below the layers it profiles.
+ZONE_POINTS: Tuple[Tuple[str, str, str, str], ...] = (
+    ("cluster.ledger.find_slot", "repro.cluster.reservations",
+     "ReservationLedger", "find_slot"),
+    ("cluster.ledger.reserve", "repro.cluster.reservations",
+     "ReservationLedger", "reserve"),
+    # Only ReservationLedger.profile calls it, once per ledger mutation.
+    ("cluster.ledger.profile_rebuild", "repro.cluster.reservations",
+     "CapacityProfile", "from_deltas"),
+    ("negotiation.dialogue.negotiate", "repro.core.negotiation",
+     "Negotiator", "negotiate"),
+    ("negotiation.fastpath.evaluate", "repro.core.fastpath",
+     "AnalyticalEvaluator", "failure_probability"),
+    ("prediction.index.query", "repro.prediction.index",
+     "FailureIntervalIndex", "failure_probability"),
+    ("prediction.trace.query", "repro.prediction.trace",
+     "TracePredictor", "failure_probability"),
+    ("scheduling.fcfs.schedule_restart", "repro.scheduling.fcfs",
+     "ConservativeBackfillScheduler", "schedule_restart"),
+    ("checkpointing.policy.decide", "repro.checkpointing.policies",
+     "CheckpointPolicy", "decide"),
+    (DISPATCH_ZONE, "repro.sim.engine", "EventLoop", "_invoke"),
+    (POINT_ZONE, "repro.experiments.runner", "ExperimentContext",
+     "simulate_point"),
+)
 
 class _ZoneNode:
     """One node of the call tree: totals for a zone *at a stack position*."""
@@ -83,29 +103,6 @@ class _ZoneNode:
         self.children: Dict[str, "_ZoneNode"] = {}
 
 
-class Zone:
-    """A reusable, re-entrant context manager bound to one zone name.
-
-    Components request their zones once at construction
-    (``self._z_find_slot = profiler.zone("cluster.ledger.find_slot")``)
-    and enter them on the hot path; entering costs one list append plus
-    one ``perf_counter_ns`` read.
-    """
-
-    __slots__ = ("_profiler", "name")
-
-    def __init__(self, profiler: "Profiler", name: str) -> None:
-        self._profiler = profiler
-        self.name = name
-
-    def __enter__(self) -> "Zone":
-        self._profiler.push(self.name)
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self._profiler.pop()
-
-
 class Profiler:
     """Maintains the live zone stack and the accumulated call tree.
 
@@ -115,12 +112,11 @@ class Profiler:
             ``floor(sim_time / bucket_width)``.
     """
 
-    #: Hot paths test this once per call; :class:`NullProfiler` flips it.
-    enabled = True
-
     def __init__(self, bucket_width: float = DEFAULT_BUCKET_WIDTH) -> None:
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be > 0, got {bucket_width}")
+        if not (math.isfinite(bucket_width) and bucket_width > 0):
+            raise ValueError(
+                f"bucket_width must be finite and > 0, got {bucket_width}"
+            )
         self.bucket_width = float(bucket_width)
         self._root = _ZoneNode("root")
         # One frame per live zone: [node, start_ns, child_ns, bucket].
@@ -128,18 +124,31 @@ class Profiler:
         self._sim_time = 0.0
         # bucket index -> zone name -> [calls, self_ns]
         self._buckets: Dict[int, Dict[str, List[int]]] = {}
-        self._zones: Dict[str, Zone] = {}
 
     # ------------------------------------------------------------------
-    # Zone access
+    # Attaching
     # ------------------------------------------------------------------
-    def zone(self, name: str) -> Zone:
-        """The reusable context manager for ``name`` (validated, cached)."""
-        zone = self._zones.get(name)
-        if zone is None:
-            _validate_zone_name(name)
-            zone = self._zones[name] = Zone(self, name)
-        return zone
+    @contextlib.contextmanager
+    def attach(self) -> Iterator["Profiler"]:
+        """Profile every :data:`ZONE_POINTS` call made inside the block.
+
+        The first attach installs the wrappers and its exit removes them.
+        Attaching while another profiler is attached (a forked pool worker
+        inherits its parent's) sends the zones to this profiler until it
+        detaches.
+
+        Raises:
+            ImportError, AttributeError: If a point no longer exists;
+                nothing is wrapped then.
+        """
+        patches = [] if _attached else _install(ZONE_POINTS)
+        _attached.append(self)
+        try:
+            yield self
+        finally:
+            _attached.pop()
+            for cls, attr, original in reversed(patches):
+                setattr(cls, attr, original)
 
     # ------------------------------------------------------------------
     # The hot path
@@ -147,10 +156,6 @@ class Profiler:
     def set_sim_time(self, sim_time: float) -> None:
         """Advance the simulated clock used for bucket attribution."""
         self._sim_time = sim_time
-
-    @property
-    def sim_time(self) -> float:
-        return self._sim_time
 
     @property
     def depth(self) -> int:
@@ -231,8 +236,6 @@ class Profiler:
         order.  All arithmetic is integer nanoseconds, so the fold is
         exact and associative regardless of grouping.
         """
-        if not self.enabled:
-            return self
         schema = snapshot.get("schema")
         if schema != PROF_SCHEMA_VERSION:
             raise ValueError(
@@ -261,6 +264,110 @@ class Profiler:
         return self
 
 
+#: Attached profilers, innermost last; the installed wrappers push to the
+#: last one.  Module state rather than a closure, so wrappers a forked
+#: worker inherits feed the worker's own profiler once it attaches.
+_attached: List[Profiler] = []
+
+_Patch = Tuple[type, str, Any]
+
+
+def attached() -> Optional[Profiler]:
+    """The profiler the wrappers currently feed, or None."""
+    return _attached[-1] if _attached else None
+
+
+def _zone_wrapper(zone: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+    @functools.wraps(fn)
+    def zoned(*args: Any, **kwargs: Any) -> Any:
+        profiler = _attached[-1]
+        profiler.push(zone)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            profiler.pop()
+
+    return zoned
+
+
+def _dispatch_wrapper(zone: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+    names: Dict[Any, str] = {}
+
+    @functools.wraps(fn)
+    def dispatch(loop: Any, handler: Any, event: Any) -> None:
+        profiler = _attached[-1]
+        profiler.set_sim_time(event.time)
+        name = names.get(event.kind)
+        if name is None:
+            name = names[event.kind] = f"{zone}.{event.kind.value}"
+        profiler.push(name)
+        try:
+            fn(loop, handler, event)
+        finally:
+            profiler.pop()
+
+    return dispatch
+
+
+def _point_wrapper(zone: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+    @functools.wraps(fn)
+    def point(*args: Any, **kwargs: Any) -> Any:
+        profiler = _attached[-1]
+        # Each point's simulation starts at sim time 0.
+        profiler.set_sim_time(0.0)
+        profiler.push(zone)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            profiler.pop()
+
+    return point
+
+
+_WRAPPERS = {DISPATCH_ZONE: _dispatch_wrapper, POINT_ZONE: _point_wrapper}
+
+
+def _defining(cls: type, method: str) -> List[type]:
+    """``cls`` and its subclasses that define ``method`` themselves."""
+    found: List[type] = []
+    todo = [cls]
+    while todo:
+        current = todo.pop()
+        if current not in found and method in vars(current):
+            found.append(current)
+        todo.extend(current.__subclasses__())
+    return found
+
+
+def _install(points: Tuple[Tuple[str, str, str, str], ...]) -> List[_Patch]:
+    """Wrap every point; returns ``(class, attribute, original)`` patches.
+
+    Every point is resolved before the first class is touched, so a
+    missing one raises with nothing installed.
+    """
+    resolved: List[Tuple[str, type, str]] = []
+    for zone, module_name, class_name, method in points:
+        cls = getattr(importlib.import_module(module_name), class_name)
+        targets = _defining(cls, method)
+        if not targets:
+            raise AttributeError(
+                f"profiler zone {zone}: {module_name}.{class_name} "
+                f"has no method {method!r}"
+            )
+        resolved.extend((zone, target, method) for target in targets)
+    patches: List[_Patch] = []
+    for zone, target, method in resolved:
+        original = vars(target)[method]
+        wrap = _WRAPPERS.get(zone, _zone_wrapper)
+        if isinstance(original, classmethod):
+            wrapped: Any = classmethod(wrap(zone, original.__func__))
+        else:
+            wrapped = wrap(zone, original)
+        setattr(target, method, wrapped)
+        patches.append((target, method, original))
+    return patches
+
+
 def _node_to_dict(node: _ZoneNode) -> Dict[str, Any]:
     return {
         "calls": node.calls,
@@ -284,66 +391,6 @@ def _merge_node(node: _ZoneNode, data: Dict[str, Any]) -> None:
         _merge_node(child, child_data)
 
 
-def profiled(
-    name: str, attr: str = "_profiler"
-) -> Callable[[_F], _F]:
-    """Method decorator: run the call inside zone ``name``.
-
-    The profiler is read from the instance attribute ``attr`` (default
-    ``_profiler``) at call time, so decorated methods stay zero-cost on
-    objects carrying :data:`NULL_PROFILER` (one attribute test).
-    """
-    _validate_zone_name(name)
-
-    def wrap(fn: _F) -> _F:
-        @functools.wraps(fn)
-        def inner(self: Any, *args: Any, **kwargs: Any) -> Any:
-            profiler = getattr(self, attr, None)
-            if profiler is None or not profiler.enabled:
-                return fn(self, *args, **kwargs)
-            profiler.push(name)
-            try:
-                return fn(self, *args, **kwargs)
-            finally:
-                profiler.pop()
-
-        return inner  # type: ignore[return-value]
-
-    return wrap
-
-
-class _NullZone(Zone):
-    __slots__ = ()
-
-    def __enter__(self) -> "Zone":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-class NullProfiler(Profiler):
-    """A profiler that records nothing (the default, zero-cost).
-
-    Hands out one shared inert zone, so uninstrumented paths pay one
-    no-op call at worst — and nothing at all on paths that guard with
-    :attr:`Profiler.enabled`, which is the instrumented-code contract.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._null_zone = _NullZone(self, "null.null.zone")
-
-    def zone(self, name: str) -> Zone:
-        return self._null_zone
-
-
-#: Shared default instance; safe because its zones record nothing.
-NULL_PROFILER = NullProfiler()
-
-
 # ----------------------------------------------------------------------
 # Persistence
 # ----------------------------------------------------------------------
@@ -356,16 +403,57 @@ def write_profile(path: str, snapshot: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def load_profile(path: str) -> Dict[str, Any]:
-    """Read a profile back; raises ValueError on an unknown schema."""
+    """Read a profile back.
+
+    Raises:
+        ValueError: If the file is not JSON, speaks another schema, or
+            does not have the :meth:`Profiler.snapshot` shape.
+    """
     with open(path) as fh:
         snapshot = json.load(fh)
+    if not isinstance(snapshot, dict):
+        raise ValueError(f"{path}: a profile is a JSON object")
     schema = snapshot.get("schema")
     if schema != PROF_SCHEMA_VERSION:
         raise ValueError(
             f"{path}: unsupported profile schema {schema!r} "
             f"(this build reads {PROF_SCHEMA_VERSION})"
         )
+    width = snapshot.get("bucket_width")
+    if not isinstance(width, (int, float)) or isinstance(width, bool):
+        raise ValueError(f"{path}: bucket_width is not a number")
+    _check_node(path, "root", snapshot.get("root"))
+    buckets = snapshot.get("buckets", {})
+    _check_dict(path, "buckets", buckets)
+    for index, zones in buckets.items():
+        _check_dict(path, f"buckets.{index}", zones)
+        for name, slot in zones.items():
+            _check_ints(path, f"buckets.{index}.{name}", slot,
+                        ("calls", "self_ns"))
     return snapshot
+
+
+def _check_dict(path: str, where: str, value: Any) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {where} is not an object")
+
+
+def _check_ints(
+    path: str, where: str, value: Any, keys: Tuple[str, ...]
+) -> None:
+    _check_dict(path, where, value)
+    for key in keys:
+        field = value.get(key)
+        if not isinstance(field, int) or isinstance(field, bool):
+            raise ValueError(f"{path}: {where}.{key} is not an integer")
+
+
+def _check_node(path: str, where: str, node: Any) -> None:
+    _check_ints(path, where, node, ("calls", "cum_ns", "self_ns"))
+    children = node.get("children", {})
+    _check_dict(path, f"{where}.children", children)
+    for name, child in children.items():
+        _check_node(path, f"{where}.{name}", child)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:
-    from repro.obs.prof import Profiler, Zone
     from repro.obs.registry import MetricsRegistry
 
 
@@ -58,20 +57,6 @@ class Predictor(abc.ABC):
     #: Component segment of this predictor's metric names
     #: (``prediction.<component>.*``); overridden by subclasses.
     _obs_component = "base"
-    #: Profiling flag; flipped by :meth:`bind_profiler`.  Same contract as
-    #: :attr:`_obs`: unbound predictors pay one class-attribute test.
-    _prof = False
-
-    def bind_profiler(self, profiler: "Profiler") -> None:
-        """Attach a :class:`~repro.obs.prof.Profiler`.
-
-        Window queries run inside the ``prediction.<component>.query``
-        zone.  Binding a null profiler is a no-op.
-        """
-        self._prof = profiler.enabled
-        self._z_query: "Zone" = profiler.zone(
-            f"prediction.{self._obs_component}.query"  # qoslint: disable=QOS111 -- per-component query zones: _obs_component is a fixed lowercase class attribute
-        )
 
     def bind_registry(self, registry: "MetricsRegistry") -> None:
         """Attach a :class:`~repro.obs.registry.MetricsRegistry`.

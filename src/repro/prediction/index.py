@@ -32,14 +32,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cluster.nodeset import NodeSet
 from repro.failures.events import FailureTrace
 from repro.prediction.base import PredictedFailure
-
-if TYPE_CHECKING:
-    from repro.obs.prof import Profiler, Zone
 
 
 class FailureIntervalIndex:
@@ -92,19 +89,6 @@ class FailureIntervalIndex:
         # The last window query and its answer (see window_firsts).
         self._window: Tuple[float, float] = (0.0, 0.0)
         self._firsts: Dict[int, Tuple[float, int, float]] = {}
-        # Profiling (repro.obs.prof): off until bind_profiler.
-        self._prof = False
-        self._z_query: Optional["Zone"] = None
-
-    def bind_profiler(self, profiler: "Profiler") -> None:
-        """Attach a profiler: set queries run in ``prediction.index.query``.
-
-        Binding a null profiler is a no-op (the zone stays unbound and the
-        one-bool guard keeps the query path at its uninstrumented cost).
-        """
-        if profiler.enabled:
-            self._prof = True
-            self._z_query = profiler.zone("prediction.index.query")
 
     @property
     def accuracy(self) -> float:
@@ -189,13 +173,8 @@ class FailureIntervalIndex:
         Bit-identical to ``TracePredictor.failure_probability`` — same
         events, same ``(time, event_id)`` tie-break, same float.
         """
-        if not self._prof:
-            first = self.first_detectable(nodes, start, end)
-            return first[2] if first is not None else 0.0
-        assert self._z_query is not None
-        with self._z_query:
-            first = self.first_detectable(nodes, start, end)
-            return first[2] if first is not None else 0.0
+        first = self.first_detectable(nodes, start, end)
+        return first[2] if first is not None else 0.0
 
     def first_predicted(
         self, nodes: Iterable[int], start: float, end: float

@@ -93,14 +93,6 @@ class TracePredictor(Predictor):
         time order and the first with ``p_x ≤ a`` short-circuits the scan.
         The result is therefore bounded above by ``a``.
         """
-        if not self._prof:
-            return self._failure_probability(nodes, start, end)
-        with self._z_query:
-            return self._failure_probability(nodes, start, end)
-
-    def _failure_probability(
-        self, nodes: Iterable[int], start: float, end: float
-    ) -> float:
         if end <= start:
             return 0.0
         result = 0.0

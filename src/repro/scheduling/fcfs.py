@@ -34,7 +34,6 @@ from repro.cluster.topology import Topology, WindowScorer
 from repro.core.fastpath import AnalyticalEvaluator
 from repro.core.negotiation import NegotiationOutcome, Negotiator
 from repro.core.users import UserModel
-from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.prediction.base import Predictor
 
@@ -68,8 +67,6 @@ class ConservativeBackfillScheduler:
         evaluator: Shared analytical evaluator (the system passes the same
             instance it scores placement with, so one term cache serves
             both); forwarded to the negotiator.
-        profiler: Optional hierarchical profiler, forwarded to the
-            negotiator (dialogue and fastpath zones).
     """
 
     def __init__(
@@ -82,7 +79,6 @@ class ConservativeBackfillScheduler:
         registry: Optional[MetricsRegistry] = None,
         failure_jump_epsilon: float = 1.0,
         evaluator: Optional[AnalyticalEvaluator] = None,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         self._ledger = ledger
         self._topology = topology
@@ -95,7 +91,6 @@ class ConservativeBackfillScheduler:
         self.negotiator = Negotiator(
             ledger, topology, predictor, scorer, max_offers=max_offers,
             registry=registry, failure_jump_epsilon=failure_jump_epsilon, evaluator=evaluator,
-            profiler=profiler,
         )
         self._obs = registry.enabled
         self._c_restarts = registry.counter("scheduling.fcfs.restarts_booked")
@@ -106,9 +101,6 @@ class ConservativeBackfillScheduler:
         self._c_pull_successes = registry.counter(
             "scheduling.fcfs.pull_forward_successes"
         )
-        profiler = profiler if profiler is not None else NULL_PROFILER
-        self._prof = profiler.enabled
-        self._z_restart = profiler.zone("scheduling.fcfs.schedule_restart")
         self._h_restart_delay = registry.histogram(
             "scheduling.fcfs.restart_delay_candidates"
         )
@@ -144,14 +136,6 @@ class ConservativeBackfillScheduler:
         fault-aware: among free nodes at the chosen time the lowest
         predicted-failure partition is taken.
         """
-        if not self._prof:
-            return self._schedule_restart(job_id, size, padded_remaining, now)
-        with self._z_restart:
-            return self._schedule_restart(job_id, size, padded_remaining, now)
-
-    def _schedule_restart(
-        self, job_id: int, size: int, padded_remaining: float, now: float
-    ) -> RestartReservation:
         profile = self._ledger.profile()
         total = self._ledger.node_count
         candidates = 0

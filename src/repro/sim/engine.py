@@ -26,7 +26,6 @@ import heapq
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.prof import NULL_PROFILER, Profiler, Zone
 from repro.obs.registry import NULL_REGISTRY, Counter, Histogram, MetricsRegistry
 from repro.sim.events import Event, EventKind
 from repro.sim.units import SimSeconds
@@ -56,15 +55,10 @@ class EventLoop:
         self,
         start_time: float = 0.0,
         registry: Optional[MetricsRegistry] = None,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         """Args:
             start_time: Initial simulated clock.
             registry: Optional obs registry (see class docstring).
-            profiler: Optional hierarchical profiler
-                (:mod:`repro.obs.prof`); when live, each dispatched event
-                runs inside a per-kind ``sim.engine.dispatch.*`` zone and
-                advances the profiler's sim-time bucket clock.
         """
         self._now = float(start_time)
         # ``(sort_key, event)`` entries; keys are unique (the seq
@@ -85,12 +79,6 @@ class EventLoop:
         self._dispatch_counters: Dict[EventKind, Counter] = {}
         self._handler_timers: Dict[EventKind, Histogram] = {}
         self._live_by_kind: Dict[EventKind, int] = {}
-        # Profiling (repro.obs.prof): per-kind dispatch zones, gated on one
-        # bool exactly like the registry so the NULL_PROFILER default costs
-        # a single attribute test per event.
-        self._profiler = profiler if profiler is not None else NULL_PROFILER
-        self._prof = self._profiler.enabled
-        self._dispatch_zones: Dict[EventKind, Zone] = {}
         # Dispatch counting for the span layer (repro.obs.trace): a plain
         # per-kind dict, cheaper than registry counters and available even
         # without a registry.  Costs one bool test per event when off.
@@ -203,12 +191,7 @@ class EventLoop:
         handler = self._handlers.get(event.kind)
         if handler is None:
             raise SimulationError(f"no handler registered for {event.kind.value}")
-        if self._prof:
-            self._profiler.set_sim_time(event.time)
-            with self._dispatch_zone(event.kind):
-                self._invoke(handler, event)
-        else:
-            self._invoke(handler, event)
+        self._invoke(handler, event)
         if self._count_dispatch:
             key = event.kind.value
             self._dispatch_counts[key] = self._dispatch_counts.get(key, 0) + 1
@@ -299,13 +282,6 @@ class EventLoop:
             timer = self._registry.timer(f"sim.engine.handler_seconds.{kind.value}")
             self._handler_timers[kind] = timer
         return timer
-
-    def _dispatch_zone(self, kind: EventKind) -> Zone:
-        zone = self._dispatch_zones.get(kind)
-        if zone is None:
-            zone = self._profiler.zone(f"sim.engine.dispatch.{kind.value}")  # qoslint: disable=QOS111 -- per-kind dispatch zones: kind.value is a closed enum of lowercase segments
-            self._dispatch_zones[kind] = zone
-        return zone
 
     # ------------------------------------------------------------------
     # Internals

@@ -24,6 +24,7 @@ from repro.experiments.config import ExperimentSetup
 from repro.experiments.parallel import PointSpec, run_specs
 from repro.experiments.replication import ReplicatedExperiment
 from repro.experiments.runner import ExperimentContext
+from repro.obs.prof import Profiler, strip_wall_ns
 from repro.obs.registry import MetricsRegistry
 
 SETUP = ExperimentSetup(workload="sdsc", job_count=60, seed=7)
@@ -168,6 +169,23 @@ class TestRunPointsDeterminism:
         assert {n: h["count"] for n, h in pool_hists.items()} == {
             n: h["count"] for n, h in seq_hists.items()
         }
+
+    def test_pool_merges_worker_profiles_exactly(self):
+        """Same zone tree and sim-time buckets whatever the worker count:
+        each point starts its simulated clock at 0, and forked workers
+        profile into their own attached profilers, counted once."""
+        with Profiler().attach() as sequential:
+            ExperimentContext.prepare(SETUP).run_points(GRID)
+        with Profiler().attach() as pooled:
+            ExperimentContext.prepare(SETUP, jobs=3).run_points(GRID)
+        seq_snapshot = strip_wall_ns(sequential.snapshot())
+        point_buckets = {
+            index: zones["experiments.runner.point"]["calls"]
+            for index, zones in seq_snapshot["buckets"].items()
+            if "experiments.runner.point" in zones
+        }
+        assert point_buckets == {"0": len(GRID)}
+        assert strip_wall_ns(pooled.snapshot()) == seq_snapshot
 
 
 class TestRunSpecs:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.fastpath import AnalyticalEvaluator
-from repro.obs.prof import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.prediction.base import PredictedFailure, Predictor
 
@@ -48,7 +47,6 @@ class ProbeOracle(Predictor):
         predictor: Predictor,
         node_count: int,
         registry: Optional[MetricsRegistry] = None,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         self._predictor = predictor
 
@@ -95,7 +93,6 @@ class CheckingOracle(ProbeOracle):
         predictor: Predictor,
         node_count: int,
         registry: Optional[MetricsRegistry] = None,
-        profiler: Optional[Profiler] = None,
         tolerance: float = DEFAULT_TOLERANCE,
     ) -> None:
         super().__init__(predictor, node_count)

@@ -280,77 +280,6 @@ class TestQOS110SaltedHash:
         assert codes("digest = obj.hash()\n") == []
 
 
-class TestQOS111ProfilerZoneName:
-    def test_bad_fstring_zone_name(self):
-        bad = """
-            def bind(self, profiler, kind):
-                self._z = profiler.zone(f"sim.engine.{kind}")
-        """
-        assert codes(bad, LIB) == ["QOS111"]
-
-    def test_bad_variable_zone_name(self):
-        bad = """
-            def bind(self, profiler, name):
-                self._z = profiler.zone(name)
-        """
-        assert codes(bad, LIB) == ["QOS111"]
-
-    def test_bad_literal_not_following_the_scheme(self):
-        assert codes(
-            'z = profiler.zone("TwoSegments.only")\n', LIB
-        ) == ["QOS111"]
-        assert codes('z = profiler.zone("Upper.case.bad")\n', LIB) == [
-            "QOS111"
-        ]
-
-    def test_bad_profiled_decorator_with_computed_name(self):
-        bad = """
-            from repro.obs.prof import profiled
-
-            class Worker:
-                @profiled("scheduling." + kind + ".step")
-                def step(self):
-                    pass
-        """
-        assert codes(bad, LIB) == ["QOS111"]
-
-    def test_good_literal_zone_names(self):
-        good = """
-            from repro.obs.prof import profiled
-
-            class Worker:
-                def __init__(self, profiler):
-                    self._z = profiler.zone("cluster.ledger.find_slot")
-
-                @profiled("scheduling.fcfs.schedule_restart")
-                def step(self):
-                    pass
-        """
-        assert codes(good, LIB) == []
-
-    def test_good_suppressed_closed_enum_interpolation(self):
-        good = """
-            def bind(self, profiler, kind):
-                self._z = profiler.zone(
-                    f"sim.engine.dispatch.{kind.value}"  # qoslint: disable=QOS111 -- closed lowercase enum
-                )
-        """
-        assert codes(good, LIB) == []
-
-    def test_good_outside_the_library(self):
-        assert codes("z = profiler.zone(name)\n", TEST) == []
-
-    def test_good_unrelated_zone_methods(self):
-        # tzinfo-style APIs: zero-arg .zone() is not the profiler.
-        assert codes("tz = dt.zone()\n", LIB) == []
-
-    def test_is_a_warning_not_an_error(self):
-        findings = lint_source(
-            'z = profiler.zone(name)\n', LIB
-        )
-        assert [f.severity for f in findings] == [LintSeverity.WARNING]
-
-
 class TestRuleMetadata:
     def test_ten_distinct_rules_registered(self):
         from repro.lint import all_rules

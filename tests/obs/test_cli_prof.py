@@ -74,6 +74,51 @@ class TestRunWithProf:
         assert main(["prof", "report", str(tmp_path / "nope.json")]) == 2
         assert "cannot read profile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["report", "export"])
+    @pytest.mark.parametrize("shape", ["list", "node-without-cum_ns"])
+    def test_prof_commands_reject_json_that_is_not_a_profile(
+        self, profile_path, tmp_path, capsys, command, shape
+    ):
+        doc = load_profile(str(profile_path))
+        if shape == "list":
+            doc = []
+        else:
+            next(iter(doc["root"]["children"].values())).pop("cum_ns")
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(json.dumps(doc))
+        assert main(["prof", command, str(bogus)]) == 2
+        assert "cannot read profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--prof-bucket", "0"),
+            ("--prof-bucket", "-1"),
+            ("--prof-bucket", "nan"),
+            ("--prof-bucket", "inf"),
+            ("--prof-bucket", "soon"),
+            ("--obs-interval", "0"),
+            ("--obs-interval", "-5"),
+            ("--obs-interval", "nan"),
+            ("--obs-interval", "inf"),
+        ],
+    )
+    def test_interval_flags_reject_non_positive_or_non_finite_seconds(
+        self, tmp_path, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "run", "--job-count", "10",
+                    "--prof", str(tmp_path / "p.json"),
+                    "--obs", str(tmp_path / "o.json"),
+                    flag, value,
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "finite seconds > 0" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
     def test_figure_prof_profiles_the_sweep(self, tmp_path, capsys):
         path = tmp_path / "fig.json"
         code = main(

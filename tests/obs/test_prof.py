@@ -2,24 +2,28 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib
 import json
+import math
+import re
 import time
 
 import pytest
 
-from repro.core.system import SystemConfig, simulate
+from repro.core.system import simulate
+from repro.core.users import UserModel
 from repro.experiments.config import ExperimentSetup
 from repro.experiments.runner import ExperimentContext
+from repro.obs import prof as prof_module
 from repro.obs.prof import (
     DEFAULT_BUCKET_WIDTH,
-    NULL_PROFILER,
     PROF_SCHEMA_VERSION,
-    NullProfiler,
+    ZONE_POINTS,
     Profiler,
-    Zone,
     aggregate_self,
+    attached,
     load_profile,
-    profiled,
     render_report,
     strip_wall_ns,
     to_collapsed,
@@ -30,17 +34,35 @@ from repro.obs.prof import (
 )
 
 
+@contextlib.contextmanager
+def zone(prof: Profiler, name: str):
+    """Open ``name`` on ``prof`` for the block (what a wrapper does)."""
+    prof.push(name)
+    try:
+        yield
+    finally:
+        prof.pop()
+
+
+def _table_functions():
+    """``(class, method) -> what the class holds`` for every table point."""
+    held = {}
+    for _, module, class_name, method in ZONE_POINTS:
+        cls = getattr(importlib.import_module(module), class_name)
+        for target in prof_module._defining(cls, method):
+            held[(target, method)] = vars(target)[method]
+    return held
+
+
 class TestZoneTree:
     def test_nesting_builds_one_node_per_stack_position(self):
         prof = Profiler()
-        outer = prof.zone("a.b.outer")
-        inner = prof.zone("a.b.inner")
-        with outer:
-            with inner:
+        with zone(prof, "a.b.outer"):
+            with zone(prof, "a.b.inner"):
                 pass
-            with inner:
+            with zone(prof, "a.b.inner"):
                 pass
-        with inner:
+        with zone(prof, "a.b.inner"):
             pass
         root = prof.snapshot()["root"]
         assert set(root["children"]) == {"a.b.outer", "a.b.inner"}
@@ -52,8 +74,8 @@ class TestZoneTree:
 
     def test_self_time_excludes_children_and_cum_includes_them(self):
         prof = Profiler()
-        with prof.zone("a.b.outer"):
-            with prof.zone("a.b.inner"):
+        with zone(prof, "a.b.outer"):
+            with zone(prof, "a.b.inner"):
                 time.sleep(0.002)
         root = prof.snapshot()["root"]
         outer = root["children"]["a.b.outer"]
@@ -63,26 +85,37 @@ class TestZoneTree:
         assert outer["self_ns"] == outer["cum_ns"] - inner["cum_ns"]
         assert total_ns(prof.snapshot()) == outer["cum_ns"]
 
-    def test_zone_names_are_validated_at_binding_time(self):
-        prof = Profiler()
-        for bad in ("", "two.segments", "Upper.case.name", "a.b.c-d", "a b.c.d"):
-            with pytest.raises(ValueError):
-                prof.zone(bad)
-        assert isinstance(prof.zone("layer.component.name"), Zone)
+    def test_zone_names_are_validated_at_binding_time(self, monkeypatch):
+        """The table follows the naming scheme, and attaching binds every
+        point or none: a point whose method is gone raises."""
+        scheme = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+){2,}$")
+        assert all(scheme.match(point[0]) for point in ZONE_POINTS)
+        before = _table_functions()
+        monkeypatch.setattr(
+            prof_module,
+            "ZONE_POINTS",
+            ZONE_POINTS
+            + (("a.b.gone", "repro.sim.engine", "EventLoop", "no_such"),),
+        )
+        with pytest.raises(AttributeError, match="no_such"):
+            with Profiler().attach():
+                pass
+        assert _table_functions() == before
+        assert attached() is None
 
     def test_depth_tracks_open_zones(self):
         prof = Profiler()
         assert prof.depth == 0
-        with prof.zone("a.b.c"):
+        with zone(prof, "a.b.c"):
             assert prof.depth == 1
-            with prof.zone("a.b.d"):
+            with zone(prof, "a.b.d"):
                 assert prof.depth == 2
         assert prof.depth == 0
 
     def test_walk_zones_yields_every_stack(self):
         prof = Profiler()
-        with prof.zone("a.b.outer"):
-            with prof.zone("a.b.inner"):
+        with zone(prof, "a.b.outer"):
+            with zone(prof, "a.b.inner"):
                 pass
         stacks = [stack for stack, _ in walk_zones(prof.snapshot())]
         assert stacks == [("a.b.outer",), ("a.b.outer", "a.b.inner")]
@@ -92,10 +125,10 @@ class TestSimTimeBuckets:
     def test_wall_cost_lands_in_the_entry_bucket(self):
         prof = Profiler(bucket_width=100.0)
         prof.set_sim_time(50.0)
-        with prof.zone("a.b.first"):
+        with zone(prof, "a.b.first"):
             pass
         prof.set_sim_time(250.0)
-        with prof.zone("a.b.second"):
+        with zone(prof, "a.b.second"):
             pass
         buckets = prof.snapshot()["buckets"]
         assert set(buckets) == {"0", "2"}
@@ -105,13 +138,14 @@ class TestSimTimeBuckets:
     def test_bucket_boundary_is_half_open(self):
         prof = Profiler(bucket_width=100.0)
         prof.set_sim_time(100.0)  # exactly one width: bucket 1, not 0
-        with prof.zone("a.b.z"):
+        with zone(prof, "a.b.z"):
             pass
         assert set(prof.snapshot()["buckets"]) == {"1"}
 
     def test_bucket_width_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Profiler(bucket_width=0.0)
+        for width in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Profiler(bucket_width=width)
         assert Profiler().bucket_width == DEFAULT_BUCKET_WIDTH
 
 
@@ -119,8 +153,8 @@ class TestMergeAndSerialisation:
     def _profile(self, calls: int) -> Profiler:
         prof = Profiler()
         for _ in range(calls):
-            with prof.zone("a.b.outer"):
-                with prof.zone("a.b.inner"):
+            with zone(prof, "a.b.outer"):
+                with zone(prof, "a.b.inner"):
                     pass
         return prof
 
@@ -166,12 +200,42 @@ class TestMergeAndSerialisation:
         with pytest.raises(ValueError):
             load_profile(str(path))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["root"]["children"]["a.b.outer"].pop("cum_ns"),
+            lambda doc: doc["root"].update(calls="1"),
+            lambda doc: doc["root"].update(children=[]),
+            lambda doc: doc.pop("root"),
+            lambda doc: doc.update(buckets=[]),
+            lambda doc: doc["buckets"]["0"]["a.b.inner"].pop("self_ns"),
+            lambda doc: doc.update(bucket_width="wide"),
+        ],
+        ids=[
+            "node-without-cum_ns", "string-calls", "list-children", "no-root",
+            "list-buckets", "bucket-without-self_ns", "string-width",
+        ],
+    )
+    def test_load_rejects_a_non_profile_shape(self, tmp_path, edit):
+        doc = self._profile(1).snapshot()
+        edit(doc)
+        path = tmp_path / "prof.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_profile(str(path))
+
+    def test_load_rejects_a_non_object(self, tmp_path):
+        path = tmp_path / "prof.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError):
+            load_profile(str(path))
+
 
 class TestCollapsedExport:
     def test_collapsed_lines_follow_the_grammar(self):
         prof = Profiler()
-        with prof.zone("a.b.outer"):
-            with prof.zone("a.b.inner"):
+        with zone(prof, "a.b.outer"):
+            with zone(prof, "a.b.inner"):
                 time.sleep(0.001)
         text = to_collapsed(prof.snapshot())
         assert validate_collapsed(text) == []
@@ -190,68 +254,26 @@ class TestCollapsedExport:
         assert validate_collapsed(";empty 5") != []
 
 
-class TestProfiledDecorator:
-    def test_decorator_profiles_through_the_instance_attribute(self):
-        class Worker:
-            def __init__(self, profiler):
-                self._profiler = profiler
-
-            @profiled("layer.worker.step")
-            def step(self):
-                return 42
-
-        prof = Profiler()
-        assert Worker(prof).step() == 42
-        assert Worker(NULL_PROFILER).step() == 42
-        assert Worker(None).step() == 42
-        snapshot = prof.snapshot()
-        assert snapshot["root"]["children"]["layer.worker.step"]["calls"] == 1
-
-    def test_decorator_validates_the_name_at_definition_time(self):
-        with pytest.raises(ValueError):
-            profiled("bad name")
-
-
-class TestNullProfiler:
-    def test_records_nothing_and_shares_one_zone(self):
-        null = NullProfiler()
-        assert null.enabled is False
-        with null.zone("a.b.c"):
-            with null.zone("d.e.f"):
-                pass
-        assert null.zone("a.b.c") is null.zone("x.y.z")
-        assert null.snapshot()["root"]["children"] == {}
-        assert NULL_PROFILER.enabled is False
-
-    def test_merge_into_a_null_profiler_is_inert(self):
-        live = Profiler()
-        with live.zone("a.b.c"):
-            pass
-        null = NullProfiler()
-        null.merge_snapshot(live.snapshot())
-        assert null.snapshot()["root"]["children"] == {}
-
-
-def _tiny_config(**overrides) -> SystemConfig:
-    parameters = dict(node_count=16, accuracy=0.5, user_threshold=0.5, seed=11)
-    parameters.update(overrides)
-    return SystemConfig(**parameters)
-
-
 def _nasa_context(job_count: int = 40) -> ExperimentContext:
     setup = ExperimentSetup(workload="nasa", job_count=job_count, seed=11)
     return ExperimentContext.prepare(setup)
 
 
+def _run(ctx: ExperimentContext, **kwargs):
+    return simulate(ctx.config(0.5, 0.5), ctx.log, ctx.failures, **kwargs)
+
+
+class _RefusingUser(UserModel):
+    """Fails the run from inside a negotiation dialogue."""
+
+    def accepts(self, offer) -> bool:
+        raise RuntimeError("user walked away")
+
+
 class TestEndToEndDeterminism:
     def _snapshot(self, ctx: ExperimentContext) -> dict:
-        prof = Profiler()
-        simulate(
-            ctx.config(0.5, 0.5),
-            ctx.log,
-            ctx.failures,
-            profiler=prof,
-        )
+        with Profiler().attach() as prof:
+            _run(ctx)
         return prof.snapshot()
 
     def test_zone_tree_is_bit_identical_across_reruns(self):
@@ -262,14 +284,11 @@ class TestEndToEndDeterminism:
 
     def test_profiling_does_not_change_simulation_results(self):
         ctx = _nasa_context()
-        bare = simulate(ctx.config(0.5, 0.5), ctx.log, ctx.failures)
-        prof = Profiler()
-        profiled_run = simulate(
-            ctx.config(0.5, 0.5), ctx.log, ctx.failures, profiler=prof
-        )
+        bare = _run(ctx)
+        with Profiler().attach() as prof:
+            profiled_run = _run(ctx)
         assert bare.metrics == profiled_run.metrics
-        assert bare.prof is None
-        assert profiled_run.prof is not None
+        assert prof.snapshot()["root"]["children"]
 
     def test_nasa_profile_names_the_hot_paths(self):
         """Acceptance: top self-time zones include event dispatch and the
@@ -287,20 +306,66 @@ class TestEndToEndDeterminism:
         assert "Sim-time buckets" in report
 
     @pytest.mark.parametrize(
-        "profiler", [None, NullProfiler()], ids=["default", "null-profiler"]
+        "profiler", [None, Profiler()], ids=["default", "null-profiler"]
     )
-    def test_null_path_never_touches_a_zone(self, monkeypatch, profiler):
-        """Structural zero-cost guarantee: with no profiler attached, or an
-        explicit NullProfiler, no zone is ever entered (the one-bool
-        guards skip them entirely) — both are the identical guarded fast
-        path."""
-        def boom(self):
-            raise AssertionError(f"zone {self.name} entered on the null path")
-
-        monkeypatch.setattr(Zone, "__enter__", boom)
+    def test_null_path_never_touches_a_zone(self, profiler):
+        """Structural zero-cost guarantee: with no profiler, or one that is
+        never attached, the run executes the library's own functions —
+        no wrapper is installed, so no zone can be entered."""
+        originals = _table_functions()
         ctx = _nasa_context(job_count=10)
-        result = simulate(
-            ctx.config(0.5, 0.5), ctx.log, ctx.failures, profiler=profiler
-        )
+        result = _run(ctx)
         assert result.metrics.job_count == 10
-        assert result.prof is None
+        assert _table_functions() == originals
+        assert attached() is None
+        if profiler is not None:
+            assert profiler.snapshot()["root"]["children"] == {}
+
+
+class TestAttach:
+    def test_table_methods_are_the_originals_outside_attach(self):
+        originals = _table_functions()
+        ctx = _nasa_context(job_count=10)
+        with Profiler().attach() as prof:
+            wrapped = _table_functions()
+            assert all(
+                wrapped[key] is not original
+                for key, original in originals.items()
+            )
+            assert attached() is prof
+            _run(ctx)
+        assert _table_functions() == originals  # the same function objects
+        with pytest.raises(RuntimeError, match="walked away"):
+            with Profiler().attach() as failed:
+                _run(ctx, user=_RefusingUser())
+        assert failed.depth == 0  # every zone closed on the way out
+        assert failed.snapshot()["root"]["children"]
+        assert _table_functions() == originals
+        assert attached() is None
+
+    def test_inner_attach_takes_the_zones_until_it_detaches(self):
+        originals = _table_functions()
+        ctx = _nasa_context(job_count=10)
+        with Profiler().attach() as outer:
+            with Profiler().attach() as inner:
+                _run(ctx)
+            assert outer.snapshot()["root"]["children"] == {}
+            # Still wrapped: the outer profiler is attached.
+            assert _table_functions() != originals
+            _run(ctx)
+        assert _table_functions() == originals
+        assert strip_wall_ns(outer.snapshot()) == strip_wall_ns(inner.snapshot())
+
+    def test_every_table_point_is_entered_on_a_churning_run(self):
+        """A small SDSC sweep point with failures enters every point but
+        two: ``find_slot`` serves ledger-only callers, and the simulator
+        queries the trace predictor through the evaluator."""
+        setup = ExperimentSetup(workload="sdsc", job_count=200, seed=3)
+        ctx = ExperimentContext.prepare(setup)
+        with Profiler().attach() as prof:
+            ctx.run_point(0.5, 0.9)
+        names = set(aggregate_self(prof.snapshot()))
+        for zone_name, *_ in ZONE_POINTS:
+            if zone_name in ("prediction.trace.query", "cluster.ledger.find_slot"):
+                continue
+            assert any(name.startswith(zone_name) for name in names), zone_name
