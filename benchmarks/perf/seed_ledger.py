@@ -15,16 +15,17 @@ call.  It exists for two reasons and must not be "improved":
   code path against the incremental one and records the speedup in
   ``BENCH_ledger.json``.
 
-The one addition over the seed is :meth:`SeedReservationLedger.profile`,
-which reproduces exactly what the seed *call sites* did (build a fresh
-``CapacityProfile`` from a fresh sort) so the negotiation and scheduling
-layers can run unmodified on top of either ledger.
+The two additions over the seed are :meth:`SeedReservationLedger.profile`
+and :meth:`SeedReservationLedger.iter_candidate_times`, which reproduce
+exactly what the seed *call sites* did (build a fresh ``CapacityProfile``
+from a fresh sort; walk a freshly built candidate list) so the negotiation
+and scheduling layers can run unmodified on top of either ledger.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.reservations import CapacityProfile, Reservation
 
@@ -188,6 +189,10 @@ class SeedReservationLedger:
         if limit is not None:
             times = times[:limit]
         return times
+
+    def iter_candidate_times(self, earliest: float) -> Iterator[float]:
+        """What the seed call sites walked: the full candidate list."""
+        return iter(self.candidate_times(earliest))
 
     def find_slot(
         self,

@@ -251,18 +251,12 @@ class Negotiator:
         evaluator = self._eval
         evaluator.begin_dialogue()
         # Capacity prefilter: reject candidates that cannot possibly have
-        # enough simultaneously free nodes without per-node scans.  The
-        # ledger is not mutated during one dialogue, so its cached profile
-        # serves the whole enumeration.
+        # enough simultaneously free nodes without a node-level sweep.  The
+        # ledger is not mutated during one dialogue, so one read of its
+        # live profile serves the whole enumeration.
         profile = self._ledger.profile()
         total = self._ledger.node_count
-        iter_candidates = getattr(self._ledger, "iter_candidate_times", None)
-        candidates = (
-            iter_candidates(earliest)
-            if iter_candidates is not None
-            else iter(self._ledger.candidate_times(earliest))
-        )
-        for start in candidates:
+        for start in self._ledger.iter_candidate_times(earliest):
             last_start = start
             if not profile.window_fits(start, start + duration, size, total):
                 if obs:

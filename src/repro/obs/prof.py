@@ -70,9 +70,8 @@ ZONE_POINTS: Tuple[Tuple[str, str, str, str], ...] = (
      "ReservationLedger", "find_slot"),
     ("cluster.ledger.reserve", "repro.cluster.reservations",
      "ReservationLedger", "reserve"),
-    # Only ReservationLedger.profile calls it, once per ledger mutation.
-    ("cluster.ledger.profile_rebuild", "repro.cluster.reservations",
-     "CapacityProfile", "from_deltas"),
+    ("cluster.ledger.release", "repro.cluster.reservations",
+     "ReservationLedger", "release"),
     ("negotiation.dialogue.negotiate", "repro.core.negotiation",
      "Negotiator", "negotiate"),
     ("negotiation.fastpath.evaluate", "repro.core.fastpath",
@@ -359,11 +358,7 @@ def _install(points: Tuple[Tuple[str, str, str, str], ...]) -> List[_Patch]:
     for zone, target, method in resolved:
         original = vars(target)[method]
         wrap = _WRAPPERS.get(zone, _zone_wrapper)
-        if isinstance(original, classmethod):
-            wrapped: Any = classmethod(wrap(zone, original.__func__))
-        else:
-            wrapped = wrap(zone, original)
-        setattr(target, method, wrapped)
+        setattr(target, method, wrap(zone, original))
         patches.append((target, method, original))
     return patches
 

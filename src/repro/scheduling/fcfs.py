@@ -139,7 +139,7 @@ class ConservativeBackfillScheduler:
         profile = self._ledger.profile()
         total = self._ledger.node_count
         candidates = 0
-        for start in self._ledger.candidate_times(now):
+        for start in self._ledger.iter_candidate_times(now):
             candidates += 1
             if not profile.window_fits(
                 start, start + padded_remaining, size, total
@@ -192,7 +192,7 @@ class ConservativeBackfillScheduler:
             self._c_pull_attempts.inc()
         duration = reservation.duration
         self._ledger.release(job_id)
-        for start in self._ledger.candidate_times(now):
+        for start in self._ledger.iter_candidate_times(now):
             if start >= reservation.start:
                 break
             free = self._free_query(start, start + duration)

@@ -5,8 +5,10 @@ mix of ``reserve``/``release``/``truncate``/``extend`` (including the
 sanctioned ``allow_overlap`` restores that make per-node end times
 unsorted), the incremental ledger must
 
-* report the same ``max_usage`` skyline as a from-scratch
-  :class:`CapacityProfile` rebuild,
+* report the ``max_usage`` a brute-force sum over the live bookings
+  gives (:func:`oracle_max_usage`, which shares no code with
+  :class:`CapacityProfile`), and keep its in-place skyline in the same
+  canonical form a from-scratch :class:`CapacityProfile` rebuild has,
 * answer ``node_free``/``free_nodes``/``candidate_times`` identically, and
 * return byte-identical ``find_slot`` results,
 
@@ -54,14 +56,31 @@ def _probe_windows(rng, ledger):
     return windows
 
 
+def oracle_max_usage(reservations, start, end):
+    """Brute-force skyline maximum over ``[start, end)``: at ``start`` and
+    at every booking boundary inside the window, sum the widths of the
+    bookings that cover it."""
+    probes = {start}
+    for r in reservations:
+        probes.update(t for t in (r.start, r.end) if start <= t < end)
+    return max(
+        sum(len(r.nodes) for r in reservations if r.start <= t < r.end)
+        for t in probes
+    )
+
+
 def _check_equivalence(rng, fast: ReservationLedger, seed: SeedReservationLedger):
     assert fast.reservations() == seed.reservations()
     assert fast.candidate_times(0.0) == seed.candidate_times(0.0)
 
+    live = fast.profile()
     rebuilt = CapacityProfile(fast.reservations())
-    incremental = fast.profile()
+    assert (live.times, live.levels) == (rebuilt.times, rebuilt.levels)
+    reservations = fast.reservations()
     for start, end in _probe_windows(rng, fast):
-        assert incremental.max_usage(start, end) == rebuilt.max_usage(start, end)
+        assert live.max_usage(start, end) == oracle_max_usage(
+            reservations, start, end
+        )
         assert fast.free_nodes(start, end) == seed.free_nodes(start, end)
 
     size = rng.randint(1, NODES)
@@ -130,15 +149,57 @@ def test_incremental_profile_matches_seed_ledger(chunk):
             _check_equivalence(rng, fast, seed)
 
 
-def test_profile_is_cached_between_mutations():
+def test_live_profile_follows_every_mutation():
+    # profile() hands out the live skyline: a reference taken before a
+    # mutation answers for the ledger after it.
     ledger = ReservationLedger(8)
-    ledger.reserve(1, [0, 1], 10.0, 20.0)
-    first = ledger.profile()
-    assert ledger.profile() is first  # O(1) fast path: same object
-    ledger.reserve(2, [2], 5.0, 15.0)
-    second = ledger.profile()
-    assert second is not first  # mutation invalidated the cache
-    assert second.max_usage(10.0, 15.0) == 3
+    held = ledger.profile()
+    windows = [(0.0, 100.0), (5.0, 10.0), (10.0, 15.0), (12.0, 18.0), (20.0, 40.0)]
+    for mutate in (
+        lambda: ledger.reserve(1, [0, 1], 10.0, 20.0),
+        lambda: ledger.reserve(2, [2], 5.0, 15.0),
+        lambda: ledger.extend(1, 30.0),
+        lambda: ledger.truncate(2, 12.0),
+        lambda: ledger.reserve(3, [0], 15.0, 25.0, allow_overlap=True),
+        lambda: ledger.release(1),
+        lambda: ledger.release(2),
+        lambda: ledger.release(3),
+    ):
+        mutate()
+        assert ledger.profile() is held
+        for start, end in windows:
+            assert held.max_usage(start, end) == oracle_max_usage(
+                ledger.reservations(), start, end
+            )
+    assert held.max_usage(0.0, 100.0) == 0
+
+
+class TestFreeSetMemo:
+    """reserve() validates against a free set memoised per window; a
+    mutation between the query and the booking must invalidate it."""
+
+    def test_extend_into_the_window_is_seen_by_reserve(self):
+        ledger = ReservationLedger(8)
+        ledger.reserve(1, [0, 1], 0.0, 10.0)
+        ledger.reserve(2, [2, 3], 0.0, 50.0)
+        free = ledger.free_nodes_set(20.0, 30.0)
+        assert free == [0, 1, 4, 5, 6, 7]
+        ledger.extend(1, 25.0)  # job 1 now holds nodes 0-1 into the window
+        with pytest.raises(ValueError, match="node 0 not free"):
+            ledger.reserve(3, free, 20.0, 30.0)
+        assert 3 not in ledger
+
+    def test_release_then_reserve_on_the_same_window(self):
+        ledger = ReservationLedger(8)
+        ledger.reserve(1, [0, 1, 2, 3], 0.0, 10.0)
+        ledger.reserve(2, [4, 5, 6, 7], 0.0, 50.0)
+        assert ledger.free_nodes_set(5.0, 15.0) == []
+        with pytest.raises(ValueError, match="node 0 not free"):
+            ledger.reserve(3, [0, 1], 5.0, 15.0)
+        ledger.release(1)
+        booking = ledger.reserve(3, [0, 1], 5.0, 15.0)
+        assert booking.nodes == (0, 1)
+        assert ledger.free_nodes_set(5.0, 15.0) == [2, 3]
 
 
 def test_scored_flat_placement_matches_seed_find_slot():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.reservations import CapacityProfile, Reservation, ReservationLedger
+from tests.cluster.test_profile_equivalence import oracle_max_usage
 
 
 @pytest.fixture
@@ -108,12 +109,6 @@ class TestQueries:
         ledger.reserve(1, [0, 1], 10.0, 20.0)
         assert ledger.free_nodes(10.0, 20.0) == [2, 3, 4, 5, 6, 7]
         assert ledger.free_nodes(30.0, 40.0) == list(range(8))
-
-    def test_busy_jobs_at(self, ledger):
-        ledger.reserve(1, [0], 10.0, 20.0)
-        ledger.reserve(2, [1], 15.0, 30.0)
-        assert ledger.busy_jobs_at(16.0) == [1, 2]
-        assert ledger.busy_jobs_at(25.0) == [2]
 
     def test_candidate_times_contains_earliest_and_ends(self, ledger):
         ledger.reserve(1, [0], 10.0, 20.0)
@@ -221,20 +216,48 @@ class TestCapacityProfile:
         profile = CapacityProfile(reservations)
         w_start, w_len = window
         w_end = w_start + w_len
+        assert profile.max_usage(w_start, w_end) == oracle_max_usage(
+            reservations, w_start, w_end
+        )
 
-        # Brute force: evaluate usage at every boundary inside the window.
-        probes = {w_start}
-        for r in reservations:
-            for t in (r.start, r.end):
-                if w_start <= t < w_end:
-                    probes.add(t)
-        expected = 0
-        for t in probes:
-            usage = sum(
-                len(r.nodes) for r in reservations if r.start <= t < r.end
-            )
-            expected = max(expected, usage)
-        assert profile.max_usage(w_start, w_end) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bookings=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=4),  # width
+                st.floats(min_value=0.0, max_value=900.0),  # start
+                st.floats(min_value=1.0, max_value=400.0),  # duration
+            ),
+            max_size=12,
+        ),
+        window=st.tuples(
+            st.floats(min_value=0.0, max_value=1200.0),
+            st.floats(min_value=1.0, max_value=400.0),
+        ),
+        most_busy=st.integers(min_value=0, max_value=8),
+        later=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_blocked_until_skips_only_windows_that_cannot_fit(
+        self, bookings, window, most_busy, later
+    ):
+        reservations = [
+            Reservation(i, tuple(range(width)), start, start + duration)
+            for i, (width, start, duration) in enumerate(bookings)
+        ]
+        profile = CapacityProfile(reservations)
+        w_start, w_len = window
+        blocked = profile.blocked_until(w_start, w_start + w_len, most_busy)
+        over = oracle_max_usage(reservations, w_start, w_start + w_len) > most_busy
+        assert (blocked > w_start) == over
+        if over:
+            # A same-length window starting anywhere before `blocked`
+            # still meets the over-full segment.
+            shifted = w_start + later * (blocked - w_start)
+            if shifted < blocked:
+                assert oracle_max_usage(
+                    reservations, shifted, shifted + w_len
+                ) > most_busy
 
 
 class TestLedgerInvariants:
@@ -305,15 +328,28 @@ class TestIncrementalCaches:
         assert ledger.reservations()[0].end == 15.0
 
     def test_profile_tracks_every_mutation_kind(self, ledger):
+        windows = [(0.0, 100.0), (10.0, 20.0), (15.0, 20.0), (25.0, 30.0), (12.0, 40.0)]
+
+        def check():
+            for start, end in windows:
+                assert ledger.profile().max_usage(start, end) == oracle_max_usage(
+                    ledger.reservations(), start, end
+                )
+
         ledger.reserve(1, [0, 1, 2], 10.0, 20.0)
-        assert ledger.profile().max_usage(10.0, 20.0) == 3
+        ledger.reserve(2, [3], 12.0, 18.0)
+        check()
+        assert ledger.profile().max_usage(10.0, 20.0) == 4
         ledger.truncate(1, 15.0)
-        assert ledger.profile().max_usage(15.0, 20.0) == 0
+        check()
+        assert ledger.profile().max_usage(18.0, 20.0) == 0
         ledger.extend(1, 30.0)
+        check()
         assert ledger.profile().max_usage(25.0, 30.0) == 3
+        ledger.release(2)
         ledger.release(1)
+        check()
         assert ledger.profile().max_usage(0.0, 100.0) == 0
-        assert ledger._deltas == {}
 
     def test_profile_counts_sanctioned_overlaps_twice(self, ledger):
         # An allow_overlap restore and its extended neighbour both book the
