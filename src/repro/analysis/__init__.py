@@ -7,7 +7,6 @@ from repro.analysis.gantt import (
     render_gantt,
 )
 from repro.analysis.tracelog import (
-    NullRecorder,
     RECORD_KINDS,
     TraceRecord,
     TraceRecorder,
@@ -19,7 +18,6 @@ __all__ = [
     "downtime_intervals",
     "occupancy_intervals",
     "render_gantt",
-    "NullRecorder",
     "RECORD_KINDS",
     "TraceRecord",
     "TraceRecorder",

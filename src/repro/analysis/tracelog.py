@@ -6,8 +6,8 @@ evacuations, finishes — as typed :class:`TraceRecord` rows.  The trace is
 the raw material for the schedule visualiser (:mod:`repro.analysis.gantt`),
 for JSONL export, and for debugging simulations event by event.
 
-Recording is opt-in: the system runs with a null recorder by default, so
-sweeps pay nothing for the facility.
+Recording is opt-in: the system's recorder is None by default and every
+record call sits behind that test, so sweeps build no record at all.
 """
 
 from __future__ import annotations
@@ -246,16 +246,6 @@ def check_record(record: TraceRecord) -> None:
         _check_finite(record, "deadline", optional=True)
     elif record.kind == "checkpoint_performed":
         _check_finite(record, "began_at", optional=True)
-
-
-class NullRecorder(TraceRecorder):
-    """A recorder that drops everything (the default, zero-cost)."""
-
-    def __init__(self) -> None:
-        super().__init__(stream=None, keep_in_memory=False)
-
-    def record(self, time, kind, job_id=None, node=None, **detail) -> None:
-        return
 
 
 def load_jsonl(lines: Iterable[str], strict: bool = True) -> List[TraceRecord]:

@@ -1,7 +1,6 @@
-"""Cluster substrate: nodes, machine state, reservations, topologies."""
+"""Cluster substrate: live machine state, reservations, topologies."""
 
 from repro.cluster.machine import Cluster
-from repro.cluster.node import Node, NodeState
 from repro.cluster.nodeset import NodeSet, freeze_nodes
 from repro.cluster.reservations import CapacityProfile, Reservation, ReservationLedger
 from repro.cluster.topology import (
@@ -13,9 +12,7 @@ from repro.cluster.topology import (
 
 __all__ = [
     "Cluster",
-    "Node",
     "NodeSet",
-    "NodeState",
     "CapacityProfile",
     "freeze_nodes",
     "Reservation",

@@ -4,13 +4,22 @@ Owns live node state (up/down, which job runs where) and the failure/
 recovery mechanics; scheduling-time bookings live in
 :class:`~repro.cluster.reservations.ReservationLedger`, which the cluster
 also hosts so callers deal with a single façade.
+
+Live state is three flat per-node lists — the owning job, a down flag,
+and the repair end — and a job's partition is kept as a run-length
+:class:`~repro.cluster.nodeset.NodeSet`.  Starting, checking and
+releasing a partition are slice operations per run, never a walk over
+per-node objects.  Each node hosts at most one job ("only one job may
+run on a given node at a time; there is no co-scheduling or
+multitasking"); a down node finishes its fixed repair (120 s in the
+paper, the restart time of a BG/L node) and then recovers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.node import Node, NodeState
+from repro.cluster.nodeset import NodeSet
 from repro.cluster.reservations import ReservationLedger
 from repro.obs.registry import MetricsRegistry
 
@@ -39,30 +48,40 @@ class Cluster:
         if downtime < 0:
             raise ValueError(f"downtime must be >= 0, got {downtime}")
         self.downtime = float(downtime)
-        self._nodes: List[Node] = [Node(index=i) for i in range(node_count)]
+        self._n = node_count
+        # Per-node live state: owning job id (None when idle), down flag,
+        # and the time the current repair completes (meaningful when down).
+        self._owner: List[Optional[int]] = [None] * node_count
+        self._down: List[bool] = [False] * node_count
+        self._repair_end: List[float] = [0.0] * node_count
         if registry is not None and registry.enabled:
             self.ledger = ReservationLedger(node_count, registry=registry)
         else:
             self.ledger = ReservationLedger(node_count)
-        self._job_nodes: Dict[int, List[int]] = {}
+        self._job_nodes: Dict[int, NodeSet] = {}
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return self._n
 
-    def node(self, index: int) -> Node:
-        return self._nodes[index]
-
-    @property
-    def nodes(self) -> Sequence[Node]:
-        return self._nodes
+    def is_up(self, node_index: int) -> bool:
+        """True unless ``node_index`` is in its repair window."""
+        return not self._down[node_index]
 
     def up_nodes(self) -> List[int]:
         """Indexes of nodes currently up."""
-        return [n.index for n in self._nodes if n.is_up]
+        return [i for i, down in enumerate(self._down) if not down]
+
+    def idle_nodes(self) -> List[int]:
+        """Indexes of nodes currently up and running no job, ascending."""
+        return [
+            i
+            for i, (down, owner) in enumerate(zip(self._down, self._owner))
+            if not down and owner is None
+        ]
 
     def running_jobs(self) -> List[int]:
         """Ids of jobs currently executing, in ascending id order.
@@ -81,19 +100,22 @@ class Cluster:
 
     def job_on(self, node_index: int) -> Optional[int]:
         """Id of the job running on ``node_index``, or None."""
-        return self._nodes[node_index].running_job
+        return self._owner[node_index]
 
     def nodes_available(self, node_indexes: Sequence[int]) -> bool:
-        """True if every listed node is up and idle (start precondition)."""
-        for index in node_indexes:
-            node = self._nodes[index]
-            if not node.is_up or node.is_busy:
+        """True if every listed node is up and idle (start precondition).
+
+        An index outside the cluster is never available.
+        """
+        down, owner = self._down, self._owner
+        for lo, hi in NodeSet.from_iterable(node_indexes).runs:
+            if lo < 0 or True in down[lo:hi] or owner[lo:hi].count(None) != hi - lo:
                 return False
         return True
 
     def busy_node_count(self) -> int:
         """Number of nodes currently occupied by jobs."""
-        return sum(1 for n in self._nodes if n.is_busy)
+        return self._n - self._owner.count(None)
 
     # ------------------------------------------------------------------
     # Job placement
@@ -104,50 +126,57 @@ class Cluster:
             raise ValueError(f"job {job_id} is already running")
         if not node_indexes:
             raise ValueError(f"job {job_id}: empty node list")
-        if not self.nodes_available(node_indexes):
+        partition = NodeSet.from_iterable(node_indexes)
+        # A repeated index would occupy its node twice.
+        if len(partition) != len(node_indexes) or not self.nodes_available(partition):
             raise ValueError(
                 f"job {job_id}: nodes {list(node_indexes)} not all up and idle"
             )
-        for index in node_indexes:
-            self._nodes[index].assign(job_id)
-        self._job_nodes[job_id] = sorted(node_indexes)
+        owner = self._owner
+        for lo, hi in partition.runs:
+            owner[lo:hi] = [job_id] * (hi - lo)
+        self._job_nodes[job_id] = partition
 
-    def remove_job(self, job_id: int) -> List[int]:
-        """Release a job's nodes (finish or kill); returns the node list."""
-        node_indexes = self._job_nodes.pop(job_id, None)
-        if node_indexes is None:
+    def remove_job(self, job_id: int) -> NodeSet:
+        """Release a job's nodes (finish or kill); returns them ascending."""
+        partition = self._job_nodes.pop(job_id, None)
+        if partition is None:
             raise KeyError(f"job {job_id} is not running")
-        for index in node_indexes:
-            node = self._nodes[index]
-            # A node that failed may already have been force-released.
-            if node.running_job == job_id:
-                node.release(job_id)
-        return node_indexes
+        owner = self._owner
+        for lo, hi in partition.runs:
+            owner[lo:hi] = [None] * (hi - lo)
+        return partition
 
     # ------------------------------------------------------------------
     # Failures
     # ------------------------------------------------------------------
-    def fail_node(self, node_index: int, now: float) -> tuple:
-        """Fail a node at ``now``.
+    def fail_node(self, node_index: int, now: float) -> Tuple[Optional[int], float]:
+        """Fail a node at ``now``; a repeat failure during the repair
+        window moves the recovery later.
 
         Returns:
             ``(victim_job_id_or_None, recovery_time)``.  The victim job is
             *not* removed — the system layer decides how to kill it (lost
             work accounting) and then calls :meth:`remove_job`.
         """
-        node = self._nodes[node_index]
-        victim = node.running_job
-        recovery = node.fail(now, self.downtime)
-        return victim, recovery
+        recovery = now + self.downtime
+        self._down[node_index] = True
+        self._repair_end[node_index] = recovery
+        return self._owner[node_index], recovery
 
     def recover_node(self, node_index: int, now: float) -> None:
-        """Recovery-event handler: bring a node back up."""
-        self._nodes[node_index].recover(now)
+        """Recovery-event handler: bring a node back up.
+
+        Stale recoveries are ignored: if the node failed *again* during
+        its repair window, the repair end moved later and only the
+        recovery scheduled for the new time takes effect.
+        """
+        if self._down[node_index] and now + 1e-9 >= self._repair_end[node_index]:
+            self._down[node_index] = False
 
     def down_until(self, node_index: int) -> float:
         """Repair completion time for a down node (0.0 if up)."""
-        node = self._nodes[node_index]
-        return node.down_until if not node.is_up else 0.0
+        return self._repair_end[node_index] if self._down[node_index] else 0.0
 
     def latest_recovery(self, node_indexes: Sequence[int]) -> float:
         """Latest ``down_until`` among the listed nodes (0.0 if all up)."""

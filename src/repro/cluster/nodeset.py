@@ -76,8 +76,9 @@ class NodeSet:
             size += stop - start
             prev_stop = stop
         self._runs: Tuple[Run, ...] = tuple(run_list)
-        # Parallel array of run starts for O(log runs) membership tests.
-        self._starts: List[int] = [r[0] for r in run_list]
+        # Parallel array of run starts for O(log runs) membership tests,
+        # built on the first test.
+        self._starts: Optional[List[int]] = None
         self._size = size
         self._hash: Optional[int] = None
 
@@ -85,16 +86,33 @@ class NodeSet:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
+    def from_runs(cls, runs: Sequence[Run], size: Optional[int] = None) -> "NodeSet":
+        """Build from runs known to be normalised (unchecked), holding
+        ``size`` nodes when the caller knows it: the fast path for
+        results of set algebra and of the ledger's sweeps."""
+        node_set = cls.__new__(cls)
+        node_set._runs = tuple(runs)
+        node_set._starts = None
+        if size is None:
+            size = 0
+            for start, stop in runs:
+                size += stop - start
+        node_set._size = size
+        node_set._hash = None
+        return node_set
+
+    @classmethod
     def from_iterable(cls, nodes: Iterable[int]) -> "NodeSet":
         """Normalise arbitrary (unsorted, possibly duplicated) indexes."""
         if isinstance(nodes, NodeSet):
             return nodes
-        return cls(_runs_from_sorted(sorted(set(nodes))))
+        unique = sorted(set(nodes))
+        return cls.from_runs(_runs_from_sorted(unique), len(unique))
 
     @classmethod
     def from_sorted(cls, values: Sequence[int]) -> "NodeSet":
         """Build from an ascending, duplicate-free sequence (unchecked)."""
-        return cls(_runs_from_sorted(values))
+        return cls.from_runs(_runs_from_sorted(values), len(values))
 
     @classmethod
     def interval(cls, start: int, stop: int) -> "NodeSet":
@@ -124,6 +142,8 @@ class NodeSet:
     def __contains__(self, node: object) -> bool:
         if not isinstance(node, int):
             return False
+        if self._starts is None:
+            self._starts = [r[0] for r in self._runs]
         idx = bisect.bisect_right(self._starts, node) - 1
         return idx >= 0 and node < self._runs[idx][1]
 
@@ -170,7 +190,7 @@ class NodeSet:
             take -= hi - lo
             if take == 0:
                 break
-        return NodeSet(runs)
+        return NodeSet.from_runs(runs, stop - start)
 
     # ------------------------------------------------------------------
     # Equality / hashing (tuple-compatible)
@@ -246,7 +266,7 @@ class NodeSet:
                     merged[-1] = (merged[-1][0], stop)
             else:
                 merged.append((start, stop))
-        return NodeSet(merged)
+        return NodeSet.from_runs(merged)
 
     def intersection(self, other: "NodeSet") -> "NodeSet":
         result: List[Run] = []
@@ -261,7 +281,7 @@ class NodeSet:
                 i += 1
             else:
                 j += 1
-        return NodeSet(result)
+        return NodeSet.from_runs(result)
 
     def difference(self, other: "NodeSet") -> "NodeSet":
         result: List[Run] = []
@@ -281,7 +301,7 @@ class NodeSet:
                 k += 1
             if cursor < stop:
                 result.append((cursor, stop))
-        return NodeSet(result)
+        return NodeSet.from_runs(result)
 
     def __or__(self, other: "NodeSet") -> "NodeSet":
         return self.union(other)

@@ -49,6 +49,7 @@ mutations as much as by queries.  Each booking is therefore stored once
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import (
@@ -132,8 +133,12 @@ class CapacityProfile:
 
         ``max_usage(start, end) > most_busy`` exactly when the result is
         past ``start``, and then every window that starts before the
-        result and ends at or after ``end`` meets that segment too.
+        result and ends at or after ``end`` meets that segment too.  A
+        negative ``most_busy`` (more nodes wanted than exist) blocks every
+        window: the result is infinite.
         """
+        if most_busy < 0:
+            return math.inf
         times, levels = self.times, self.levels
         hi = bisect.bisect_left(times, end)
         lo = bisect.bisect_right(times, start, 0, hi)
@@ -292,15 +297,17 @@ class ReservationLedger:
             raise ValueError(f"job {job_id}: end {end} <= start {start}")
         if job_id in self._by_job:
             raise ValueError(f"job {job_id} already has a reservation")
-        # Ascending input: bounds-checking the extremes covers every node.
-        self._check_node(node_seq[0])
-        self._check_node(node_seq[-1])
         runs = self._node_runs(node_seq)
+        # Ascending runs: bounds-checking the extremes covers every node.
+        self._check_node(runs[0][0])
+        self._check_node(runs[-1][1] - 1)
         if not allow_overlap and self._end_times and start < self._end_times[-1]:
             # Usually the window the placement was just chosen in, so the
             # free set is memoised and this is one difference.
-            requested = node_seq if isinstance(node_seq, NodeSet) else NodeSet(runs)
-            clash = requested.difference(self._free_sweep(start, end))
+            requested = (
+                node_seq if isinstance(node_seq, NodeSet) else NodeSet.from_runs(runs)
+            )
+            clash = requested.difference(self._free_window(start, end))
             if clash:
                 raise ValueError(
                     f"job {job_id}: node {clash.min_node} not free over "
@@ -396,11 +403,7 @@ class ReservationLedger:
         entirely unbooked, is free on every node; otherwise the answer is
         the complement of the runs that overlap the window in time.
         """
-        if not self._end_times or start >= self._end_times[-1]:
-            return self._full
-        if self.profile().max_usage(start, end) == 0:
-            return self._full
-        return self._free_sweep(start, end)
+        return self._free_window(start, end)
 
     def free_nodes(self, start: float, end: float) -> List[int]:
         """All nodes free throughout ``[start, end)``, ascending (legacy
@@ -483,18 +486,32 @@ class ReservationLedger:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _free_window(self, start: float, end: float) -> NodeSet:
+        """:meth:`free_nodes_set`, memoised on ``(start, end, version)``.
+
+        The validation in :meth:`reserve` usually asks for the window the
+        placement query just answered, and any mutation in between bumps
+        the version; the early-outs are memoised too, so that check never
+        sweeps a window the placement query did not.
+        """
+        key = (start, end, self._version)
+        if key != self._sweep_key:
+            if (
+                not self._end_times
+                or start >= self._end_times[-1]
+                or self._profile.max_usage(start, end) == 0
+            ):
+                free = self._full
+            else:
+                free = self._free_sweep(start, end)
+            self._sweep_key, self._sweep_free = key, free
+        return self._sweep_free
+
     def _free_sweep(self, start: float, end: float) -> NodeSet:
         """Nodes free throughout ``[start, end)``: one pass over the
         node-sorted runs keeping a busy high-water mark; every gap below
         the next run that overlaps the window in time is free.
-
-        Memoised on ``(start, end, version)``: the validation in
-        :meth:`reserve` usually asks for the window the placement query
-        just swept, and any mutation in between bumps the version.
         """
-        key = (start, end, self._version)
-        if key == self._sweep_key:
-            return self._sweep_free
         free: List[Tuple[int, int]] = []
         cursor = 0  # lowest node not yet known busy
         for lo, hi, r_start, r_end, _job in self._busy_runs:
@@ -505,8 +522,7 @@ class ReservationLedger:
                     cursor = hi
         if cursor < self._n:
             free.append((cursor, self._n))
-        self._sweep_key, self._sweep_free = key, NodeSet(free)
-        return self._sweep_free
+        return NodeSet.from_runs(free)
 
     @staticmethod
     def _node_runs(nodes: Sequence[int]) -> List[Tuple[int, int]]:

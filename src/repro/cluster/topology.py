@@ -60,8 +60,8 @@ class Topology(abc.ABC):
 
         Returns:
             An ascending node sequence (a sorted list, or a run-length
-            :class:`NodeSet` on the flat scorerless fast path — the two
-            compare equal for the same members), or None if no valid
+            :class:`NodeSet` when the flat topology is given one — the
+            two compare equal for the same members), or None if no valid
             partition exists (even though enough nodes may be free, their
             *shape* may not fit).
         """
@@ -78,7 +78,9 @@ class FlatTopology(Topology):
     With a scorer, the partition takes the clean free nodes (score 0.0) in
     ascending order, then the dirty ones by ``(score, node)``: the same
     nodes as ranking every free node by ``(score, node)``, at the cost of
-    sorting the few dirty ones only.
+    sorting the few dirty ones only.  Given a :class:`NodeSet`, it
+    returns one, so the partition reaches the booking and the start
+    without a copy.
     """
 
     def select_partition(
@@ -91,15 +93,10 @@ class FlatTopology(Topology):
     ) -> Optional[Sequence[int]]:
         if len(free_nodes) < size:
             return None
-        if scorer is None:
-            # First-fit keeps a NodeSet in run-length form: on a 100k-node
-            # cluster the partition stays O(runs), never a boxed-int list.
-            if isinstance(free_nodes, NodeSet):
-                return free_nodes[:size]
-            return list(free_nodes[:size])
-        scores = scorer(free_nodes, start, end)
+        is_set = isinstance(free_nodes, NodeSet)
+        scores = scorer(free_nodes, start, end) if scorer is not None else {}
         members: Container[int] = free_nodes
-        if scores and not isinstance(free_nodes, NodeSet):
+        if scores and not is_set:
             members = set(free_nodes)
         dirty = sorted(
             (score, node)
@@ -107,7 +104,9 @@ class FlatTopology(Topology):
             if score and node in members
         )
         if not dirty:
-            return list(free_nodes[:size])
+            # A NodeSet stays in run-length form: on a 100k-node cluster
+            # the partition is O(runs), never a boxed-int list.
+            return free_nodes[:size] if is_set else list(free_nodes[:size])
         dirty_nodes = {node for _, node in dirty}
         clean_needed = min(size, len(free_nodes) - len(dirty))
         chosen: List[int] = []
@@ -118,7 +117,8 @@ class FlatTopology(Topology):
                     if len(chosen) == clean_needed:
                         break
         chosen.extend(node for _, node in dirty[: size - clean_needed])
-        return sorted(chosen)
+        chosen.sort()
+        return NodeSet.from_sorted(chosen) if is_set else chosen
 
 
 class RingTopology(Topology):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, List, Tuple
 
 from repro.checkpointing.runtime import padded_remaining
+from repro.cluster.nodeset import NodeSet
 from repro.core.system import ProbabilisticQoSSystem, SystemConfig, _JobState
 from repro.failures.events import FailureTrace
 from repro.sim.events import Event
@@ -64,7 +65,8 @@ class EasyBackfillSystem(ProbabilisticQoSSystem):
 
     def _requeue(self, job_id: int, state: _JobState, now: float) -> None:
         self._enqueue(job_id)
-        self.recorder.record(now, "requeued", job_id=job_id)
+        if self.recorder is not None:
+            self.recorder.record(now, "requeued", job_id=job_id)
 
     def _after_capacity_freed(self, now: float) -> None:
         self._easy_pass()
@@ -98,12 +100,12 @@ class EasyBackfillSystem(ProbabilisticQoSSystem):
 
     def _start_now(self, state: _JobState) -> bool:
         """Book the lowest-index idle nodes and start there, if enough exist."""
-        idle = self._idle_nodes()
+        idle = self.cluster.idle_nodes()
         if len(idle) < state.job.size:
             return False
         job_id = state.job.job_id
         now = self.loop.now
-        nodes = tuple(idle[: state.job.size])
+        nodes = NodeSet.from_sorted(idle[: state.job.size])
         end = now + padded_remaining(
             state.job.runtime - state.saved_progress,
             self.config.checkpoint_interval,
@@ -113,13 +115,6 @@ class EasyBackfillSystem(ProbabilisticQoSSystem):
         state.reserved_start, state.reserved_end, state.reserved_nodes = now, end, nodes
         self._try_start(job_id, state)
         return True
-
-    def _idle_nodes(self) -> List[int]:
-        return [
-            node.index
-            for node in self.cluster.nodes
-            if node.is_up and not node.is_busy
-        ]
 
     def _padded(self, remaining: float) -> float:
         if not self._pads:
@@ -137,7 +132,7 @@ class EasyBackfillSystem(ProbabilisticQoSSystem):
         past the shadow time.
         """
         now = self.loop.now
-        available = len(self._idle_nodes())
+        available = len(self.cluster.idle_nodes())
         if available >= head_size:
             return now, available - head_size
         releases = []

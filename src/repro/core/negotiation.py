@@ -251,14 +251,18 @@ class Negotiator:
         evaluator = self._eval
         evaluator.begin_dialogue()
         # Capacity prefilter: reject candidates that cannot possibly have
-        # enough simultaneously free nodes without a node-level sweep.  The
-        # ledger is not mutated during one dialogue, so one read of its
-        # live profile serves the whole enumeration.
-        profile = self._ledger.profile()
-        total = self._ledger.node_count
+        # enough simultaneously free nodes without a node-level sweep, and
+        # skip the ones an over-full segment already blocks (as find_slot
+        # does).  The ledger is not mutated during one dialogue, so one
+        # read of its live profile serves the whole enumeration.
+        blocked_until = self._ledger.profile().blocked_until
+        most_busy = self._ledger.node_count - size
+        blocked = earliest
         for start in self._ledger.iter_candidate_times(earliest):
             last_start = start
-            if not profile.window_fits(start, start + duration, size, total):
+            if start >= blocked:
+                blocked = blocked_until(start, start + duration, most_busy)
+            if blocked > start:
                 if obs:
                     self._c_prefilter.inc()
                 continue

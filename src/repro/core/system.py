@@ -20,9 +20,9 @@ seed, configuration).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.tracelog import NullRecorder, TraceRecorder
+from repro.analysis.tracelog import TraceRecorder
 from repro.checkpointing.policies import (
     CheckpointDecision,
     CheckpointDecisionContext,
@@ -129,7 +129,7 @@ class _JobState:
     guarantee: Optional[QoSGuarantee] = None
     reserved_start: float = 0.0
     reserved_end: float = 0.0
-    reserved_nodes: Tuple[int, ...] = ()
+    reserved_nodes: Sequence[int] = ()
     saved_progress: float = 0.0
     run: Optional[JobRun] = None
     done: bool = False
@@ -180,8 +180,8 @@ class ProbabilisticQoSSystem:
         user: Optional override of the user model; defaults to
             :class:`RiskThresholdUser` at ``config.user_threshold``.
         recorder: Optional trace recorder capturing every semantic
-            transition (see :mod:`repro.analysis.tracelog`); defaults to a
-            zero-cost null recorder.  Pass a
+            transition (see :mod:`repro.analysis.tracelog`).  None (the
+            default) records nothing and builds no record.  Pass a
             :class:`~repro.obs.trace.SpanBuilder` to get the assembled
             span timeline on :attr:`SimulationResult.spans` as well, or a
             :class:`~repro.obs.audit.GuaranteeAudit` to fold every promise
@@ -253,7 +253,7 @@ class ProbabilisticQoSSystem:
         )
         self.policy: CheckpointPolicy = policy_by_name(config.checkpoint_policy)
         self.metrics = MetricsCollector()
-        self.recorder: TraceRecorder = recorder if recorder is not None else NullRecorder()
+        self.recorder: Optional[TraceRecorder] = recorder
         self._span_builder: Optional[SpanBuilder] = (
             recorder if isinstance(recorder, SpanBuilder) else None
         )
@@ -376,22 +376,23 @@ class ProbabilisticQoSSystem:
         state.reserved_end = outcome.reserved_end
         state.reserved_nodes = outcome.nodes
         self.metrics.record_guarantee(job.job_id, outcome.guarantee, outcome.forced)
-        self.recorder.record(
-            self.loop.now,
-            "negotiated",
-            job_id=job.job_id,
-            deadline=outcome.guarantee.deadline,
-            probability=outcome.guarantee.probability,
-            predicted_pf=outcome.guarantee.predicted_failure_probability,
-            user_threshold=self.config.user_threshold,
-            planned_start=outcome.start,
-            planned_nodes=list(outcome.nodes),
-            size=job.size,
-            user_id=job.user_id,
-            offers_made=outcome.offers_made,
-            offers_declined=outcome.guarantee.offers_declined,
-            forced=outcome.forced,
-        )
+        if self.recorder is not None:
+            self.recorder.record(
+                self.loop.now,
+                "negotiated",
+                job_id=job.job_id,
+                deadline=outcome.guarantee.deadline,
+                probability=outcome.guarantee.probability,
+                predicted_pf=outcome.guarantee.predicted_failure_probability,
+                user_threshold=self.config.user_threshold,
+                planned_start=outcome.start,
+                planned_nodes=list(outcome.nodes),
+                size=job.size,
+                user_id=job.user_id,
+                offers_made=outcome.offers_made,
+                offers_declined=outcome.guarantee.offers_declined,
+                forced=outcome.forced,
+            )
         state.start_event = self.loop.schedule(
             outcome.start, EventKind.START, job_id=job.job_id
         )
@@ -419,11 +420,12 @@ class ProbabilisticQoSSystem:
             return
 
         self._pending.remove(job_id)
-        self.cluster.start_job(job_id, list(state.reserved_nodes))
+        self.cluster.start_job(job_id, state.reserved_nodes)
         self.metrics.record_start(job_id, now)
-        self.recorder.record(
-            now, "start", job_id=job_id, nodes=list(state.reserved_nodes)
-        )
+        if self.recorder is not None:
+            self.recorder.record(
+                now, "start", job_id=job_id, nodes=list(state.reserved_nodes)
+            )
         remaining = state.job.runtime - state.saved_progress
         state.run = JobRun(
             job_id=job_id,
@@ -491,14 +493,15 @@ class ProbabilisticQoSSystem:
         else:
             run.skip_checkpoint(now)
             self.metrics.record_checkpoint(job_id, performed=False)
-            self.recorder.record(
-                now,
-                "checkpoint_skipped",
-                job_id=job_id,
-                reason=decision.reason,
-                p_f=decision.failure_probability,
-                at_risk=decision.at_risk,
-            )
+            if self.recorder is not None:
+                self.recorder.record(
+                    now,
+                    "checkpoint_skipped",
+                    job_id=job_id,
+                    reason=decision.reason,
+                    p_f=decision.failure_probability,
+                    at_risk=decision.at_risk,
+                )
             self._schedule_run_event(state)
 
     def _on_checkpoint_start(self, event: Event) -> None:
@@ -527,13 +530,14 @@ class ProbabilisticQoSSystem:
         )
         decision = state.pending_decision
         state.pending_decision = None
-        self.recorder.record(
-            self.loop.now, "checkpoint_performed", job_id=job_id,
-            saved_progress=run.saved_progress,
-            began_at=run.last_checkpoint_start,
-            reason=decision.reason if decision is not None else None,
-            p_f=decision.failure_probability if decision is not None else None,
-        )
+        if self.recorder is not None:
+            self.recorder.record(
+                self.loop.now, "checkpoint_performed", job_id=job_id,
+                saved_progress=run.saved_progress,
+                began_at=run.last_checkpoint_start,
+                reason=decision.reason if decision is not None else None,
+                p_f=decision.failure_probability if decision is not None else None,
+            )
         if self.config.proactive_evacuation and self._maybe_evacuate(state):
             return
         self._schedule_run_event(state)
@@ -559,15 +563,16 @@ class ProbabilisticQoSSystem:
         if self._obs:
             self._c_completed.inc()
         guarantee = state.guarantee
-        self.recorder.record(
-            now,
-            "finish",
-            job_id=job_id,
-            deadline=guarantee.deadline if guarantee is not None else None,
-            promised=guarantee.probability if guarantee is not None else None,
-            met=guarantee.kept(now) if guarantee is not None else None,
-            margin=guarantee.margin(now) if guarantee is not None else None,
-        )
+        if self.recorder is not None:
+            self.recorder.record(
+                now,
+                "finish",
+                job_id=job_id,
+                deadline=guarantee.deadline if guarantee is not None else None,
+                promised=guarantee.probability if guarantee is not None else None,
+                met=guarantee.kept(now) if guarantee is not None else None,
+                margin=guarantee.margin(now) if guarantee is not None else None,
+            )
         self._after_capacity_freed(now)
 
     # ------------------------------------------------------------------
@@ -578,8 +583,9 @@ class ProbabilisticQoSSystem:
         now = self.loop.now
         victim_id, recovery = self.cluster.fail_node(node, now)
         self.loop.schedule(recovery, EventKind.RECOVERY, node=node)
-        self.recorder.record(now, "failure", node=node, victim=victim_id)
-        self.recorder.record(now, "node_down", node=node, until=recovery)
+        if self.recorder is not None:
+            self.recorder.record(now, "failure", node=node, victim=victim_id)
+            self.recorder.record(now, "node_down", node=node, until=recovery)
 
         if victim_id is not None:
             self._kill_job(victim_id, now)
@@ -595,12 +601,13 @@ class ProbabilisticQoSSystem:
         assert run is not None, f"victim {job_id} has no active run"
         lost_wall, durable = run.kill(now)
         self.metrics.record_failure_hit(job_id, lost_wall * state.job.size)
-        self.recorder.record(
-            now, "killed", job_id=job_id,
-            lost_node_seconds=lost_wall * state.job.size,
-            lost_wall_seconds=lost_wall,
-            durable_progress=durable,
-        )
+        if self.recorder is not None:
+            self.recorder.record(
+                now, "killed", job_id=job_id,
+                lost_node_seconds=lost_wall * state.job.size,
+                lost_wall_seconds=lost_wall,
+                durable_progress=durable,
+            )
         state.saved_progress = durable
         state.pending_decision = None
         state.run = None
@@ -624,10 +631,11 @@ class ProbabilisticQoSSystem:
         state.reserved_start = booking.start
         state.reserved_end = booking.end
         state.reserved_nodes = booking.nodes
-        self.recorder.record(
-            now, "requeued", job_id=job_id, restart_at=booking.start,
-            nodes=list(booking.nodes),
-        )
+        if self.recorder is not None:
+            self.recorder.record(
+                now, "requeued", job_id=job_id, restart_at=booking.start,
+                nodes=list(booking.nodes),
+            )
         state.start_event = self.loop.schedule(
             booking.start, EventKind.START, job_id=job_id
         )
@@ -692,19 +700,21 @@ class ProbabilisticQoSSystem:
         self.metrics.record_evacuation(job_id)
         if self._obs:
             self._c_evacuations.inc()
-        self.recorder.record(
-            now, "evacuated", job_id=job_id, predicted_pf=p_f, nodes=list(nodes)
-        )
+        if self.recorder is not None:
+            self.recorder.record(
+                now, "evacuated", job_id=job_id, predicted_pf=p_f, nodes=list(nodes)
+            )
         self.cluster.ledger.reserve(
             job_id, chosen.nodes, chosen.start, chosen.deadline
         )
         state.reserved_start = chosen.start
         state.reserved_end = chosen.deadline
         state.reserved_nodes = chosen.nodes
-        self.recorder.record(
-            now, "requeued", job_id=job_id, restart_at=chosen.start,
-            nodes=list(chosen.nodes),
-        )
+        if self.recorder is not None:
+            self.recorder.record(
+                now, "requeued", job_id=job_id, restart_at=chosen.start,
+                nodes=list(chosen.nodes),
+            )
         state.start_event = self.loop.schedule(
             chosen.start, EventKind.START, job_id=job_id
         )
@@ -714,7 +724,7 @@ class ProbabilisticQoSSystem:
     def _on_recovery(self, event: Event) -> None:
         node = event.payload["node"]
         self.cluster.recover_node(node, self.loop.now)
-        if self.cluster.node(node).is_up:
+        if self.recorder is not None and self.cluster.is_up(node):
             self.recorder.record(self.loop.now, "node_up", node=node)
         self._after_capacity_freed(self.loop.now)
 

@@ -9,8 +9,7 @@ hits, backfill successes, checkpoint skips) into one shared
 
 Design constraints, in order:
 
-* **~zero cost when off.**  The default is a :class:`NullRegistry`
-  (mirroring :class:`repro.analysis.tracelog.NullRecorder`): its
+* **~zero cost when off.**  The default is a :class:`NullRegistry`: its
   instruments are inert singletons and its ``enabled`` flag is False, so
   instrumented hot paths guard with one attribute test and sweeps pay
   nothing.  Components additionally bind instrument objects once at

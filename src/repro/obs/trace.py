@@ -19,10 +19,9 @@ consumers make the stories usable:
   trail of one job's guarantee: what was promised, what the predictor
   believed, every checkpoint decision, and whether the promise was honoured.
 
-Zero-cost default: the simulator records through a
-:class:`~repro.analysis.tracelog.NullRecorder` unless a builder is
-attached, mirroring ``NullRecorder``/``NullRegistry`` — uninstrumented
-sweeps pay nothing for the facility.
+Zero-cost default: unless a builder is attached the simulator's
+``recorder`` is None, and every record call site sits behind one
+``is not None`` test — uninstrumented sweeps build no record at all.
 """
 
 from __future__ import annotations

@@ -107,14 +107,20 @@ class FailureIntervalIndex:
         """The cheaper side to iterate for a per-node scan over ``nodes``.
 
         Only nodes carrying detectable failures can contribute to any
-        query, so when a run-length :class:`NodeSet` is wider than the
-        failing-node list the scan flips to ``failing ∩ nodes`` — on a
+        query, so a run-length :class:`NodeSet` is scanned as ``failing ∩
+        nodes``, one slice of the sorted failing-node list per run — on a
         100k-node partition with a handful of dirty nodes that is a few
         bisections instead of 100k dict probes.  Both orders are ascending
         restrictions of the same set, so results are unchanged.
         """
-        if isinstance(nodes, NodeSet) and len(self._failing_nodes) < len(nodes):
-            return [n for n in self._failing_nodes if n in nodes]
+        if isinstance(nodes, NodeSet):
+            failing = self._failing_nodes
+            members: List[int] = []
+            for lo, hi in nodes.runs:
+                members += failing[
+                    bisect.bisect_left(failing, lo) : bisect.bisect_left(failing, hi)
+                ]
+            return members
         return nodes
 
     def _node_first(

@@ -136,14 +136,17 @@ class ConservativeBackfillScheduler:
         fault-aware: among free nodes at the chosen time the lowest
         predicted-failure partition is taken.
         """
-        profile = self._ledger.profile()
-        total = self._ledger.node_count
+        # Skip candidates an over-full segment already blocks, as
+        # find_slot does; each still counts as a probed candidate.
+        blocked_until = self._ledger.profile().blocked_until
+        most_busy = self._ledger.node_count - size
+        blocked = now
         candidates = 0
         for start in self._ledger.iter_candidate_times(now):
             candidates += 1
-            if not profile.window_fits(
-                start, start + padded_remaining, size, total
-            ):
+            if start >= blocked:
+                blocked = blocked_until(start, start + padded_remaining, most_busy)
+            if blocked > start:
                 continue
             free = self._free_query(start, start + padded_remaining)
             if len(free) < size:
@@ -153,6 +156,7 @@ class ConservativeBackfillScheduler:
             )
             if nodes is None:
                 continue
+            nodes = freeze_nodes(nodes)
             self._ledger.reserve(job_id, nodes, start, start + padded_remaining)
             if self._obs:
                 self._c_restarts.inc()
@@ -161,7 +165,7 @@ class ConservativeBackfillScheduler:
             return RestartReservation(
                 job_id=job_id,
                 start=start,
-                nodes=freeze_nodes(nodes),
+                nodes=nodes,
                 end=start + padded_remaining,
             )
         raise RuntimeError(

@@ -1,10 +1,12 @@
 """A small, deterministic discrete-event simulation engine.
 
 The engine is a classic event loop: pending
-:class:`~repro.sim.events.Event` objects sit in one binary heap ordered by
-``(time, kind tie-break, insertion sequence)``.  Handlers are registered per
-:class:`~repro.sim.events.EventKind` and invoked with the event; handlers may
-schedule or cancel further events.
+:class:`~repro.sim.events.Event` objects sit in one binary heap of plain
+``(time, tie, seq, event)`` tuples — simulated time, the kind's tie-break
+(:attr:`EventKind.tie <repro.sim.events.EventKind>`), and the insertion
+sequence, which is unique, so comparison never reaches the event.
+Handlers are registered per :class:`~repro.sim.events.EventKind` and
+invoked with the event; handlers may schedule or cancel further events.
 
 Design notes
 ------------
@@ -61,12 +63,14 @@ class EventLoop:
             registry: Optional obs registry (see class docstring).
         """
         self._now = float(start_time)
-        # ``(sort_key, event)`` entries; keys are unique (the seq
-        # component), so tuple comparison never falls through to events.
-        self._heap: List[Tuple[tuple, Event]] = []
+        # ``(time, tie, seq, event)`` entries; ``seq`` is unique, so tuple
+        # comparison never falls through to events.
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._live = 0
-        self._handlers: Dict[EventKind, Handler] = {}
+        # Handlers indexed by the kind's tie-break rank (distinct per kind),
+        # so dispatch does not hash the kind.
+        self._handlers: List[Optional[Handler]] = [None] * len(EventKind)
         self._processed = 0
         self._running = False
         self._stopped = False
@@ -116,9 +120,9 @@ class EventLoop:
         """
         heap = self._heap
         while heap:
-            event = heap[0][1]
-            if not event.cancelled:
-                return event.time
+            entry = heap[0]
+            if not entry[3].cancelled:
+                return entry[0]
             heapq.heappop(heap)
         return None
 
@@ -127,7 +131,7 @@ class EventLoop:
     # ------------------------------------------------------------------
     def register(self, kind: EventKind, handler: Handler) -> None:
         """Bind ``handler`` to ``kind``, replacing any previous binding."""
-        self._handlers[kind] = handler
+        self._handlers[kind.tie] = handler
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -140,7 +144,7 @@ class EventLoop:
         Args:
             time: Absolute timestamp; must be >= :attr:`now`.
             kind: Event kind used for handler dispatch and tie-breaking.
-            **payload: Arbitrary keyword data stored on the event.
+            **payload: Arbitrary keyword data, stored on the event as is.
 
         Returns:
             The scheduled :class:`Event`; keep it to :meth:`Event.cancel`.
@@ -152,16 +156,17 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule {kind.value} at t={time} before now={self._now}"
             )
-        event = Event(time=float(time), kind=kind, payload=dict(payload), seq=self._seq)
+        seq = self._seq
+        event = Event(time=float(time), kind=kind, payload=payload, seq=seq)
         if self._obs:
             self._registry.counter("sim.engine.scheduled").inc()
             self._live_by_kind[kind] = self._live_by_kind.get(kind, 0) + 1
             event.on_cancel = lambda k=kind: self._on_cancel_kind(k)
         else:
             event.on_cancel = self._on_cancel
-        self._seq += 1
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._heap, (event.sort_key(), event))
+        heapq.heappush(self._heap, (event.time, kind.tie, seq, event))
         return event
 
     def schedule_in(
@@ -183,12 +188,12 @@ class EventLoop:
         """Dispatch the next live event; returns it, or None if drained."""
         if self.peek_time() is None:
             return None
-        event = heapq.heappop(self._heap)[1]
+        event = heapq.heappop(self._heap)[3]
         # Off the queue: a late cancel() must not touch the live count.
         event.on_cancel = None
         self._live -= 1
         self._now = event.time
-        handler = self._handlers.get(event.kind)
+        handler = self._handlers[event.kind.tie]
         if handler is None:
             raise SimulationError(f"no handler registered for {event.kind.value}")
         self._invoke(handler, event)

@@ -28,13 +28,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.sim.units import SimSeconds
 
 
 class EventKind(enum.Enum):
     """The kinds of events the cluster simulator processes."""
+
+    #: Position among simultaneous events (:data:`TIE_BREAK_ORDER`), a
+    #: plain attribute so the event loop reads it without hashing the
+    #: member (``Enum.__hash__`` runs in Python).
+    tie: int
 
     #: A checkpoint write completes; saved progress becomes durable.
     CHECKPOINT_FINISH = "checkpoint_finish"
@@ -68,8 +73,10 @@ class EventKind(enum.Enum):
 #:   * failures before arrivals/starts so that new work is never placed on a
 #:     node that is down "as of" this instant;
 #:   * wakeups last so they see the final resource state of the timestep.
-#: Read-only: a mutation here would silently reorder simultaneous events
-#: for every simulation in the process (lint rule QOS107).
+#: The ranks are ``0..len(EventKind) - 1``: the loop indexes its handlers
+#: by them.  Read-only: a mutation here would silently reorder
+#: simultaneous events for every simulation in the process (lint rule
+#: QOS107).
 TIE_BREAK_ORDER: Mapping[EventKind, int] = MappingProxyType(
     {
         EventKind.CHECKPOINT_FINISH: 0,
@@ -85,6 +92,9 @@ TIE_BREAK_ORDER: Mapping[EventKind, int] = MappingProxyType(
         EventKind.OBS_SAMPLE: 9,
     }
 )
+for _kind, _tie in TIE_BREAK_ORDER.items():
+    _kind.tie = _tie
+del _kind, _tie
 
 
 @dataclass
@@ -123,9 +133,10 @@ class Event:
         if self.on_cancel is not None:
             self.on_cancel()
 
-    def sort_key(self) -> tuple:
-        """Total ordering key: (time, per-kind tie-break, insertion order)."""
-        return (self.time, TIE_BREAK_ORDER[self.kind], self.seq)
+    def sort_key(self) -> Tuple[float, int, int]:
+        """Total ordering key: (time, per-kind tie-break, insertion order),
+        the leading fields of the loop's heap entry."""
+        return (self.time, self.kind.tie, self.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""

@@ -7,7 +7,6 @@ import io
 import pytest
 
 from repro.analysis.tracelog import (
-    NullRecorder,
     TraceRecord,
     TraceRecorder,
     check_record,
@@ -74,11 +73,6 @@ class TestStreamingAndNull:
         recorder.record(1.0, "start", job_id=1)
         assert len(recorder) == 0
         assert "start" in stream.getvalue()
-
-    def test_null_recorder_drops_everything(self):
-        recorder = NullRecorder()
-        recorder.record(1.0, "start", job_id=1)
-        assert len(recorder) == 0
 
     def test_record_to_json_is_one_line(self):
         record = TraceRecord(time=1.0, kind="finish", job_id=2)

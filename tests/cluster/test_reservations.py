@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -220,6 +222,10 @@ class TestCapacityProfile:
             reservations, w_start, w_end
         )
 
+    def test_blocked_until_blocks_every_window_for_a_too_wide_job(self):
+        profile = CapacityProfile([Reservation(1, (0,), 10.0, 20.0)])
+        assert profile.blocked_until(0.0, 5.0, -1) == math.inf
+        assert profile.blocked_until(30.0, 40.0, -1) == math.inf
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -387,3 +393,26 @@ class TestIncrementalCaches:
         assert not ledger.node_free(0, 25.0, 28.0)
         ledger.release(2)
         assert ledger.free_nodes(0.0, 100.0) == list(range(8))
+
+    def test_reserve_after_early_out_query_does_not_sweep(self, ledger, monkeypatch):
+        # [20, 30) lies in a gap of the skyline: free_nodes_set answers it
+        # without a sweep, and reserve's overlap check reuses that answer.
+        ledger.reserve(1, [0, 1], 0.0, 10.0)
+        ledger.reserve(2, [2], 40.0, 50.0)
+        sweeps = []
+        real_sweep = ledger._free_sweep
+
+        def counting_sweep(start, end):
+            sweeps.append((start, end))
+            return real_sweep(start, end)
+
+        monkeypatch.setattr(ledger, "_free_sweep", counting_sweep)
+        free = ledger.free_nodes_set(20.0, 30.0)
+        assert free == list(range(8))
+        ledger.reserve(3, free[:4], 20.0, 30.0)
+        assert sweeps == []
+        # A real clash still raises the same error (the mutation bumped
+        # the version, so this check sweeps afresh).
+        with pytest.raises(ValueError, match="node 3 not free"):
+            ledger.reserve(4, [3, 4], 25.0, 35.0)
+        assert sweeps == [(25.0, 35.0)]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from repro.cluster.nodeset import NodeSet
 from repro.core.fastpath import AnalyticalEvaluator
 from repro.failures.events import FailureEvent, FailureTrace, RawEvent, Severity
 from repro.prediction.base import combine_independent
@@ -79,6 +80,14 @@ class TestTraceAgreement:
                 assert index.first_predicted(subset, start, end) == expected_first
                 assert index.predicted_failures(
                     subset, start, end
+                ) == predictor.predicted_failures(subset, start, end)
+                # A run-length set wider than the failing-node list is
+                # scanned from the failing side.
+                as_set = NodeSet.from_iterable(subset)
+                assert index.failure_probability(as_set, start, end) == expected
+                assert index.first_predicted(as_set, start, end) == expected_first
+                assert index.predicted_failures(
+                    as_set, start, end
                 ) == predictor.predicted_failures(subset, start, end)
                 node = rng.randrange(nodes)
                 assert index.node_term(

@@ -13,6 +13,11 @@ class TestTieBreakOrder:
         values = list(TIE_BREAK_ORDER.values())
         assert len(set(values)) == len(values)
 
+    def test_tie_attribute_ranks_the_kinds(self):
+        # The event loop reads kind.tie and indexes its handlers by it.
+        assert all(kind.tie == TIE_BREAK_ORDER[kind] for kind in EventKind)
+        assert sorted(kind.tie for kind in EventKind) == list(range(len(EventKind)))
+
     def test_completions_precede_failures(self):
         # A job finishing at t must not be killed by a failure at t.
         assert TIE_BREAK_ORDER[EventKind.FINISH] < TIE_BREAK_ORDER[EventKind.FAILURE]
