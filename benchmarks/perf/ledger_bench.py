@@ -74,7 +74,6 @@ from repro.core.users import RiskThresholdUser
 from repro.experiments.cache import PointCache
 from repro.experiments.config import ExperimentSetup
 from repro.experiments.runner import ExperimentContext
-from repro.obs.registry import MetricsRegistry
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.placement import fault_aware_scorer
 from repro.failures.generator import FailureModelSpec, generate_failure_trace
@@ -112,7 +111,7 @@ PRESETS: Dict[str, Dict] = {
 }
 
 #: Schema 2 added the per-scenario ``obs`` block: counter totals from one
-#: instrumented (non-timed) rerun, so a perf diff can tell *why* a number
+#: counted (non-timed) rerun, so a perf diff can tell *why* a number
 #: moved — probe counts, cache hit rates, dialogue depths — not just that
 #: it did.  Timed runs stay uninstrumented.  Schema 3 added the
 #: ``figures_grid`` scenario (sequential vs process-pool vs warm-cache
@@ -131,16 +130,10 @@ SCHEMA_VERSION = 5
 # ----------------------------------------------------------------------
 # Scenario construction (deterministic: everything flows from `seed`)
 # ----------------------------------------------------------------------
-def build_deep_ledger(
-    ledger_cls, nodes: int, bookings: int, seed: int, registry=None
-):
+def build_deep_ledger(ledger_cls, nodes: int, bookings: int, seed: int):
     """A realistic deep queue: jobs packed by find_slot itself."""
     rng = random.Random(seed)
-    # The frozen seed ledger predates the obs layer and keeps its
-    # single-argument constructor; only the current class takes a registry.
-    ledger = ledger_cls(nodes) if registry is None else ledger_cls(
-        nodes, registry=registry
-    )
+    ledger = ledger_cls(nodes)
     clock = 0.0
     for job_id in range(1, bookings + 1):
         size = rng.randint(1, max(1, nodes // 2))
@@ -175,9 +168,10 @@ def run_find_slot_queries(ledger, queries) -> List[Tuple[float, List[int]]]:
 
 
 def run_dialogues(
-    ledger, nodes: int, jobs: int, seed: int, registry=None
-) -> List[Tuple]:
-    """Negotiate and book `jobs` submissions back to back."""
+    ledger, nodes: int, jobs: int, seed: int
+) -> Tuple[List[Tuple], Dict[str, float]]:
+    """Negotiate and book `jobs` submissions back to back; returns the
+    outcomes and the negotiator's (and its evaluator's) counters."""
     rng = random.Random(seed + 2)
     horizon = 60.0 * 86400.0
     failures = generate_failure_trace(
@@ -185,9 +179,7 @@ def run_dialogues(
     )
     predictor = TracePredictor(failures, accuracy=0.7, seed=seed)
     user = RiskThresholdUser(0.9)
-    negotiator = Negotiator(
-        ledger, FlatTopology(nodes), predictor, scorer=None, registry=registry
-    )
+    negotiator = Negotiator(ledger, FlatTopology(nodes), predictor, scorer=None)
     outcomes = []
     clock = 0.0
     for job_id in range(10_000, 10_000 + jobs):
@@ -198,15 +190,15 @@ def run_dialogues(
             (outcome.start, outcome.nodes, outcome.reserved_end, outcome.offers_made)
         )
         clock += rng.uniform(0.0, 60.0)
-    return outcomes
+    return outcomes, {**negotiator.counters(), **negotiator.evaluator.counters()}
 
 
-def run_nasa_point(jobs: int, seed: int, registry=None):
+def run_nasa_point(jobs: int, seed: int):
     """One end-to-end (a=0.7, U=0.5) NASA simulation point."""
     setup = ExperimentSetup(workload="nasa", job_count=jobs, seed=seed)
     context = ExperimentContext.prepare(setup)
     config = context.config(accuracy=0.7, user_threshold=0.5)
-    return simulate(config, context.log, context.failures, registry=registry)
+    return simulate(config, context.log, context.failures)
 
 
 # ----------------------------------------------------------------------
@@ -246,11 +238,6 @@ def _entry(samples: List[float]) -> Dict[str, object]:
     }
 
 
-def _obs_counters(registry: MetricsRegistry) -> Dict[str, float]:
-    """Counter totals from an instrumented rerun (never a timed run)."""
-    return registry.snapshot()["counters"]
-
-
 def bench_find_slot(params: Dict[str, int], seed: int, repeats: int) -> Dict:
     nodes, bookings, queries = params["nodes"], params["bookings"], params["queries"]
     current = build_deep_ledger(ReservationLedger, nodes, bookings, seed)
@@ -267,12 +254,9 @@ def bench_find_slot(params: Dict[str, int], seed: int, repeats: int) -> Dict:
     if cur_answers != seed_answers:
         raise AssertionError("find_slot answers diverge from the seed ledger")
 
-    # One instrumented rerun, outside the timing loop, for the obs block.
-    registry = MetricsRegistry()
-    instrumented = build_deep_ledger(
-        ReservationLedger, nodes, bookings, seed, registry=registry
-    )
-    run_find_slot_queries(instrumented, batch)
+    # One counted rerun, outside the timing loop, for the obs block.
+    counted = build_deep_ledger(ReservationLedger, nodes, bookings, seed)
+    run_find_slot_queries(counted, batch)
 
     cur_med, seed_med = statistics.median(cur_samples), statistics.median(seed_samples)
     return {
@@ -282,7 +266,7 @@ def bench_find_slot(params: Dict[str, int], seed: int, repeats: int) -> Dict:
         "seed": _entry(seed_samples),
         "speedup": seed_med / cur_med if cur_med > 0 else float("inf"),
         "answers_identical": True,
-        "obs": _obs_counters(registry),
+        "obs": counted.counters(),
     }
 
 
@@ -292,11 +276,11 @@ def bench_negotiation(params: Dict[str, int], seed: int, repeats: int) -> Dict:
 
     def current_run():
         ledger = build_deep_ledger(ReservationLedger, nodes, bookings, seed)
-        return run_dialogues(ledger, nodes, jobs, seed)
+        return run_dialogues(ledger, nodes, jobs, seed)[0]
 
     def seed_run():
         ledger = build_deep_ledger(SeedReservationLedger, nodes, bookings, seed)
-        return run_dialogues(ledger, nodes, jobs, seed)
+        return run_dialogues(ledger, nodes, jobs, seed)[0]
 
     cur_samples, cur_out, seed_samples, seed_out = _timed_pair(
         current_run, seed_run, repeats
@@ -304,11 +288,8 @@ def bench_negotiation(params: Dict[str, int], seed: int, repeats: int) -> Dict:
     if cur_out != seed_out:
         raise AssertionError("negotiation outcomes diverge from the seed ledger")
 
-    registry = MetricsRegistry()
-    instrumented = build_deep_ledger(
-        ReservationLedger, nodes, bookings, seed, registry=registry
-    )
-    run_dialogues(instrumented, nodes, jobs, seed, registry=registry)
+    counted = build_deep_ledger(ReservationLedger, nodes, bookings, seed)
+    _, dialogue_counters = run_dialogues(counted, nodes, jobs, seed)
 
     cur_med, seed_med = statistics.median(cur_samples), statistics.median(seed_samples)
     return {
@@ -318,7 +299,7 @@ def bench_negotiation(params: Dict[str, int], seed: int, repeats: int) -> Dict:
         "seed": _entry(seed_samples),
         "speedup": seed_med / cur_med if cur_med > 0 else float("inf"),
         "answers_identical": True,
-        "obs": _obs_counters(registry),
+        "obs": {**counted.counters(), **dialogue_counters},
     }
 
 
@@ -341,11 +322,6 @@ def bench_nasa(params: Dict[str, int], seed: int, repeats: int) -> Optional[Dict
     if cur_result.metrics != seed_result.metrics:
         raise AssertionError("end-to-end metrics diverge from the seed ledger")
 
-    registry = MetricsRegistry()
-    obs_result = run_nasa_point(jobs, seed, registry=registry)
-    if obs_result.metrics != cur_result.metrics:
-        raise AssertionError("instrumented run changed the simulated metrics")
-
     cur_med, seed_med = statistics.median(cur_samples), statistics.median(seed_samples)
     return {
         "description": "end-to-end NASA replication point (a=0.7, U=0.5)",
@@ -354,7 +330,7 @@ def bench_nasa(params: Dict[str, int], seed: int, repeats: int) -> Optional[Dict
         "seed": _entry(seed_samples),
         "speedup": seed_med / cur_med if cur_med > 0 else float("inf"),
         "metrics_identical": True,
-        "obs": _obs_counters(registry),
+        "obs": cur_result.obs["counters"],
     }
 
 
@@ -420,12 +396,10 @@ def bench_figures_grid(params: Dict, seed: int, repeats: int) -> Optional[Dict]:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    # One instrumented pooled rerun (uncached, untimed): exercises the
-    # per-worker registry snapshot merge and yields the obs block.
-    registry = MetricsRegistry()
-    ExperimentContext.prepare(
-        setup, jobs=pool_jobs, registry=registry
-    ).run_points(points)
+    # One pooled rerun (uncached, untimed): exercises the per-worker obs
+    # merge and yields the obs block.
+    counted = ExperimentContext.prepare(setup, jobs=pool_jobs)
+    counted.run_points(points)
 
     seq_med = statistics.median(seq_samples)
     par_med = statistics.median(par_samples)
@@ -450,14 +424,15 @@ def bench_figures_grid(params: Dict, seed: int, repeats: int) -> Optional[Dict]:
         "speedup_warm": seq_med / warm_med if warm_med > 0 else float("inf"),
         "answers_identical": True,
         "cache": cache_stats,
-        "obs": _obs_counters(registry),
+        "obs": counted.obs["counters"],
     }
 
 
 def run_fastpath_dialogues(
-    nodes: int, jobs: int, seed: int, registry=None
-) -> List[Tuple]:
-    """``jobs`` picky, near-full-cluster dialogues on the fast path.
+    nodes: int, jobs: int, seed: int
+) -> Tuple[List[Tuple], Dict[str, float]]:
+    """``jobs`` picky, near-full-cluster dialogues on the fast path; returns
+    the bookings and the negotiator's, evaluator's and predictor's counters.
 
     Engineered so a per-candidate probe loop hurts: requests want (nearly)
     the whole cluster, the failure trace is dense enough that every long
@@ -477,17 +452,14 @@ def run_fastpath_dialogues(
         seed=seed,
     )
     predictor = TracePredictor(failures, accuracy=1.0, seed=seed)
-    if registry is not None:
-        predictor.bind_registry(registry)
     # Mirror the system wiring: the placement scorer reads the
     # evaluator's cached terms.
-    evaluator = AnalyticalEvaluator(predictor, nodes, registry=registry)
+    evaluator = AnalyticalEvaluator(predictor, nodes)
     negotiator = Negotiator(
         ReservationLedger(nodes),
         FlatTopology(nodes),
         predictor,
         fault_aware_scorer(evaluator),
-        registry=registry,
         evaluator=evaluator,
     )
     user = RiskThresholdUser(0.97)
@@ -507,7 +479,10 @@ def run_fastpath_dialogues(
             )
         )
         clock += rng.uniform(0.0, 600.0)
-    return bookings
+    counters = {
+        **negotiator.counters(), **evaluator.counters(), **predictor.counters()
+    }
+    return bookings, counters
 
 
 def bench_negotiation_fastpath(params: Dict, seed: int, repeats: int) -> Dict:
@@ -518,12 +493,9 @@ def bench_negotiation_fastpath(params: Dict, seed: int, repeats: int) -> Dict:
     ``bench compare --counts-only``; wall time is recorded alongside.
     """
     nodes, jobs = params["nodes"], params["fastpath_jobs"]
-    samples, _ = _timed(
+    samples, (_, obs) = _timed(
         lambda: run_fastpath_dialogues(nodes, jobs, seed), repeats
     )
-    registry = MetricsRegistry()
-    run_fastpath_dialogues(nodes, jobs, seed, registry=registry)
-    obs = _obs_counters(registry)
     dialogues = obs["negotiation.dialogue.dialogues"]
     return {
         "description": "picky near-full-cluster dialogues on the analytical fast path",

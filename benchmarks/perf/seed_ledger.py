@@ -61,6 +61,14 @@ class SeedReservationLedger:
     def __contains__(self, job_id: int) -> bool:
         return job_id in self._by_job
 
+    # The seed ledger predates the obs counters: it reports none, so a
+    # simulation can still run on it in place of the current ledger.
+    def counters(self) -> Dict[str, int]:
+        return {}
+
+    def gauges(self) -> Dict[str, float]:
+        return {}
+
     def get(self, job_id: int) -> Optional[Reservation]:
         return self._by_job.get(job_id)
 

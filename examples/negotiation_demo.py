@@ -24,7 +24,6 @@ from repro.cluster.topology import FlatTopology
 from repro.core.negotiation import Negotiator
 from repro.core.users import RiskThresholdUser
 from repro.failures.events import FailureEvent, FailureTrace
-from repro.obs.registry import MetricsRegistry
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.placement import fault_aware_scorer
 
@@ -45,13 +44,14 @@ def main() -> None:
     cluster = Cluster(node_count=NODES)
     # The negotiator skips offers a threshold user is certain to decline
     # without laying them on the table (see DESIGN.md "Analytical
-    # negotiation fast path"); the registry counts those pruned offers.
-    registry = MetricsRegistry()
-    pruned = registry.counter("negotiation.dialogue.pruned")
+    # negotiation fast path") and counts those pruned offers.
     negotiator = Negotiator(
         cluster.ledger, FlatTopology(NODES), predictor,
-        scorer=fault_aware_scorer(predictor), registry=registry,
+        scorer=fault_aware_scorer(predictor),
     )
+
+    def pruned() -> int:
+        return negotiator.counters()["negotiation.dialogue.pruned"]
 
     size, duration = NODES, 4 * HOUR  # a 4-hour job needing every node
     print(f"job: {size} nodes x {duration / HOUR:.0f}h; "
@@ -69,7 +69,7 @@ def main() -> None:
 
     for threshold in (0.1, 0.95):
         user = RiskThresholdUser(threshold)
-        pruned_before = pruned.value
+        pruned_before = pruned()
         outcome = negotiator.negotiate(
             job_id=int(threshold * 100), size=size, duration=duration,
             now=0.0, user=user,
@@ -78,7 +78,7 @@ def main() -> None:
         print(
             f"\nuser with U={threshold:g} accepted after declining "
             f"{g.offers_declined} offer(s) and skipping "
-            f"{pruned.value - pruned_before:.0f} pruned one(s):\n"
+            f"{pruned() - pruned_before} pruned one(s):\n"
             f"  \"job can be completed by t={g.deadline / HOUR:.2f}h "
             f"with probability {g.probability:.3f}\""
         )

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-
 
 @dataclass
 class JobRun:
@@ -44,9 +42,6 @@ class JobRun:
             minimised; the parameter lets that claim be tested).  Charged
             only when ``saved_progress > 0`` — a fresh start reads no
             checkpoint.
-        registry: Optional obs registry; when live, performed/skipped
-            checkpoints, overhead seconds, kills, and lost wall seconds are
-            totalled under ``checkpointing.runtime.*`` across all runs.
     """
 
     job_id: int
@@ -56,9 +51,6 @@ class JobRun:
     saved_progress: float
     start_time: float
     recovery_overhead: float = 0.0
-    registry: Optional[MetricsRegistry] = field(
-        default=None, repr=False, compare=False
-    )
 
     #: Progress (execution seconds) reached; includes unsaved work.
     progress: float = field(init=False)
@@ -94,17 +86,6 @@ class JobRun:
         # Restoring from a checkpoint costs R before compute resumes.
         restore = self.recovery_overhead if self.saved_progress > 0 else 0.0
         self.segment_start = self.start_time + restore
-        registry = self.registry if self.registry is not None else NULL_REGISTRY
-        self._obs = registry.enabled
-        self._c_performed = registry.counter("checkpointing.runtime.performed")
-        self._c_skipped = registry.counter("checkpointing.runtime.skipped")
-        self._c_overhead = registry.counter(
-            "checkpointing.runtime.overhead_seconds"
-        )
-        self._c_kills = registry.counter("checkpointing.runtime.kills")
-        self._c_lost_wall = registry.counter(
-            "checkpointing.runtime.lost_wall_seconds"
-        )
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -155,8 +136,6 @@ class JobRun:
         self.skipped_since_checkpoint += 1
         self.checkpoints_skipped += 1
         self.segment_start = now
-        if self._obs:
-            self._c_skipped.inc()
 
     def begin_checkpoint(self, now: float) -> None:
         """Pause computation for the overhead starting at ``now``."""
@@ -164,19 +143,22 @@ class JobRun:
             raise RuntimeError(f"job {self.job_id}: checkpoint already in flight")
         self.checkpoint_begun_at = now
 
-    def complete_checkpoint(self, now: float) -> None:
-        """Make progress durable; the checkpoint that began earlier ends."""
+    def complete_checkpoint(self, now: float) -> float:
+        """Make progress durable; the checkpoint that began earlier ends.
+
+        Returns:
+            The wall seconds the checkpoint took.
+        """
         if not self.in_checkpoint:
             raise RuntimeError(f"job {self.job_id}: no checkpoint in flight")
-        if self._obs:
-            self._c_performed.inc()
-            self._c_overhead.inc(max(0.0, now - self.checkpoint_begun_at))
+        took = max(0.0, now - self.checkpoint_begun_at)
         self.saved_progress = self.progress
         self.last_checkpoint_start = self.checkpoint_begun_at
         self.checkpoint_begun_at = None
         self.skipped_since_checkpoint = 0
         self.checkpoints_performed += 1
         self.segment_start = now
+        return took
 
     def finish(self, now: float) -> None:
         """Advance to completion (the finish event fired at ``now``)."""
@@ -218,9 +200,6 @@ class JobRun:
             executed = max(0.0, now - self.segment_start)
             self.progress = min(self.total_work, self.progress + executed)
         lost_wall = max(0.0, now - self.rollback_point())
-        if self._obs:
-            self._c_kills.inc()
-            self._c_lost_wall.inc(lost_wall)
         return lost_wall, self.saved_progress
 
 

@@ -101,8 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_seconds,
         default=None,
         metavar="SECONDS",
-        help="sim-seconds between registry samples "
-        "(default 3600 when --obs is set)",
+        help="sim-seconds between counter samples in the --obs report "
+        "(default 3600; needs --obs)",
     )
 
     obs = sub.add_parser("obs", help="inspect observability reports")
@@ -471,8 +471,8 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
         "--obs",
         metavar="PATH",
         default=None,
-        help="instrument the simulation(s) and write an observability "
-        "report (JSON) to PATH",
+        help="write the simulation(s)' counters and gauges as an "
+        "observability report (JSON) to PATH",
     )
 
 
@@ -564,7 +564,7 @@ def _write_profile(args: argparse.Namespace, profiler) -> None:
     )
 
 
-def _write_obs_report(args: argparse.Namespace, registry, sampler=None) -> None:
+def _write_obs_report(args: argparse.Namespace, obs, sampler=None) -> None:
     from repro.obs.export import write_report
 
     meta = {
@@ -576,7 +576,7 @@ def _write_obs_report(args: argparse.Namespace, registry, sampler=None) -> None:
     for key in ("accuracy", "user_threshold", "policy", "placement", "number"):
         if getattr(args, key, None) is not None:
             meta[key] = getattr(args, key)
-    report = write_report(args.obs, registry, sampler=sampler, meta=meta)
+    report = write_report(args.obs, obs, sampler=sampler, meta=meta)
     print(
         f"\nobservability report written to {args.obs}: "
         f"{len(report['metric_names'])} metrics across "
@@ -626,11 +626,6 @@ def _report_cache(cache) -> None:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    registry = None
-    if args.obs:
-        from repro.obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
     jobs = args.jobs
     cache = _point_cache(args)
     trace_stream = recorder = audit = None
@@ -666,7 +661,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 ExperimentSetup(
                     workload=name, job_count=args.job_count, seed=_setup(args).seed
                 ),
-                registry=registry,
                 jobs=jobs,
                 cache=cache,
                 recorder=recorder,
@@ -687,8 +681,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         _write_audit_report(
             args, audit.report(meta={"source": "figure", "figure": args.number})
         )
-    if registry is not None:
-        _write_obs_report(args, registry)
+    if args.obs:
+        from repro.obs.export import empty_obs, merge_obs
+
+        obs = empty_obs()
+        for name in workloads:
+            merge_obs(obs, catalog._contexts[name].obs)
+        _write_obs_report(args, obs)
     if profiler is not None:
         _write_profile(args, profiler)
     return 0
@@ -729,9 +728,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.obs:
         # Tables run no simulations; the report still round-trips so
         # batch pipelines can treat every subcommand uniformly.
-        from repro.obs.registry import MetricsRegistry
+        from repro.obs.export import empty_obs
 
-        _write_obs_report(args, MetricsRegistry())
+        _write_obs_report(args, empty_obs())
     if args.prof:
         # Likewise: an empty (but valid) profile.
         profiler = _make_profiler(args)
@@ -740,17 +739,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.obs_interval is not None and not args.obs:
+        print("--obs-interval needs --obs (the report the samples go to)",
+              file=sys.stderr)
+        return 2
     ctx = ExperimentContext.prepare(_setup(args))
-    registry = sampler = None
+    result = sampler = None
     spans = None
     audit_report = None
     profiler = _make_profiler(args)
     if args.obs or args.trace or args.audit or args.prof:
         recorder = trace_stream = None
-        if args.obs:
-            from repro.obs.registry import MetricsRegistry
-
-            registry = MetricsRegistry()
         if args.trace:
             from repro.obs.trace import SpanBuilder
 
@@ -769,8 +768,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 result, sampler = ctx.run_instrumented(
                     args.accuracy,
                     args.user_threshold,
-                    registry,
-                    sample_interval=interval if registry is not None else None,
+                    sample_interval=interval if args.obs else None,
                     recorder=recorder,
                     checkpoint_policy=args.policy,
                     placement=args.placement,
@@ -837,8 +835,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if audit_report is not None:
         _write_audit_report(args, audit_report)
-    if registry is not None:
-        _write_obs_report(args, registry, sampler=sampler)
+    if args.obs:
+        _write_obs_report(args, result.obs, sampler=sampler)
     if profiler is not None:
         _write_profile(args, profiler)
     return 0

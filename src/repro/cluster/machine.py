@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.nodeset import NodeSet
 from repro.cluster.reservations import ReservationLedger
-from repro.obs.registry import MetricsRegistry
 
 
 class Cluster:
@@ -31,18 +30,9 @@ class Cluster:
         node_count: Cluster width N (the paper simulates 128).
         downtime: Repair time after a failure, seconds (paper: 120, the
             BG/L node restart time).
-        registry: Optional obs registry forwarded to the hosted ledger.
-            Only passed through when live, so drop-in ledger replacements
-            (e.g. the frozen seed baseline in perf benchmarks) keep their
-            single-argument constructor.
     """
 
-    def __init__(
-        self,
-        node_count: int = 128,
-        downtime: float = 120.0,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, node_count: int = 128, downtime: float = 120.0) -> None:
         if node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {node_count}")
         if downtime < 0:
@@ -54,10 +44,7 @@ class Cluster:
         self._owner: List[Optional[int]] = [None] * node_count
         self._down: List[bool] = [False] * node_count
         self._repair_end: List[float] = [0.0] * node_count
-        if registry is not None and registry.enabled:
-            self.ledger = ReservationLedger(node_count, registry=registry)
-        else:
-            self.ledger = ReservationLedger(node_count)
+        self.ledger = ReservationLedger(node_count)
         self._job_nodes: Dict[int, NodeSet] = {}
 
     # ------------------------------------------------------------------

@@ -63,7 +63,6 @@ from typing import (
 )
 
 from repro.cluster.nodeset import NodeSet
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
 class CapacityProfile:
     """Aggregate usage over time, for cheap infeasibility prefiltering.
@@ -178,16 +177,13 @@ class ReservationLedger:
 
     Args:
         node_count: Cluster width N; node indexes are ``0..N-1``.
-        registry: Optional obs registry; when live, the ledger records its
-            probe volume, prefilter effectiveness and mutation count under
-            ``cluster.ledger.*`` (see DESIGN.md "Observability").
+
+    The ledger counts its probe volume, prefilter effectiveness and
+    mutations; :meth:`counters` and :meth:`gauges` report them under
+    ``cluster.ledger.*`` (see DESIGN.md "Observability").
     """
 
-    def __init__(
-        self,
-        node_count: int,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, node_count: int) -> None:
         if node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {node_count}")
         self._n = node_count
@@ -206,19 +202,10 @@ class ReservationLedger:
         self._sorted: Optional[List[Reservation]] = None
         self._sweep_key: Optional[Tuple[float, float, int]] = None
         self._sweep_free = self._full
-        # Observability: instruments bound once; hot paths gate on _obs so
-        # the default null registry costs a single bool test per call.
-        registry = registry if registry is not None else NULL_REGISTRY
-        self._obs = registry.enabled
-        self._c_find_slot = registry.counter("cluster.ledger.find_slot_calls")
-        self._c_probes = registry.counter("cluster.ledger.probes")
-        self._c_prefilter_rejects = registry.counter(
-            "cluster.ledger.prefilter_rejects"
-        )
-        self._c_mutations = registry.counter("cluster.ledger.mutations")
-        self._h_probe_depth = registry.histogram("cluster.ledger.probe_depth")
-        self._g_reservations = registry.gauge("cluster.ledger.reservations")
-        self._g_skyline = registry.gauge("cluster.ledger.skyline_size")
+        # find_slot tallies; _version doubles as the mutation count.
+        self._find_slot_calls = 0
+        self._probes = 0
+        self._prefilter_rejects = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -232,6 +219,23 @@ class ReservationLedger:
 
     def __contains__(self, job_id: int) -> bool:
         return job_id in self._by_job
+
+    def counters(self) -> Dict[str, int]:
+        """``cluster.ledger.*`` totals: slot searches, the candidate start
+        times they probed and prefiltered, and mutations."""
+        return {
+            "cluster.ledger.find_slot_calls": self._find_slot_calls,
+            "cluster.ledger.probes": self._probes,
+            "cluster.ledger.prefilter_rejects": self._prefilter_rejects,
+            "cluster.ledger.mutations": self._version,
+        }
+
+    def gauges(self) -> Dict[str, float]:
+        """Live bookings and skyline breakpoints."""
+        return {
+            "cluster.ledger.reservations": float(len(self._by_job)),
+            "cluster.ledger.skyline_size": float(len(self._profile.times)),
+        }
 
     def get(self, job_id: int) -> Optional[Reservation]:
         """The reservation for ``job_id``, or None."""
@@ -477,8 +481,9 @@ class ReservationLedger:
                 continue
             free = self.free_nodes_set(start, start + duration)
             if len(free) >= size:
-                if self._obs:
-                    self._record_find_slot(probes, rejects)
+                self._find_slot_calls += 1
+                self._probes += probes
+                self._prefilter_rejects += rejects
                 return start, free[:size]
         # Unreachable: the window after the last booking end is always free.
         raise RuntimeError("no feasible slot found past the final booking")
@@ -548,21 +553,10 @@ class ReservationLedger:
         if not 0 <= node < self._n:
             raise ValueError(f"node {node} out of range [0, {self._n})")
 
-    def _record_find_slot(self, probes: int, rejects: int) -> None:
-        """Fold one find_slot call's local tallies into the registry."""
-        self._c_find_slot.inc()
-        self._c_probes.inc(probes)
-        self._c_prefilter_rejects.inc(rejects)
-        self._h_probe_depth.observe(probes)
-
     def _invalidate(self) -> None:
         """Bump the mutation version; the sorted view rebuilds lazily."""
         self._version += 1
         self._sorted = None
-        if self._obs:
-            self._c_mutations.inc()
-            self._g_reservations.set(len(self._by_job))
-            self._g_skyline.set(len(self._profile.times))
 
     def _remove_end_time(self, end: float) -> None:
         idx = bisect.bisect_left(self._end_times, end)

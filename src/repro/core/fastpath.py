@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.prediction.base import (
     PredictedFailure,
     Predictor,
@@ -67,18 +66,14 @@ class AnalyticalEvaluator(Predictor):
             Nested evaluators are unwrapped, so wrapping is idempotent.
         node_count: Cluster width ``N`` (needed by the pruning bound to
             count clean nodes without enumerating them).
-        registry: Optional obs registry; when live, evaluations and term
-            cache traffic are counted under ``negotiation.fastpath.*``.
+
+    Evaluations and term-cache traffic are counted; :meth:`counters`
+    reports them under ``negotiation.fastpath.*``.
     """
 
     _obs_component = "fastpath"
 
-    def __init__(
-        self,
-        predictor: Predictor,
-        node_count: int,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, predictor: Predictor, node_count: int) -> None:
         while isinstance(predictor, AnalyticalEvaluator):
             predictor = predictor.backing
         if node_count < 1:
@@ -91,20 +86,22 @@ class AnalyticalEvaluator(Predictor):
             else None
         )
         self._terms: Dict[Tuple[int, float, float], float] = {}
-        registry = registry if registry is not None else NULL_REGISTRY
-        self._obs = registry.enabled
-        self._c_evaluations = registry.counter("negotiation.fastpath.evaluations")
-        self._c_term_hits = registry.counter(
-            "negotiation.fastpath.term_cache_hits"
-        )
-        self._c_term_misses = registry.counter(
-            "negotiation.fastpath.term_cache_misses"
-        )
+        self._evaluations = 0
+        self._term_hits = 0
+        self._term_misses = 0
 
     @property
     def backing(self) -> Predictor:
         """The wrapped predictor (the probe path's source of truth)."""
         return self._predictor
+
+    def counters(self) -> Dict[str, int]:
+        """``negotiation.fastpath.*`` totals."""
+        return {
+            "negotiation.fastpath.evaluations": self._evaluations,
+            "negotiation.fastpath.term_cache_hits": self._term_hits,
+            "negotiation.fastpath.term_cache_misses": self._term_misses,
+        }
 
     @property
     def exact(self) -> bool:
@@ -130,16 +127,14 @@ class AnalyticalEvaluator(Predictor):
         key = (node, start, end)
         cached = self._terms.get(key)
         if cached is not None:
-            if self._obs:
-                self._c_term_hits.inc()
+            self._term_hits += 1
             return cached
         if self._index is not None:
             value = self._index.node_term(node, start, end)
         else:
             value = self._predictor.node_failure_term(node, start, end)
         self._terms[key] = value
-        if self._obs:
-            self._c_term_misses.inc()
+        self._term_misses += 1
         return value
 
     # ------------------------------------------------------------------
@@ -150,8 +145,7 @@ class AnalyticalEvaluator(Predictor):
     ) -> float:
         if end <= start:
             return 0.0
-        if self._obs:
-            self._c_evaluations.inc()
+        self._evaluations += 1
         if self._index is not None:
             return self._index.failure_probability(nodes, start, end)
         # Caller (partition) order is preserved so the float product

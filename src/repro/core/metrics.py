@@ -140,6 +140,11 @@ class MetricsCollector:
     def outcome(self, job_id: int) -> JobOutcome:
         return self._outcomes[job_id]
 
+    @property
+    def failure_hits(self) -> int:
+        """Failures that killed a running job so far."""
+        return self._failure_hits
+
     def record_guarantee(
         self, job_id: int, guarantee: QoSGuarantee, forced: bool = False
     ) -> None:

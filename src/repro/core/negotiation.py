@@ -49,7 +49,6 @@ from repro.cluster.topology import Topology, WindowScorer
 from repro.core.fastpath import AnalyticalEvaluator
 from repro.core.guarantee import DeadlineOffer, QoSGuarantee
 from repro.core.users import RiskThresholdUser, UserModel
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.prediction.base import Predictor
 
 #: Acceptance slack shared with ``RiskThresholdUser.accepts`` — the pruning
@@ -116,9 +115,6 @@ class Negotiator:
         scorer: Window scorer used to pick partitions; the paper's system
             passes the fault-aware scorer.
         max_offers: Dialogue safety cap.
-        registry: Optional obs registry; when live, every dialogue records
-            its probe depth, offer count, and the rank of the accepted
-            offer under ``negotiation.dialogue.*``.
         failure_jump_epsilon: Seconds added when advancing a candidate
             start past a predicted failure; must be positive or the jump
             loop could stall on the failure instant itself.
@@ -126,6 +122,10 @@ class Negotiator:
             from ``predictor`` when omitted).  The system passes a shared
             instance so placement and pricing share one failure index and
             term cache.
+
+    The negotiator counts its dialogues, probes, prefiltered and pruned
+    candidates, imposed offers and advisories; :meth:`counters` reports
+    them under ``negotiation.dialogue.*``.
     """
 
     def __init__(
@@ -135,7 +135,6 @@ class Negotiator:
         predictor: Predictor,
         scorer: Optional[WindowScorer] = None,
         max_offers: int = 400,
-        registry: Optional[MetricsRegistry] = None,
         failure_jump_epsilon: float = 1.0,
         evaluator: Optional[AnalyticalEvaluator] = None,
     ) -> None:
@@ -155,27 +154,17 @@ class Negotiator:
         self._scorer = scorer
         self._max_offers = max_offers
         self._jump_epsilon = float(failure_jump_epsilon)
-        registry = registry if registry is not None else NULL_REGISTRY
         self._eval = (
             evaluator
             if evaluator is not None
-            else AnalyticalEvaluator(
-                predictor, ledger.node_count, registry=registry
-            )
+            else AnalyticalEvaluator(predictor, ledger.node_count)
         )
-        self._obs = registry.enabled
-        self._c_dialogues = registry.counter("negotiation.dialogue.dialogues")
-        self._c_probes = registry.counter("negotiation.dialogue.probes")
-        self._c_prefilter = registry.counter(
-            "negotiation.dialogue.prefilter_rejects"
-        )
-        self._c_pruned = registry.counter("negotiation.dialogue.pruned")
-        self._c_forced = registry.counter("negotiation.dialogue.forced")
-        self._c_advisories = registry.counter("negotiation.dialogue.advisories")
-        self._h_offers = registry.histogram("negotiation.dialogue.offers_per_job")
-        self._h_accepted_rank = registry.histogram(
-            "negotiation.dialogue.accepted_rank"
-        )
+        self._dialogues = 0
+        self._probes = 0
+        self._prefilter_rejects = 0
+        self._pruned = 0
+        self._forced = 0
+        self._advisories = 0
 
     @property
     def failure_jump_epsilon(self) -> float:
@@ -186,6 +175,17 @@ class Negotiator:
     def evaluator(self) -> AnalyticalEvaluator:
         """The analytical evaluator every offer is priced with."""
         return self._eval
+
+    def counters(self) -> Dict[str, int]:
+        """``negotiation.dialogue.*`` totals."""
+        return {
+            "negotiation.dialogue.dialogues": self._dialogues,
+            "negotiation.dialogue.probes": self._probes,
+            "negotiation.dialogue.prefilter_rejects": self._prefilter_rejects,
+            "negotiation.dialogue.pruned": self._pruned,
+            "negotiation.dialogue.forced": self._forced,
+            "negotiation.dialogue.advisories": self._advisories,
+        }
 
     # ------------------------------------------------------------------
     # Offer generation
@@ -246,8 +246,6 @@ class Negotiator:
         """
         produced = 0
         last_start = earliest
-        obs = self._obs
-        probes = self._c_probes
         evaluator = self._eval
         evaluator.begin_dialogue()
         # Capacity prefilter: reject candidates that cannot possibly have
@@ -263,8 +261,7 @@ class Negotiator:
             if start >= blocked:
                 blocked = blocked_until(start, start + duration, most_busy)
             if blocked > start:
-                if obs:
-                    self._c_prefilter.inc()
+                self._prefilter_rejects += 1
                 continue
             if threshold is not None:
                 bound = evaluator.best_case_probability(
@@ -274,13 +271,11 @@ class Negotiator:
                     produced += 1
                     if stats is not None:
                         stats["produced"] = produced
-                    if obs:
-                        self._c_pruned.inc()
+                    self._pruned += 1
                     if produced >= self._max_offers:
                         return
                     continue
-            if obs:
-                probes.inc()
+            self._probes += 1
             offer = self.make_offer(size, duration, start)
             if offer is None:
                 continue
@@ -316,16 +311,14 @@ class Negotiator:
                         produced += 1
                         if stats is not None:
                             stats["produced"] = produced
-                        if obs:
-                            self._c_pruned.inc()
+                        self._pruned += 1
                         start = predicted.time + self._jump_epsilon
                         continue
                     # A bound below the threshold implies a detectable
                     # failure on every feasible partition, so this branch
                     # is unreachable for trace-backed evaluators; fall
                     # through to a real probe rather than trusting it.
-            if obs:
-                probes.inc()
+            self._probes += 1
             offer = self.make_offer(size, duration, start)
             if offer is None:
                 return  # cluster narrower than the job; caller validates
@@ -425,15 +418,8 @@ class Negotiator:
                 )
             accepted = best  # cap hit: impose the safest offer seen
 
-        if self._obs:
-            self._c_dialogues.inc()
-            self._h_offers.observe(offers_made)
-            if forced:
-                self._c_forced.inc()
-            else:
-                # Rank 1 = first offer accepted (deadline pushed "no
-                # further than necessary" with no pushback at all).
-                self._h_accepted_rank.observe(offers_made)
+        self._dialogues += 1
+        self._forced += forced
 
         self._ledger.reserve(job_id, accepted.nodes, accepted.start, accepted.deadline)
         guarantee = QoSGuarantee(
@@ -496,8 +482,7 @@ class Negotiator:
         which only happens when no partition of this size can be placed —
         a failure-free offer always satisfies any target ``<= 1``).
         """
-        if self._obs:
-            self._c_advisories.inc()
+        self._advisories += 1
         suggestion = self._advise(
             size, duration, now, target_probability, target_probability
         )

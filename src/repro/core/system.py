@@ -37,7 +37,6 @@ from repro.core.guarantee import QoSGuarantee
 from repro.core.metrics import MetricsCollector, SimulationMetrics
 from repro.core.users import RiskThresholdUser, UserModel
 from repro.failures.events import FailureTrace
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.sampler import Sampler
 from repro.obs.trace import SpanBuilder, SpanTimeline
 from repro.prediction.base import Predictor
@@ -150,8 +149,8 @@ class SimulationResult:
     """Output of one run: aggregates plus per-job detail.
 
     Attributes:
-        obs: Final observability snapshot (``registry.snapshot()``) when the
-            system ran with a live registry; None otherwise.
+        obs: Final observability snapshot: every component's counters and
+            gauges by metric name (``{"counters": ..., "gauges": ...}``).
         spans: Assembled :class:`~repro.obs.trace.SpanTimeline` when the
             system ran with a live :class:`~repro.obs.trace.SpanBuilder`;
             None otherwise.
@@ -187,16 +186,14 @@ class ProbabilisticQoSSystem:
             :class:`~repro.obs.audit.GuaranteeAudit` to fold every promise
             and outcome into a calibration audit (take it afterwards with
             ``audit.report(meta=...)``).
-        registry: Optional :class:`~repro.obs.registry.MetricsRegistry`;
-            defaults to the shared null registry, which costs one boolean
-            test per instrumented decision point.  A live registry threads
-            through every layer (engine, ledger, scheduler, negotiator,
-            runs, predictor) and the final snapshot rides on
-            :attr:`SimulationResult.obs`.
-        sample_interval: Sim-seconds between registry snapshots; when set
-            (with a live registry) a :class:`~repro.obs.sampler.Sampler`
-            records a time-series via recurring ``OBS_SAMPLE`` events,
-            reachable afterwards as ``system.sampler``.
+        sample_interval: Sim-seconds between samples of every counter and
+            gauge; when set a :class:`~repro.obs.sampler.Sampler` records
+            a time-series via recurring ``OBS_SAMPLE`` events, reachable
+            afterwards as ``system.sampler``.
+
+    Every component counts its own work as plain state; :meth:`counters`
+    and :meth:`gauges` collect them by metric name, and the final values
+    ride on :attr:`SimulationResult.obs`.
     """
 
     def __init__(
@@ -207,39 +204,28 @@ class ProbabilisticQoSSystem:
         predictor: Optional[Predictor] = None,
         user: Optional[UserModel] = None,
         recorder: Optional[TraceRecorder] = None,
-        registry: Optional[MetricsRegistry] = None,
         sample_interval: Optional[float] = None,
     ) -> None:
         self.config = config
         self.workload = workload
         self.failures = failures
-        self.registry: MetricsRegistry = (
-            registry if registry is not None else NULL_REGISTRY
-        )
-        self._obs = self.registry.enabled
         self.predictor: Predictor = (
             predictor
             if predictor is not None
             else TracePredictor(failures, config.accuracy, seed=config.seed)
         )
-        if self._obs:
-            self.predictor.bind_registry(self.registry)
         self.user: UserModel = (
             user if user is not None else RiskThresholdUser(config.user_threshold)
         )
 
-        self.cluster = Cluster(
-            config.node_count, downtime=config.downtime, registry=self.registry
-        )
+        self.cluster = Cluster(config.node_count, downtime=config.downtime)
         self.topology: Topology = topology_by_name(config.topology, config.node_count)
         # One shared evaluator answers every prediction-shaped query the
         # simulation makes — offer pricing, placement scoring, checkpoint
         # decisions, evacuation checks — so the live predictor is only
         # consulted where the evaluator cannot stand in (its values are
         # identical; see repro.core.fastpath).
-        self.evaluator = AnalyticalEvaluator(
-            self.predictor, config.node_count, registry=self.registry
-        )
+        self.evaluator = AnalyticalEvaluator(self.predictor, config.node_count)
         scorer = scorer_by_name(config.placement, self.evaluator, config.seed)
         self.scheduler = ConservativeBackfillScheduler(
             self.cluster.ledger,
@@ -247,7 +233,6 @@ class ProbabilisticQoSSystem:
             self.predictor,
             scorer,
             max_offers=config.max_offers,
-            registry=self.registry,
             failure_jump_epsilon=config.failure_jump_epsilon,
             evaluator=self.evaluator,
         )
@@ -258,22 +243,16 @@ class ProbabilisticQoSSystem:
             recorder if isinstance(recorder, SpanBuilder) else None
         )
 
-        self.loop = EventLoop(registry=self.registry)
-        if self._span_builder is not None:
-            # Exported timelines carry the event-mix breakdown in their
-            # metadata; counting costs one bool test per event otherwise.
-            self.loop.enable_dispatch_counts()
+        self.loop = EventLoop()
         self.sampler: Optional[Sampler] = None
-        if sample_interval is not None and self._obs:
-            self.sampler = Sampler(self.registry, sample_interval)
-        self._g_unfinished = self.registry.gauge("core.system.unfinished_jobs")
-        self._g_pending = self.registry.gauge("core.system.pending_starts")
-        self._g_running = self.registry.gauge("core.system.running_jobs")
-        self._c_completed = self.registry.counter("core.system.jobs_completed")
-        self._c_evacuations = self.registry.counter("core.system.evacuations")
+        if sample_interval is not None:
+            self.sampler = Sampler(self._sample_row, sample_interval)
         self._states: Dict[int, _JobState] = {}
         self._pending = PendingStarts()
-        self._unfinished = 0
+        self._unfinished = len(workload)
+        # Checkpoint-runtime totals across every run, in event order.
+        self._checkpoint_overhead_s = 0.0
+        self._lost_wall_s = 0.0
         self._failure_cursor = 0
         self._wakeup_scheduled = False
         self._register_handlers()
@@ -304,7 +283,6 @@ class ProbabilisticQoSSystem:
             self.loop.schedule(job.arrival_time, EventKind.ARRIVAL, job_id=job.job_id)
             self._states[job.job_id] = _JobState(job=job)
             self.metrics.register_job(job)
-        self._unfinished = len(self.workload)
         self._schedule_next_failure()
 
     def _schedule_next_failure(self) -> None:
@@ -331,14 +309,11 @@ class ProbabilisticQoSSystem:
             # First row at the origin, then one per interval; the chain
             # stops rescheduling itself once all jobs finished, so the
             # loop still drains.
-            self._refresh_gauges()
             self.sampler.sample(self.loop.now)
             self.loop.schedule_in(self.sampler.interval, EventKind.OBS_SAMPLE)
         self.loop.run(max_events=max_events)
-        if self._obs:
-            self._refresh_gauges()
-            if self.sampler is not None:
-                self.sampler.sample(self.loop.now)
+        if self.sampler is not None:
+            self.sampler.sample(self.loop.now)
         spans: Optional[SpanTimeline] = None
         if self._span_builder is not None:
             spans = self._span_builder.build(
@@ -355,7 +330,10 @@ class ProbabilisticQoSSystem:
             config=self.config,
             outcomes=self.metrics.outcomes(),
             events_processed=self.loop.processed_events,
-            obs=self.registry.snapshot() if self._obs else None,
+            obs={
+                "counters": dict(sorted(self.counters().items())),
+                "gauges": dict(sorted(self.gauges().items())),
+            },
             spans=spans,
         )
 
@@ -435,7 +413,6 @@ class ProbabilisticQoSSystem:
             saved_progress=state.saved_progress,
             start_time=now,
             recovery_overhead=self.config.recovery_time,
-            registry=self.registry,
         )
         # A delayed start occupies nodes past the booked end; extend the
         # booking so later placement decisions see the truth.
@@ -523,7 +500,7 @@ class ProbabilisticQoSSystem:
         if run is None:
             return
         state.run_event = None
-        run.complete_checkpoint(self.loop.now)
+        self._checkpoint_overhead_s += run.complete_checkpoint(self.loop.now)
         state.saved_progress = run.saved_progress
         self.metrics.record_checkpoint(
             job_id, performed=True, overhead=self.config.checkpoint_overhead
@@ -560,8 +537,6 @@ class ProbabilisticQoSSystem:
         self.cluster.remove_job(job_id)
         self.cluster.ledger.release(job_id)
         self.metrics.record_finish(job_id, now)
-        if self._obs:
-            self._c_completed.inc()
         guarantee = state.guarantee
         if self.recorder is not None:
             self.recorder.record(
@@ -600,6 +575,7 @@ class ProbabilisticQoSSystem:
         run = state.run
         assert run is not None, f"victim {job_id} has no active run"
         lost_wall, durable = run.kill(now)
+        self._lost_wall_s += lost_wall
         self.metrics.record_failure_hit(job_id, lost_wall * state.job.size)
         if self.recorder is not None:
             self.recorder.record(
@@ -698,8 +674,6 @@ class ProbabilisticQoSSystem:
             state.run_event = None
         self.cluster.remove_job(job_id)
         self.metrics.record_evacuation(job_id)
-        if self._obs:
-            self._c_evacuations.inc()
         if self.recorder is not None:
             self.recorder.record(
                 now, "evacuated", job_id=job_id, predicted_pf=p_f, nodes=list(nodes)
@@ -775,16 +749,56 @@ class ProbabilisticQoSSystem:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def _refresh_gauges(self) -> None:
-        """Bring point-in-time gauges up to date before a snapshot."""
-        self._g_unfinished.set(self._unfinished)
-        self._g_pending.set(len(self._pending.snapshot()))
-        self._g_running.set(len(self.cluster.running_jobs()))
-        self.loop.observe_gauges()
+    def counters(self) -> Dict[str, float]:
+        """Every component's counters by metric name: totals since the
+        system was built (the predictor's since it was built).  The
+        ``checkpointing.runtime.*`` totals appear once a job has run."""
+        performed = skipped = evacuations = 0
+        started = False
+        for outcome in self.metrics.outcomes():
+            performed += outcome.checkpoints_performed
+            skipped += outcome.checkpoints_skipped
+            evacuations += outcome.evacuations
+            started = started or outcome.first_start is not None
+        counts: Dict[str, float] = {
+            "core.system.jobs_completed": len(self.workload) - self._unfinished,
+            "core.system.evacuations": evacuations,
+        }
+        if started:
+            counts.update({
+                "checkpointing.runtime.performed": performed,
+                "checkpointing.runtime.skipped": skipped,
+                "checkpointing.runtime.overhead_seconds": self._checkpoint_overhead_s,
+                "checkpointing.runtime.kills": self.metrics.failure_hits,
+                "checkpointing.runtime.lost_wall_seconds": self._lost_wall_s,
+            })
+        for component in (
+            self.loop,
+            self.cluster.ledger,
+            self.scheduler,
+            self.scheduler.negotiator,
+            self.evaluator,
+            self.predictor,
+        ):
+            counts.update(component.counters())
+        return counts
+
+    def gauges(self) -> Dict[str, float]:
+        """Every component's point-in-time levels by metric name."""
+        levels = {
+            "core.system.unfinished_jobs": float(self._unfinished),
+            "core.system.pending_starts": float(len(self._pending.snapshot())),
+            "core.system.running_jobs": float(len(self.cluster.running_jobs())),
+        }
+        for component in (self.loop, self.cluster.ledger, self.predictor):
+            levels.update(component.gauges())
+        return levels
+
+    def _sample_row(self) -> Dict[str, float]:
+        return {**self.counters(), **self.gauges()}
 
     def _on_obs_sample(self, event: Event) -> None:
         assert self.sampler is not None
-        self._refresh_gauges()
         self.sampler.sample(self.loop.now)
         if self._unfinished > 0:
             self.loop.schedule_in(self.sampler.interval, EventKind.OBS_SAMPLE)
@@ -796,13 +810,12 @@ def simulate(
     failures: FailureTrace,
     predictor: Optional[Predictor] = None,
     user: Optional[UserModel] = None,
-    registry: Optional[MetricsRegistry] = None,
     sample_interval: Optional[float] = None,
     recorder: Optional[TraceRecorder] = None,
 ) -> SimulationResult:
     """One-call convenience: build the system and run it to completion."""
     system = ProbabilisticQoSSystem(
         config, workload, failures, predictor=predictor, user=user,
-        registry=registry, sample_interval=sample_interval, recorder=recorder,
+        sample_interval=sample_interval, recorder=recorder,
     )
     return system.run()

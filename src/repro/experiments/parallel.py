@@ -25,13 +25,13 @@ once per point.  On platforms that fork (Linux), the parent additionally
 registers its own prepared contexts before spawning the pool, so workers
 inherit them copy-on-write and usually rebuild nothing at all.
 
-Observability: each worker runs its points against a fresh private
-:class:`~repro.obs.registry.MetricsRegistry` and ships the final snapshot
-back; the parent folds the snapshots into its registry with
-:meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot` in submission
-order.  Counter totals therefore match a sequential instrumented run up to
-float summation order; cache hits (memo or disk) contribute no counters in
-either mode.  Profiles travel the same way: while a
+Observability: each worker ships its point's ``result.obs`` back and the
+parent folds it into the calling context's
+:attr:`~repro.experiments.runner.ExperimentContext.obs` with
+:func:`~repro.obs.export.merge_obs`, in submission order — the order the
+sequential path folds in, so the totals do not depend on the worker
+count; cache hits (memo or disk) contribute no counters in either mode.
+Profiles travel the same way: while a
 :class:`~repro.obs.prof.Profiler` is attached in the parent, each worker
 attaches its own (same bucket width) around every point and ships its
 snapshot back for :meth:`~repro.obs.prof.Profiler.merge_snapshot`.
@@ -46,8 +46,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.metrics import SimulationMetrics
 from repro.experiments.cache import PointCache
 from repro.experiments.config import ExperimentSetup
+from repro.obs.export import ObsSnapshot, merge_obs
 from repro.obs.prof import Profiler, attached
-from repro.obs.registry import MetricsRegistry
 
 #: Precision at which sweep coordinates are considered the same point —
 #: must match ``ExperimentContext.run_point``'s memo key rounding.
@@ -129,28 +129,26 @@ def _worker_context(setup: ExperimentSetup):
 
 
 def _run_spec_task(
-    spec: PointSpec, instrument: bool, prof_bucket_width: Optional[float]
-) -> Tuple[SimulationMetrics, Optional[Dict[str, Any]], Optional[Dict[str, Any]]]:
+    spec: PointSpec, prof_bucket_width: Optional[float]
+) -> Tuple[SimulationMetrics, ObsSnapshot, Optional[Dict[str, Any]]]:
     """Simulate one spec hermetically inside a pool worker.
 
-    Returns the metrics plus, when ``instrument`` is set, the worker-local
-    registry snapshot, and, when ``prof_bucket_width`` is given, the
-    worker-local profile snapshot — both for the parent to fold in.
+    Returns the metrics, the point's obs snapshot and, when
+    ``prof_bucket_width`` is given, the worker-local profile snapshot —
+    the last two for the parent to fold in.
     """
     context = _worker_context(spec.setup)
-    registry = MetricsRegistry() if instrument else None
     config = context.config(
         spec.accuracy, spec.user_threshold, **dict(spec.overrides)
     )
     if prof_bucket_width is None:
-        result = context.simulate_point(config, registry)
+        result = context.simulate_point(config)
         prof_snapshot = None
     else:
         with Profiler(bucket_width=prof_bucket_width).attach() as profiler:
-            result = context.simulate_point(config, registry)
+            result = context.simulate_point(config)
         prof_snapshot = profiler.snapshot()
-    snapshot = registry.snapshot() if registry is not None else None
-    return result.metrics, snapshot, prof_snapshot
+    return result.metrics, result.obs, prof_snapshot
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +158,6 @@ def run_specs(
     specs: Sequence[PointSpec],
     jobs: int = 1,
     cache: Optional[PointCache] = None,
-    registry: Optional[MetricsRegistry] = None,
     contexts: Optional[Dict[ExperimentSetup, Any]] = None,
 ) -> List[SimulationMetrics]:
     """Resolve every spec to its metrics, in input order.
@@ -176,17 +173,16 @@ def run_specs(
             byte-identical to the pre-parallel sequential path.
         cache: Optional persistent cache consulted before, and populated
             after, every simulation.
-        registry: Parent obs registry.  In-process runs thread it through
-            the simulation directly; pooled runs fold per-worker snapshots
-            into it in submission order.
         contexts: Optional mutable ``{setup: ExperimentContext}`` map for
             in-process execution; prepared contexts are reused and fresh
-            ones are stored back for the caller (lazy construction).
+            ones are stored back for the caller (lazy construction).  Each
+            simulated point's obs snapshot is folded into its setup's
+            context here (in-process runs fold as they run; pooled results
+            are folded in submission order).
 
-    An attached profiler is handled like ``registry``: in-process runs
-    profile into it directly, pooled workers attach private ones (same
-    bucket width) and the parent folds their snapshots in submission
-    order.
+    An attached profiler is handled alike: in-process runs profile into
+    it directly, pooled workers attach private ones (same bucket width)
+    and the parent folds their snapshots in submission order.
     """
     results: List[Optional[SimulationMetrics]] = [None] * len(specs)
 
@@ -218,9 +214,9 @@ def run_specs(
     if jobs > 1 and len(unique) > 1:
         for context in (contexts or {}).values():
             register_context(context)  # inherited by forked workers
-        computed = _run_pooled(unique, jobs, registry)
+        computed = _run_pooled(unique, jobs, contexts or {})
     else:
-        computed = _run_local(unique, registry, contexts)
+        computed = _run_local(unique, contexts)
 
     for spec, metrics in zip(unique, computed):
         if cache is not None:
@@ -232,7 +228,6 @@ def run_specs(
 
 def _run_local(
     specs: Sequence[PointSpec],
-    registry: Optional[MetricsRegistry],
     contexts: Optional[Dict[ExperimentSetup, Any]],
 ) -> List[SimulationMetrics]:
     """The sequential path: run through (possibly shared) live contexts."""
@@ -243,7 +238,7 @@ def _run_local(
     for spec in specs:
         context = contexts.get(spec.setup)
         if context is None:
-            context = ExperimentContext.prepare(spec.setup, registry=registry)
+            context = ExperimentContext.prepare(spec.setup)
             contexts[spec.setup] = context
         computed.append(
             context.run_point(
@@ -256,24 +251,24 @@ def _run_local(
 def _run_pooled(
     specs: Sequence[PointSpec],
     jobs: int,
-    registry: Optional[MetricsRegistry],
+    contexts: Dict[ExperimentSetup, Any],
 ) -> List[SimulationMetrics]:
     """Fan specs out across a process pool; gather in submission order."""
-    instrument = registry is not None and registry.enabled
     profiler = attached()
     prof_bucket_width = profiler.bucket_width if profiler is not None else None
     workers = min(jobs, len(specs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_run_spec_task, spec, instrument, prof_bucket_width)
+            pool.submit(_run_spec_task, spec, prof_bucket_width)
             for spec in specs
         ]
         outcomes = [future.result() for future in futures]
     computed = []
-    for metrics, snapshot, prof_snapshot in outcomes:
+    for spec, (metrics, obs, prof_snapshot) in zip(specs, outcomes):
         computed.append(metrics)
-        if instrument and snapshot is not None:
-            registry.merge_snapshot(snapshot)
+        context = contexts.get(spec.setup)
+        if context is not None:
+            merge_obs(context.obs, obs)
         if profiler is not None and prof_snapshot is not None:
             profiler.merge_snapshot(prof_snapshot)
     return computed

@@ -208,7 +208,7 @@ class ReplicatedExperiment:
         :class:`~repro.obs.audit.GuaranteeAudit` as the recorder; the
         per-seed :class:`~repro.obs.audit.AuditReport` shards are folded with
         :func:`~repro.obs.audit.merge_reports`, mirroring
-        ``MetricsRegistry.merge``.  Runs sequentially in-process: audits
+        :func:`~repro.obs.export.merge_obs`.  Runs sequentially in-process: audits
         do not cross process boundaries.
         """
         reports: List[AuditReport] = []

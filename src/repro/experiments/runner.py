@@ -20,7 +20,7 @@ from repro.experiments.cache import PointCache
 from repro.experiments.config import ExperimentSetup
 from repro.failures.events import FailureTrace
 from repro.failures.generator import FailureModelSpec, generate_failure_trace
-from repro.obs.registry import MetricsRegistry
+from repro.obs.export import ObsSnapshot, empty_obs, merge_obs
 from repro.workload.job import JobLog
 from repro.workload.synthetic import log_by_name
 
@@ -55,10 +55,6 @@ class ExperimentContext:
         setup: The experiment environment description.
         log: The synthesized (or loaded) job log.
         failures: A failure trace covering the worst-case horizon.
-        registry: Optional obs registry threaded into every simulation this
-            context executes.  Counters then aggregate across the distinct
-            (non-memoised) points a sweep runs — the "what did producing
-            this figure actually do" view.
         jobs: Worker processes :meth:`run_points` fans cache misses out
             across (1 = fully sequential, the default and the byte-exact
             pre-parallel behaviour).
@@ -72,16 +68,20 @@ class ExperimentContext:
             therefore contribute no records; recorders do not cross
             process boundaries, so callers should keep ``jobs=1`` when
             tracing or auditing.
+        obs: Counters and gauges summed over the distinct points this
+            context simulated, in submission order (the "what did
+            producing this figure actually do" view); memo and cache hits
+            simulate nothing and add nothing.
     """
 
     setup: ExperimentSetup
     log: JobLog
     failures: FailureTrace
     _cache: Dict[Tuple, SimulationMetrics] = field(default_factory=dict)
-    registry: Optional[MetricsRegistry] = None
     jobs: int = 1
     cache: Optional[PointCache] = None
     recorder: Optional[TraceRecorder] = None
+    obs: ObsSnapshot = field(default_factory=empty_obs)
 
     @classmethod
     def prepare(
@@ -89,7 +89,6 @@ class ExperimentContext:
         setup: ExperimentSetup,
         log: Optional[JobLog] = None,
         failures: Optional[FailureTrace] = None,
-        registry: Optional[MetricsRegistry] = None,
         jobs: int = 1,
         cache: Optional[PointCache] = None,
         recorder: Optional[TraceRecorder] = None,
@@ -112,7 +111,7 @@ class ExperimentContext:
                 seed=setup.seed,
             )
         return cls(
-            setup=setup, log=log, failures=failures, registry=registry,
+            setup=setup, log=log, failures=failures,
             jobs=jobs, cache=cache, recorder=recorder,
         )
 
@@ -151,23 +150,20 @@ class ExperimentContext:
         if cached is not None:
             return cached
         config = self.config(accuracy, user_threshold, **overrides)
-        metrics = self.simulate_point(config, self.registry, self.recorder).metrics
-        self._cache[key] = metrics
-        return metrics
+        result = self.simulate_point(config, self.recorder)
+        merge_obs(self.obs, result.obs)
+        self._cache[key] = result.metrics
+        return result.metrics
 
     def simulate_point(
         self,
         config: SystemConfig,
-        registry: Optional[MetricsRegistry] = None,
         recorder: Optional[TraceRecorder] = None,
     ) -> SimulationResult:
         """One fresh simulation of ``config`` on this context's workload and
         failure trace: the point boundary that sequential and pooled sweeps
         share (profiled as ``experiments.runner.point``)."""
-        return simulate(
-            config, self.log, self.failures, registry=registry,
-            recorder=recorder,
-        )
+        return simulate(config, self.log, self.failures, recorder=recorder)
 
     def run_points(
         self,
@@ -212,7 +208,6 @@ class ExperimentContext:
                 [specs[i] for i in todo],
                 jobs=jobs,
                 cache=cache,
-                registry=self.registry,
                 contexts={self.setup: self},
             )
             for i, metrics in zip(todo, computed):
@@ -224,7 +219,6 @@ class ExperimentContext:
         self,
         accuracy: float,
         user_threshold: float,
-        registry: Optional[MetricsRegistry] = None,
         sample_interval: Optional[float] = None,
         recorder: Optional[TraceRecorder] = None,
         **overrides,
@@ -234,23 +228,21 @@ class ExperimentContext:
         Instrumented runs bypass the cache in both directions: a cached
         metrics object carries no counters or records, and the output of a
         fresh run must reflect exactly one simulation, not whichever point
-        happened to run first.  A metrics ``registry`` and a trace
-        ``recorder`` (e.g. a :class:`~repro.obs.trace.SpanBuilder` or a
+        happened to run first.  A trace ``recorder`` (e.g. a
+        :class:`~repro.obs.trace.SpanBuilder` or a
         :class:`~repro.obs.audit.GuaranteeAudit`) may be attached.
 
         Returns:
             ``(result, sampler)`` — the full :class:`SimulationResult`
-            (with ``.obs``/``.spans`` attached as applicable)
-            and the system's sampler (None unless ``sample_interval`` was
-            given with a live registry).
+            (with ``.spans`` attached as applicable) and the system's
+            sampler (None unless ``sample_interval`` was given).
         """
         from repro.core.system import ProbabilisticQoSSystem
 
         config = self.config(accuracy, user_threshold, **overrides)
         system = ProbabilisticQoSSystem(
             config, self.log, self.failures,
-            registry=registry, sample_interval=sample_interval,
-            recorder=recorder,
+            sample_interval=sample_interval, recorder=recorder,
         )
         return system.run(), system.sampler
 

@@ -1,10 +1,12 @@
-"""Observability: counters, histograms, sim-time sampling, spans, audits.
+"""Observability: counters, sim-time sampling, spans, audits, profiles.
 
 The instrumentation substrate for the whole control system.  Every layer
 (engine, ledger, schedulers, negotiation, checkpointing, prediction)
-accepts a :class:`MetricsRegistry` and records its decision points into
-named metrics following ``<layer>.<component>.<name>``; the default
-:class:`NullRegistry` makes all of it free for uninstrumented sweeps.
+counts its decision points as plain state and reports them through
+``counters()`` (and ``gauges()``) under names following
+``<layer>.<component>.<name>``; the simulated system collects them into
+its result's ``obs`` snapshot, which ``repro.obs.export`` writes and
+renders and :class:`Sampler` records over sim time.
 ``repro.obs.trace`` assembles causal per-job spans and
 ``repro.obs.audit`` folds promise/outcome pairs into calibration & SLO
 audit reports — both are trace recorders, views over the simulator's
@@ -51,7 +53,9 @@ from repro.obs.bench import (
 from repro.obs.export import (
     OBS_SCHEMA_VERSION,
     build_report,
+    empty_obs,
     load_report,
+    merge_obs,
     summarize,
     summarize_data,
     write_report,
@@ -66,16 +70,6 @@ from repro.obs.prof import (
     to_collapsed,
     validate_collapsed,
     write_profile,
-)
-from repro.obs.registry import (
-    DEFAULT_COUNT_BUCKETS,
-    DEFAULT_TIME_BUCKETS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
 )
 from repro.obs.sampler import Sampler
 from repro.obs.trace import (
@@ -128,7 +122,9 @@ __all__ = [
     "wilson_interval",
     "OBS_SCHEMA_VERSION",
     "build_report",
+    "empty_obs",
     "load_report",
+    "merge_obs",
     "summarize",
     "summarize_data",
     "write_report",
@@ -147,13 +143,5 @@ __all__ = [
     "to_collapsed",
     "validate_collapsed",
     "write_profile",
-    "DEFAULT_COUNT_BUCKETS",
-    "DEFAULT_TIME_BUCKETS",
-    "NULL_REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
     "Sampler",
 ]

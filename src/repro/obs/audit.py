@@ -35,7 +35,7 @@ also the single source of truth for ``QoSGuarantee.kept`` and
 Reports store raw additive sums (bin counts, honoured counts, promise
 sums, Brier/log-loss sums) so :meth:`AuditReport.merge` across
 replication shards is exact up to float summation order, mirroring
-``MetricsRegistry.merge``; derived quantities (Wilson intervals, status,
+``repro.obs.export.merge_obs``; derived quantities (Wilson intervals, status,
 alerts) are recomputed after every merge.
 
 This module is dependency-light by design: it imports only the stdlib

@@ -25,7 +25,9 @@ Metric classes and their gates:
   machine-independent, so they gate cross-machine runs where wall time
   cannot (``--counts-only``).  A count regression means the *algorithm*
   did more work — extra probes, extra rebuilds — regardless of runner
-  speed.
+  speed.  Under ``--counts-only`` a baseline counter the new ledger no
+  longer reports is a regression too, so a lost counter cannot slip out
+  of the gate.
 
 Scenario params must match (excluding :data:`VOLATILE_PARAMS`) for a
 scenario to be compared at all; mismatches are reported as
@@ -213,19 +215,26 @@ def compare_ledgers(
         metrics: Dict[str, Any] = {}
         worst = "ok"
         for path in sorted(set(old_m) | set(new_m)):
-            if path not in old_m or path not in new_m:
-                continue  # instrumentation added/removed, not a regression
+            if path not in old_m:
+                continue  # instrumentation added, not a regression
             cls, old_v = old_m[path]
-            _, new_v = new_m[path]
             if counts_only and cls != "count":
                 continue
-            verdict = _judge(
-                cls, old_v, new_v, time_ratio, min_abs_s, count_ratio
-            )
-            if old_v:
-                ratio = new_v / old_v
+            if path not in new_m:
+                if not counts_only:
+                    continue  # instrumentation removed
+                # A baseline counter the new run no longer reports is a
+                # lost counter: the counts gate must not go quietly blind.
+                new_v, verdict, ratio = None, "regressed", 0.0
             else:
-                ratio = 1.0 if not new_v else float("inf")
+                _, new_v = new_m[path]
+                verdict = _judge(
+                    cls, old_v, new_v, time_ratio, min_abs_s, count_ratio
+                )
+                if old_v:
+                    ratio = new_v / old_v
+                else:
+                    ratio = 1.0 if not new_v else float("inf")
             metrics[path] = {
                 "class": cls,
                 "old": old_v,
@@ -265,7 +274,9 @@ def compare_ledgers(
     }
 
 
-def _fmt_metric(cls: str, value: float) -> str:
+def _fmt_metric(cls: str, value: Optional[float]) -> str:
+    if value is None:
+        return "missing"
     if cls == "time":
         return f"{value * 1e3:.2f} ms" if value < 1.0 else f"{value:.3f} s"
     if cls == "rate":

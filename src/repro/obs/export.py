@@ -1,10 +1,10 @@
 """Serialising observability state to disk and rendering it for humans.
 
 One JSON document carries everything one run (or one batch of runs)
-produced: the final registry snapshot plus the sampler's sim-time series.
-``probqos run --obs out.json`` writes it; ``probqos obs summarize
-out.json`` renders it back as the report below; downstream tooling
-(perf-PR diffs, notebooks) reads the raw JSON.
+produced: the final counters and gauges plus the sampler's sim-time
+series.  ``probqos run --obs out.json`` writes it; ``probqos obs
+summarize out.json`` renders it back as the report below; downstream
+tooling (perf-PR diffs, notebooks) reads the raw JSON.
 """
 
 from __future__ import annotations
@@ -12,25 +12,52 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import Sampler
 
-#: Version of the on-disk report layout.
-OBS_SCHEMA_VERSION = 1
+#: Version of the on-disk report layout.  Version 2 dropped the
+#: ``histograms`` block (and the sampler rows' ``*.count`` columns).
+OBS_SCHEMA_VERSION = 2
+
+#: An obs snapshot: ``{"counters": {name: total}, "gauges": {name: level}}``
+#: (:attr:`SimulationResult.obs <repro.core.system.SimulationResult>`).
+ObsSnapshot = Dict[str, Dict[str, float]]
+
+
+def empty_obs() -> ObsSnapshot:
+    """A snapshot of nothing: what a run of no simulations reports."""
+    return {"counters": {}, "gauges": {}}
+
+
+def merge_obs(total: ObsSnapshot, snapshot: ObsSnapshot) -> ObsSnapshot:
+    """Fold one run's snapshot into ``total`` (returned).
+
+    Counters add; gauges are levels, so the later snapshot's level wins.
+    Sweeps fold their points in submission order, so the totals do not
+    depend on how many worker processes ran them.
+    """
+    counters = total["counters"]
+    for name, value in snapshot["counters"].items():
+        counters[name] = counters.get(name, 0) + value
+    total["gauges"].update(snapshot["gauges"])
+    return total
 
 
 def build_report(
-    registry: MetricsRegistry,
+    obs: ObsSnapshot,
     sampler: Optional[Sampler] = None,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble the JSON-serialisable observability report."""
+    names = sorted(set(obs["counters"]) | set(obs["gauges"]))
     report: Dict[str, Any] = {
         "schema": OBS_SCHEMA_VERSION,
         "meta": dict(meta) if meta else {},
-        "metric_names": registry.metric_names(),
-        "layers": registry.layers(),
-        "metrics": registry.snapshot(),
+        "metric_names": names,
+        "layers": sorted({name.split(".", 1)[0] for name in names}),
+        "metrics": {
+            "counters": dict(sorted(obs["counters"].items())),
+            "gauges": dict(sorted(obs["gauges"].items())),
+        },
         "series": {
             "interval": sampler.interval if sampler is not None else None,
             "rows": sampler.rows if sampler is not None else [],
@@ -41,12 +68,12 @@ def build_report(
 
 def write_report(
     path: str,
-    registry: MetricsRegistry,
+    obs: ObsSnapshot,
     sampler: Optional[Sampler] = None,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Write the report to ``path``; returns the dict that was written."""
-    report = build_report(registry, sampler, meta)
+    report = build_report(obs, sampler, meta)
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -119,22 +146,13 @@ def summarize_data(report: Dict[str, Any]) -> Dict[str, Any]:
 
     Everything the text renderer prints, as one JSON-serialisable dict —
     ``--format json`` emits it verbatim and :func:`summarize` renders it.
-    Derived values (histogram means, series extrema) are computed here so
-    both formats agree by construction.
+    Derived values (series extrema) are computed here so both formats
+    agree by construction.
     """
     meta = report.get("meta", {})
     names = report.get("metric_names", [])
     layers = report.get("layers", [])
     metrics = report.get("metrics", {})
-    histograms: Dict[str, Any] = {}
-    for name, h in metrics.get("histograms", {}).items():
-        count = h.get("count", 0)
-        histograms[name] = {
-            "count": count,
-            "mean": (h.get("sum", 0.0) / count) if count else 0.0,
-            "min": h.get("min"),
-            "max": h.get("max"),
-        }
 
     series = report.get("series", {})
     rows = series.get("rows", [])
@@ -169,7 +187,6 @@ def summarize_data(report: Dict[str, Any]) -> Dict[str, Any]:
         "layers": list(layers),
         "counters": dict(metrics.get("counters", {})),
         "gauges": dict(metrics.get("gauges", {})),
-        "histograms": histograms,
         "series": series_data,
     }
 
@@ -189,7 +206,6 @@ def summarize(report: Dict[str, Any]) -> str:
 
     counters = data["counters"]
     gauges = data["gauges"]
-    histograms = data["histograms"]
 
     if counters:
         lines.append("")
@@ -203,17 +219,6 @@ def summarize(report: Dict[str, Any]) -> str:
         width = max(len(n) for n in gauges)
         for name in sorted(gauges):
             lines.append(f"  {name:<{width}}  {_format_value(gauges[name])}")
-    if histograms:
-        lines.append("")
-        lines.append("Histograms:")
-        width = max(len(n) for n in histograms)
-        for name in sorted(histograms):
-            h = histograms[name]
-            lines.append(
-                f"  {name:<{width}}  count={h['count']} mean={h['mean']:.4g}"
-                f" min={_format_value(h['min'] or 0)}"
-                f" max={_format_value(h['max'] or 0)}"
-            )
 
     series = data["series"]
     if series["samples"]:

@@ -27,9 +27,9 @@ Design constraints, in order:
   ``floor(sim_time_at_entry / bucket_width)``, so a profile can answer
   "which phase of the trace got slow", not just "which function".
 * **Mergeable.**  :meth:`Profiler.merge_snapshot` folds per-worker
-  profiles across the process pool exactly like
-  :meth:`~repro.obs.registry.MetricsRegistry.merge` folds registries;
-  integer nanosecond arithmetic makes the fold exact and associative.
+  profiles across the process pool, as :func:`~repro.obs.export.merge_obs`
+  folds counters; integer nanosecond arithmetic makes the fold exact and
+  associative.
 * **No third-party deps.**  Snapshots are JSON dicts; the collapsed
   export is the classic FlameGraph / speedscope ``frame;frame value``
   stack format.

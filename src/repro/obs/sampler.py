@@ -1,10 +1,10 @@
-"""Sim-time sampling of the metrics registry into a time-series.
+"""Sim-time sampling of the simulator's counters into a time-series.
 
 Counters answer "how many, in total"; the :class:`Sampler` answers "when".
-It snapshots the registry's scalar state (counters, gauges, histogram
-sample counts) at a fixed sim-time cadence, producing the rows that let a
-metric like backfill success rate or predictor detection rate be plotted
-*over* a simulation instead of only summed across it.
+It records the scalar state (every component's counters and gauges) at a
+fixed sim-time cadence, producing the rows that let a metric like
+backfill success rate or predictor detection rate be plotted *over* a
+simulation instead of only summed across it.
 
 The sampler itself is passive — it has no clock.  The owner (the simulated
 system) calls :meth:`sample` from a recurring ``OBS_SAMPLE`` event, so the
@@ -15,16 +15,14 @@ attached.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, TextIO, Tuple
-
-from repro.obs.registry import MetricsRegistry
+from typing import Any, Callable, Dict, Iterable, List, TextIO, Tuple
 
 
 class Sampler:
-    """Snapshots a registry every ``interval`` simulated seconds.
+    """Records ``read()`` every ``interval`` simulated seconds.
 
     Args:
-        registry: The registry to snapshot.
+        read: Returns the current ``{metric name: value}`` map.
         interval: Sim-seconds between samples (> 0).
 
     Rows are plain dicts ``{"time": t, "metrics": {name: value}}`` in
@@ -33,10 +31,12 @@ class Sampler:
     with the last periodic one).
     """
 
-    def __init__(self, registry: MetricsRegistry, interval: float) -> None:
+    def __init__(
+        self, read: Callable[[], Dict[str, float]], interval: float
+    ) -> None:
         if interval <= 0:
             raise ValueError(f"sampler interval must be > 0, got {interval}")
-        self.registry = registry
+        self._read = read
         self.interval = float(interval)
         self._rows: List[Dict[str, Any]] = []
 
@@ -49,7 +49,7 @@ class Sampler:
             raise ValueError(
                 f"sample at t={now} precedes last row t={self._rows[-1]['time']}"
             )
-        row = {"time": float(now), "metrics": self.registry.scalar_snapshot()}
+        row = {"time": float(now), "metrics": self._read()}
         if self._rows and self._rows[-1]["time"] == row["time"]:
             self._rows[-1] = row
         else:

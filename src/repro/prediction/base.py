@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
-
-if TYPE_CHECKING:
-    from repro.obs.registry import MetricsRegistry
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -50,34 +47,32 @@ class PredictedFailure:
 class Predictor(abc.ABC):
     """Estimates failure probabilities for node sets over time windows."""
 
-    #: Observability flag; flipped by :meth:`bind_registry`.  Hot paths in
-    #: concrete predictors guard on this, so unbound predictors pay one
-    #: class-attribute test per query and nothing more.
-    _obs = False
     #: Component segment of this predictor's metric names
     #: (``prediction.<component>.*``); overridden by subclasses.
     _obs_component = "base"
-
-    def bind_registry(self, registry: "MetricsRegistry") -> None:
-        """Attach a :class:`~repro.obs.registry.MetricsRegistry`.
-
-        Queries and positive predictions are counted under
-        ``prediction.<component>.*``, and a rolling hit-rate gauge tracks
-        the fraction of window queries that returned a nonzero failure
-        probability.  Binding a null registry is a no-op.
-        """
-        self._obs = registry.enabled
-        prefix = f"prediction.{self._obs_component}"
-        self._c_queries = registry.counter(prefix + ".queries")
-        self._c_hits = registry.counter(prefix + ".hits")
-        self._g_hit_rate = registry.gauge(prefix + ".hit_rate")
+    #: ``failure_probability`` calls, and those that returned a nonzero
+    #: probability, counted by predictors that call :meth:`_record_query`
+    #: (class-level zeros until the first query).
+    _queries = 0
+    _hits = 0
 
     def _record_query(self, probability: float) -> None:
-        """Count one ``failure_probability`` call (obs-on paths only)."""
-        self._c_queries.inc()
+        """Count one ``failure_probability`` call."""
+        self._queries += 1
         if probability > 0.0:
-            self._c_hits.inc()
-        self._g_hit_rate.set(self._c_hits.value / self._c_queries.value)
+            self._hits += 1
+
+    def counters(self) -> Dict[str, int]:
+        """``prediction.<component>.queries`` and ``.hits`` over this
+        predictor's lifetime."""
+        prefix = f"prediction.{self._obs_component}"
+        return {prefix + ".queries": self._queries, prefix + ".hits": self._hits}
+
+    def gauges(self) -> Dict[str, float]:
+        """``prediction.<component>.hit_rate``: the fraction of queries
+        that returned a nonzero failure probability."""
+        rate = self._hits / self._queries if self._queries else 0.0
+        return {f"prediction.{self._obs_component}.hit_rate": rate}
 
     @abc.abstractmethod
     def failure_probability(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.failures.events import RawEvent
 from repro.prediction.base import (
@@ -34,9 +34,6 @@ from repro.prediction.base import (
     combine_independent,
 )
 from repro.prediction.health import EventWindowIndex, HealthModel
-
-if TYPE_CHECKING:
-    from repro.obs.registry import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -101,10 +98,13 @@ class OnlinePredictor(Predictor):
         self._index = EventWindowIndex(raw_log)
         self._health = health
         self._config = config if config is not None else OnlinePredictorConfig()
+        self._alarms = 0
 
-    def bind_registry(self, registry: "MetricsRegistry") -> None:
-        super().bind_registry(registry)
-        self._c_alarms = registry.counter("prediction.online.alarms")
+    def counters(self) -> Dict[str, int]:
+        """The base query counters plus ``prediction.online.alarms``."""
+        counts = super().counters()
+        counts["prediction.online.alarms"] = self._alarms
+        return counts
 
     @property
     def config(self) -> OnlinePredictorConfig:
@@ -154,8 +154,7 @@ class OnlinePredictor(Predictor):
         horizon = end - start
         hazards = [self.node_hazard(n, start, horizon) for n in nodes]
         result = combine_independent(hazards)
-        if self._obs:
-            self._record_query(result)
+        self._record_query(result)
         return result
 
     def predicted_failures(
@@ -176,6 +175,5 @@ class OnlinePredictor(Predictor):
                     )
                 )
         alarms.sort(key=lambda a: (a.time, a.node))
-        if self._obs and alarms:
-            self._c_alarms.inc(len(alarms))
+        self._alarms += len(alarms)
         return alarms

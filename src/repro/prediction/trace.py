@@ -30,10 +30,9 @@ from repro.sim.rng import stable_uniform
 class TracePredictor(Predictor):
     """Oracle-with-blind-spots predictor over a known failure trace.
 
-    Metrics (when a registry is bound): ``prediction.trace.queries``,
-    ``prediction.trace.hits``, and the rolling ``prediction.trace.hit_rate``
-    gauge — the fraction of window queries that surfaced a detectable
-    failure.
+    Counters: ``prediction.trace.queries``, ``prediction.trace.hits``,
+    and the ``prediction.trace.hit_rate`` gauge — the fraction of window
+    queries that surfaced a detectable failure.
 
     Args:
         trace: The failure log the simulation replays.
@@ -101,8 +100,7 @@ class TracePredictor(Predictor):
             if px <= self._accuracy:
                 result = px
                 break
-        if self._obs:
-            self._record_query(result)
+        self._record_query(result)
         return result
 
     def predicted_failures(

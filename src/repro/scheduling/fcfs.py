@@ -26,7 +26,7 @@ frozen-schedule behaviour is the default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.cluster.nodeset import freeze_nodes
 from repro.cluster.reservations import ReservationLedger
@@ -34,7 +34,6 @@ from repro.cluster.topology import Topology, WindowScorer
 from repro.core.fastpath import AnalyticalEvaluator
 from repro.core.negotiation import NegotiationOutcome, Negotiator
 from repro.core.users import UserModel
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.prediction.base import Predictor
 
 
@@ -59,14 +58,15 @@ class ConservativeBackfillScheduler:
         scorer: Window scorer; pass the fault-aware scorer for the
             paper's system or an uninformed one for baselines.
         max_offers: Negotiation dialogue cap.
-        registry: Optional obs registry; when live, restart bookings and
-            pull-forward attempts are counted under ``scheduling.fcfs.*``
-            and the registry is forwarded to the negotiator.
         failure_jump_epsilon: Seconds the dialogue advances past a
             predicted failure; forwarded to the negotiator.
         evaluator: Shared analytical evaluator (the system passes the same
             instance it scores placement with, so one term cache serves
             both); forwarded to the negotiator.
+
+    Restart bookings, the candidates they probed and pull-forward
+    attempts are counted; :meth:`counters` reports them under
+    ``scheduling.fcfs.*``.
     """
 
     def __init__(
@@ -76,7 +76,6 @@ class ConservativeBackfillScheduler:
         predictor: Predictor,
         scorer: Optional[WindowScorer],
         max_offers: int = 400,
-        registry: Optional[MetricsRegistry] = None,
         failure_jump_epsilon: float = 1.0,
         evaluator: Optional[AnalyticalEvaluator] = None,
     ) -> None:
@@ -87,23 +86,23 @@ class ConservativeBackfillScheduler:
         self._free_query = getattr(ledger, "free_nodes_set", ledger.free_nodes)
         self._predictor = predictor
         self._scorer = scorer
-        registry = registry if registry is not None else NULL_REGISTRY
         self.negotiator = Negotiator(
             ledger, topology, predictor, scorer, max_offers=max_offers,
-            registry=registry, failure_jump_epsilon=failure_jump_epsilon, evaluator=evaluator,
+            failure_jump_epsilon=failure_jump_epsilon, evaluator=evaluator,
         )
-        self._obs = registry.enabled
-        self._c_restarts = registry.counter("scheduling.fcfs.restarts_booked")
-        self._c_restart_probes = registry.counter("scheduling.fcfs.restart_probes")
-        self._c_pull_attempts = registry.counter(
-            "scheduling.fcfs.pull_forward_attempts"
-        )
-        self._c_pull_successes = registry.counter(
-            "scheduling.fcfs.pull_forward_successes"
-        )
-        self._h_restart_delay = registry.histogram(
-            "scheduling.fcfs.restart_delay_candidates"
-        )
+        self._restarts_booked = 0
+        self._restart_probes = 0
+        self._pull_attempts = 0
+        self._pull_successes = 0
+
+    def counters(self) -> Dict[str, int]:
+        """``scheduling.fcfs.*`` totals (the negotiator keeps its own)."""
+        return {
+            "scheduling.fcfs.restarts_booked": self._restarts_booked,
+            "scheduling.fcfs.restart_probes": self._restart_probes,
+            "scheduling.fcfs.pull_forward_attempts": self._pull_attempts,
+            "scheduling.fcfs.pull_forward_successes": self._pull_successes,
+        }
 
     # ------------------------------------------------------------------
     # Arrivals
@@ -158,10 +157,8 @@ class ConservativeBackfillScheduler:
                 continue
             nodes = freeze_nodes(nodes)
             self._ledger.reserve(job_id, nodes, start, start + padded_remaining)
-            if self._obs:
-                self._c_restarts.inc()
-                self._c_restart_probes.inc(candidates)
-                self._h_restart_delay.observe(candidates)
+            self._restarts_booked += 1
+            self._restart_probes += candidates
             return RestartReservation(
                 job_id=job_id,
                 start=start,
@@ -192,8 +189,7 @@ class ConservativeBackfillScheduler:
         reservation = self._ledger.get(job_id)
         if reservation is None or reservation.start <= now:
             return None
-        if self._obs:
-            self._c_pull_attempts.inc()
+        self._pull_attempts += 1
         duration = reservation.duration
         self._ledger.release(job_id)
         for start in self._ledger.iter_candidate_times(now):
@@ -208,8 +204,7 @@ class ConservativeBackfillScheduler:
             if nodes is None:
                 continue
             self._ledger.reserve(job_id, nodes, start, start + duration)
-            if self._obs:
-                self._c_pull_successes.inc()
+            self._pull_successes += 1
             return RestartReservation(
                 job_id=job_id, start=start, nodes=freeze_nodes(nodes), end=start + duration
             )

@@ -25,10 +25,8 @@ Design notes
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.registry import NULL_REGISTRY, Counter, Histogram, MetricsRegistry
 from repro.sim.events import Event, EventKind
 from repro.sim.units import SimSeconds
 
@@ -53,14 +51,9 @@ class EventLoop:
         [1.0, 5.0]
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         """Args:
             start_time: Initial simulated clock.
-            registry: Optional obs registry (see class docstring).
         """
         self._now = float(start_time)
         # ``(time, tie, seq, event)`` entries; ``seq`` is unique, so tuple
@@ -74,20 +67,10 @@ class EventLoop:
         self._processed = 0
         self._running = False
         self._stopped = False
-        # Observability (see repro.obs): per-kind dispatch counters, handler
-        # wall-clock timers, and per-kind live-event counts.  All of it is
-        # gated on one bool so the default NullRegistry costs a single
-        # attribute test per event.
-        self._registry = registry if registry is not None else NULL_REGISTRY
-        self._obs = self._registry.enabled
-        self._dispatch_counters: Dict[EventKind, Counter] = {}
-        self._handler_timers: Dict[EventKind, Histogram] = {}
-        self._live_by_kind: Dict[EventKind, int] = {}
-        # Dispatch counting for the span layer (repro.obs.trace): a plain
-        # per-kind dict, cheaper than registry counters and available even
-        # without a registry.  Costs one bool test per event when off.
-        self._count_dispatch = False
-        self._dispatch_counts: Dict[str, int] = {}
+        # Dispatched and cancelled events per kind, indexed like the
+        # handlers; ``_seq`` doubles as the scheduled-event count.
+        self._dispatched = [0] * len(EventKind)
+        self._cancelled = [0] * len(EventKind)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -158,12 +141,7 @@ class EventLoop:
             )
         seq = self._seq
         event = Event(time=float(time), kind=kind, payload=payload, seq=seq)
-        if self._obs:
-            self._registry.counter("sim.engine.scheduled").inc()
-            self._live_by_kind[kind] = self._live_by_kind.get(kind, 0) + 1
-            event.on_cancel = lambda k=kind: self._on_cancel_kind(k)
-        else:
-            event.on_cancel = self._on_cancel
+        event.on_cancel = self._on_cancel
         self._seq = seq + 1
         self._live += 1
         heapq.heappush(self._heap, (event.time, kind.tie, seq, event))
@@ -193,26 +171,21 @@ class EventLoop:
         event.on_cancel = None
         self._live -= 1
         self._now = event.time
-        handler = self._handlers[event.kind.tie]
+        tie = event.kind.tie
+        handler = self._handlers[tie]
         if handler is None:
             raise SimulationError(f"no handler registered for {event.kind.value}")
+        # Counted before the handler runs, so a sample taken by an
+        # ``OBS_SAMPLE`` handler includes its own event.
+        self._dispatched[tie] += 1
         self._invoke(handler, event)
-        if self._count_dispatch:
-            key = event.kind.value
-            self._dispatch_counts[key] = self._dispatch_counts.get(key, 0) + 1
         self._processed += 1
         return event
 
     def _invoke(self, handler: Handler, event: Event) -> None:
-        """Run ``handler`` with the registry instrumentation applied."""
-        if self._obs:
-            self._live_by_kind[event.kind] -= 1
-            self._dispatched_counter(event.kind).inc()
-            t0 = time.perf_counter_ns()  # qoslint: disable=QOS102 -- obs handler timer: measures real handler cost, never feeds sim state
-            handler(event)
-            self._handler_timer(event.kind).observe_ns(time.perf_counter_ns() - t0)  # qoslint: disable=QOS102 -- obs handler timer: wall duration goes to the registry only
-        else:
-            handler(event)
+        """Run ``handler``: the method an attached profiler wraps for its
+        per-kind dispatch zones (``repro.obs.prof``)."""
+        handler(event)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or stopped.
@@ -249,54 +222,55 @@ class EventLoop:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def enable_dispatch_counts(self) -> None:
-        """Start counting dispatched events per kind (for trace metadata)."""
-        self._count_dispatch = True
-
     def dispatch_counts(self) -> Dict[str, int]:
-        """Dispatched events per kind value since counting was enabled.
+        """Dispatched events per kind value (kinds never dispatched are
+        left out); exported timelines carry it as their event mix."""
+        return {
+            kind.value: self._dispatched[kind.tie]
+            for kind in EventKind
+            if self._dispatched[kind.tie]
+        }
 
-        Empty unless :meth:`enable_dispatch_counts` was called — the span
-        layer turns it on so exported timelines can carry an event-mix
-        breakdown without requiring a metrics registry.
+    def counters(self) -> Dict[str, int]:
+        """``sim.engine.*`` totals: events scheduled, dispatched per kind,
+        and cancelled; a count that is still zero is left out."""
+        counts = {
+            f"sim.engine.dispatched.{kind}": n
+            for kind, n in self.dispatch_counts().items()
+        }
+        if self._seq:
+            counts["sim.engine.scheduled"] = self._seq
+        cancelled = sum(self._cancelled)
+        if cancelled:
+            counts["sim.engine.cancelled"] = cancelled
+        return counts
+
+    def gauges(self) -> Dict[str, float]:
+        """Live queued events per kind ever scheduled, and their total.
+
+        One scan of the heap: a sampling-time cost instead of per-kind
+        bookkeeping on every schedule, cancel and dispatch.
         """
-        return dict(self._dispatch_counts)
-
-    def observe_gauges(self) -> None:
-        """Publish point-in-time engine state (live events per kind) to the
-        registry.  Called by the owner at sampling instants; a no-op with
-        the default null registry."""
-        if not self._obs:
-            return
-        total = 0
-        for kind, live in self._live_by_kind.items():
-            self._registry.gauge(f"sim.engine.pending.{kind.value}").set(live)
-            total += live
-        self._registry.gauge("sim.engine.pending_total").set(total)
-
-    def _dispatched_counter(self, kind: EventKind) -> Counter:
-        counter = self._dispatch_counters.get(kind)
-        if counter is None:
-            counter = self._registry.counter(f"sim.engine.dispatched.{kind.value}")
-            self._dispatch_counters[kind] = counter
-        return counter
-
-    def _handler_timer(self, kind: EventKind) -> Histogram:
-        timer = self._handler_timers.get(kind)
-        if timer is None:
-            timer = self._registry.timer(f"sim.engine.handler_seconds.{kind.value}")
-            self._handler_timers[kind] = timer
-        return timer
+        live = [0] * len(EventKind)
+        seen = [bool(d or c) for d, c in zip(self._dispatched, self._cancelled)]
+        for entry in self._heap:
+            tie = entry[1]
+            seen[tie] = True
+            if not entry[3].cancelled:
+                live[tie] += 1
+        levels = {
+            f"sim.engine.pending.{kind.value}": float(live[kind.tie])
+            for kind in EventKind
+            if seen[kind.tie]
+        }
+        levels["sim.engine.pending_total"] = float(self._live)
+        return levels
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _on_cancel(self) -> None:
-        """Event.cancel() hook: keep the live-event counter exact."""
+    def _on_cancel(self, event: Event) -> None:
+        """Event.cancel() hook: keep the live-event count exact and count
+        the cancellation."""
         self._live -= 1
-
-    def _on_cancel_kind(self, kind: EventKind) -> None:
-        """Instrumented cancel hook: also keep per-kind live counts exact."""
-        self._live -= 1
-        self._live_by_kind[kind] -= 1
-        self._registry.counter("sim.engine.cancelled").inc()
+        self._cancelled[event.kind.tie] += 1

@@ -59,8 +59,9 @@ class EventKind(enum.Enum):
     CHECKPOINT_START = "checkpoint_start"
     #: Internal: re-evaluate pending starts after resources changed.
     WAKEUP = "wakeup"
-    #: Internal: snapshot the observability registry (repro.obs) at a fixed
-    #: sim-time cadence.  Never scheduled unless a sampler is attached.
+    #: Internal: sample the components' obs counters and gauges
+    #: (repro.obs) at a fixed sim-time cadence.  Never scheduled unless a
+    #: sampler is attached.
     OBS_SAMPLE = "obs_sample"
 
 
@@ -119,9 +120,10 @@ class Event:
     payload: Dict[str, Any] = field(default_factory=dict)
     seq: int = 0
     cancelled: bool = False
-    #: Set by the owning loop so it can keep an O(1) live-event count;
-    #: cleared once the event leaves the heap.  Not part of the public API.
-    on_cancel: Optional[Callable[[], None]] = field(
+    #: Set by the owning loop so it can keep an O(1) live-event count and
+    #: count cancellations; called with the event, and cleared once the
+    #: event leaves the heap.  Not part of the public API.
+    on_cancel: Optional[Callable[["Event"], None]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -131,7 +133,7 @@ class Event:
             return
         self.cancelled = True
         if self.on_cancel is not None:
-            self.on_cancel()
+            self.on_cancel(self)
 
     def sort_key(self) -> Tuple[float, int, int]:
         """Total ordering key: (time, per-kind tie-break, insertion order),

@@ -2,7 +2,7 @@
 
 The tentpole guarantee: ``run_points`` returns bit-identical metrics
 whether points run sequentially, across a process pool, or from a warm
-on-disk cache — and per-worker obs registries merge into the same counter
+on-disk cache — and per-worker obs snapshots merge into the same counter
 totals the sequential path accumulates.
 """
 
@@ -24,8 +24,8 @@ from repro.experiments.config import ExperimentSetup
 from repro.experiments.parallel import PointSpec, run_specs
 from repro.experiments.replication import ReplicatedExperiment
 from repro.experiments.runner import ExperimentContext
+from repro.obs.export import empty_obs, merge_obs
 from repro.obs.prof import Profiler, strip_wall_ns
-from repro.obs.registry import MetricsRegistry
 
 SETUP = ExperimentSetup(workload="sdsc", job_count=60, seed=7)
 
@@ -153,22 +153,14 @@ class TestRunPointsDeterminism:
         assert batch[1] != expected  # the policy override really applied
 
     def test_pool_merges_worker_counters_exactly(self, sequential_metrics):
-        seq_registry = MetricsRegistry()
-        ExperimentContext.prepare(SETUP, registry=seq_registry).run_points(GRID)
-        pool_registry = MetricsRegistry()
-        ExperimentContext.prepare(SETUP, jobs=3, registry=pool_registry).run_points(GRID)
-
-        assert (
-            pool_registry.snapshot()["counters"]
-            == seq_registry.snapshot()["counters"]
-        )
-        # Histogram *timers* record wall clock and cannot match exactly;
-        # sample counts are deterministic and must.
-        seq_hists = seq_registry.snapshot()["histograms"]
-        pool_hists = pool_registry.snapshot()["histograms"]
-        assert {n: h["count"] for n, h in pool_hists.items()} == {
-            n: h["count"] for n, h in seq_hists.items()
-        }
+        sequential = ExperimentContext.prepare(SETUP)
+        sequential.run_points(GRID)
+        pooled = ExperimentContext.prepare(SETUP, jobs=3)
+        pooled.run_points(GRID)
+        assert sequential.obs["counters"]["negotiation.dialogue.dialogues"] > 0
+        # Both paths fold whole points in submission order, so even the
+        # float counters and the last-point gauges match exactly.
+        assert pooled.obs == sequential.obs
 
     def test_pool_merges_worker_profiles_exactly(self):
         """Same zone tree and sim-time buckets whatever the worker count:
@@ -199,68 +191,33 @@ class TestRunSpecs:
         assert contexts[SETUP].cached_points >= 1
 
 
-class TestRegistryMerge:
-    def _registry(self, counter_values, hist_samples):
-        registry = MetricsRegistry()
-        for name, value in counter_values.items():
-            registry.counter(name).inc(value)
-        for value in hist_samples:
-            registry.histogram("layer.comp.depth").observe(value)
-        return registry
-
+class TestObsMerge:
     def test_counter_merge_sums(self):
-        a = self._registry({"layer.comp.x": 2.0}, [])
-        b = self._registry({"layer.comp.x": 3.0, "layer.comp.y": 1.0}, [])
-        merged = a.merge(b).snapshot()["counters"]
+        a = {"counters": {"layer.comp.x": 2.0}, "gauges": {}}
+        b = {"counters": {"layer.comp.x": 3.0, "layer.comp.y": 1.0}, "gauges": {}}
+        merged = merge_obs(merge_obs(empty_obs(), a), b)["counters"]
         assert merged == {"layer.comp.x": 5.0, "layer.comp.y": 1.0}
 
     def test_merge_is_associative(self):
-        def fresh():
-            return (
-                self._registry({"layer.comp.x": 1.0}, [1, 5]),
-                self._registry({"layer.comp.x": 2.0}, [2]),
-                self._registry({"layer.comp.x": 4.0, "layer.comp.y": 8.0}, [600]),
-            )
+        a = {"counters": {"layer.comp.x": 1}, "gauges": {}}
+        b = {"counters": {"layer.comp.x": 2}, "gauges": {}}
+        c = {"counters": {"layer.comp.x": 4, "layer.comp.y": 8}, "gauges": {}}
+        left = merge_obs(merge_obs(merge_obs(empty_obs(), a), b), c)
+        right = merge_obs(
+            merge_obs(empty_obs(), a), merge_obs(merge_obs(empty_obs(), b), c)
+        )
+        assert left == right
 
-        a, b, c = fresh()
-        left = MetricsRegistry().merge(a.merge(b)).merge(c).snapshot()
-        a, b, c = fresh()
-        right = MetricsRegistry().merge(a).merge(b.merge(c)).snapshot()
-        assert left["counters"] == right["counters"]
-        assert left["histograms"] == right["histograms"]
-
-    def test_histogram_merge_aggregates_sidecars(self):
-        a = self._registry({}, [1, 2])
-        b = self._registry({}, [1000])
-        merged = a.merge(b).snapshot()["histograms"]["layer.comp.depth"]
-        assert merged["count"] == 3
-        assert merged["sum"] == 1003.0
-        assert merged["min"] == 1.0
-        assert merged["max"] == 1000.0
-        assert merged["buckets"][-1]["count"] == 1  # 1000 > top bound 512
+    def test_gauges_keep_the_later_level(self):
+        a = {"counters": {}, "gauges": {"layer.comp.q": 3.0, "layer.comp.r": 1.0}}
+        b = {"counters": {}, "gauges": {"layer.comp.q": 5.0}}
+        merged = merge_obs(merge_obs(empty_obs(), a), b)["gauges"]
+        assert merged == {"layer.comp.q": 5.0, "layer.comp.r": 1.0}
 
     def test_merge_snapshot_round_trips_json(self):
-        a = self._registry({"layer.comp.x": 1.5}, [3])
-        snapshot = json.loads(json.dumps(a.snapshot()))
-        merged = MetricsRegistry().merge_snapshot(snapshot).snapshot()
-        assert merged["counters"] == a.snapshot()["counters"]
-        assert merged["histograms"] == a.snapshot()["histograms"]
-
-    def test_mismatched_buckets_rejected(self):
-        a = MetricsRegistry()
-        a.histogram("layer.comp.h", buckets=(1, 2))
-        b = MetricsRegistry()
-        b.histogram("layer.comp.h", buckets=(1, 2, 3)).observe(1)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_null_registry_merge_is_inert(self):
-        from repro.obs.registry import NULL_REGISTRY
-
-        live = self._registry({"layer.comp.x": 5.0}, [1])
-        assert NULL_REGISTRY.merge(live).snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
+        a = {"counters": {"layer.comp.x": 1.5}, "gauges": {"layer.comp.q": 2.0}}
+        snapshot = json.loads(json.dumps(a))
+        assert merge_obs(empty_obs(), snapshot) == a
 
 
 class TestLazyReplication:

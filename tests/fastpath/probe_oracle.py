@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.fastpath import AnalyticalEvaluator
-from repro.obs.registry import MetricsRegistry
 from repro.prediction.base import PredictedFailure, Predictor
 
 #: Absolute tolerance of the checking oracle.  The trace and online fast
@@ -42,16 +41,15 @@ class OracleDisagreement(AssertionError):
 class ProbeOracle(Predictor):
     """Answers every evaluator query with a live predictor query."""
 
-    def __init__(
-        self,
-        predictor: Predictor,
-        node_count: int,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, predictor: Predictor, node_count: int) -> None:
         self._predictor = predictor
 
     def begin_dialogue(self) -> None:
         """Nothing is cached, so there is nothing to reset."""
+
+    def counters(self) -> Dict[str, int]:
+        """None of its own: the live predictor counts every query."""
+        return {}
 
     def best_case_probability(self, size: int, start: float, end: float) -> float:
         return 1.0  # never prune
@@ -92,7 +90,6 @@ class CheckingOracle(ProbeOracle):
         self,
         predictor: Predictor,
         node_count: int,
-        registry: Optional[MetricsRegistry] = None,
         tolerance: float = DEFAULT_TOLERANCE,
     ) -> None:
         super().__init__(predictor, node_count)

@@ -22,7 +22,6 @@ from repro.core.system import ProbabilisticQoSSystem, SystemConfig
 from repro.core.users import RiskThresholdUser, SlackBoundedUser
 from repro.failures.events import FailureEvent, FailureTrace, RawEvent, Severity
 from repro.failures.generator import FailureModelSpec, generate_failure_trace
-from repro.obs.registry import MetricsRegistry
 from repro.prediction.online import OnlinePredictor
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.placement import fault_aware_scorer
@@ -32,8 +31,8 @@ from tests.fastpath.probe_oracle import PRICING
 HOUR = 3600.0
 
 
-def build(mode, node_count=8, trace=None, registry=None, **kwargs):
-    ledger = ReservationLedger(node_count, registry=registry)
+def build(mode, node_count=8, trace=None, **kwargs):
+    ledger = ReservationLedger(node_count)
     predictor = TracePredictor(
         trace if trace is not None else FailureTrace([]), accuracy=1.0, seed=1
     )
@@ -42,21 +41,20 @@ def build(mode, node_count=8, trace=None, registry=None, **kwargs):
         FlatTopology(node_count),
         predictor,
         fault_aware_scorer(predictor),
-        registry=registry,
         evaluator=PRICING[mode](predictor, node_count),
         **kwargs,
     )
     return negotiator, ledger
 
 
-def counters(registry):
-    return registry.snapshot()["counters"]
+def counters(negotiator):
+    """The dialogue's and its evaluator's counters."""
+    return {**negotiator.counters(), **negotiator.evaluator.counters()}
 
 
 class TestCounterSplit:
     def test_probes_count_only_priced_candidates(self):
-        registry = MetricsRegistry()
-        negotiator, ledger = build("probe", registry=registry)
+        negotiator, ledger = build("probe")
         # Full-width bookings make the early candidates fail the capacity
         # prefilter: they must not count as probes.
         ledger.reserve(90, range(8), 0.0, HOUR)
@@ -65,7 +63,7 @@ class TestCounterSplit:
             1, size=8, duration=HOUR, now=0.0, user=RiskThresholdUser(0.5)
         )
         assert outcome.start == 2 * HOUR
-        tally = counters(registry)
+        tally = counters(negotiator)
         assert tally["negotiation.dialogue.prefilter_rejects"] == 2
         assert tally["negotiation.dialogue.probes"] == 1
         assert tally.get("negotiation.dialogue.pruned", 0) == 0
@@ -76,14 +74,13 @@ class TestCounterSplit:
         )
         tallies = {}
         for mode in ("probe", "analytical"):
-            registry = MetricsRegistry()
-            negotiator, _ = build(mode, trace=trace, registry=registry)
+            negotiator, _ = build(mode, trace=trace)
             for job in range(10):
                 negotiator.negotiate(
                     job, size=8, duration=8 * HOUR, now=0.0,
                     user=RiskThresholdUser(0.97),
                 )
-            tallies[mode] = counters(registry)
+            tallies[mode] = counters(negotiator)
         assert tallies["probe"].get("negotiation.dialogue.pruned", 0) == 0
         pruned = tallies["analytical"]["negotiation.dialogue.pruned"]
         assert pruned > 0
@@ -98,13 +95,12 @@ class TestCounterSplit:
         )
 
     def test_advisory_counter_increments(self):
-        registry = MetricsRegistry()
-        negotiator, _ = build("analytical", registry=registry)
+        negotiator, _ = build("analytical")
         result = negotiator.suggest_deadline(
             4, HOUR, 0.0, target_probability=0.9
         )
         assert result.found
-        assert counters(registry)["negotiation.dialogue.advisories"] == 1
+        assert counters(negotiator)["negotiation.dialogue.advisories"] == 1
 
     def test_fastpath_cache_counters_live(self):
         # Mirror the system wiring: one shared evaluator answers both the
@@ -133,20 +129,18 @@ class TestCounterSplit:
         }
         tallies = {}
         for name, predictor in predictors.items():
-            registry = MetricsRegistry()
-            evaluator = AnalyticalEvaluator(predictor, 8, registry=registry)
+            evaluator = AnalyticalEvaluator(predictor, 8)
             negotiator = Negotiator(
-                ReservationLedger(8, registry=registry),
+                ReservationLedger(8),
                 FlatTopology(8),
                 predictor,
                 fault_aware_scorer(evaluator),
-                registry=registry,
                 evaluator=evaluator,
             )
             negotiator.negotiate(
                 1, size=6, duration=6 * HOUR, now=0.0, user=RiskThresholdUser(0.9)
             )
-            tallies[name] = counters(registry)
+            tallies[name] = counters(negotiator)
         assert tallies["trace"]["negotiation.fastpath.evaluations"] >= 1
         assert tallies["trace"].get("negotiation.fastpath.term_cache_misses", 0) == 0
         assert tallies["online"]["negotiation.fastpath.evaluations"] >= 1
@@ -167,8 +161,7 @@ class TestPruningSafety:
         )
         results = {}
         for mode in ("probe", "analytical"):
-            registry = MetricsRegistry()
-            negotiator, _ = build(mode, trace=trace, registry=registry)
+            negotiator, _ = build(mode, trace=trace)
             user = SlackBoundedUser(
                 risk_threshold=1.0, max_slack=0.0, first_offer_start=0.0
             )
@@ -180,7 +173,7 @@ class TestPruningSafety:
                 outcome.nodes,
                 outcome.guarantee,
                 outcome.offers_made,
-                counters(registry).get("negotiation.dialogue.pruned", 0),
+                counters(negotiator)["negotiation.dialogue.pruned"],
             )
         assert results["probe"] == results["analytical"]
         assert results["analytical"][4] == 0  # no pruning for slack users

@@ -17,7 +17,6 @@ from repro.cluster.topology import FlatTopology
 from repro.core.negotiation import Negotiator
 from repro.core.users import RiskThresholdUser
 from repro.failures.events import FailureEvent, FailureTrace
-from repro.obs.registry import MetricsRegistry
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.placement import fault_aware_scorer
 from tests.fastpath.probe_oracle import PRICING
@@ -37,7 +36,7 @@ def flooded_trace(nodes=4, count=2000):
     )
 
 
-def forced_negotiator(mode, registry=None, max_offers=CAP):
+def forced_negotiator(mode, max_offers=CAP):
     ledger = ReservationLedger(4)
     predictor = TracePredictor(flooded_trace(), accuracy=1.0, seed=1)
     negotiator = Negotiator(
@@ -46,7 +45,6 @@ def forced_negotiator(mode, registry=None, max_offers=CAP):
         predictor,
         fault_aware_scorer(predictor),
         max_offers=max_offers,
-        registry=registry,
         evaluator=PRICING[mode](predictor, 4),
     )
     return negotiator
@@ -55,14 +53,13 @@ def forced_negotiator(mode, registry=None, max_offers=CAP):
 @pytest.mark.parametrize("mode", ["probe", "analytical"])
 class TestForcedDialogue:
     def test_cap_forces_and_counts(self, mode):
-        registry = MetricsRegistry()
-        negotiator = forced_negotiator(mode, registry=registry)
+        negotiator = forced_negotiator(mode)
         outcome = negotiator.negotiate(
             1, size=4, duration=50 * HOUR, now=0.0, user=RiskThresholdUser(1.0)
         )
         assert outcome.forced
         assert outcome.offers_made == CAP
-        counters = registry.snapshot()["counters"]
+        counters = negotiator.counters()
         assert counters["negotiation.dialogue.forced"] == 1
         assert counters["negotiation.dialogue.dialogues"] == 1
 

@@ -26,7 +26,6 @@ from pathlib import Path
 import repro.core.system
 from repro.experiments.config import ExperimentSetup
 from repro.experiments.runner import ExperimentContext
-from repro.obs.registry import MetricsRegistry
 from tests.fastpath.probe_oracle import PRICING
 
 _BENCH = Path(__file__).resolve().parents[2] / "benchmarks" / "perf" / "ledger_bench.py"
@@ -37,16 +36,15 @@ _spec.loader.exec_module(ledger_bench)
 SEED = 20050628
 
 
-def run_fastpath_dialogues(mode, monkeypatch, registry=None):
-    """The bench's picky dialogues at smoke size, priced by ``mode``."""
-    monkeypatch.setattr(ledger_bench, "AnalyticalEvaluator", PRICING[mode])
-    return ledger_bench.run_fastpath_dialogues(32, 12, SEED, registry=registry)
-
-
 def counted_run(mode, monkeypatch):
-    registry = MetricsRegistry()
-    bookings = run_fastpath_dialogues(mode, monkeypatch, registry=registry)
-    return bookings, registry.snapshot()["counters"]
+    """The bench's picky dialogues at smoke size, priced by ``mode``:
+    ``(bookings, counters)``."""
+    monkeypatch.setattr(ledger_bench, "AnalyticalEvaluator", PRICING[mode])
+    return ledger_bench.run_fastpath_dialogues(32, 12, SEED)
+
+
+def run_fastpath_dialogues(mode, monkeypatch):
+    return counted_run(mode, monkeypatch)[0]
 
 
 class TestDialogueGates:
@@ -89,12 +87,9 @@ class TestFiguresGridGate:
             monkeypatch.setattr(
                 repro.core.system, "AnalyticalEvaluator", PRICING[mode]
             )
-            registry = MetricsRegistry()
-            context = ExperimentContext.prepare(setup, registry=registry)
+            context = ExperimentContext.prepare(setup)
             metrics[mode] = context.run_points(points)
-            queries[mode] = registry.snapshot()["counters"].get(
-                "prediction.trace.queries", 0
-            )
+            queries[mode] = context.obs["counters"]["prediction.trace.queries"]
         assert metrics["probe"] == metrics["analytical"]
         reduction = queries["probe"] / max(queries["analytical"], 1)
         assert reduction >= 10.0, f"figures-grid predictor queries: {queries}"

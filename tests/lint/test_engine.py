@@ -36,7 +36,7 @@ class TestLayerConfig:
         assert config.is_sim_layer("repro.sim.engine")
         assert config.is_sim_layer("repro.cluster")
         assert not config.is_sim_layer("repro.experiments.report")
-        assert not config.is_sim_layer("repro.obs.registry")
+        assert not config.is_sim_layer("repro.obs.sampler")
 
     def test_prefix_matching_is_per_component(self):
         # repro.simulator must not match the repro.sim package prefix.

@@ -119,6 +119,23 @@ class TestAgainstCommittedLedger:
         result = compare_ledgers(baseline, perturbed, counts_only=True)
         assert result["verdict"] == "regressed"
 
+    def test_lost_counter_regresses_counts_only(self, baseline):
+        """A baseline ``obs.`` counter missing from the new ledger is a
+        regression under --counts-only, not a silent skip."""
+        lost = copy.deepcopy(baseline)
+        name = next(n for n, s in lost["scenarios"].items() if s.get("obs"))
+        key = sorted(lost["scenarios"][name]["obs"])[0]
+        del lost["scenarios"][name]["obs"][key]
+        result = compare_ledgers(baseline, lost, counts_only=True)
+        assert result["verdict"] == "regressed"
+        assert [(e["scenario"], e["metric"], e["new"]) for e in result["regressions"]] == [
+            (name, f"obs.{key}", None)
+        ]
+        assert f"obs.{key}: " in render_compare(result)
+        assert "missing" in render_compare(result)
+        # A counter only the new ledger reports is still informational.
+        assert compare_ledgers(lost, baseline, counts_only=True)["verdict"] == "ok"
+
 
 class TestComparisonSemantics:
     def _doc(self, median=0.2, count=1000.0, schema=5, **params) -> dict:

@@ -79,6 +79,16 @@ class TestRunWithObs:
         bogus.write_text(json.dumps({"schema": 999}))
         assert main(["obs", "summarize", str(bogus)]) == 2
 
+    def test_obs_interval_without_obs_is_an_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "run", "--workload", "nasa", "--job-count", "20",
+                "--seed", "5", "--obs-interval", "1800",
+            ]
+        )
+        assert code == 2
+        assert "--obs-interval needs --obs" in capsys.readouterr().err
+
 
 class TestFigureAndTableWithObs:
     def test_figure_obs_aggregates_sweep_counters(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Unit tests for obs report rendering: sparklines and the series section."""
+"""Unit tests for obs reports: assembly, sparklines and the series section."""
 
 from __future__ import annotations
 
@@ -6,8 +6,27 @@ from repro.obs.export import (
     OBS_SCHEMA_VERSION,
     SERIES_TOP_K,
     _sparkline,
+    build_report,
     summarize,
 )
+
+
+class TestBuildReport:
+    def test_layers_and_metric_names(self):
+        obs = {
+            "counters": {"sim.engine.scheduled": 3, "cluster.ledger.probes": 2},
+            "gauges": {"sim.engine.pending_total": 1.0},
+        }
+        report = build_report(obs, meta={"command": "run"})
+        assert report["schema"] == OBS_SCHEMA_VERSION
+        assert report["metric_names"] == [
+            "cluster.ledger.probes",
+            "sim.engine.pending_total",
+            "sim.engine.scheduled",
+        ]
+        assert report["layers"] == ["cluster", "sim"]
+        assert report["metrics"] == obs
+        assert report["series"] == {"interval": None, "rows": []}
 
 
 class TestSparkline:
@@ -39,7 +58,7 @@ def report_with_series(rows):
         "meta": {},
         "metric_names": [],
         "layers": [],
-        "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+        "metrics": {"counters": {}, "gauges": {}},
         "series": {"interval": 10.0, "rows": rows},
     }
 

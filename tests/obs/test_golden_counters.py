@@ -1,0 +1,246 @@
+"""Golden obs counters: every counter, gauge and sampler row of a set of
+small simulations must reproduce ``golden_counters.json`` exactly.
+
+The fixture was captured from the metrics-registry implementation these
+plain component counters replaced.  It also holds the registry's four
+histograms and the per-kind ``sim.engine.handler_seconds.*`` timers
+(sample counts only: timer values are wall clock), which were deleted
+because nothing read them; :data:`DELETED` names them and the test
+checks they are the only difference.
+
+The cases cover counters the CI counts gate never exercises: cancelled
+events, restart probes, kills, lost wall seconds, evacuations,
+pull-forward attempts and online-predictor alarms.
+
+Regenerate (only when a change is *meant* to move a counter) with
+``PYTHONPATH=src python tests/obs/test_golden_counters.py``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core.easy import EasyBackfillSystem
+from repro.core.system import ProbabilisticQoSSystem
+from repro.experiments.config import ExperimentSetup
+from repro.experiments.runner import ExperimentContext, estimate_horizon
+from repro.failures.generator import (
+    FailureModelSpec,
+    generate_failure_trace,
+    generate_raw_log,
+)
+from repro.prediction.online import OnlinePredictor, OnlinePredictorConfig
+from repro.workload.synthetic import log_by_name
+
+FIXTURE = Path(__file__).with_name("golden_counters.json")
+REPO = Path(__file__).resolve().parents[2]
+
+#: Sampler cadence, sim-seconds.
+INTERVAL = 1800.0
+
+_EVACUATE = {
+    "proactive_evacuation": True,
+    "evacuation_threshold": 0.2,
+    "checkpoint_policy": "periodic",
+}
+
+#: name -> workload, job count, failure rate (per day), a, U, options.
+CASES = {
+    "nasa_conservative": dict(workload="nasa", accuracy=0.7, user=0.5),
+    "sdsc_conservative": dict(workload="sdsc", accuracy=0.7, user=0.9),
+    "sdsc_opportunistic": dict(
+        workload="sdsc", accuracy=0.9, user=0.5,
+        overrides={"opportunistic_start": True},
+    ),
+    "nasa_evacuation": dict(
+        workload="nasa", accuracy=0.9, user=0.5, overrides=_EVACUATE
+    ),
+    "sdsc_evacuation": dict(
+        workload="sdsc", accuracy=0.9, user=0.9, overrides=_EVACUATE
+    ),
+    "nasa_easy": dict(
+        workload="nasa", accuracy=0.7, user=0.5, easy=True,
+        overrides={"checkpoint_policy": "periodic"},
+    ),
+    "sdsc_easy": dict(
+        workload="sdsc", accuracy=0.7, user=0.9, easy=True,
+        overrides={"checkpoint_policy": "periodic"},
+    ),
+    # An alarm threshold under the quiet-node hazard makes every
+    # declined offer's jump query raise alarms.
+    "sdsc_online": dict(workload="sdsc", accuracy=0.7, user=0.99, online=True),
+}
+JOBS = 40
+SEED = 5
+FAILURES_PER_DAY = 40.0
+
+#: ``figure 7 --job-count 40 --seed 5 --obs``: counters summed over the
+#: figure's distinct points.
+FIGURE = ("7", "--job-count", "40", "--seed", "5")
+
+#: Registry histograms and timers with no consumer, deleted.
+DELETED = (
+    "cluster.ledger.probe_depth",
+    "negotiation.dialogue.offers_per_job",
+    "negotiation.dialogue.accepted_rank",
+    "scheduling.fcfs.restart_delay_candidates",
+)
+DELETED_PREFIX = "sim.engine.handler_seconds."
+
+
+def golden_context(case) -> ExperimentContext:
+    """The case's workload and a failure trace dense enough to kill jobs."""
+    setup = ExperimentSetup(workload=case["workload"], job_count=JOBS, seed=SEED)
+    log = log_by_name(setup.workload, seed=SEED, job_count=JOBS)
+    log = log.scaled_sizes(setup.node_count)
+    failures = generate_failure_trace(
+        estimate_horizon(log, setup.node_count),
+        spec=FailureModelSpec(
+            nodes=setup.node_count, rate_per_day=FAILURES_PER_DAY
+        ),
+        seed=SEED,
+    )
+    return ExperimentContext.prepare(setup, log=log, failures=failures)
+
+
+def golden_system(case):
+    """The case's system, ready to run."""
+    ctx = golden_context(case)
+    predictor = None
+    config = ctx.config(
+        case["accuracy"], case["user"], **case.get("overrides", {})
+    )
+    if case.get("online"):
+        raw = generate_raw_log(
+            ctx.failures, ctx.failures.events[-1].time,
+            spec=FailureModelSpec(nodes=config.node_count), seed=SEED,
+        )
+        predictor = OnlinePredictor(
+            raw, health=None,
+            config=OnlinePredictorConfig(alarm_threshold=0.0005),
+        )
+    cls = EasyBackfillSystem if case.get("easy") else ProbabilisticQoSSystem
+    return cls(
+        config, ctx.log, ctx.failures, predictor=predictor,
+        sample_interval=INTERVAL,
+    )
+
+
+def table(rows):
+    """Sampler rows as ``(columns, [[time, value or None, ...], ...])``."""
+    columns = sorted({name for row in rows for name in row["metrics"]})
+    return columns, [
+        [row["time"]] + [row["metrics"].get(name) for name in columns]
+        for row in rows
+    ]
+
+
+def figure_obs(tmp_dir) -> dict:
+    """The obs report metrics of the golden figure run."""
+    path = os.path.join(str(tmp_dir), "figure_obs.json")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for var in ("REPRO_BENCH_JOBS", "REPRO_SEED", "REPRO_FULL"):
+        env.pop(var, None)
+    subprocess.run(
+        [sys.executable, "-m", "repro.cli", "figure", *FIGURE, "--obs", path],
+        check=True, stdout=subprocess.DEVNULL, env=env, cwd=str(REPO),
+    )
+    with open(path) as fh:
+        return json.load(fh)["metrics"]
+
+
+def _kept(name: str) -> bool:
+    base = name[: -len(".count")] if name.endswith(".count") else name
+    return base not in DELETED and not base.startswith(DELETED_PREFIX)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(FIXTURE) as fh:
+        return json.load(fh)
+
+
+def test_fixture_differs_only_by_deleted_metrics(golden):
+    """The only fixture metrics the code no longer produces are the
+    deleted histograms and timers, all of them sample counts."""
+    for case in list(golden["cases"].values()) + [golden["figure"]]:
+        assert {n for n in case["histogram_counts"] if _kept(n)} == set()
+        for name in list(case["counters"]) + list(case["gauges"]):
+            assert _kept(name)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_case_reproduces_golden(golden, name):
+    expected = golden["cases"][name]
+    system = golden_system(CASES[name])
+    result = system.run()
+    assert set(result.obs) == {"counters", "gauges"}
+    assert result.obs["counters"] == expected["counters"]
+    assert result.obs["gauges"] == expected["gauges"]
+    columns, samples = table(system.sampler.rows)
+    keep = [i for i, c in enumerate(expected["sample_columns"]) if _kept(c)]
+    assert columns == [expected["sample_columns"][i] for i in keep]
+    assert samples == [
+        [row[0]] + [row[1 + i] for i in keep] for row in expected["samples"]
+    ]
+
+
+def test_metric_names_follow_the_scheme():
+    """``<layer>.<component>.<name>``: lowercase, dot-separated, at least
+    three components; counters never go negative."""
+    scheme = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+){2,}$")
+    obs = golden_system(CASES["sdsc_conservative"]).run().obs
+    for name in list(obs["counters"]) + list(obs["gauges"]):
+        assert scheme.match(name), name
+    assert min(obs["counters"].values()) >= 0
+
+
+def test_figure_aggregate_reproduces_golden(golden, tmp_path):
+    expected = golden["figure"]
+    metrics = figure_obs(tmp_path)
+    assert set(metrics) == {"counters", "gauges"}
+    assert metrics["counters"] == expected["counters"]
+    assert metrics["gauges"] == expected["gauges"]
+
+
+def _capture() -> dict:
+    """The fixture document."""
+    import tempfile
+
+    doc = {"interval": INTERVAL, "cases": {}}
+    for name, case in sorted(CASES.items()):
+        system = golden_system(case)
+        result = system.run()
+        columns, samples = table(system.sampler.rows)
+        doc["cases"][name] = {
+            "counters": result.obs["counters"],
+            "gauges": result.obs["gauges"],
+            "histogram_counts": {
+                n: h["count"] for n, h in result.obs.get("histograms", {}).items()
+            },
+            "sample_columns": columns,
+            "samples": samples,
+        }
+    with tempfile.TemporaryDirectory() as tmp:
+        metrics = figure_obs(tmp)
+    doc["figure"] = {
+        "counters": metrics["counters"],
+        "gauges": metrics["gauges"],
+        "histogram_counts": {
+            n: h["count"] for n, h in metrics.get("histograms", {}).items()
+        },
+    }
+    return doc
+
+
+if __name__ == "__main__":
+    with open(FIXTURE, "w") as fh:
+        json.dump(_capture(), fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")

@@ -9,45 +9,54 @@ import pytest
 
 from repro.core.system import ProbabilisticQoSSystem, SystemConfig
 from repro.failures.events import FailureEvent, FailureTrace
-from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import Sampler
 from repro.workload.job import Job, JobLog
+
+
+class _Counts:
+    """A stand-in component: one counter, read as the sampler's row."""
+
+    def __init__(self):
+        self.value = 0
+
+    def read(self):
+        return {"a.b.c": self.value}
 
 
 class TestSamplerUnit:
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
-            Sampler(MetricsRegistry(), 0)
+            Sampler(dict, 0)
 
     def test_rows_record_scalar_snapshots_in_time_order(self):
-        reg = MetricsRegistry()
-        sampler = Sampler(reg, 10.0)
-        reg.inc("a.b.c")
+        counts = _Counts()
+        sampler = Sampler(counts.read, 10.0)
+        counts.value += 1
         sampler.sample(0.0)
-        reg.inc("a.b.c")
+        counts.value += 1
         sampler.sample(10.0)
         assert [row["time"] for row in sampler.rows] == [0.0, 10.0]
         assert sampler.series("a.b.c") == [(0.0, 1), (10.0, 2)]
 
     def test_same_time_row_replaces_previous(self):
-        reg = MetricsRegistry()
-        sampler = Sampler(reg, 10.0)
+        counts = _Counts()
+        sampler = Sampler(counts.read, 10.0)
         sampler.sample(5.0)
-        reg.inc("a.b.c")
+        counts.value += 1
         sampler.sample(5.0)
         assert len(sampler) == 1
         assert sampler.rows[0]["metrics"] == {"a.b.c": 1}
 
     def test_backwards_time_raises(self):
-        sampler = Sampler(MetricsRegistry(), 10.0)
+        sampler = Sampler(dict, 10.0)
         sampler.sample(5.0)
         with pytest.raises(ValueError):
             sampler.sample(4.0)
 
     def test_jsonl_round_trip(self):
-        reg = MetricsRegistry()
-        sampler = Sampler(reg, 1.0)
-        reg.inc("a.b.c")
+        counts = _Counts()
+        sampler = Sampler(counts.read, 1.0)
+        counts.value += 1
         sampler.sample(0.0)
         sampler.sample(1.0)
         buffer = io.StringIO()
@@ -56,7 +65,7 @@ class TestSamplerUnit:
         assert rows == sampler.rows
 
 
-def _scripted_system(registry, sample_interval):
+def _scripted_system(sample_interval):
     """Two jobs, one failure, deterministic timings."""
     log = JobLog(
         [
@@ -75,14 +84,13 @@ def _scripted_system(registry, sample_interval):
         checkpoint_overhead=60.0,
     )
     return ProbabilisticQoSSystem(
-        config, log, failures, registry=registry, sample_interval=sample_interval
+        config, log, failures, sample_interval=sample_interval
     )
 
 
 class TestSamplerInSimulation:
     def test_cadence_matches_sim_time(self):
-        registry = MetricsRegistry()
-        system = _scripted_system(registry, sample_interval=1000.0)
+        system = _scripted_system(sample_interval=1000.0)
         system.run()
         times = [row["time"] for row in system.sampler.rows]
         # Origin sample, then every 1000 sim-seconds, then the end-of-run
@@ -94,8 +102,7 @@ class TestSamplerInSimulation:
         assert times[-1] >= span - 1000.0
 
     def test_counters_are_monotonic_across_rows(self):
-        registry = MetricsRegistry()
-        system = _scripted_system(registry, sample_interval=500.0)
+        system = _scripted_system(sample_interval=500.0)
         system.run()
         series = system.sampler.series("sim.engine.scheduled")
         values = [value for _, value in series]
@@ -103,27 +110,18 @@ class TestSamplerInSimulation:
         assert values[-1] > 0
 
     def test_loop_drains_despite_recurring_samples(self):
-        registry = MetricsRegistry()
-        system = _scripted_system(registry, sample_interval=250.0)
+        system = _scripted_system(sample_interval=250.0)
         result = system.run()  # would hang forever if samples rescheduled
         assert result.metrics.completed_jobs == 2
 
     def test_no_sampler_without_interval(self):
-        registry = MetricsRegistry()
-        system = _scripted_system(registry, sample_interval=None)
+        system = _scripted_system(sample_interval=None)
         result = system.run()
         assert system.sampler is None
-        assert result.obs is not None  # snapshot still attached
-
-    def test_null_registry_attaches_no_sampler(self):
-        system = _scripted_system(None, sample_interval=1000.0)
-        result = system.run()
-        assert system.sampler is None
-        assert result.obs is None
+        assert set(result.obs) == {"counters", "gauges"}  # always attached
 
     def test_final_snapshot_matches_headline_metrics(self):
-        registry = MetricsRegistry()
-        system = _scripted_system(registry, sample_interval=1000.0)
+        system = _scripted_system(sample_interval=1000.0)
         result = system.run()
         counters = result.obs["counters"]
         assert counters["core.system.jobs_completed"] == (
@@ -135,5 +133,5 @@ class TestSamplerInSimulation:
         )
         # At least the acceptance-floor spread of layers shows up even in
         # this tiny scenario.
-        layers = {name.split(".", 1)[0] for name in registry.metric_names()}
+        layers = {name.split(".", 1)[0] for name in counters}
         assert {"sim", "cluster", "scheduling", "negotiation", "core"} <= layers

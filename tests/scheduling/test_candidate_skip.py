@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.reservations import CapacityProfile, ReservationLedger
 from repro.cluster.topology import FlatTopology
 from repro.failures.events import FailureEvent, FailureTrace
-from repro.obs.registry import MetricsRegistry
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.fcfs import ConservativeBackfillScheduler
 from repro.scheduling.placement import fault_aware_scorer
@@ -68,16 +67,15 @@ def build(spec, failure_spec):
         [FailureEvent(event_id=i + 1, time=t, node=n) for i, (t, n) in enumerate(failure_spec)]
     )
     predictor = TracePredictor(trace, accuracy=1.0, seed=1)
-    registry = MetricsRegistry()
     scheduler = ConservativeBackfillScheduler(
         ledger, FlatTopology(NODES), predictor, fault_aware_scorer(predictor),
-        max_offers=30, registry=registry,
+        max_offers=30,
     )
-    return ledger, scheduler, registry
+    return ledger, scheduler
 
 
 def walk(spec, failure_spec, size, duration, earliest, threshold):
-    ledger, scheduler, registry = build(spec, failure_spec)
+    ledger, scheduler = build(spec, failure_spec)
     offers = [
         (o.start, tuple(o.nodes), o.deadline, o.probability)
         for o in scheduler.negotiator.iter_offers(
@@ -85,7 +83,7 @@ def walk(spec, failure_spec, size, duration, earliest, threshold):
         )
     ]
     booking = scheduler.schedule_restart(999, size, duration, earliest)
-    counters = registry.snapshot()["counters"]
+    counters = {**scheduler.counters(), **scheduler.negotiator.counters()}
     return (
         offers,
         (booking.start, tuple(booking.nodes), booking.end),

@@ -296,24 +296,17 @@ class TestQueueIntrospectionFastPaths:
 
 
 class TestDispatchCounts:
-    def test_counting_is_off_by_default(self):
+    def test_counts_tally_per_kind(self):
         loop, _ = make_loop_with_log()
-        loop.schedule(1.0, EventKind.WAKEUP)
-        loop.run()
-        assert loop.dispatch_counts() == {}
-
-    def test_counts_tally_per_kind_when_enabled(self):
-        loop, _ = make_loop_with_log()
-        loop.enable_dispatch_counts()
         loop.schedule(1.0, EventKind.WAKEUP)
         loop.schedule(2.0, EventKind.WAKEUP)
         loop.schedule(3.0, EventKind.RECOVERY, node=1)
+        assert loop.dispatch_counts() == {}
         loop.run()
         assert loop.dispatch_counts() == {"wakeup": 2, "recovery": 1}
 
     def test_cancelled_events_are_not_counted(self):
         loop, _ = make_loop_with_log()
-        loop.enable_dispatch_counts()
         doomed = loop.schedule(1.0, EventKind.WAKEUP)
         loop.schedule(2.0, EventKind.WAKEUP)
         doomed.cancel()
@@ -322,9 +315,63 @@ class TestDispatchCounts:
 
     def test_counts_returns_a_copy(self):
         loop, _ = make_loop_with_log()
-        loop.enable_dispatch_counts()
         loop.schedule(1.0, EventKind.WAKEUP)
         loop.run()
         counts = loop.dispatch_counts()
         counts["wakeup"] = 99
         assert loop.dispatch_counts() == {"wakeup": 1}
+
+    def test_handler_sees_its_own_dispatch_counted(self):
+        loop = EventLoop()
+        seen = []
+        loop.register(
+            EventKind.WAKEUP, lambda ev: seen.append(loop.dispatch_counts())
+        )
+        loop.schedule(1.0, EventKind.WAKEUP)
+        loop.run()
+        assert seen == [{"wakeup": 1}]
+
+
+class TestObsCounters:
+    def test_zero_counts_are_left_out(self):
+        assert EventLoop().counters() == {}
+
+    def test_scheduled_dispatched_and_cancelled(self):
+        loop, _ = make_loop_with_log()
+        doomed = loop.schedule(1.0, EventKind.WAKEUP)
+        loop.schedule(2.0, EventKind.RECOVERY, node=1)
+        loop.schedule(3.0, EventKind.WAKEUP)
+        doomed.cancel()
+        doomed.cancel()  # a second cancel counts nothing
+        loop.run()
+        assert loop.counters() == {
+            "sim.engine.scheduled": 3,
+            "sim.engine.dispatched.recovery": 1,
+            "sim.engine.dispatched.wakeup": 1,
+            "sim.engine.cancelled": 1,
+        }
+
+    def test_cancel_after_dispatch_is_not_counted(self):
+        loop, _ = make_loop_with_log()
+        event = loop.schedule(1.0, EventKind.WAKEUP)
+        loop.step()
+        event.cancel()
+        assert "sim.engine.cancelled" not in loop.counters()
+
+    def test_pending_gauges_cover_every_kind_ever_scheduled(self):
+        loop, _ = make_loop_with_log()
+        loop.schedule(1.0, EventKind.RECOVERY, node=1)
+        loop.schedule(5.0, EventKind.WAKEUP)
+        gone = loop.schedule(6.0, EventKind.FAILURE, node=2)
+        gone.cancel()
+        loop.step()
+        assert loop.peek_time() == 5.0
+        assert loop.gauges() == {
+            "sim.engine.pending.recovery": 0.0,
+            "sim.engine.pending.failure": 0.0,
+            "sim.engine.pending.wakeup": 1.0,
+            "sim.engine.pending_total": 1.0,
+        }
+        loop.run()  # the cancelled failure is purged off the heap
+        assert loop.gauges()["sim.engine.pending.failure"] == 0.0
+        assert loop.gauges()["sim.engine.pending_total"] == 0.0
