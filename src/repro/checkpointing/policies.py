@@ -19,6 +19,14 @@ job to meet a deadline that it would otherwise miss."
 The policy object sees one :class:`CheckpointDecisionContext` per request
 and returns perform/skip; all timing bookkeeping lives in
 :mod:`repro.checkpointing.runtime`.
+
+A policy opts in to *clear-window* skips by naming, through
+:meth:`CheckpointPolicy.clear_window_decision`, the skip it returns at
+every request whose window predicts no failure (``p_f = 0``); Equation 1
+skips all of them when ``C > 0``.  With an exact predictor the simulator
+then accounts those requests without calling the policy, and hands it
+only the requests whose window reaches a predicted failure.  Cooperative
+(for ``C > 0``) and risk-free opt in; periodic and never do not.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import abc
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.checkpointing.runtime import decision_window
 from repro.prediction.base import Predictor
 
 
@@ -65,8 +74,8 @@ class CheckpointDecisionContext:
 
     def failure_probability(self) -> float:
         """``p_f`` over the window ending when the *next* checkpoint would
-        complete: perform now (C) + run one interval (I) + perform (C)."""
-        horizon = self.overhead + min(self.interval, self.remaining_work) + self.overhead
+        complete (:func:`~repro.checkpointing.runtime.decision_window`)."""
+        horizon = decision_window(self.interval, self.overhead, self.remaining_work)
         return self.predictor.failure_probability(
             self.nodes, self.now, self.now + horizon
         )
@@ -122,6 +131,20 @@ class CheckpointPolicy(abc.ABC):
         """True to perform the requested checkpoint, False to skip it."""
         return self.decide(ctx).perform
 
+    def clear_window_decision(
+        self, d: int, interval: float, overhead: float
+    ) -> Optional[CheckpointDecision]:
+        """The skip :meth:`decide` returns at every request whose window
+        predicts no failure (``p_f = 0``), for a request with ``d``
+        intervals at risk; None (the default) to keep one decision per
+        request.
+
+        Whether it returns None may depend on ``interval`` and
+        ``overhead`` but not on ``d``: the simulator asks once whether
+        the policy opts in.
+        """
+        return None
+
 
 class PeriodicPolicy(CheckpointPolicy):
     """Always perform: classical periodic checkpointing (no cooperation)."""
@@ -153,6 +176,20 @@ class CooperativePolicy(CheckpointPolicy):
 
     def __init__(self, deadline_aware: bool = True) -> None:
         self.deadline_aware = deadline_aware
+
+    def clear_window_decision(
+        self, d: int, interval: float, overhead: float
+    ) -> Optional[CheckpointDecision]:
+        # Equation 1 at p_f = 0 reads 0 < C: a skip, before the deadline
+        # rule is consulted, unless C = 0 (0 < 0 fails, so it performs).
+        if overhead <= 0.0:
+            return None
+        return CheckpointDecision(
+            perform=False,
+            reason="risk-below-overhead",
+            failure_probability=0.0,
+            at_risk=d * interval,
+        )
 
     def decide(self, ctx: CheckpointDecisionContext) -> CheckpointDecision:
         p_f = ctx.failure_probability()
@@ -200,6 +237,13 @@ class RiskFreePolicy(CheckpointPolicy):
             )
         return CheckpointDecision(
             perform=False, reason="no-failure-predicted", failure_probability=p_f
+        )
+
+    def clear_window_decision(
+        self, d: int, interval: float, overhead: float
+    ) -> Optional[CheckpointDecision]:
+        return CheckpointDecision(
+            perform=False, reason="no-failure-predicted", failure_probability=0.0
         )
 
 

@@ -8,6 +8,8 @@ the questions the simulator asks:
 
 * when is the next event (checkpoint request or finish) and what progress
   will the job have reached by then;
+* which of the coming requests see a clear decision window, so the
+  simulator can skip them without an event each (:meth:`JobRun.plan_skips`);
 * how much *unsaved* wall-clock time is destroyed if the partition fails
   now (the lost-work integrand ``t_x - c_{j_x}``);
 * what execution remains after a kill (restart from last completed
@@ -65,6 +67,11 @@ class JobRun:
     #: Checkpoints performed / skipped in this run (statistics).
     checkpoints_performed: int = field(init=False, default=0)
     checkpoints_skipped: int = field(init=False, default=0)
+    #: Coming requests already known to be skipped, not yet accounted: the
+    #: first ``planned_skips`` requests from the current segment on (see
+    #: :meth:`plan_skips`).  Each one's time is ``segment_start`` plus
+    #: :meth:`next_event_delay` once the ones before it are accounted.
+    planned_skips: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.saved_progress < self.total_work:
@@ -99,15 +106,6 @@ class JobRun:
         """Execution seconds left from current progress to completion."""
         return self.total_work - self.progress
 
-    def next_request_progress(self) -> float:
-        """Progress at which the next checkpoint request fires.
-
-        Requests fire at multiples of ``I`` execution seconds; a request at
-        or beyond completion is never issued.
-        """
-        k = math.floor(self.progress / self.interval + 1e-9) + 1
-        return k * self.interval
-
     def next_event_delay(self) -> tuple:
         """``(kind, delay)`` of the next run event from ``segment_start``.
 
@@ -116,11 +114,48 @@ class JobRun:
         """
         if self.in_checkpoint:
             raise RuntimeError(f"job {self.job_id}: next event during checkpoint")
-        to_request = self.next_request_progress() - self.progress
-        to_finish = self.remaining_work
+        return self._delay_from(self.progress)
+
+    def _delay_from(self, progress: float) -> tuple:
+        """:meth:`next_event_delay` for a segment starting at ``progress``.
+
+        Requests fire at multiples of ``I`` execution seconds; a request at
+        or beyond completion is never issued.
+        """
+        k = math.floor(progress / self.interval + 1e-9) + 1
+        to_request = k * self.interval - progress
+        to_finish = self.total_work - progress
         if to_finish <= to_request + 1e-9:
             return "finish", to_finish
         return "request", to_request
+
+    def plan_skips(self, at: float, clear_until: float) -> tuple:
+        """Count the coming requests whose decision window
+        (:func:`decision_window`) ends by ``clear_until``, the first time a
+        failure could be predicted on the partition: they see ``p_f = 0``.
+
+        Walks from the request at ``at`` with the float steps of
+        :meth:`reach_request` and :meth:`next_event_delay`, without
+        advancing the run, and stores the count in :attr:`planned_skips`.
+        Returns ``(kind, time)`` of the run event still to schedule: the
+        first request whose window reaches ``clear_until``, or the finish.
+        """
+        progress, segment_start = self.progress, self.segment_start
+        planned = 0
+        kind = "request"
+        while kind == "request":
+            progress = min(self.total_work, progress + max(0.0, at - segment_start))
+            window = decision_window(
+                self.interval, self.overhead, self.total_work - progress
+            )
+            if clear_until < at + window:
+                break
+            planned += 1
+            segment_start = at
+            kind, delay = self._delay_from(progress)
+            at = segment_start + delay
+        self.planned_skips = planned
+        return kind, at
 
     # ------------------------------------------------------------------
     # Transitions
@@ -201,6 +236,12 @@ class JobRun:
             self.progress = min(self.total_work, self.progress + executed)
         lost_wall = max(0.0, now - self.rollback_point())
         return lost_wall, self.saved_progress
+
+
+def decision_window(interval: float, overhead: float, remaining_work: float) -> float:
+    """Length of the window a checkpoint request's ``p_f`` covers: perform
+    now (C) + run one interval, or what remains (I) + perform (C)."""
+    return overhead + min(interval, remaining_work) + overhead
 
 
 def padded_remaining(

@@ -51,6 +51,9 @@ class EasyBackfillSystem(ProbabilisticQoSSystem):
         if config.proactive_evacuation:
             raise ValueError("EASY keeps no bookings to evacuate to")
         super().__init__(config, workload, failures, **kwargs)
+        # The shadow time reads running jobs' progress between their own
+        # events, which only per-request events keep current.
+        self._plans_skips = False
         #: Waiting job ids in FCFS order of original arrival.
         self._queue: List[int] = []
         # Walltime estimates include checkpoint overhead unless none is written.

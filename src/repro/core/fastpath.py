@@ -42,11 +42,15 @@ The evaluator is itself a :class:`~repro.prediction.base.Predictor`, so
 it can stand in wherever one is consumed — the placement scorer, the
 checkpoint-decision context, and the evacuation check all route through
 it, which is what empties the
-``prediction.trace.queries`` counter on the figures grid.
+``prediction.trace.queries`` counter on the figures grid.  On the exact
+path it also names a partition's next detectable failure
+(:meth:`AnalyticalEvaluator.first_failure_time`), which lets the
+simulator skip clear checkpoint requests without an event each.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.prediction.base import (
@@ -191,6 +195,16 @@ class AnalyticalEvaluator(Predictor):
         if self._index is not None:
             return self._index.first_predicted(nodes, start, end)
         return self._predictor.first_predicted_failure(nodes, start, end)
+
+    def first_failure_time(
+        self, nodes: Iterable[int], start: float
+    ) -> Optional[float]:
+        """Answered from the index only on the exact path; the memoised
+        reconstruction cannot name a time, so it answers None."""
+        if self._index is None:
+            return None
+        first = self._index.first_detectable(nodes, start, math.inf)
+        return first[0] if first is not None else math.inf
 
     # ------------------------------------------------------------------
     # Pruning bound

@@ -6,8 +6,12 @@ into the event loop and replays a job log against a failure trace:
 * arrivals trigger the **negotiation** dialogue (Section 3.5) and book a
   conservative-backfill reservation (Section 3.3);
 * starts occupy real nodes, tolerating 120 s repair delays;
-* running jobs issue **cooperative checkpointing** requests every ``I``
+* running jobs reach **cooperative checkpointing** requests every ``I``
   seconds of execution, decided by the configured policy (Section 3.4);
+  requests whose window sees no predicted failure are skipped by
+  Equation 1, so with an exact predictor they are accounted without an
+  event each, and only a request whose window reaches the partition's
+  next predicted failure (or the finish) is scheduled;
 * node **failures** kill the occupying job, charge the lost-work metric,
   and requeue the victim from its last completed checkpoint; **recoveries**
   bring nodes back after the fixed downtime;
@@ -19,6 +23,7 @@ seed, configuration).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -237,6 +242,14 @@ class ProbabilisticQoSSystem:
             evaluator=self.evaluator,
         )
         self.policy: CheckpointPolicy = policy_by_name(config.checkpoint_policy)
+        # Whether requests with a clear window may skip without an event
+        # (see _schedule_run_event); the policy must commit to skipping them.
+        self._plans_skips = (
+            self.policy.clear_window_decision(
+                1, config.checkpoint_interval, config.checkpoint_overhead
+            )
+            is not None
+        )
         self.metrics = MetricsCollector()
         self.recorder: Optional[TraceRecorder] = recorder
         self._span_builder: Optional[SpanBuilder] = (
@@ -427,15 +440,59 @@ class ProbabilisticQoSSystem:
     def _schedule_run_event(self, state: _JobState) -> None:
         run = state.run
         assert run is not None
+        job_id = state.job.job_id
         kind, delay = run.next_event_delay()
-        event_kind = (
-            EventKind.FINISH if kind == "finish" else EventKind.CHECKPOINT_REQUEST
-        )
         # Delays are execution time from the current segment start, which
         # sits past ``now`` while a restart is still restoring (R > 0).
         fire_at = max(self.loop.now, run.segment_start) + delay
-        state.run_event = self.loop.schedule(
-            fire_at, event_kind, job_id=state.job.job_id
+        if kind == "request" and self._plans_skips:
+            # Requests whose window ends before the partition's next
+            # predicted failure see p_f = 0 and are skipped: plan them and
+            # schedule only the first request that can see the failure.
+            clear_until = self.evaluator.first_failure_time(
+                self.cluster.nodes_of(job_id), fire_at
+            )
+            if clear_until is not None:
+                kind, fire_at = run.plan_skips(fire_at, clear_until)
+        event_kind = (
+            EventKind.FINISH if kind == "finish" else EventKind.CHECKPOINT_REQUEST
+        )
+        state.run_event = self.loop.schedule(fire_at, event_kind, job_id=job_id)
+
+    def _settle_skips(self, job_id: int, run: JobRun, until: float) -> None:
+        """Account the run's planned skips that fall before ``until``, at
+        their own times and in order, as the request handler would have."""
+        while run.planned_skips:
+            # segment_start is never before the planning time, so this is
+            # the time _schedule_run_event computed for the request.
+            at = run.segment_start + run.next_event_delay()[1]
+            if at >= until:
+                return
+            run.planned_skips -= 1
+            run.reach_request(at)
+            run.skip_checkpoint(at)
+            self.metrics.record_checkpoint(job_id, performed=False)
+            if self.recorder is not None:
+                # d counts this request, which the skip just added.
+                decision = self.policy.clear_window_decision(
+                    run.skipped_since_checkpoint,
+                    self.config.checkpoint_interval,
+                    self.config.checkpoint_overhead,
+                )
+                assert decision is not None
+                self._record_skip(at, job_id, decision)
+
+    def _record_skip(
+        self, now: float, job_id: int, decision: CheckpointDecision
+    ) -> None:
+        assert self.recorder is not None
+        self.recorder.record(
+            now,
+            "checkpoint_skipped",
+            job_id=job_id,
+            reason=decision.reason,
+            p_f=decision.failure_probability,
+            at_risk=decision.at_risk,
         )
 
     # ------------------------------------------------------------------
@@ -449,6 +506,7 @@ class ProbabilisticQoSSystem:
             return  # stale event for a killed run (should have been cancelled)
         state.run_event = None
         now = self.loop.now
+        self._settle_skips(job_id, run, math.inf)
         run.reach_request(now)
         ctx = CheckpointDecisionContext(
             now=now,
@@ -471,14 +529,7 @@ class ProbabilisticQoSSystem:
             run.skip_checkpoint(now)
             self.metrics.record_checkpoint(job_id, performed=False)
             if self.recorder is not None:
-                self.recorder.record(
-                    now,
-                    "checkpoint_skipped",
-                    job_id=job_id,
-                    reason=decision.reason,
-                    p_f=decision.failure_probability,
-                    at_risk=decision.at_risk,
-                )
+                self._record_skip(now, job_id, decision)
             self._schedule_run_event(state)
 
     def _on_checkpoint_start(self, event: Event) -> None:
@@ -529,6 +580,7 @@ class ProbabilisticQoSSystem:
         if run is None:
             return
         now = self.loop.now
+        self._settle_skips(job_id, run, math.inf)
         run.finish(now)
         state.run = None
         state.run_event = None
@@ -574,6 +626,9 @@ class ProbabilisticQoSSystem:
         state = self._states[job_id]
         run = state.run
         assert run is not None, f"victim {job_id} has no active run"
+        # Failures order before requests at the same instant (tie-break),
+        # so a request planned for ``now`` never happened.
+        self._settle_skips(job_id, run, now)
         lost_wall, durable = run.kill(now)
         self._lost_wall_s += lost_wall
         self.metrics.record_failure_hit(job_id, lost_wall * state.job.size)
@@ -752,7 +807,16 @@ class ProbabilisticQoSSystem:
     def counters(self) -> Dict[str, float]:
         """Every component's counters by metric name: totals since the
         system was built (the predictor's since it was built).  The
-        ``checkpointing.runtime.*`` totals appear once a job has run."""
+        ``checkpointing.runtime.*`` totals appear once a job has run.
+
+        Planned skips up to ``now`` are accounted first: samples order
+        last among simultaneous events, so those requests have happened.
+        """
+        until = math.nextafter(self.loop.now, math.inf)
+        for job_id in self.cluster.running_jobs():
+            run = self._states[job_id].run
+            if run is not None and run.planned_skips:
+                self._settle_skips(job_id, run, until)
         performed = skipped = evacuations = 0
         started = False
         for outcome in self.metrics.outcomes():

@@ -108,6 +108,19 @@ class Predictor(abc.ABC):
         predicted = self.predicted_failures(nodes, start, end)
         return predicted[0] if predicted else None
 
+    def first_failure_time(
+        self, nodes: Iterable[int], start: float
+    ) -> Optional[float]:
+        """Time of the set's first failure the predictor can see at or
+        after ``start`` (``inf`` if none), or None when unknown.
+
+        A window that ends by that time has ``failure_probability`` 0.
+        Checkpointing uses it to account requests that see no predicted
+        failure without an event each; None, the default, keeps one
+        event per request.
+        """
+        return None
+
     def node_failure_probability(self, node: int, start: float, end: float) -> float:
         """Single-node variant of :meth:`failure_probability`."""
         return self.failure_probability((node,), start, end)

@@ -160,6 +160,28 @@ class TestDecisionRationale:
         )
 
 
+class TestClearWindowDecision:
+    """The skip a policy commits to at every p_f = 0 request is exactly
+    what decide() returns there."""
+
+    @pytest.mark.parametrize("policy", [CooperativePolicy(), RiskFreePolicy()])
+    @pytest.mark.parametrize("skipped", [0, 3])
+    def test_matches_decide_at_zero_probability(self, policy, skipped):
+        context = ctx(p_f=0.0, skipped=skipped, remaining=1000.0, now=0.0, deadline=1.0)
+        decision = policy.clear_window_decision(context.d, 3600.0, 720.0)
+        assert decision == policy.decide(context)
+        assert not decision.perform
+
+    def test_cooperative_at_zero_overhead_does_not_opt_in(self):
+        # 0 < C fails at C = 0, so Equation 1 performs at p_f = 0.
+        assert CooperativePolicy().should_checkpoint(ctx(p_f=0.0, overhead=0.0))
+        assert CooperativePolicy().clear_window_decision(1, 3600.0, 0.0) is None
+
+    def test_periodic_and_never_do_not_opt_in(self):
+        for policy in (PeriodicPolicy(), NeverPolicy()):
+            assert policy.clear_window_decision(1, 3600.0, 720.0) is None
+
+
 class TestContextProbability:
     def test_window_covers_next_checkpoint_completion(self):
         recorded = {}

@@ -139,6 +139,65 @@ class TestKillAccounting:
         assert lost == pytest.approx(100.0)
 
 
+class TestPlanSkips:
+    def step(self, run):
+        """Walk the requests one by one, skipping each: the request times
+        and the finish time."""
+        times = []
+        while True:
+            kind, delay = run.next_event_delay()
+            now = run.segment_start + delay
+            if kind == "finish":
+                return times, now
+            run.reach_request(now)
+            run.skip_checkpoint(now)
+            times.append(now)
+
+    def test_clear_run_plans_every_request_and_the_finish(self):
+        run = make_run(total=5.5 * I)
+        kind, at = run.plan_skips(I, float("inf"))
+        assert (kind, run.planned_skips) == ("finish", 5)
+        # The plan does not advance the run.
+        assert (run.progress, run.segment_start) == (0.0, 0.0)
+        times, finish = self.step(make_run(total=5.5 * I))
+        assert at == finish and len(times) == 5
+
+    def test_plan_stops_at_the_first_window_reaching_the_failure(self):
+        # Windows span C + I + C = 5040 s: the request at 3I = 10800 s
+        # ends at 15840, past a failure at 15000; the one at 2I does not.
+        run = make_run(total=10 * I)
+        assert run.plan_skips(I, 15_000.0) == ("request", 3 * I)
+        assert run.planned_skips == 2
+
+    def test_half_open_window_ends_exactly_at_the_failure(self):
+        run = make_run(total=10 * I)
+        assert run.plan_skips(I, 3 * I + C + I + C) == ("request", 4 * I)
+        assert run.planned_skips == 3
+
+    def test_window_shrinks_with_the_remaining_work(self):
+        # At 4I of 4.5I the window is C + 0.5I + C.
+        run = make_run(total=4.5 * I)
+        assert run.plan_skips(I, 4 * I + 2 * C + 0.5 * I) == ("finish", 4.5 * I)
+        run = make_run(total=4.5 * I)
+        assert run.plan_skips(I, 4 * I + 2 * C + 0.5 * I - 1.0) == ("request", 4 * I)
+
+    @given(
+        total=st.floats(min_value=I + 1.0, max_value=50_000.0),
+        start=st.floats(min_value=0.0, max_value=1e6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_planned_times_are_the_stepped_times(self, total, start):
+        """The walk repeats the transitions' float steps exactly."""
+        run = make_run(total=total, start=start)
+        kind, delay = run.next_event_delay()
+        assert kind == "request"
+        kind, at = run.plan_skips(start + delay, float("inf"))
+        times, finish = self.step(make_run(total=total, start=start))
+        assert kind == "finish"
+        assert at == finish
+        assert run.planned_skips == len(times)
+
+
 class TestPaddedRemaining:
     def test_short_remainder_has_no_checkpoints(self):
         assert padded_remaining(1800.0, I, C) == 1800.0

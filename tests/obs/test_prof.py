@@ -14,7 +14,8 @@ import pytest
 from repro.core.system import simulate
 from repro.core.users import UserModel
 from repro.experiments.config import ExperimentSetup
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.runner import ExperimentContext, estimate_horizon
+from repro.failures.generator import FailureModelSpec, generate_failure_trace
 from repro.obs import prof as prof_module
 from repro.obs.prof import (
     DEFAULT_BUCKET_WIDTH,
@@ -32,6 +33,7 @@ from repro.obs.prof import (
     walk_zones,
     write_profile,
 )
+from repro.workload.synthetic import log_by_name
 
 
 @contextlib.contextmanager
@@ -359,9 +361,18 @@ class TestAttach:
     def test_every_table_point_is_entered_on_a_churning_run(self):
         """A small SDSC sweep point with failures enters every point but
         two: ``find_slot`` serves ledger-only callers, and the simulator
-        queries the trace predictor through the evaluator."""
+        queries the trace predictor through the evaluator.  The failure
+        rate is the golden counters' 40 a day, so some checkpoint
+        request's window sees a predicted failure and reaches
+        ``decide``."""
         setup = ExperimentSetup(workload="sdsc", job_count=200, seed=3)
-        ctx = ExperimentContext.prepare(setup)
+        log = log_by_name("sdsc", seed=3, job_count=200)
+        failures = generate_failure_trace(
+            estimate_horizon(log.scaled_sizes(setup.node_count), setup.node_count),
+            spec=FailureModelSpec(nodes=setup.node_count, rate_per_day=40.0),
+            seed=3,
+        )
+        ctx = ExperimentContext.prepare(setup, log=log, failures=failures)
         with Profiler().attach() as prof:
             ctx.run_point(0.5, 0.9)
         names = set(aggregate_self(prof.snapshot()))
