@@ -326,11 +326,12 @@ class NodeSet:
 
 
 def freeze_nodes(nodes: Iterable[int]) -> Sequence[int]:
-    """Normalise a node collection for storage on immutable records.
+    """Freeze a node collection for storage on immutable records.
 
-    ``NodeSet`` inputs pass through untouched (already immutable and
-    ascending); anything else becomes the legacy sorted-unique tuple.
-    Used where offers/reservations/guarantees capture their partition.
+    ``NodeSet`` and tuple inputs pass through untouched; anything else
+    becomes a tuple of its nodes in the order given, neither sorted nor
+    deduplicated, so callers pass ascending partitions.  Used where
+    offers/reservations/guarantees capture their partition.
     """
     if isinstance(nodes, NodeSet):
         return nodes

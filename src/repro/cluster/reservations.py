@@ -38,6 +38,13 @@ mutations as much as by queries.  Each booking is therefore stored once
   live *run* count, never the cluster width, and the answer is memoised
   on ``(start, end, mutation version)`` so the overlap check in
   ``reserve`` right after the placement query is one set difference;
+* the pass is skipped when the window's skyline maximum equals the
+  total booked width: every live booking is then active at one instant
+  of the window, and the free set is the nodes no booking holds.  The
+  ledger keeps those as a run list that ``reserve`` cuts and ``release``
+  merges back (dropping it when a node was held twice, rebuilding it on
+  the next query that needs it), so on a wide cluster whose bookings all
+  run now the query is a copy of the free runs;
 * the aggregate usage *skyline* (:class:`CapacityProfile`) is edited in
   place by every mutation — two boundary insertions and a range add — so
   :meth:`~ReservationLedger.profile` is free and a window maximum is two
@@ -202,6 +209,13 @@ class ReservationLedger:
         self._sorted: Optional[List[Reservation]] = None
         self._sweep_key: Optional[Tuple[float, float, int]] = None
         self._sweep_free = self._full
+        # Sum of the live bookings' widths, and the nodes no live booking
+        # holds at any time as (lo, hi) runs with their node count.  The
+        # run list is None while not kept (after a release that a node
+        # held twice made inexact); the next query that needs it rebuilds.
+        self._booked = 0
+        self._unheld: Optional[List[Tuple[int, int]]] = [(0, node_count)]
+        self._unheld_size = node_count
         # find_slot tallies; _version doubles as the mutation count.
         self._find_slot_calls = 0
         self._probes = 0
@@ -322,7 +336,11 @@ class ReservationLedger:
         for lo, hi in runs:
             bisect.insort(self._busy_runs, (lo, hi, start, end, job_id))
         bisect.insort(self._end_times, end)
-        self._profile.add(start, end, len(node_seq))
+        width = len(node_seq)
+        self._profile.add(start, end, width)
+        self._booked += width
+        if self._unheld is not None:
+            self._unheld_size -= self._hold(self._unheld, runs)
         self._invalidate()
         return reservation
 
@@ -331,11 +349,21 @@ class ReservationLedger:
         reservation = self._by_job.pop(job_id, None)
         if reservation is None:
             raise KeyError(f"job {job_id} has no reservation")
-        self._remove_runs(reservation)
+        runs = self._node_runs(reservation.nodes)
+        self._remove_runs(reservation, runs)
         self._remove_end_time(reservation.end)
-        self._profile.add(
-            reservation.start, reservation.end, -len(reservation.nodes)
-        )
+        width = len(reservation.nodes)
+        self._profile.add(reservation.start, reservation.end, -width)
+        if self._unheld is not None:
+            # _booked counts each held node once per booking holding it,
+            # and n - unheld_size counts it once: they agree exactly when
+            # no node is held twice, and only then is the release exact.
+            if self._booked + self._unheld_size == self._n:
+                self._unhold(self._unheld, runs)
+                self._unheld_size += width
+            else:
+                self._unheld = None
+        self._booked -= width
         self._invalidate()
         return reservation
 
@@ -374,8 +402,9 @@ class ReservationLedger:
     def _resize(self, reservation: Reservation, new_end: float) -> Reservation:
         """Shared tail of truncate/extend: move ``end`` to ``new_end``."""
         job_id, start, end = reservation.job_id, reservation.start, reservation.end
-        self._remove_runs(reservation)
-        for lo, hi in self._node_runs(reservation.nodes):
+        runs = self._node_runs(reservation.nodes)
+        self._remove_runs(reservation, runs)
+        for lo, hi in runs:
             bisect.insort(self._busy_runs, (lo, hi, start, new_end, job_id))
         self._remove_end_time(end)
         bisect.insort(self._end_times, new_end)
@@ -497,18 +526,28 @@ class ReservationLedger:
         The validation in :meth:`reserve` usually asks for the window the
         placement query just answered, and any mutation in between bumps
         the version; the early-outs are memoised too, so that check never
-        sweeps a window the placement query did not.
+        sweeps a window the placement query did not.  A window in which
+        every live booking is active at one instant is answered from the
+        unheld set without a sweep.
         """
         key = (start, end, self._version)
         if key != self._sweep_key:
-            if (
-                not self._end_times
-                or start >= self._end_times[-1]
-                or self._profile.max_usage(start, end) == 0
-            ):
+            if not self._end_times or start >= self._end_times[-1]:
                 free = self._full
             else:
-                free = self._free_sweep(start, end)
+                most = self._profile.max_usage(start, end)
+                if most == 0:
+                    free = self._full
+                elif most == self._booked:
+                    # Every live booking is active at one instant of the
+                    # window, so the free nodes are the unheld ones.
+                    if self._unheld is None:
+                        rebuilt = self._free_sweep(-math.inf, math.inf)
+                        self._unheld = list(rebuilt.runs)
+                        self._unheld_size = len(rebuilt)
+                    free = NodeSet.from_runs(self._unheld, self._unheld_size)
+                else:
+                    free = self._free_sweep(start, end)
             self._sweep_key, self._sweep_free = key, free
         return self._sweep_free
 
@@ -530,6 +569,62 @@ class ReservationLedger:
         return NodeSet.from_runs(free)
 
     @staticmethod
+    def _hold(
+        unheld: List[Tuple[int, int]], runs: Sequence[Tuple[int, int]]
+    ) -> int:
+        """Remove ``runs`` from the run list ``unheld``, whatever their
+        overlap; returns the number of nodes removed."""
+        removed = 0
+        for lo, hi in runs:
+            # i: first unheld run ending past lo; j: first starting at or
+            # past hi.  The runs in [i, j) overlap [lo, hi).
+            i = bisect.bisect_left(unheld, (lo, lo))
+            if i and unheld[i - 1][1] > lo:
+                i -= 1
+            j = bisect.bisect_left(unheld, (hi, hi), i)
+            if j - i == 1:
+                a, b = unheld[i]
+                removed += (b if b < hi else hi) - (a if a > lo else lo)
+                if a < lo:
+                    unheld[i] = (a, lo)
+                    if b > hi:
+                        unheld.insert(i + 1, (hi, b))
+                elif b > hi:
+                    unheld[i] = (hi, b)
+                else:
+                    del unheld[i]
+            elif j > i:
+                a, b = unheld[i][0], unheld[j - 1][1]
+                for x, y in unheld[i:j]:
+                    removed += (y if y < hi else hi) - (x if x > lo else lo)
+                pieces = []
+                if a < lo:
+                    pieces.append((a, lo))
+                if b > hi:
+                    pieces.append((hi, b))
+                unheld[i:j] = pieces
+        return removed
+
+    @staticmethod
+    def _unhold(
+        unheld: List[Tuple[int, int]], runs: Sequence[Tuple[int, int]]
+    ) -> None:
+        """Merge ``runs``, disjoint from the run list ``unheld``, into it."""
+        for lo, hi in runs:
+            i = bisect.bisect_left(unheld, (lo, lo))
+            left = i > 0 and unheld[i - 1][1] == lo
+            right = i < len(unheld) and unheld[i][0] == hi
+            if left and right:
+                unheld[i - 1] = (unheld[i - 1][0], unheld[i][1])
+                del unheld[i]
+            elif left:
+                unheld[i - 1] = (unheld[i - 1][0], hi)
+            elif right:
+                unheld[i] = (lo, unheld[i][1])
+            else:
+                unheld.insert(i, (lo, hi))
+
+    @staticmethod
     def _node_runs(nodes: Sequence[int]) -> List[Tuple[int, int]]:
         """``nodes`` (ascending, duplicate-free) as half-open runs."""
         if isinstance(nodes, NodeSet):
@@ -542,11 +637,13 @@ class ReservationLedger:
                 runs.append((node, node + 1))
         return runs
 
-    def _remove_runs(self, reservation: Reservation) -> None:
-        """Delete a booking's entries from ``_busy_runs``."""
+    def _remove_runs(
+        self, reservation: Reservation, runs: Sequence[Tuple[int, int]]
+    ) -> None:
+        """Delete a booking's entries, its node ``runs``, from ``_busy_runs``."""
         busy_runs = self._busy_runs
         start, end, job_id = reservation.start, reservation.end, reservation.job_id
-        for lo, hi in self._node_runs(reservation.nodes):
+        for lo, hi in runs:
             del busy_runs[bisect.bisect_left(busy_runs, (lo, hi, start, end, job_id))]
 
     def _check_node(self, node: int) -> None:

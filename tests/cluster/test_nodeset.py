@@ -130,3 +130,5 @@ def test_freeze_nodes_passthrough_and_fallback():
     assert freeze_nodes(t) is t
     assert freeze_nodes([1, 2, 3]) == (1, 2, 3)
     assert isinstance(freeze_nodes([1, 2, 3]), tuple)
+    # No normalisation: the given order (and any duplicate) is kept.
+    assert freeze_nodes([3, 1, 2, 1]) == (3, 1, 2, 1)

@@ -14,7 +14,11 @@ unsorted), the incremental ledger must
 
 at every step.  The driver below replays a seeded random mutation stream
 into both ledgers side by side and cross-checks after each op; with
-``NUM_SEQUENCES`` independent sequences this covers >10k mutations.
+``NUM_SEQUENCES`` independent sequences this covers >10k mutations.  A
+second driver books at a moving "now" on a wide cluster, so most queries
+see every live booking active at once and take the ledger's unheld-set
+answer; it also checks the kept set against one rebuilt from the
+bookings.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.nodeset import NodeSet
 from repro.cluster.reservations import CapacityProfile, ReservationLedger
 from repro.cluster.topology import FlatTopology
 
@@ -226,3 +231,124 @@ def test_scored_flat_placement_matches_seed_find_slot():
         )
         fast.reserve(job_id, nodes, start, start + duration)
         seed.reserve(job_id, nodes, start, start + duration)
+
+
+# ----------------------------------------------------------------------
+# Wide cluster: bookings all active at a moving "now"
+# ----------------------------------------------------------------------
+#: Wide enough that most free-set queries see every booking active at
+#: one instant and take the unheld-set answer instead of a sweep.
+WIDE_NODES = 256
+WIDE_SEQUENCES = 24
+WIDE_OPS = 60
+
+
+def _unheld_oracle(ledger):
+    """The nodes no live booking holds at any time, from the bookings
+    alone: ``(runs, count)``."""
+    held = set()
+    for r in ledger.reservations():
+        held.update(r.nodes)
+    unheld = NodeSet.from_iterable(set(range(ledger.node_count)) - held)
+    return list(unheld.runs), len(unheld)
+
+
+def _check_unheld(fast):
+    if fast._unheld is not None:
+        assert (fast._unheld, fast._unheld_size) == _unheld_oracle(fast)
+
+
+def _check_wide(rng, fast, seed, now, tally):
+    assert fast.reservations() == seed.reservations()
+    _check_unheld(fast)
+    windows = [(now, now + rng.uniform(1.0, 300.0)) for _ in range(3)]
+    windows += [(r.start, r.end) for r in fast.reservations()[:2]]
+    for start, end in windows:
+        tally["queries"] += 1
+        if fast.profile().max_usage(start, end) == fast._booked:
+            tally["all_active"] += 1
+        assert fast.free_nodes(start, end) == seed.free_nodes(start, end)
+    size = rng.randint(1, WIDE_NODES)
+    duration = rng.uniform(1.0, 400.0)
+    assert fast.find_slot(size, duration, now) == seed.find_slot(size, duration, now)
+    _check_unheld(fast)
+
+
+def _apply_wide_op(rng, fast, seed, now, next_id):
+    """One random mutation at ``now``, mirrored into both ledgers;
+    returns ``(now, next_id)``."""
+    live = sorted(fast._by_job)
+    op = rng.random()
+    if not live or op < 0.40:
+        size = rng.randint(1, 24)
+        duration = rng.uniform(10.0, 300.0)
+        # One booking in twenty starts ahead, across nodes held earlier.
+        earliest = now if op < 0.38 else now + rng.uniform(0.0, 300.0)
+        start, nodes = fast.find_slot(size, duration, earliest)
+        fast.reserve(next_id, nodes, start, start + duration)
+        seed.reserve(next_id, nodes, start, start + duration)
+        return now, next_id + 1
+    if op < 0.65:
+        # Time passes; bookings that ended by then finish.
+        now += rng.uniform(0.0, 120.0)
+        for r in fast.reservations():
+            if r.end <= now:
+                fast.release(r.job_id)
+                seed.release(r.job_id)
+        return now, next_id
+    job_id = rng.choice(live)
+    booking = fast.get(job_id)
+    if op < 0.75:
+        fast.release(job_id)
+        seed.release(job_id)
+    elif op < 0.84:
+        new_end = rng.uniform(max(booking.start, now), booking.end)
+        if new_end <= booking.start:
+            new_end = booking.start + 1.0
+        fast.truncate(job_id, new_end)
+        seed.truncate(job_id, new_end)
+    elif op < 0.92:
+        # Book the job's first node right after it, then extend the job
+        # into that booking: two live bookings hold the node at once.
+        node = booking.nodes[0]
+        after = (booking.end, booking.end + rng.uniform(10.0, 200.0))
+        if node in fast.free_nodes_set(*after):
+            fast.reserve(next_id, [node], *after)
+            seed.reserve(next_id, [node], *after)
+            next_id += 1
+        new_end = booking.end + rng.uniform(1.0, 120.0)
+        fast.extend(job_id, new_end)
+        seed.extend(job_id, new_end)
+    else:
+        # Release/restore with allow_overlap after extending a neighbour.
+        other = rng.choice(live)
+        if other != job_id:
+            fast.extend(other, fast.get(other).end + 90.0)
+            seed.extend(other, seed.get(other).end + 90.0)
+        fast.release(job_id)
+        seed.release(job_id)
+        fast.reserve(
+            job_id, booking.nodes, booking.start, booking.end, allow_overlap=True
+        )
+        seed.reserve(
+            job_id, booking.nodes, booking.start, booking.end, allow_overlap=True
+        )
+    return now, next_id
+
+
+def test_wide_cluster_unheld_set_matches_seed_ledger():
+    tally = {"queries": 0, "all_active": 0, "dropped": 0, "rebuilt": 0}
+    for sequence in range(WIDE_SEQUENCES):
+        rng = random.Random(10_000 + sequence)
+        fast = ReservationLedger(WIDE_NODES)
+        seed = SeedReservationLedger(WIDE_NODES)
+        now, next_id = 0.0, 1
+        for _ in range(WIDE_OPS):
+            now, next_id = _apply_wide_op(rng, fast, seed, now, next_id)
+            dropped = fast._unheld is None
+            tally["dropped"] += dropped
+            _check_wide(rng, fast, seed, now, tally)
+            tally["rebuilt"] += dropped and fast._unheld is not None
+    # The stream must exercise the new answer and the drop/rebuild cycle.
+    assert tally["all_active"] > tally["queries"] // 2
+    assert tally["dropped"] > 0 and tally["rebuilt"] > 0

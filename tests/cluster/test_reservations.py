@@ -416,3 +416,78 @@ class TestIncrementalCaches:
         with pytest.raises(ValueError, match="node 3 not free"):
             ledger.reserve(4, [3, 4], 25.0, 35.0)
         assert sweeps == [(25.0, 35.0)]
+
+
+class TestUnheldSet:
+    """When every live booking is active at one instant of the window, the
+    free set is the nodes no booking holds, which the ledger keeps as runs
+    updated by each mutation instead of sweeping the bookings."""
+
+    def test_all_active_stream_sweeps_only_to_rebuild(self, monkeypatch):
+        ledger = ReservationLedger(64)
+        # A node held twice makes the release inexact: the set is dropped.
+        ledger.reserve(1, [0], 0.0, 10.0)
+        ledger.reserve(2, [0], 10.0, 20.0)
+        ledger.release(1)
+        assert ledger._unheld is None
+        ledger.release(2)
+        sweeps = []
+        real_sweep = ledger._free_sweep
+
+        def counting_sweep(start, end):
+            sweeps.append((start, end))
+            return real_sweep(start, end)
+
+        monkeypatch.setattr(ledger, "_free_sweep", counting_sweep)
+        now = 100.0
+        for job_id in range(10, 60):
+            if job_id >= 14:
+                ledger.release(job_id - 4)
+            start, nodes = ledger.find_slot(job_id % 7 + 1, 50.0, now)
+            assert start == now
+            ledger.reserve(job_id, nodes, start, start + 50.0)
+            held = {n for r in ledger.reservations() for n in r.nodes}
+            for duration in (20.0, 30.0):
+                free = ledger.free_nodes_set(now, now + duration)
+                assert free == sorted(set(range(64)) - held)
+            now += 5.0
+        assert sweeps == [(-math.inf, math.inf)]
+
+    def test_double_held_node_stays_busy_after_one_release(self, ledger):
+        ledger.reserve(1, [0, 1], 0.0, 10.0)
+        ledger.reserve(2, [0], 10.0, 20.0)
+        ledger.extend(1, 15.0)  # node 0 is held by both jobs
+        ledger.release(1)
+        # Job 2 still holds node 0; every live booking is active in the
+        # window, and the answer must not free the node.
+        assert ledger.profile().max_usage(10.0, 20.0) == ledger._booked
+        assert ledger.free_nodes_set(10.0, 20.0) == list(range(1, 8))
+
+    def test_booking_ahead_across_a_held_node(self, ledger):
+        ledger.reserve(1, [1], 0.0, 10.0)
+        ledger.reserve(2, [4, 6], 0.0, 10.0)
+        assert ledger._unheld == [(0, 1), (2, 4), (5, 6), (7, 8)]
+        # Nodes 0-6 are free over [20, 30) though 1, 4 and 6 are held
+        # earlier: the booking spans several unheld runs.
+        ledger.reserve(3, range(7), 20.0, 30.0)
+        assert (ledger._unheld, ledger._unheld_size) == ([(7, 8)], 1)
+
+    def test_truncate_and_extend_leave_the_set_alone(self, ledger):
+        ledger.reserve(1, [0, 1, 2], 0.0, 10.0)
+        ledger.reserve(2, [5], 0.0, 30.0)
+        kept = (list(ledger._unheld), ledger._unheld_size)
+        assert kept == ([(3, 5), (6, 8)], 4)
+        ledger.truncate(1, 5.0)
+        assert (ledger._unheld, ledger._unheld_size) == kept
+        ledger.extend(1, 40.0)
+        assert (ledger._unheld, ledger._unheld_size) == kept
+
+    def test_rejected_reserve_leaves_the_set_alone(self, ledger):
+        ledger.reserve(1, [0, 1, 2], 0.0, 10.0)
+        kept = (list(ledger._unheld), ledger._unheld_size)
+        with pytest.raises(ValueError, match="node 2 not free"):
+            ledger.reserve(2, [2, 3, 4], 5.0, 15.0)
+        with pytest.raises(ValueError, match="out of range"):
+            ledger.reserve(3, [6, 7, 8], 20.0, 30.0)
+        assert (ledger._unheld, ledger._unheld_size) == kept
+        assert ledger.free_nodes_set(0.0, 10.0) == list(range(3, 8))
