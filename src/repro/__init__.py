@@ -21,10 +21,10 @@ Quick start::
     print(result.metrics.qos, result.metrics.utilization)
 """
 
-from repro.core import (
+from repro.core.guarantee import QoSGuarantee
+from repro.core.metrics import SimulationMetrics
+from repro.core.system import (
     ProbabilisticQoSSystem,
-    QoSGuarantee,
-    SimulationMetrics,
     SimulationResult,
     SystemConfig,
     simulate,

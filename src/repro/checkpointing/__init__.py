@@ -1,4 +1,4 @@
-"""Checkpointing: cooperative (risk-based) policy, baselines, run state."""
+"""Checkpointing: cooperative (risk-based) policy, baselines, run arithmetic."""
 
 from repro.checkpointing.policies import (
     CheckpointDecision,
@@ -10,7 +10,7 @@ from repro.checkpointing.policies import (
     RiskFreePolicy,
     policy_by_name,
 )
-from repro.checkpointing.runtime import JobRun, padded_remaining
+from repro.checkpointing.runtime import padded_remaining
 
 __all__ = [
     "CheckpointDecision",
@@ -21,6 +21,5 @@ __all__ = [
     "PeriodicPolicy",
     "RiskFreePolicy",
     "policy_by_name",
-    "JobRun",
     "padded_remaining",
 ]

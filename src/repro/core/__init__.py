@@ -1,4 +1,10 @@
-"""Core: negotiation, guarantees, user models, metrics, the full system."""
+"""Core: negotiation, guarantees, user models, metrics, the full system.
+
+The system itself is imported from its modules, :mod:`repro.core.system`
+and :mod:`repro.core.easy` (or from the root :mod:`repro` package): they
+drive :mod:`repro.scheduling`, which uses this package's negotiation, so
+re-exporting them here would make the two packages' initialisation a cycle.
+"""
 
 from repro.core.calibration import (
     CalibrationBucket,
@@ -7,24 +13,13 @@ from repro.core.calibration import (
     calibration_gap,
     reliability_diagram,
 )
-from repro.core.easy import EasyBackfillSystem
 from repro.core.fastpath import AnalyticalEvaluator
 from repro.core.guarantee import DeadlineOffer, QoSGuarantee
-from repro.core.metrics import (
-    JobOutcome,
-    MetricsCollector,
-    SimulationMetrics,
-)
+from repro.core.metrics import JobOutcome, SimulationMetrics, finalize
 from repro.core.negotiation import (
     DeadlineSuggestion,
     NegotiationOutcome,
     Negotiator,
-)
-from repro.core.system import (
-    ProbabilisticQoSSystem,
-    SimulationResult,
-    SystemConfig,
-    simulate,
 )
 from repro.core.users import (
     EarliestDeadlineUser,
@@ -39,20 +34,15 @@ __all__ = [
     "calibration_buckets",
     "calibration_gap",
     "reliability_diagram",
-    "EasyBackfillSystem",
     "AnalyticalEvaluator",
     "DeadlineOffer",
     "QoSGuarantee",
     "JobOutcome",
-    "MetricsCollector",
+    "finalize",
     "SimulationMetrics",
     "DeadlineSuggestion",
     "NegotiationOutcome",
     "Negotiator",
-    "ProbabilisticQoSSystem",
-    "SimulationResult",
-    "SystemConfig",
-    "simulate",
     "EarliestDeadlineUser",
     "RiskThresholdUser",
     "SlackBoundedUser",

@@ -24,7 +24,8 @@ from typing import Any, List, Tuple
 
 from repro.checkpointing.runtime import padded_remaining
 from repro.cluster.nodeset import NodeSet
-from repro.core.system import ProbabilisticQoSSystem, SystemConfig, _JobState
+from repro.core.metrics import JobOutcome
+from repro.core.system import ProbabilisticQoSSystem, SystemConfig
 from repro.failures.events import FailureTrace
 from repro.sim.events import Event
 from repro.workload.job import JobLog
@@ -66,7 +67,7 @@ class EasyBackfillSystem(ProbabilisticQoSSystem):
         self._enqueue(event.payload["job_id"])
         self._easy_pass()
 
-    def _requeue(self, job_id: int, state: _JobState, now: float) -> None:
+    def _requeue(self, job_id: int, state: JobOutcome, now: float) -> None:
         self._enqueue(job_id)
         if self.recorder is not None:
             self.recorder.record(now, "requeued", job_id=job_id)
@@ -101,7 +102,7 @@ class EasyBackfillSystem(ProbabilisticQoSSystem):
                 if not fits_before_shadow:
                     spare -= state.job.size
 
-    def _start_now(self, state: _JobState) -> bool:
+    def _start_now(self, state: JobOutcome) -> bool:
         """Book the lowest-index idle nodes and start there, if enough exist."""
         idle = self.cluster.idle_nodes()
         if len(idle) < state.job.size:
@@ -141,8 +142,7 @@ class EasyBackfillSystem(ProbabilisticQoSSystem):
         releases = []
         for job_id in self.cluster.running_jobs():
             state = self._states[job_id]
-            assert state.run is not None
-            walltime = self._padded(max(state.run.remaining_work, 1e-9))
+            walltime = self._padded(max(state.remaining_work, 1e-9))
             releases.append((now + walltime, state.job.size))
         for release_time, width in sorted(releases):
             available += width

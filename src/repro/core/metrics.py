@@ -13,31 +13,38 @@ checkpointing overhead as being unnecessary work"):
   work-weighted fraction of *kept* promises, each discounted by the
   promised probability ``p_j``; ``q_j`` is 1 iff the job met its deadline.
 
-The collector also gathers conventional scheduling metrics (waits, bounded
-slowdown, checkpoint counts) used by the extended analyses and tests.
+Each job has one :class:`JobOutcome` from arrival on: the simulator
+updates it in place through negotiation, every run, checkpoint, kill and
+the finish, and returns the same records as the run's outcomes.  It also
+gathers conventional scheduling metrics (waits, bounded slowdown,
+checkpoint counts) used by the extended analyses and tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
+from repro.checkpointing.policies import CheckpointDecision
+from repro.checkpointing.runtime import decision_window, delay_from
 from repro.core.guarantee import QoSGuarantee
+from repro.sim.events import Event
 from repro.workload.job import Job
 
 #: Threshold below which runtimes are clamped in bounded slowdown.
 BOUNDED_SLOWDOWN_FLOOR = 600.0
 
 
-@dataclass
 class JobOutcome:
-    """Everything recorded about one job across its whole lifetime.
+    """One job's record across its whole lifetime, updated in place.
 
-    Attributes:
+    Outcome (what :func:`finalize` and the analyses read):
         job: The static trace record.
         guarantee: The promise made at submission.
         first_start: First time the job began executing.
-        last_start: Latest (re)start — the paper computes waits from it.
+        last_start: Latest (re)start — the paper computes waits from it;
+            also where the current run rolls back to before its first
+            checkpoint.
         finish: Completion time, or None if the simulation ended first.
         failures: Node failures that killed this job.
         lost_node_seconds: Work destroyed across those failures.
@@ -45,20 +52,84 @@ class JobOutcome:
         checkpoints_skipped: Skipped checkpoint requests over all runs.
         checkpoint_overhead: Wall seconds spent writing checkpoints.
         evacuations: Proactive evacuations of this job (extension).
+
+    Booking: ``reserved_start``/``reserved_end``/``reserved_nodes`` of the
+    current reservation, the cancellable ``start_event`` and ``run_event``
+    handles, and ``pending_decision``, the policy decision behind an
+    in-flight checkpoint.
+
+    Run state, which :meth:`start` resets for each run from
+    ``saved_progress``; progress is in execution seconds of the
+    checkpoint-free runtime ``e_j``:
+        running: Whether a run is in progress.
+        saved_progress: Durable progress (the last completed checkpoint).
+        progress: Progress reached, including unsaved work.
+        segment_start: Wall time the current compute segment began.
+        skipped_since_checkpoint: Consecutive skipped requests since the
+            last completed checkpoint.
+        last_checkpoint_start: Wall time the last completed checkpoint of
+            this run started.
+        checkpoint_begun_at: Wall time the in-flight checkpoint started.
+        planned_skips: Coming requests already known to be skipped, not yet
+            accounted: the first ``planned_skips`` requests from the current
+            segment on (see :meth:`plan_skips`).  Each one's time is
+            ``segment_start`` plus :meth:`next_event_delay` once the ones
+            before it are accounted.
     """
 
-    job: Job
-    guarantee: Optional[QoSGuarantee] = None
-    first_start: Optional[float] = None
-    last_start: Optional[float] = None
-    finish: Optional[float] = None
-    failures: int = 0
-    lost_node_seconds: float = 0.0
-    checkpoints_performed: int = 0
-    checkpoints_skipped: int = 0
-    checkpoint_overhead: float = 0.0
-    evacuations: int = 0
+    __slots__ = (
+        # Outcome.
+        "job", "guarantee", "first_start", "last_start", "finish", "failures",
+        "lost_node_seconds", "checkpoints_performed", "checkpoints_skipped",
+        "checkpoint_overhead", "evacuations",
+        # Booking.
+        "reserved_start", "reserved_end", "reserved_nodes", "start_event",
+        "run_event", "pending_decision",
+        # Run state.
+        "running", "saved_progress", "progress", "segment_start",
+        "skipped_since_checkpoint", "last_checkpoint_start",
+        "checkpoint_begun_at", "planned_skips",
+    )
 
+    def __init__(self, job: Job, guarantee: Optional[QoSGuarantee] = None) -> None:
+        self.job = job
+        self.guarantee = guarantee
+        self.first_start: Optional[float] = None
+        self.last_start: Optional[float] = None
+        self.finish: Optional[float] = None
+        self.failures = 0
+        self.lost_node_seconds = 0.0
+        self.checkpoints_performed = 0
+        self.checkpoints_skipped = 0
+        self.checkpoint_overhead = 0.0
+        self.evacuations = 0
+        self.reserved_start = 0.0
+        self.reserved_end = 0.0
+        self.reserved_nodes: Sequence[int] = ()
+        self.start_event: Optional[Event] = None
+        self.run_event: Optional[Event] = None
+        self.pending_decision: Optional[CheckpointDecision] = None
+        self.running = False
+        self.saved_progress = 0.0
+        self.progress = 0.0
+        self.segment_start = 0.0
+        self.skipped_since_checkpoint = 0
+        self.last_checkpoint_start: Optional[float] = None
+        self.checkpoint_begun_at: Optional[float] = None
+        self.planned_skips = 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, JobOutcome):
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"JobOutcome({fields})"
+
+    # ------------------------------------------------------------------
+    # Outcome
+    # ------------------------------------------------------------------
     @property
     def met_deadline(self) -> bool:
         """``q_j``: finished at or before the promised deadline."""
@@ -81,6 +152,149 @@ class JobOutcome:
         response = self.finish - self.job.arrival_time
         denom = max(self.job.runtime, BOUNDED_SLOWDOWN_FLOOR)
         return max(1.0, response / denom)
+
+    # ------------------------------------------------------------------
+    # Run state
+    # ------------------------------------------------------------------
+    @property
+    def remaining_work(self) -> float:
+        """Execution seconds left from current progress to completion."""
+        return self.job.runtime - self.progress
+
+    def start(self, now: float, recovery_time: float) -> None:
+        """Begin a run at ``now`` from the durable progress.
+
+        A restart from a checkpoint spends ``recovery_time`` (``R``)
+        restoring before compute resumes; a fresh start reads no
+        checkpoint.  Everything else the previous run left is reset.
+        """
+        if not 0.0 <= self.saved_progress < self.job.runtime:
+            raise ValueError(
+                f"job {self.job.job_id}: saved progress {self.saved_progress} "
+                f"out of [0, {self.job.runtime})"
+            )
+        if self.first_start is None:
+            self.first_start = now
+        self.last_start = now
+        self.running = True
+        self.progress = self.saved_progress
+        restore = recovery_time if self.saved_progress > 0 else 0.0
+        self.segment_start = now + restore
+        self.skipped_since_checkpoint = 0
+        self.last_checkpoint_start = None
+        self.checkpoint_begun_at = None
+        self.planned_skips = 0
+
+    def next_event_delay(self, interval: float) -> Tuple[str, float]:
+        """``(kind, delay)`` of the next run event from ``segment_start``
+        (:func:`~repro.checkpointing.runtime.delay_from`)."""
+        if self.checkpoint_begun_at is not None:
+            raise RuntimeError(f"job {self.job.job_id}: next event during checkpoint")
+        return delay_from(self.progress, self.job.runtime, interval)
+
+    def plan_skips(
+        self, at: float, clear_until: float, interval: float, overhead: float
+    ) -> Tuple[str, float]:
+        """Count the coming requests whose decision window
+        (:func:`~repro.checkpointing.runtime.decision_window`) ends by
+        ``clear_until``, the first time a failure could be predicted on the
+        partition: they see ``p_f = 0``.
+
+        Walks from the request at ``at`` with the float steps of
+        :meth:`reach_request` and :meth:`next_event_delay`, without
+        advancing the run, and stores the count in ``planned_skips``.
+        Returns ``(kind, time)`` of the run event still to schedule: the
+        first request whose window reaches ``clear_until``, or the finish.
+        """
+        total = self.job.runtime
+        progress, segment_start = self.progress, self.segment_start
+        planned = 0
+        kind = "request"
+        while kind == "request":
+            progress = min(total, progress + max(0.0, at - segment_start))
+            if clear_until < at + decision_window(interval, overhead, total - progress):
+                break
+            planned += 1
+            segment_start = at
+            kind, delay = delay_from(progress, total, interval)
+            at = segment_start + delay
+        self.planned_skips = planned
+        return kind, at
+
+    def reach_request(self, now: float) -> None:
+        """Advance progress to the request point firing at ``now``."""
+        executed = max(0.0, now - self.segment_start)
+        self.progress = min(self.job.runtime, self.progress + executed)
+        self.segment_start = now
+
+    def skip_checkpoint(self, now: float) -> None:
+        """Count a skipped request; computation continues immediately."""
+        self.skipped_since_checkpoint += 1
+        self.checkpoints_skipped += 1
+        self.segment_start = now
+
+    def begin_checkpoint(self, now: float) -> None:
+        """Pause computation for the overhead starting at ``now``."""
+        if self.checkpoint_begun_at is not None:
+            raise RuntimeError(f"job {self.job.job_id}: checkpoint already in flight")
+        self.checkpoint_begun_at = now
+
+    def complete_checkpoint(self, now: float, overhead: float) -> float:
+        """Make progress durable; the checkpoint that began earlier ends and
+        is charged ``overhead`` seconds.  Returns the wall seconds it took."""
+        begun = self.checkpoint_begun_at
+        if begun is None:
+            raise RuntimeError(f"job {self.job.job_id}: no checkpoint in flight")
+        took = max(0.0, now - begun)
+        self.saved_progress = self.progress
+        self.last_checkpoint_start = begun
+        self.checkpoint_begun_at = None
+        self.skipped_since_checkpoint = 0
+        self.checkpoints_performed += 1
+        self.checkpoint_overhead += overhead
+        self.segment_start = now
+        return took
+
+    def complete(self, now: float) -> None:
+        """Advance to completion: the finish event fired at ``now``."""
+        executed = max(0.0, now - self.segment_start)
+        self.progress = min(self.job.runtime, self.progress + executed)
+        if self.remaining_work > 1e-6:
+            raise RuntimeError(
+                f"job {self.job.job_id}: finish with {self.remaining_work}s remaining"
+            )
+        self.progress = self.job.runtime
+        self.finish = now
+        self.running = False
+        self.run_event = None
+
+    def kill(self, now: float) -> float:
+        """Abort the run at ``now`` (node failure) and charge the loss.
+
+        In-flight checkpoints are lost; progress not covered by a completed
+        checkpoint is discarded, and ``saved_progress`` seeds the next run.
+
+        Returns:
+            The lost wall seconds since the rollback point ``c_{j_x}`` of
+            the lost-work metric: the start of this run's last completed
+            checkpoint, or the run's start.  The job size times that is
+            added to ``lost_node_seconds``.
+        """
+        # Progress accounting up to the failure instant (compute segments
+        # only; checkpoint pauses contribute no progress).
+        if self.checkpoint_begun_at is None:
+            executed = max(0.0, now - self.segment_start)
+            self.progress = min(self.job.runtime, self.progress + executed)
+        rollback = self.last_checkpoint_start
+        if rollback is None:
+            rollback = self.last_start
+        assert rollback is not None
+        lost_wall = max(0.0, now - rollback)
+        self.failures += 1
+        self.lost_node_seconds += lost_wall * self.job.size
+        self.running = False
+        self.pending_decision = None
+        return lost_wall
 
 
 @dataclass(frozen=True)
@@ -117,145 +331,86 @@ class SimulationMetrics:
         return self.deadlines_met / self.job_count
 
 
-class MetricsCollector:
-    """Accumulates per-job outcomes and failure losses during a run."""
+def finalize(
+    outcomes: Sequence[JobOutcome],
+    node_count: int,
+    lost_work: float,
+    forced_negotiations: int,
+) -> SimulationMetrics:
+    """The aggregate metrics over the job records.
 
-    def __init__(self) -> None:
-        self._outcomes: Dict[int, JobOutcome] = {}
-        self._lost_work_total = 0.0
-        self._failure_hits = 0
-        self._forced_negotiations = 0
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-    def register_job(self, job: Job) -> JobOutcome:
-        """Create the outcome record at arrival time."""
-        if job.job_id in self._outcomes:
-            raise ValueError(f"job {job.job_id} already registered")
-        outcome = JobOutcome(job=job)
-        self._outcomes[job.job_id] = outcome
-        return outcome
-
-    def outcome(self, job_id: int) -> JobOutcome:
-        return self._outcomes[job_id]
-
-    @property
-    def failure_hits(self) -> int:
-        """Failures that killed a running job so far."""
-        return self._failure_hits
-
-    def record_guarantee(
-        self, job_id: int, guarantee: QoSGuarantee, forced: bool = False
-    ) -> None:
-        self._outcomes[job_id].guarantee = guarantee
-        if forced:
-            self._forced_negotiations += 1
-
-    def record_start(self, job_id: int, time: float) -> None:
-        outcome = self._outcomes[job_id]
-        if outcome.first_start is None:
-            outcome.first_start = time
-        outcome.last_start = time
-
-    def record_finish(self, job_id: int, time: float) -> None:
-        self._outcomes[job_id].finish = time
-
-    def record_failure_hit(self, job_id: int, lost_node_seconds: float) -> None:
-        outcome = self._outcomes[job_id]
-        outcome.failures += 1
-        outcome.lost_node_seconds += lost_node_seconds
-        self._lost_work_total += lost_node_seconds
-        self._failure_hits += 1
-
-    def record_evacuation(self, job_id: int) -> None:
-        """Count a proactive evacuation (no work is lost by definition)."""
-        self._outcomes[job_id].evacuations += 1
-
-    def record_checkpoint(
-        self, job_id: int, performed: bool, overhead: float = 0.0
-    ) -> None:
-        outcome = self._outcomes[job_id]
-        if performed:
-            outcome.checkpoints_performed += 1
-            outcome.checkpoint_overhead += overhead
-        else:
-            outcome.checkpoints_skipped += 1
-
-    # ------------------------------------------------------------------
-    # Finalisation
-    # ------------------------------------------------------------------
-    def outcomes(self) -> List[JobOutcome]:
-        """All outcomes, by job id."""
-        return [self._outcomes[k] for k in sorted(self._outcomes)]
-
-    def finalize(self, node_count: int) -> SimulationMetrics:
-        """Compute the aggregate metrics over everything recorded."""
-        outcomes = self.outcomes()
-        if not outcomes:
-            return SimulationMetrics(
-                qos=1.0,
-                utilization=0.0,
-                lost_work=0.0,
-                span=0.0,
-                total_work=0.0,
-                job_count=0,
-                completed_jobs=0,
-                deadlines_met=0,
-                failures_hitting_jobs=0,
-                checkpoints_performed=0,
-                checkpoints_skipped=0,
-                checkpoint_overhead=0.0,
-                mean_wait=0.0,
-                mean_bounded_slowdown=0.0,
-                mean_promised_probability=0.0,
-                forced_negotiations=0,
-                evacuations=0,
-            )
-
-        total_work = sum(o.job.work for o in outcomes)
-        qos_numerator = sum(
-            o.job.work * o.guarantee.probability
-            for o in outcomes
-            if o.guarantee is not None and o.met_deadline
-        )
-        qos = qos_numerator / total_work if total_work > 0 else 1.0
-
-        finishes = [o.finish for o in outcomes if o.finish is not None]
-        arrivals = [o.job.arrival_time for o in outcomes]
-        span = (max(finishes) - min(arrivals)) if finishes else 0.0
-        utilization = (
-            total_work / (span * node_count) if span > 0 and node_count > 0 else 0.0
-        )
-
-        waits = [o.wait for o in outcomes if o.wait is not None]
-        slowdowns = [
-            o.bounded_slowdown for o in outcomes if o.bounded_slowdown is not None
-        ]
-        promised = [
-            o.guarantee.probability for o in outcomes if o.guarantee is not None
-        ]
-
+    Args:
+        outcomes: One record per job.
+        node_count: Cluster width ``N``.
+        lost_work: Node-seconds lost to failures, summed in event order
+            (the records' ``lost_node_seconds`` summed per job would round
+            differently).
+        forced_negotiations: Dialogues the safety cap ended.
+    """
+    if not outcomes:
         return SimulationMetrics(
-            qos=qos,
-            utilization=utilization,
-            lost_work=self._lost_work_total,
-            span=span,
-            total_work=total_work,
-            job_count=len(outcomes),
-            completed_jobs=len(finishes),
-            deadlines_met=sum(1 for o in outcomes if o.met_deadline),
-            failures_hitting_jobs=self._failure_hits,
-            checkpoints_performed=sum(o.checkpoints_performed for o in outcomes),
-            checkpoints_skipped=sum(o.checkpoints_skipped for o in outcomes),
-            checkpoint_overhead=sum(o.checkpoint_overhead for o in outcomes),
-            mean_wait=sum(waits) / len(waits) if waits else 0.0,
-            mean_bounded_slowdown=(
-                sum(slowdowns) / len(slowdowns) if slowdowns else 0.0
-            ),
-            mean_promised_probability=(
-                sum(promised) / len(promised) if promised else 0.0
-            ),
-            forced_negotiations=self._forced_negotiations,
-            evacuations=sum(o.evacuations for o in outcomes),
+            qos=1.0,
+            utilization=0.0,
+            lost_work=0.0,
+            span=0.0,
+            total_work=0.0,
+            job_count=0,
+            completed_jobs=0,
+            deadlines_met=0,
+            failures_hitting_jobs=0,
+            checkpoints_performed=0,
+            checkpoints_skipped=0,
+            checkpoint_overhead=0.0,
+            mean_wait=0.0,
+            mean_bounded_slowdown=0.0,
+            mean_promised_probability=0.0,
+            forced_negotiations=0,
+            evacuations=0,
         )
+
+    total_work = sum(o.job.work for o in outcomes)
+    qos_numerator = sum(
+        o.job.work * o.guarantee.probability
+        for o in outcomes
+        if o.guarantee is not None and o.met_deadline
+    )
+    qos = qos_numerator / total_work if total_work > 0 else 1.0
+
+    finishes = [o.finish for o in outcomes if o.finish is not None]
+    arrivals = [o.job.arrival_time for o in outcomes]
+    span = (max(finishes) - min(arrivals)) if finishes else 0.0
+    utilization = (
+        total_work / (span * node_count) if span > 0 and node_count > 0 else 0.0
+    )
+
+    waits = [o.wait for o in outcomes if o.wait is not None]
+    slowdowns = [
+        o.bounded_slowdown for o in outcomes if o.bounded_slowdown is not None
+    ]
+    promised = [
+        o.guarantee.probability for o in outcomes if o.guarantee is not None
+    ]
+
+    return SimulationMetrics(
+        qos=qos,
+        utilization=utilization,
+        lost_work=lost_work,
+        span=span,
+        total_work=total_work,
+        job_count=len(outcomes),
+        completed_jobs=len(finishes),
+        deadlines_met=sum(1 for o in outcomes if o.met_deadline),
+        failures_hitting_jobs=sum(o.failures for o in outcomes),
+        checkpoints_performed=sum(o.checkpoints_performed for o in outcomes),
+        checkpoints_skipped=sum(o.checkpoints_skipped for o in outcomes),
+        checkpoint_overhead=sum(o.checkpoint_overhead for o in outcomes),
+        mean_wait=sum(waits) / len(waits) if waits else 0.0,
+        mean_bounded_slowdown=(
+            sum(slowdowns) / len(slowdowns) if slowdowns else 0.0
+        ),
+        mean_promised_probability=(
+            sum(promised) / len(promised) if promised else 0.0
+        ),
+        forced_negotiations=forced_negotiations,
+        evacuations=sum(o.evacuations for o in outcomes),
+    )

@@ -24,8 +24,8 @@ seed, configuration).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, Optional
 
 from repro.analysis.tracelog import TraceRecorder
 from repro.checkpointing.policies import (
@@ -34,12 +34,11 @@ from repro.checkpointing.policies import (
     CheckpointPolicy,
     policy_by_name,
 )
-from repro.checkpointing.runtime import JobRun, padded_remaining
+from repro.checkpointing.runtime import padded_remaining
 from repro.cluster.machine import Cluster
 from repro.cluster.topology import Topology, topology_by_name
 from repro.core.fastpath import AnalyticalEvaluator
-from repro.core.guarantee import QoSGuarantee
-from repro.core.metrics import MetricsCollector, SimulationMetrics
+from repro.core.metrics import JobOutcome, SimulationMetrics, finalize
 from repro.core.users import RiskThresholdUser, UserModel
 from repro.failures.events import FailureTrace
 from repro.obs.sampler import Sampler
@@ -51,7 +50,7 @@ from repro.scheduling.placement import scorer_by_name
 from repro.scheduling.queue import PendingStarts
 from repro.sim.engine import EventLoop
 from repro.sim.events import Event, EventKind
-from repro.workload.job import Job, JobLog
+from repro.workload.job import JobLog
 
 
 @dataclass(frozen=True)
@@ -125,35 +124,13 @@ class SystemConfig:
             raise ValueError("recovery_time must be >= 0")
 
 
-@dataclass
-class _JobState:
-    """Mutable per-job simulation state."""
-
-    job: Job
-    guarantee: Optional[QoSGuarantee] = None
-    reserved_start: float = 0.0
-    reserved_end: float = 0.0
-    reserved_nodes: Sequence[int] = ()
-    saved_progress: float = 0.0
-    run: Optional[JobRun] = None
-    done: bool = False
-    #: The decision behind an in-flight checkpoint, so the performed record
-    #: can carry the policy's rationale alongside the timing.
-    pending_decision: Optional[CheckpointDecision] = None
-    #: Cancellable handles for this job's in-flight events.
-    start_event: Optional[Event] = None
-    run_event: Optional[Event] = None
-
-    @property
-    def running(self) -> bool:
-        return self.run is not None
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     """Output of one run: aggregates plus per-job detail.
 
     Attributes:
+        outcomes: Each job's record (:class:`~repro.core.metrics.JobOutcome`),
+            by job id: the objects the simulation updated in place.
         obs: Final observability snapshot: every component's counters and
             gauges by metric name (``{"counters": ..., "gauges": ...}``).
         spans: Assembled :class:`~repro.obs.trace.SpanTimeline` when the
@@ -250,7 +227,6 @@ class ProbabilisticQoSSystem:
             )
             is not None
         )
-        self.metrics = MetricsCollector()
         self.recorder: Optional[TraceRecorder] = recorder
         self._span_builder: Optional[SpanBuilder] = (
             recorder if isinstance(recorder, SpanBuilder) else None
@@ -260,12 +236,15 @@ class ProbabilisticQoSSystem:
         self.sampler: Optional[Sampler] = None
         if sample_interval is not None:
             self.sampler = Sampler(self._sample_row, sample_interval)
-        self._states: Dict[int, _JobState] = {}
+        #: Each job's record, created at priming and updated in place.
+        self._states: Dict[int, JobOutcome] = {}
         self._pending = PendingStarts()
         self._unfinished = len(workload)
+        self._forced_negotiations = 0
         # Checkpoint-runtime totals across every run, in event order.
         self._checkpoint_overhead_s = 0.0
         self._lost_wall_s = 0.0
+        self._lost_work = 0.0
         self._failure_cursor = 0
         self._wakeup_scheduled = False
         self._register_handlers()
@@ -294,8 +273,7 @@ class ProbabilisticQoSSystem:
                     f"{self.config.node_count}-node cluster; clip the log first"
                 )
             self.loop.schedule(job.arrival_time, EventKind.ARRIVAL, job_id=job.job_id)
-            self._states[job.job_id] = _JobState(job=job)
-            self.metrics.register_job(job)
+            self._states[job.job_id] = JobOutcome(job)
         self._schedule_next_failure()
 
     def _schedule_next_failure(self) -> None:
@@ -338,10 +316,16 @@ class ProbabilisticQoSSystem:
                     "config": asdict(self.config),
                 },
             )
+        outcomes = [self._states[k] for k in sorted(self._states)]
         return SimulationResult(
-            metrics=self.metrics.finalize(self.config.node_count),
+            metrics=finalize(
+                outcomes,
+                self.config.node_count,
+                lost_work=self._lost_work,
+                forced_negotiations=self._forced_negotiations,
+            ),
             config=self.config,
-            outcomes=self.metrics.outcomes(),
+            outcomes=outcomes,
             events_processed=self.loop.processed_events,
             obs={
                 "counters": dict(sorted(self.counters().items())),
@@ -366,7 +350,7 @@ class ProbabilisticQoSSystem:
         state.reserved_start = outcome.start
         state.reserved_end = outcome.reserved_end
         state.reserved_nodes = outcome.nodes
-        self.metrics.record_guarantee(job.job_id, outcome.guarantee, outcome.forced)
+        self._forced_negotiations += outcome.forced
         if self.recorder is not None:
             self.recorder.record(
                 self.loop.now,
@@ -397,9 +381,9 @@ class ProbabilisticQoSSystem:
         state.start_event = None
         self._try_start(job_id, state)
 
-    def _try_start(self, job_id: int, state: _JobState) -> None:
+    def _try_start(self, job_id: int, state: JobOutcome) -> None:
         """Start now if the reserved nodes are up and idle, else block."""
-        if state.done or state.running:
+        if state.finish is not None or state.running:
             return
         now = self.loop.now
         if not self.cluster.nodes_available(state.reserved_nodes):
@@ -412,21 +396,12 @@ class ProbabilisticQoSSystem:
 
         self._pending.remove(job_id)
         self.cluster.start_job(job_id, state.reserved_nodes)
-        self.metrics.record_start(job_id, now)
         if self.recorder is not None:
             self.recorder.record(
                 now, "start", job_id=job_id, nodes=list(state.reserved_nodes)
             )
         remaining = state.job.runtime - state.saved_progress
-        state.run = JobRun(
-            job_id=job_id,
-            total_work=state.job.runtime,
-            interval=self.config.checkpoint_interval,
-            overhead=self.config.checkpoint_overhead,
-            saved_progress=state.saved_progress,
-            start_time=now,
-            recovery_overhead=self.config.recovery_time,
-        )
+        state.start(now, self.config.recovery_time)
         # A delayed start occupies nodes past the booked end; extend the
         # booking so later placement decisions see the truth.
         planned_end = now + padded_remaining(
@@ -437,14 +412,13 @@ class ProbabilisticQoSSystem:
             state.reserved_end = planned_end
         self._schedule_run_event(state)
 
-    def _schedule_run_event(self, state: _JobState) -> None:
-        run = state.run
-        assert run is not None
+    def _schedule_run_event(self, state: JobOutcome) -> None:
         job_id = state.job.job_id
-        kind, delay = run.next_event_delay()
+        interval = self.config.checkpoint_interval
+        kind, delay = state.next_event_delay(interval)
         # Delays are execution time from the current segment start, which
         # sits past ``now`` while a restart is still restoring (R > 0).
-        fire_at = max(self.loop.now, run.segment_start) + delay
+        fire_at = max(self.loop.now, state.segment_start) + delay
         if kind == "request" and self._plans_skips:
             # Requests whose window ends before the partition's next
             # predicted failure see p_f = 0 and are skipped: plan them and
@@ -453,34 +427,36 @@ class ProbabilisticQoSSystem:
                 self.cluster.nodes_of(job_id), fire_at
             )
             if clear_until is not None:
-                kind, fire_at = run.plan_skips(fire_at, clear_until)
+                kind, fire_at = state.plan_skips(
+                    fire_at, clear_until, interval, self.config.checkpoint_overhead
+                )
         event_kind = (
             EventKind.FINISH if kind == "finish" else EventKind.CHECKPOINT_REQUEST
         )
         state.run_event = self.loop.schedule(fire_at, event_kind, job_id=job_id)
 
-    def _settle_skips(self, job_id: int, run: JobRun, until: float) -> None:
+    def _settle_skips(self, state: JobOutcome, until: float) -> None:
         """Account the run's planned skips that fall before ``until``, at
         their own times and in order, as the request handler would have."""
-        while run.planned_skips:
+        interval = self.config.checkpoint_interval
+        while state.planned_skips:
             # segment_start is never before the planning time, so this is
             # the time _schedule_run_event computed for the request.
-            at = run.segment_start + run.next_event_delay()[1]
+            at = state.segment_start + state.next_event_delay(interval)[1]
             if at >= until:
                 return
-            run.planned_skips -= 1
-            run.reach_request(at)
-            run.skip_checkpoint(at)
-            self.metrics.record_checkpoint(job_id, performed=False)
+            state.planned_skips -= 1
+            state.reach_request(at)
+            state.skip_checkpoint(at)
             if self.recorder is not None:
                 # d counts this request, which the skip just added.
                 decision = self.policy.clear_window_decision(
-                    run.skipped_since_checkpoint,
+                    state.skipped_since_checkpoint,
                     self.config.checkpoint_interval,
                     self.config.checkpoint_overhead,
                 )
                 assert decision is not None
-                self._record_skip(at, job_id, decision)
+                self._record_skip(at, state.job.job_id, decision)
 
     def _record_skip(
         self, now: float, job_id: int, decision: CheckpointDecision
@@ -501,21 +477,20 @@ class ProbabilisticQoSSystem:
     def _on_checkpoint_request(self, event: Event) -> None:
         job_id = event.payload["job_id"]
         state = self._states[job_id]
-        run = state.run
-        if run is None:
+        if not state.running:
             return  # stale event for a killed run (should have been cancelled)
         state.run_event = None
         now = self.loop.now
-        self._settle_skips(job_id, run, math.inf)
-        run.reach_request(now)
+        self._settle_skips(state, math.inf)
+        state.reach_request(now)
         ctx = CheckpointDecisionContext(
             now=now,
             job_id=job_id,
             nodes=self.cluster.nodes_of(job_id),
             interval=self.config.checkpoint_interval,
             overhead=self.config.checkpoint_overhead,
-            skipped_since_checkpoint=run.skipped_since_checkpoint,
-            remaining_work=run.remaining_work,
+            skipped_since_checkpoint=state.skipped_since_checkpoint,
+            remaining_work=state.remaining_work,
             deadline=state.guarantee.deadline if state.guarantee else None,
             predictor=self.evaluator,
         )
@@ -526,8 +501,7 @@ class ProbabilisticQoSSystem:
                 now, EventKind.CHECKPOINT_START, job_id=job_id
             )
         else:
-            run.skip_checkpoint(now)
-            self.metrics.record_checkpoint(job_id, performed=False)
+            state.skip_checkpoint(now)
             if self.recorder is not None:
                 self._record_skip(now, job_id, decision)
             self._schedule_run_event(state)
@@ -535,11 +509,9 @@ class ProbabilisticQoSSystem:
     def _on_checkpoint_start(self, event: Event) -> None:
         job_id = event.payload["job_id"]
         state = self._states[job_id]
-        run = state.run
-        if run is None:
+        if not state.running:
             return
-        now = self.loop.now
-        run.begin_checkpoint(now)
+        state.begin_checkpoint(self.loop.now)
         state.run_event = self.loop.schedule_in(
             self.config.checkpoint_overhead, EventKind.CHECKPOINT_FINISH, job_id=job_id
         )
@@ -547,22 +519,19 @@ class ProbabilisticQoSSystem:
     def _on_checkpoint_finish(self, event: Event) -> None:
         job_id = event.payload["job_id"]
         state = self._states[job_id]
-        run = state.run
-        if run is None:
+        if not state.running:
             return
         state.run_event = None
-        self._checkpoint_overhead_s += run.complete_checkpoint(self.loop.now)
-        state.saved_progress = run.saved_progress
-        self.metrics.record_checkpoint(
-            job_id, performed=True, overhead=self.config.checkpoint_overhead
+        self._checkpoint_overhead_s += state.complete_checkpoint(
+            self.loop.now, self.config.checkpoint_overhead
         )
         decision = state.pending_decision
         state.pending_decision = None
         if self.recorder is not None:
             self.recorder.record(
                 self.loop.now, "checkpoint_performed", job_id=job_id,
-                saved_progress=run.saved_progress,
-                began_at=run.last_checkpoint_start,
+                saved_progress=state.saved_progress,
+                began_at=state.last_checkpoint_start,
                 reason=decision.reason if decision is not None else None,
                 p_f=decision.failure_probability if decision is not None else None,
             )
@@ -576,19 +545,14 @@ class ProbabilisticQoSSystem:
     def _on_finish(self, event: Event) -> None:
         job_id = event.payload["job_id"]
         state = self._states[job_id]
-        run = state.run
-        if run is None:
+        if not state.running:
             return
         now = self.loop.now
-        self._settle_skips(job_id, run, math.inf)
-        run.finish(now)
-        state.run = None
-        state.run_event = None
-        state.done = True
+        self._settle_skips(state, math.inf)
+        state.complete(now)
         self._unfinished -= 1
         self.cluster.remove_job(job_id)
         self.cluster.ledger.release(job_id)
-        self.metrics.record_finish(job_id, now)
         guarantee = state.guarantee
         if self.recorder is not None:
             self.recorder.record(
@@ -624,24 +588,20 @@ class ProbabilisticQoSSystem:
     def _kill_job(self, job_id: int, now: float) -> None:
         """Failure handling for the occupying job: charge, release, requeue."""
         state = self._states[job_id]
-        run = state.run
-        assert run is not None, f"victim {job_id} has no active run"
+        assert state.running, f"victim {job_id} has no active run"
         # Failures order before requests at the same instant (tie-break),
         # so a request planned for ``now`` never happened.
-        self._settle_skips(job_id, run, now)
-        lost_wall, durable = run.kill(now)
+        self._settle_skips(state, now)
+        lost_wall = state.kill(now)
         self._lost_wall_s += lost_wall
-        self.metrics.record_failure_hit(job_id, lost_wall * state.job.size)
+        self._lost_work += lost_wall * state.job.size
         if self.recorder is not None:
             self.recorder.record(
                 now, "killed", job_id=job_id,
                 lost_node_seconds=lost_wall * state.job.size,
                 lost_wall_seconds=lost_wall,
-                durable_progress=durable,
+                durable_progress=state.saved_progress,
             )
-        state.saved_progress = durable
-        state.pending_decision = None
-        state.run = None
         if state.run_event is not None:
             state.run_event.cancel()
             state.run_event = None
@@ -649,7 +609,7 @@ class ProbabilisticQoSSystem:
         self.cluster.ledger.release(job_id)
         self._requeue(job_id, state, now)
 
-    def _requeue(self, job_id: int, state: _JobState, now: float) -> None:
+    def _requeue(self, job_id: int, state: JobOutcome, now: float) -> None:
         """Back to the queue: earliest slot for the remaining work, fresh
         fault-aware placement, original deadline and promise retained."""
         remaining = state.job.runtime - state.saved_progress
@@ -671,7 +631,7 @@ class ProbabilisticQoSSystem:
             booking.start, EventKind.START, job_id=job_id
         )
 
-    def _maybe_evacuate(self, state: _JobState) -> bool:
+    def _maybe_evacuate(self, state: JobOutcome) -> bool:
         """Voluntarily stop a just-checkpointed job if its partition is
         predicted to fail before the next checkpoint could complete *and* a
         strictly safer slot exists for the remaining work.
@@ -687,13 +647,11 @@ class ProbabilisticQoSSystem:
         Returns True if the job was evacuated (caller must not schedule
         further run events for the old run).
         """
-        run = state.run
-        assert run is not None
         now = self.loop.now
         job_id = state.job.job_id
         nodes = self.cluster.nodes_of(job_id)
         horizon = min(
-            run.remaining_work + self.config.checkpoint_overhead,
+            state.remaining_work + self.config.checkpoint_overhead,
             self.config.checkpoint_interval + 2 * self.config.checkpoint_overhead,
         )
         p_f = self.evaluator.failure_probability(nodes, now, now + horizon)
@@ -723,12 +681,12 @@ class ProbabilisticQoSSystem:
             )
             return False
 
-        state.run = None
+        state.running = False
+        state.evacuations += 1
         if state.run_event is not None:
             state.run_event.cancel()
             state.run_event = None
         self.cluster.remove_job(job_id)
-        self.metrics.record_evacuation(job_id)
         if self.recorder is not None:
             self.recorder.record(
                 now, "evacuated", job_id=job_id, predicted_pf=p_f, nodes=list(nodes)
@@ -773,7 +731,7 @@ class ProbabilisticQoSSystem:
             (
                 s
                 for s in self._states.values()
-                if not s.done and not s.running and s.reserved_start > now
+                if s.finish is None and not s.running and s.reserved_start > now
                 and s.start_event is not None
             ),
             key=lambda s: s.reserved_start,
@@ -814,16 +772,17 @@ class ProbabilisticQoSSystem:
         """
         until = math.nextafter(self.loop.now, math.inf)
         for job_id in self.cluster.running_jobs():
-            run = self._states[job_id].run
-            if run is not None and run.planned_skips:
-                self._settle_skips(job_id, run, until)
-        performed = skipped = evacuations = 0
+            state = self._states[job_id]
+            if state.planned_skips:
+                self._settle_skips(state, until)
+        performed = skipped = evacuations = kills = 0
         started = False
-        for outcome in self.metrics.outcomes():
-            performed += outcome.checkpoints_performed
-            skipped += outcome.checkpoints_skipped
-            evacuations += outcome.evacuations
-            started = started or outcome.first_start is not None
+        for state in self._states.values():
+            performed += state.checkpoints_performed
+            skipped += state.checkpoints_skipped
+            evacuations += state.evacuations
+            kills += state.failures
+            started = started or state.first_start is not None
         counts: Dict[str, float] = {
             "core.system.jobs_completed": len(self.workload) - self._unfinished,
             "core.system.evacuations": evacuations,
@@ -833,7 +792,7 @@ class ProbabilisticQoSSystem:
                 "checkpointing.runtime.performed": performed,
                 "checkpointing.runtime.skipped": skipped,
                 "checkpointing.runtime.overhead_seconds": self._checkpoint_overhead_s,
-                "checkpointing.runtime.kills": self.metrics.failure_hits,
+                "checkpointing.runtime.kills": kills,
                 "checkpointing.runtime.lost_wall_seconds": self._lost_wall_s,
             })
         for component in (

@@ -131,16 +131,29 @@ def collect_import_edges(
     ``__init__`` otherwise resolves to the package).  Self-imports are
     dropped — a package re-exporting its own submodule is not an edge the
     layering cares about.
+
+    Importing ``repro.x.m`` first runs ``repro/x/__init__.py``, so each
+    scanned ancestor package of the target gets an edge too, except the
+    root ``repro`` and the packages that contain the importer (already
+    initialising when it runs).
     """
     known = set(known_modules)
     edges: List[ImportEdge] = []
 
     def add(target: str, node: ast.stmt) -> None:
-        if target != module:
+        parts = target.split(".")
+        ancestors = [
+            package
+            for package in (".".join(parts[:i]) for i in range(2, len(parts)))
+            if package in known and not module.startswith(package + ".")
+        ]
+        for imported in [target] + ancestors:
+            if imported == module:
+                continue
             edges.append(
                 ImportEdge(
                     importer=module,
-                    imported=target,
+                    imported=imported,
                     path=path,
                     line=node.lineno,
                     col=node.col_offset,

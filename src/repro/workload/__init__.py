@@ -1,11 +1,5 @@
 """Workload substrate: job records, SWF traces, synthetic archive logs."""
 
-from repro.workload.archive import (
-    BundleManifest,
-    ensure_bundle,
-    read_bundle,
-    write_bundle,
-)
 from repro.workload.job import Job, JobLog, WorkloadStats
 from repro.workload.swf import SWFParseError, iter_swf, parse_swf, write_swf
 from repro.workload.synthetic import (
@@ -22,10 +16,6 @@ from repro.workload.synthetic import (
 )
 
 __all__ = [
-    "BundleManifest",
-    "ensure_bundle",
-    "read_bundle",
-    "write_bundle",
     "Job",
     "JobLog",
     "WorkloadStats",

@@ -27,8 +27,9 @@ def outcome(job_id, promised, kept, work_size=1):
         planned_start=0.0,
         planned_nodes=(0,),
     )
-    record = JobOutcome(job=job, guarantee=guarantee)
-    record.finish = 500.0 if kept else 2000.0
+    record = JobOutcome(job, guarantee)
+    record.start(0.0, recovery_time=0.0)
+    record.complete(500.0 if kept else 2000.0)
     return record
 
 
@@ -63,7 +64,7 @@ class TestBuckets:
             calibration_buckets([], bucket_count=0)
 
     def test_unpromised_outcomes_ignored(self):
-        bare = JobOutcome(job=Job(job_id=9, arrival_time=0.0, size=1, runtime=1.0))
+        bare = JobOutcome(Job(job_id=9, arrival_time=0.0, size=1, runtime=1.0))
         assert calibration_buckets([bare]) == []
 
 

@@ -1,12 +1,13 @@
-"""Unit tests for the QoS / utilization / lost-work metrics (Section 3.5)."""
+"""Unit tests for the QoS / utilization / lost-work metrics (Section 3.5)
+over the per-job records."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.guarantee import QoSGuarantee
-from repro.core.metrics import MetricsCollector
-from repro.workload.job import Job
+from repro.core.metrics import JobOutcome, finalize
+from repro.workload.job import Job, JobLog
 
 
 def guarantee(job_id, deadline, probability, negotiated_at=0.0):
@@ -21,60 +22,51 @@ def guarantee(job_id, deadline, probability, negotiated_at=0.0):
     )
 
 
-def collector_with(jobs):
-    collector = MetricsCollector()
-    for job in jobs:
-        collector.register_job(job)
-    return collector
+def promised(job, deadline, probability):
+    """The job's record with its promise."""
+    return JobOutcome(job, guarantee(job.job_id, deadline, probability))
+
+
+def ran(record, start, finish):
+    """Run the record from ``start`` to its finish at ``finish``."""
+    record.start(start, recovery_time=0.0)
+    record.complete(finish)
+    return record
 
 
 class TestQoSEquation:
     def test_single_kept_promise(self):
         job = Job(job_id=1, arrival_time=0.0, size=4, runtime=100.0)
-        collector = collector_with([job])
-        collector.record_guarantee(1, guarantee(1, deadline=200.0, probability=0.8))
-        collector.record_start(1, 0.0)
-        collector.record_finish(1, 150.0)
-        metrics = collector.finalize(node_count=8)
+        record = ran(promised(job, deadline=200.0, probability=0.8), 0.0, 150.0)
+        metrics = finalize([record], 8, 0.0, 0)
         # QoS = (e n q p) / (e n) = p = 0.8.
         assert metrics.qos == pytest.approx(0.8)
 
     def test_missed_deadline_scores_zero(self):
         job = Job(job_id=1, arrival_time=0.0, size=4, runtime=100.0)
-        collector = collector_with([job])
-        collector.record_guarantee(1, guarantee(1, deadline=120.0, probability=0.9))
-        collector.record_start(1, 0.0)
-        collector.record_finish(1, 150.0)
-        assert collector.finalize(8).qos == 0.0
+        record = ran(promised(job, deadline=120.0, probability=0.9), 0.0, 150.0)
+        assert finalize([record], 8, 0.0, 0).qos == 0.0
 
     def test_work_weighting(self):
         small = Job(job_id=1, arrival_time=0.0, size=1, runtime=100.0)  # work 100
         large = Job(job_id=2, arrival_time=0.0, size=3, runtime=100.0)  # work 300
-        collector = collector_with([small, large])
-        collector.record_guarantee(1, guarantee(1, deadline=1000.0, probability=1.0))
-        collector.record_guarantee(2, guarantee(2, deadline=1000.0, probability=1.0))
-        collector.record_start(1, 0.0)
-        collector.record_finish(1, 100.0)  # small kept
-        collector.record_start(2, 0.0)
-        collector.record_finish(2, 2000.0)  # large missed
-        assert collector.finalize(8).qos == pytest.approx(100.0 / 400.0)
+        records = [
+            ran(promised(small, 1000.0, 1.0), 0.0, 100.0),  # small kept
+            ran(promised(large, 1000.0, 1.0), 0.0, 2000.0),  # large missed
+        ]
+        assert finalize(records, 8, 0.0, 0).qos == pytest.approx(100.0 / 400.0)
 
     def test_unfinished_job_breaks_promise(self):
         job = Job(job_id=1, arrival_time=0.0, size=1, runtime=100.0)
-        collector = collector_with([job])
-        collector.record_guarantee(1, guarantee(1, deadline=500.0, probability=1.0))
-        assert collector.finalize(8).qos == 0.0
+        assert finalize([promised(job, 500.0, 1.0)], 8, 0.0, 0).qos == 0.0
 
 
 class TestUtilization:
     def test_definition(self):
         # One job: 4 nodes x 100 s on an 8-node cluster, span 200 s.
         job = Job(job_id=1, arrival_time=0.0, size=4, runtime=100.0)
-        collector = collector_with([job])
-        collector.record_guarantee(1, guarantee(1, deadline=500.0, probability=1.0))
-        collector.record_start(1, 50.0)
-        collector.record_finish(1, 200.0)
-        metrics = collector.finalize(node_count=8)
+        record = ran(promised(job, 500.0, 1.0), 50.0, 200.0)
+        metrics = finalize([record], 8, 0.0, 0)
         assert metrics.span == 200.0
         assert metrics.utilization == pytest.approx(400.0 / (200.0 * 8))
 
@@ -82,84 +74,91 @@ class TestUtilization:
         # Checkpoint overhead must not inflate the work numerator: the job
         # took 300 s of wall time but e_j is 100 s.
         job = Job(job_id=1, arrival_time=0.0, size=4, runtime=100.0)
-        collector = collector_with([job])
-        collector.record_guarantee(1, guarantee(1, deadline=500.0, probability=1.0))
-        collector.record_start(1, 0.0)
-        collector.record_checkpoint(1, performed=True, overhead=200.0)
-        collector.record_finish(1, 300.0)
-        metrics = collector.finalize(node_count=8)
+        record = promised(job, 500.0, 1.0)
+        record.start(0.0, recovery_time=0.0)
+        record.reach_request(50.0)
+        record.begin_checkpoint(50.0)
+        record.complete_checkpoint(250.0, 200.0)
+        record.complete(300.0)
+        metrics = finalize([record], 8, 0.0, 0)
         assert metrics.total_work == 400.0
+        assert metrics.checkpoint_overhead == 200.0
 
 
 class TestLostWork:
     def test_accumulates_across_failures(self):
         job = Job(job_id=1, arrival_time=0.0, size=4, runtime=100.0)
-        collector = collector_with([job])
-        collector.record_failure_hit(1, 1200.0)
-        collector.record_failure_hit(1, 800.0)
-        metrics = collector.finalize(8)
+        record = JobOutcome(job)
+        record.start(0.0, recovery_time=0.0)
+        record.kill(300.0)  # 300 s x 4 nodes
+        record.start(1000.0, recovery_time=0.0)
+        record.kill(1200.0)  # 200 s x 4 nodes
+        assert record.lost_node_seconds == 2000.0
+        assert record.failures == 2
+        metrics = finalize([record], 8, record.lost_node_seconds, 0)
         assert metrics.lost_work == 2000.0
         assert metrics.failures_hitting_jobs == 2
-        assert collector.outcome(1).failures == 2
 
 
 class TestBookkeeping:
     def test_first_and_last_start(self):
         job = Job(job_id=1, arrival_time=10.0, size=1, runtime=100.0)
-        collector = collector_with([job])
-        collector.record_start(1, 50.0)
-        collector.record_start(1, 500.0)
-        outcome = collector.outcome(1)
-        assert outcome.first_start == 50.0
-        assert outcome.last_start == 500.0
-        assert outcome.wait == 490.0  # paper uses the *last* start
+        record = JobOutcome(job)
+        record.start(50.0, recovery_time=0.0)
+        record.start(500.0, recovery_time=0.0)
+        assert record.first_start == 50.0
+        assert record.last_start == 500.0
+        assert record.wait == 490.0  # paper uses the *last* start
 
     def test_checkpoint_counters(self):
         job = Job(job_id=1, arrival_time=0.0, size=1, runtime=100.0)
-        collector = collector_with([job])
-        collector.record_checkpoint(1, performed=True, overhead=720.0)
-        collector.record_checkpoint(1, performed=False)
-        collector.record_checkpoint(1, performed=False)
-        metrics = collector.finalize(8)
+        record = JobOutcome(job)
+        record.start(0.0, recovery_time=0.0)
+        record.begin_checkpoint(0.0)
+        record.complete_checkpoint(720.0, 720.0)
+        record.skip_checkpoint(720.0)
+        record.skip_checkpoint(720.0)
+        metrics = finalize([record], 8, 0.0, 0)
         assert metrics.checkpoints_performed == 1
         assert metrics.checkpoints_skipped == 2
         assert metrics.checkpoint_overhead == 720.0
 
     def test_duplicate_registration_rejected(self):
+        # One record per job id: a log cannot hold the same id twice.
         job = Job(job_id=1, arrival_time=0.0, size=1, runtime=100.0)
-        collector = collector_with([job])
         with pytest.raises(ValueError):
-            collector.register_job(job)
+            JobLog([job, job])
 
     def test_bounded_slowdown_floor(self):
         job = Job(job_id=1, arrival_time=0.0, size=1, runtime=10.0)
-        collector = collector_with([job])
-        collector.record_guarantee(1, guarantee(1, deadline=500.0, probability=1.0))
-        collector.record_start(1, 0.0)
-        collector.record_finish(1, 10.0)
-        outcome = collector.outcome(1)
-        assert outcome.bounded_slowdown == 1.0  # floored, not 1.0x runtime
+        record = ran(promised(job, 500.0, 1.0), 0.0, 10.0)
+        assert record.bounded_slowdown == 1.0  # floored, not 1.0x runtime
 
     def test_empty_collector(self):
-        metrics = MetricsCollector().finalize(8)
+        metrics = finalize([], 8, 0.0, 0)
         assert metrics.qos == 1.0
         assert metrics.job_count == 0
         assert metrics.deadline_met_fraction == 1.0
 
     def test_forced_negotiations_counted(self):
         job = Job(job_id=1, arrival_time=0.0, size=1, runtime=10.0)
-        collector = collector_with([job])
-        collector.record_guarantee(
-            1, guarantee(1, deadline=500.0, probability=0.5), forced=True
-        )
-        assert collector.finalize(8).forced_negotiations == 1
+        records = [promised(job, 500.0, 0.5)]
+        assert finalize(records, 8, 0.0, 1).forced_negotiations == 1
 
     def test_mean_promised_probability(self):
-        jobs = [
-            Job(job_id=1, arrival_time=0.0, size=1, runtime=10.0),
-            Job(job_id=2, arrival_time=0.0, size=1, runtime=10.0),
+        records = [
+            promised(Job(job_id=1, arrival_time=0.0, size=1, runtime=10.0), 500.0, 0.6),
+            promised(Job(job_id=2, arrival_time=0.0, size=1, runtime=10.0), 500.0, 1.0),
         ]
-        collector = collector_with(jobs)
-        collector.record_guarantee(1, guarantee(1, deadline=500.0, probability=0.6))
-        collector.record_guarantee(2, guarantee(2, deadline=500.0, probability=1.0))
-        assert collector.finalize(8).mean_promised_probability == pytest.approx(0.8)
+        metrics = finalize(records, 8, 0.0, 0)
+        assert metrics.mean_promised_probability == pytest.approx(0.8)
+
+
+class TestRecordEquality:
+    def test_equal_over_every_slot(self):
+        job = Job(job_id=1, arrival_time=0.0, size=1, runtime=100.0)
+        a, b = ran(JobOutcome(job), 0.0, 100.0), ran(JobOutcome(job), 0.0, 100.0)
+        assert a == b
+        b.reserved_end = 1.0
+        assert a != b
+        assert JobOutcome(job) != object()

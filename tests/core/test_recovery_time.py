@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checkpointing.runtime import JobRun
-from repro.core.system import SystemConfig, simulate
+from repro.core.metrics import JobOutcome
+from repro.core.system import ProbabilisticQoSSystem, SystemConfig, simulate
 from repro.failures.events import FailureEvent, FailureTrace
 from repro.workload.job import Job, JobLog
 
@@ -34,27 +34,32 @@ def config(recovery=0.0):
     )
 
 
+def started(saved, at=100.0, recovery=600.0):
+    """A job's record whose run starts at ``at`` from ``saved``."""
+    record = JobOutcome(Job(job_id=1, arrival_time=0.0, size=1, runtime=10_000.0))
+    record.saved_progress = saved
+    record.start(at, recovery)
+    return record
+
+
 class TestJobRunRestore:
+    """Restores at the start of a job's run (:meth:`JobOutcome.start`)."""
+
     def test_fresh_start_pays_no_restore(self):
-        run = JobRun(1, 10_000.0, 3600.0, 720.0, 0.0, 100.0, recovery_overhead=600.0)
-        assert run.segment_start == 100.0
+        assert started(0.0).segment_start == 100.0
 
     def test_restart_pays_restore_before_compute(self):
-        run = JobRun(
-            1, 10_000.0, 3600.0, 720.0, 3600.0, 100.0, recovery_overhead=600.0
-        )
-        assert run.segment_start == 700.0
+        assert started(3600.0).segment_start == 700.0
 
     def test_negative_restore_rejected(self):
+        # R is checked once, on the configuration.
         with pytest.raises(ValueError):
-            JobRun(1, 100.0, 60.0, 10.0, 0.0, 0.0, recovery_overhead=-1.0)
+            SystemConfig(recovery_time=-1.0)
 
     def test_kill_during_restore_loses_nothing_extra(self):
-        run = JobRun(
-            1, 10_000.0, 3600.0, 720.0, 3600.0, 100.0, recovery_overhead=600.0
-        )
-        lost, durable = run.kill(300.0)  # mid-restore
-        assert durable == 3600.0  # checkpointed progress intact
+        record = started(3600.0)
+        lost = record.kill(300.0)  # mid-restore
+        assert record.saved_progress == 3600.0  # checkpointed progress intact
         assert lost == pytest.approx(200.0)  # occupied wall time since start
 
 
@@ -102,3 +107,33 @@ class TestSystemWithRecoveryTime:
     def test_validation(self):
         with pytest.raises(ValueError):
             SystemConfig(recovery_time=-1.0)
+
+
+class TestOneRecordPerJob:
+    def test_record_survives_kill_and_restart(self):
+        """The killed job's record is the one the run returns: the restart
+        reused it, restored from its checkpoint and finished on it."""
+        failures = FailureTrace([FailureEvent(1, 1.5 * HOUR, 0)])
+        system = ProbabilisticQoSSystem(config(900.0), one_wide_job(), failures)
+        killed = []
+        kill = system._kill_job
+
+        def spy(job_id, now):
+            killed.append(system._states[job_id])
+            kill(job_id, now)
+
+        system._kill_job = spy
+        result = system.run()
+        assert len(killed) == 1
+        (record,) = result.outcomes
+        assert record is killed[0]
+        assert record.failures == 1
+        # Restarted once the failed node's 120 s repair ended.
+        assert (record.first_start, record.last_start) == (0.0, 1.5 * HOUR + 120.0)
+        # Rolled back to the checkpoint at 1 h (begun at I, written in C).
+        assert record.lost_node_seconds == pytest.approx((0.5 * HOUR) * 16)
+        assert record.finish == record.last_start + 900.0 + 2 * HOUR + 720.0
+        # Nothing is left in flight once the job finished.
+        assert not record.running
+        assert record.start_event is None and record.run_event is None
+        assert record.pending_decision is None and record.planned_skips == 0

@@ -8,7 +8,10 @@ means something if a broken tree fails it.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 from typing import Dict
 
 from repro.lint.arch import (
@@ -18,6 +21,8 @@ from repro.lint.arch import (
 )
 from repro.lint.config import LintConfig
 from repro.lint.engine import lint_paths
+
+PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def modules_from(sources: Dict[str, str]):
@@ -207,6 +212,81 @@ class TestCycles:
             )
         )
         assert findings == []
+
+
+#: A package ``__init__`` re-exporting a module that imports a second
+#: package, whose module imports back into the first package: no cycle
+#: between modules, but importing ``repro.scheduling`` first fails.
+PACKAGE_INIT_CYCLE = {
+    "repro.core": "from repro.core.system import System\n",
+    "repro.core.system": "from repro.scheduling.fcfs import Scheduler\n",
+    "repro.core.negotiation": "Negotiator = 1\n",
+    "repro.scheduling": "from repro.scheduling.fcfs import Scheduler\n",
+    "repro.scheduling.fcfs": "from repro.core.negotiation import Negotiator\n",
+}
+
+
+class TestPackageInitEdges:
+    def test_import_runs_the_ancestor_package_init(self):
+        tree = ast.parse("from repro.core.metrics import x\n")
+        edges = collect_import_edges(
+            tree, "repro.scheduling.fcfs", "x.py",
+            ["repro", "repro.core", "repro.core.metrics"],
+        )
+        assert [e.imported for e in edges] == ["repro.core.metrics", "repro.core"]
+
+    def test_root_and_own_packages_get_no_edge(self):
+        tree = ast.parse("import repro.core.metrics\n")
+        edges = collect_import_edges(
+            tree, "repro.core.system", "x.py",
+            ["repro", "repro.core", "repro.core.metrics"],
+        )
+        assert [e.imported for e in edges] == ["repro.core.metrics"]
+
+    def test_import_from_own_package_init_still_counted(self):
+        tree = ast.parse("from repro.core import Negotiator\n")
+        edges = collect_import_edges(
+            tree, "repro.core.system", "x.py", ["repro", "repro.core"]
+        )
+        assert [e.imported for e in edges] == ["repro.core"]
+
+    def test_package_init_cycle_flagged(self):
+        findings = check_architecture(modules_from(PACKAGE_INIT_CYCLE))
+        assert {f.code for f in findings} == {"QOS502"}
+        assert (
+            "{repro.core <-> repro.core.system <-> repro.scheduling <-> "
+            "repro.scheduling.fcfs}" in findings[0].message
+        )
+
+    def test_dropping_the_re_export_clears_the_cycle(self):
+        sources = dict(PACKAGE_INIT_CYCLE, **{"repro.core": '"""Core."""\n'})
+        assert check_architecture(modules_from(sources)) == []
+
+    def test_every_subpackage_imports_first(self):
+        """With the root ``__init__`` stubbed out (it fixes one import
+        order), each subpackage imports on its own in a fresh module
+        table."""
+        packages = sorted(
+            "repro." + init.parent.name for init in PACKAGE.glob("*/__init__.py")
+        )
+        script = textwrap.dedent(
+            """
+            import importlib, sys, types
+            for name in sys.argv[2:]:
+                for loaded in [m for m in sys.modules if m.split(".")[0] == "repro"]:
+                    del sys.modules[loaded]
+                root = types.ModuleType("repro")
+                root.__path__ = [sys.argv[1]]
+                sys.modules["repro"] = root
+                importlib.import_module(name)
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(PACKAGE), *packages],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "repro.failures" in packages and "repro.scheduling" in packages
 
 
 class TestEndToEnd:

@@ -10,7 +10,11 @@ checks they are the only difference.
 
 The cases cover counters the CI counts gate never exercises: cancelled
 events, restart probes, kills, lost wall seconds, evacuations,
-pull-forward attempts and online-predictor alarms.
+pull-forward attempts, online-predictor alarms and restores from a
+checkpoint with a recovery time.  Each case also pins an
+``outcomes_sha256``: a digest of every job's outcome and of the
+aggregate metrics, so EASY, evacuation, opportunistic start, restores and
+the online predictor keep their per-job trajectories too.
 
 Regenerate (only when a change is *meant* to move a counter) with
 ``PYTHONPATH=src python tests/obs/test_golden_counters.py``.
@@ -18,6 +22,8 @@ Regenerate (only when a change is *meant* to move a counter) with
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -76,6 +82,12 @@ CASES = {
     # An alarm threshold under the quiet-node hazard makes every
     # declined offer's jump query raise alarms.
     "sdsc_online": dict(workload="sdsc", accuracy=0.7, user=0.99, online=True),
+    # Periodic checkpoints under churn: restarts restore from a checkpoint
+    # and pay R before compute resumes.
+    "sdsc_restore": dict(
+        workload="sdsc", accuracy=0.7, user=0.9,
+        overrides={"recovery_time": 600.0, "checkpoint_policy": "periodic"},
+    ),
 }
 JOBS = 40
 SEED = 5
@@ -133,6 +145,30 @@ def golden_system(case):
     )
 
 
+def outcomes_digest(result) -> str:
+    """sha256 over the ``repr`` of every job's outcome fields, by job id,
+    and of the aggregate metrics."""
+    lines = []
+    for o in result.outcomes:
+        g = o.guarantee
+        lines.append(repr((
+            o.job.job_id,
+            None if g is None else g.probability,
+            None if g is None else g.deadline,
+            o.first_start,
+            o.last_start,
+            o.finish,
+            o.failures,
+            o.lost_node_seconds,
+            o.checkpoints_performed,
+            o.checkpoints_skipped,
+            o.checkpoint_overhead,
+            o.evacuations,
+        )))
+    lines.append(repr(dataclasses.astuple(result.metrics)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def table(rows):
     """Sampler rows as ``(columns, [[time, value or None, ...], ...])``."""
     columns = sorted({name for row in rows for name in row["metrics"]})
@@ -184,6 +220,7 @@ def test_case_reproduces_golden(golden, name):
     assert set(result.obs) == {"counters", "gauges"}
     assert result.obs["counters"] == expected["counters"]
     assert result.obs["gauges"] == expected["gauges"]
+    assert outcomes_digest(result) == expected["outcomes_sha256"]
     columns, samples = table(system.sampler.rows)
     keep = [i for i, c in enumerate(expected["sample_columns"]) if _kept(c)]
     assert columns == [expected["sample_columns"][i] for i in keep]
@@ -225,6 +262,7 @@ def _capture() -> dict:
             "histogram_counts": {
                 n: h["count"] for n, h in result.obs.get("histograms", {}).items()
             },
+            "outcomes_sha256": outcomes_digest(result),
             "sample_columns": columns,
             "samples": samples,
         }

@@ -91,14 +91,14 @@ def _scripted_system(sample_interval):
 class TestSamplerInSimulation:
     def test_cadence_matches_sim_time(self):
         system = _scripted_system(sample_interval=1000.0)
-        system.run()
+        result = system.run()
         times = [row["time"] for row in system.sampler.rows]
         # Origin sample, then every 1000 sim-seconds, then the end-of-run
         # sample; intermediate rows sit exactly on the cadence.
         assert times[0] == 0.0
         assert times[1:4] == [1000.0, 2000.0, 3000.0]
         assert times == sorted(times)
-        span = system.metrics.finalize(4).span
+        span = result.metrics.span
         assert times[-1] >= span - 1000.0
 
     def test_counters_are_monotonic_across_rows(self):

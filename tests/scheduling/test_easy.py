@@ -90,8 +90,7 @@ class TestBackfilling:
             name="no-delay",
         )
         sim = EasyBackfillSystem(never(16), log, FailureTrace([]))
-        sim.run()
-        start2 = sim.metrics.outcome(2).first_start
+        start2 = sim.run().outcomes[1].first_start
         assert start2 == pytest.approx(HOUR, abs=1.0)  # not delayed by job 3
 
 
@@ -203,10 +202,10 @@ class TestPinnedSchedule:
         )
         failures = FailureTrace([FailureEvent(1, HOUR, 0)])
         sim = EasyBackfillSystem(never(16), log, failures)
-        sim.run()
+        first, second = sim.run().outcomes
         restart = HOUR + sim.config.downtime
-        assert sim.metrics.outcome(1).last_start == pytest.approx(restart)
-        assert sim.metrics.outcome(2).first_start == pytest.approx(
+        assert first.last_start == pytest.approx(restart)
+        assert second.first_start == pytest.approx(
             restart + 2 * HOUR
         )
 

@@ -90,11 +90,11 @@ class TestEasyInternals:
 
     def test_queued_job_waits_for_the_full_width_head(self):
         sim = self.make_simulator([Job(1, 0.0, 8, HOUR), Job(2, 1.0, 4, HOUR)])
-        metrics = sim.run().metrics
-        assert metrics.completed_jobs == 2
+        result = sim.run()
+        assert result.metrics.completed_jobs == 2
         # Job 2 could not backfill around a full-width job: it started only
         # when job 1 released the cluster.
-        assert sim.metrics.outcome(2).first_start == pytest.approx(HOUR)
+        assert result.outcomes[1].first_start == pytest.approx(HOUR)
 
 
 class TestSystemFlagCombinations:
