@@ -38,17 +38,21 @@ mutations as much as by queries.  Each booking is therefore stored once
   live *run* count, never the cluster width, and the answer is memoised
   on ``(start, end, mutation version)`` so the overlap check in
   ``reserve`` right after the placement query is one set difference;
-* the pass is skipped when the window's skyline maximum equals the
-  total booked width: every live booking is then active at one instant
-  of the window, and the free set is the nodes no booking holds.  The
+* the pass is skipped when every live booking is active at one instant
+  of the window, an O(1) test against the latest live start and the
+  earliest live end (the ledger keeps the start and end times as sorted
+  multisets); the free set is then the nodes no booking holds.  The
   ledger keeps those as a run list that ``reserve`` cuts and ``release``
   merges back (dropping it when a node was held twice, rebuilding it on
   the next query that needs it), so on a wide cluster whose bookings all
   run now the query is a copy of the free runs;
-* the aggregate usage *skyline* (:class:`CapacityProfile`) is edited in
-  place by every mutation — two boundary insertions and a range add — so
-  :meth:`~ReservationLedger.profile` is free and a window maximum is two
-  bisections and a slice maximum;
+* the aggregate usage *skyline* (:class:`CapacityProfile`) is stored as
+  the level change at each breakpoint and edited in place by every
+  mutation — two breakpoints, each one bisection and at most one list
+  edit — so :meth:`~ReservationLedger.profile` is free, a window query
+  is two bisections and a walk over the window's breakpoints from a kept
+  prefix sum, and the prefilter passes a job that fits beside all live
+  bookings together without a look at the skyline;
 * :meth:`~ReservationLedger.find_slot` walks candidate start times lazily
   and stops at the first window with enough free nodes.
 """
@@ -84,54 +88,96 @@ class CapacityProfile:
     skipping the node-level sweep.
 
     The skyline is two parallel lists: ``times`` ascending, and
-    ``levels[i]``, the booked node count on ``[times[i], times[i+1])``
-    (zero before the first boundary and from the last one on).  Only
-    boundaries where the level changes are kept, so the lists are a
-    canonical form of the usage function.  :meth:`add` edits them in
-    place; the ledger calls it on every mutation.
+    ``deltas[i]``, the change in the booked node count at ``times[i]``
+    (the count is zero before the first boundary and, since every
+    booking adds its width at its start and takes it back at its end,
+    the deltas sum to zero).  Only boundaries where the count changes are
+    kept, so the lists are a canonical form of the usage function;
+    :attr:`levels` is the count on each ``[times[i], times[i+1])``.
+    ``booked`` is the summed width of the live bookings, which no instant
+    can exceed.  :meth:`add` and :meth:`move_end` edit them in place, two
+    breakpoints each; the ledger calls one of them on every mutation.  A
+    query needs the count at its window, a prefix sum of the deltas: the
+    profile keeps one, which edits below it adjust in O(1) and each query
+    moves to its window.
     """
 
     def __init__(self, reservations: Sequence["Reservation"] = ()) -> None:
         deltas: Dict[float, int] = {}
+        self.booked = 0
         for r in reservations:
             width = len(r.nodes)
             deltas[r.start] = deltas.get(r.start, 0) + width
             deltas[r.end] = deltas.get(r.end, 0) - width
+            self.booked += width
         # A zero net delta (one booking ending where another of the same
         # width starts) changes no level, so it is no boundary.
         self.times: List[float] = [t for t in sorted(deltas) if deltas[t]]
-        self.levels: List[int] = list(accumulate(deltas[t] for t in self.times))
+        self.deltas: List[int] = [deltas[t] for t in self.times]
+        # The kept prefix sum: _at_level is sum(deltas[:_at]), the booked
+        # count just before times[_at] (0 when _at is 0 or len(times)).
+        self._at = 0
+        self._at_level = 0
+
+    @property
+    def levels(self) -> List[int]:
+        """The booked node count on each ``[times[i], times[i+1])``."""
+        return list(accumulate(self.deltas))
 
     def add(self, start: float, end: float, width: int) -> None:
-        """Add ``width`` booked nodes over ``[start, end)`` (negative
-        ``width`` removes them)."""
-        times, levels = self.times, self.levels
-        lo = bisect.bisect_left(times, start)
-        if lo == len(times) or times[lo] != start:
-            times.insert(lo, start)
-            levels.insert(lo, levels[lo - 1] if lo else 0)
-        hi = bisect.bisect_left(times, end, lo)
-        if hi == len(times) or times[hi] != end:
-            times.insert(hi, end)
-            levels.insert(hi, levels[hi - 1])
-        levels[lo:hi] = [level + width for level in levels[lo:hi]]
-        # Only the two edited boundaries can have stopped changing the
-        # level; drop the upper one first so ``lo`` stays valid.
-        if levels[hi] == levels[hi - 1]:
-            del times[hi], levels[hi]
-        if levels[lo] == (levels[lo - 1] if lo else 0):
-            del times[lo], levels[lo]
+        """Add a booking of ``width`` nodes over ``[start, end)`` (negative
+        ``width`` removes one)."""
+        self._step(start, width)
+        self._step(end, -width)
+        self.booked += width
+
+    def move_end(self, end: float, new_end: float, width: int) -> None:
+        """Move the end of a live ``width``-node booking from ``end`` to
+        ``new_end``; the live width does not change."""
+        self._step(end, width)
+        self._step(new_end, -width)
+
+    def _step(self, t: float, delta: int) -> None:
+        """Change the booked count from ``t`` on by ``delta``: one
+        bisection and at most one list edit."""
+        times, deltas = self.times, self.deltas
+        i = bisect.bisect_left(times, t)
+        if i == len(times) or times[i] != t:
+            times.insert(i, t)
+            deltas.insert(i, delta)
+            moved = 1
+        elif deltas[i] + delta:
+            deltas[i] += delta
+            moved = 0
+        else:
+            del times[i], deltas[i]
+            moved = -1
+        if i < self._at:
+            # An edit below the kept prefix sum shifts its boundary and
+            # changes its level; one at or above it changes neither.
+            self._at += moved
+            self._at_level += delta
 
     def max_usage(self, start: float, end: float) -> int:
         """Maximum booked node count over ``[start, end)``."""
-        # Segments from the one holding `start` to the last one starting
-        # before `end`; usage before the first boundary is 0.
-        times = self.times
+        # Segments from the one holding `start` (lo - 1; usage before the
+        # first boundary is 0) to the last one starting before `end`
+        # (hi - 1), walked last first from the kept prefix sum, moved to
+        # hi.  The move is inlined here and in blocked_until: both are
+        # hot, and successive queries move it a few deltas or none.
+        times, deltas = self.times, self.deltas
         hi = bisect.bisect_left(times, end)
-        if not hi:
-            return 0
         lo = bisect.bisect_right(times, start, 0, hi)
-        return max(self.levels[lo - 1 if lo else 0 : hi])
+        at, level = self._at, self._at_level
+        if hi != at:
+            level += sum(deltas[at:hi]) if hi > at else -sum(deltas[hi:at])
+            self._at, self._at_level = hi, level
+        most = level
+        for i in range(hi - 1, lo - 1, -1):
+            level -= deltas[i]
+            if level > most:
+                most = level
+        return most
 
     def blocked_until(self, start: float, end: float, most_busy: int) -> float:
         """End of the last segment in ``[start, end)`` with more than
@@ -141,19 +187,30 @@ class CapacityProfile:
         past ``start``, and then every window that starts before the
         result and ends at or after ``end`` meets that segment too.  A
         negative ``most_busy`` (more nodes wanted than exist) blocks every
-        window: the result is infinite.
+        window: the result is infinite.  No instant books more than the
+        live bookings' summed width, so when that fits the answer is
+        ``start`` without a look at the skyline.
         """
         if most_busy < 0:
             return math.inf
-        times, levels = self.times, self.levels
+        if self.booked <= most_busy:
+            return start
+        # Same segments as max_usage, last first; segment i - 1 ends at
+        # times[i] (an over-full one is never the last, whose level is 0).
+        times, deltas = self.times, self.deltas
         hi = bisect.bisect_left(times, end)
         lo = bisect.bisect_right(times, start, 0, hi)
-        # Same segments as max_usage, last first.  The final boundary's
-        # level is 0, so ``i + 1`` is always a boundary.
-        for i in range(hi - 1, (lo - 1 if lo else 0) - 1, -1):
-            if levels[i] > most_busy:
-                return times[i + 1]
-        return start
+        at, level = self._at, self._at_level
+        if hi != at:
+            level += sum(deltas[at:hi]) if hi > at else -sum(deltas[hi:at])
+            self._at, self._at_level = hi, level
+        i = hi
+        while level <= most_busy:
+            if i == lo:
+                return start
+            i -= 1
+            level -= deltas[i]
+        return times[i]
 
     def window_fits(self, start: float, end: float, free_needed: int, total: int) -> bool:
         """Capacity prefilter: can ``free_needed`` nodes possibly be free?"""
@@ -199,9 +256,12 @@ class ReservationLedger:
         # node interval, as (node_lo, node_hi, start, end, job_id).
         self._busy_runs: List[Tuple[int, int, float, float, int]] = []
         self._by_job: Dict[int, Reservation] = {}
-        # Sorted multiset of reservation end times (candidate start points).
+        # Sorted multisets of reservation end times (candidate start
+        # points) and start times.
         self._end_times: List[float] = []
-        # Aggregate usage skyline, edited in place by every mutation.
+        self._start_times: List[float] = []
+        # Aggregate usage skyline and live booked width, edited in place
+        # by every mutation.
         self._profile = CapacityProfile()
         # Every mutation bumps _version; the sorted reservation view and
         # the free-set memo are only valid within one version.
@@ -209,11 +269,10 @@ class ReservationLedger:
         self._sorted: Optional[List[Reservation]] = None
         self._sweep_key: Optional[Tuple[float, float, int]] = None
         self._sweep_free = self._full
-        # Sum of the live bookings' widths, and the nodes no live booking
-        # holds at any time as (lo, hi) runs with their node count.  The
-        # run list is None while not kept (after a release that a node
-        # held twice made inexact); the next query that needs it rebuilds.
-        self._booked = 0
+        # The nodes no live booking holds at any time, as (lo, hi) runs
+        # with their node count.  The run list is None while not kept
+        # (after a release that a node held twice made inexact); the next
+        # query that needs it rebuilds.
         self._unheld: Optional[List[Tuple[int, int]]] = [(0, node_count)]
         self._unheld_size = node_count
         # find_slot tallies; _version doubles as the mutation count.
@@ -336,9 +395,8 @@ class ReservationLedger:
         for lo, hi in runs:
             bisect.insort(self._busy_runs, (lo, hi, start, end, job_id))
         bisect.insort(self._end_times, end)
-        width = len(node_seq)
-        self._profile.add(start, end, width)
-        self._booked += width
+        bisect.insort(self._start_times, start)
+        self._profile.add(start, end, len(node_seq))
         if self._unheld is not None:
             self._unheld_size -= self._hold(self._unheld, runs)
         self._invalidate()
@@ -351,19 +409,20 @@ class ReservationLedger:
             raise KeyError(f"job {job_id} has no reservation")
         runs = self._node_runs(reservation.nodes)
         self._remove_runs(reservation, runs)
-        self._remove_end_time(reservation.end)
+        self._remove_time(self._end_times, reservation.end)
+        self._remove_time(self._start_times, reservation.start)
         width = len(reservation.nodes)
-        self._profile.add(reservation.start, reservation.end, -width)
         if self._unheld is not None:
-            # _booked counts each held node once per booking holding it,
-            # and n - unheld_size counts it once: they agree exactly when
-            # no node is held twice, and only then is the release exact.
-            if self._booked + self._unheld_size == self._n:
+            # The booked width counts each held node once per booking
+            # holding it, and n - unheld_size counts it once: they agree
+            # exactly when no node is held twice, and only then is the
+            # release exact.
+            if self._profile.booked + self._unheld_size == self._n:
                 self._unhold(self._unheld, runs)
                 self._unheld_size += width
             else:
                 self._unheld = None
-        self._booked -= width
+        self._profile.add(reservation.start, reservation.end, -width)
         self._invalidate()
         return reservation
 
@@ -406,13 +465,9 @@ class ReservationLedger:
         self._remove_runs(reservation, runs)
         for lo, hi in runs:
             bisect.insort(self._busy_runs, (lo, hi, start, new_end, job_id))
-        self._remove_end_time(end)
+        self._remove_time(self._end_times, end)
         bisect.insort(self._end_times, new_end)
-        width = len(reservation.nodes)
-        if new_end > end:
-            self._profile.add(end, new_end, width)
-        else:
-            self._profile.add(new_end, end, -width)
+        self._profile.move_end(end, new_end, len(reservation.nodes))
         self._invalidate()
         updated = Reservation(job_id, reservation.nodes, start, new_end)
         self._by_job[job_id] = updated
@@ -534,22 +589,26 @@ class ReservationLedger:
         if key != self._sweep_key:
             if not self._end_times or start >= self._end_times[-1]:
                 free = self._full
+            elif self._all_active(start, end):
+                # The free nodes are the unheld ones.
+                if self._unheld is None:
+                    rebuilt = self._free_sweep(-math.inf, math.inf)
+                    self._unheld = list(rebuilt.runs)
+                    self._unheld_size = len(rebuilt)
+                free = NodeSet.from_runs(self._unheld, self._unheld_size)
+            elif self._profile.max_usage(start, end) == 0:
+                free = self._full
             else:
-                most = self._profile.max_usage(start, end)
-                if most == 0:
-                    free = self._full
-                elif most == self._booked:
-                    # Every live booking is active at one instant of the
-                    # window, so the free nodes are the unheld ones.
-                    if self._unheld is None:
-                        rebuilt = self._free_sweep(-math.inf, math.inf)
-                        self._unheld = list(rebuilt.runs)
-                        self._unheld_size = len(rebuilt)
-                    free = NodeSet.from_runs(self._unheld, self._unheld_size)
-                else:
-                    free = self._free_sweep(start, end)
+                free = self._free_sweep(start, end)
             self._sweep_key, self._sweep_free = key, free
         return self._sweep_free
+
+    def _all_active(self, start: float, end: float) -> bool:
+        """Whether every live booking (there must be one) is active at one
+        instant of ``[start, end)``: after the last start and before the
+        first end.  The skyline's maximum over the window is then the
+        booked width."""
+        return max(start, self._start_times[-1]) < min(end, self._end_times[0])
 
     def _free_sweep(self, start: float, end: float) -> NodeSet:
         """Nodes free throughout ``[start, end)``: one pass over the
@@ -655,7 +714,15 @@ class ReservationLedger:
         self._version += 1
         self._sorted = None
 
-    def _remove_end_time(self, end: float) -> None:
-        idx = bisect.bisect_left(self._end_times, end)
-        if idx < len(self._end_times) and self._end_times[idx] == end:
-            del self._end_times[idx]
+    @staticmethod
+    def _remove_time(times: List[float], t: float) -> None:
+        """Delete one ``t`` from the sorted multiset ``times``.
+
+        Raises:
+            RuntimeError: If ``t`` is missing, which means the ledger's
+                bookkeeping is corrupt.
+        """
+        idx = bisect.bisect_left(times, t)
+        if idx == len(times) or times[idx] != t:
+            raise RuntimeError(f"ledger bookkeeping corrupt: no time {t} to remove")
+        del times[idx]

@@ -135,7 +135,8 @@ def collect_import_edges(
     Importing ``repro.x.m`` first runs ``repro/x/__init__.py``, so each
     scanned ancestor package of the target gets an edge too, except the
     root ``repro`` and the packages that contain the importer (already
-    initialising when it runs).
+    initialising when it runs).  A statement yields each edge once, however
+    many of its names resolve to the same module.
     """
     known = set(known_modules)
     edges: List[ImportEdge] = []
@@ -174,7 +175,7 @@ def collect_import_edges(
             for alias in stmt.names:
                 candidate = f"{base}.{alias.name}"
                 add(candidate if candidate in known else base, stmt)
-    return edges
+    return list(dict.fromkeys(edges))
 
 
 def _layering_findings(edges: Sequence[ImportEdge]) -> List[Finding]:

@@ -5,10 +5,14 @@ mix of ``reserve``/``release``/``truncate``/``extend`` (including the
 sanctioned ``allow_overlap`` restores that make per-node end times
 unsorted), the incremental ledger must
 
-* report the ``max_usage`` a brute-force sum over the live bookings
-  gives (:func:`oracle_max_usage`, which shares no code with
-  :class:`CapacityProfile`), and keep its in-place skyline in the same
-  canonical form a from-scratch :class:`CapacityProfile` rebuild has,
+* report the ``max_usage`` and ``blocked_until`` brute-force sums over
+  the live bookings give (:func:`oracle_max_usage` and
+  :func:`oracle_blocked_until`, which share no code with
+  :class:`CapacityProfile`), for bounds on either side of the live
+  booked width, and keep its in-place skyline in the same canonical form
+  a from-scratch :class:`CapacityProfile` rebuild has,
+* find every live booking active at one instant of a window exactly
+  when the window's skyline maximum is the booked width,
 * answer ``node_free``/``free_nodes``/``candidate_times`` identically, and
 * return byte-identical ``find_slot`` results,
 
@@ -24,6 +28,7 @@ bookings.
 from __future__ import annotations
 
 import importlib.util
+import math
 import random
 from pathlib import Path
 
@@ -74,18 +79,56 @@ def oracle_max_usage(reservations, start, end):
     )
 
 
-def _check_equivalence(rng, fast: ReservationLedger, seed: SeedReservationLedger):
+def oracle_blocked_until(reservations, start, end, most_busy):
+    """Brute-force ``blocked_until``: find the last instant of ``[start,
+    end)`` at which more than ``most_busy`` nodes are booked, then the
+    first booking boundary past it at which the booked count changes."""
+    if most_busy < 0:
+        return math.inf
+
+    def usage(t):
+        return sum(len(r.nodes) for r in reservations if r.start <= t < r.end)
+
+    bounds = sorted({t for r in reservations for t in (r.start, r.end)})
+    probes = [start] + [t for t in bounds if start <= t < end]
+    over = [t for t in probes if usage(t) > most_busy]
+    if not over:
+        return start
+    last = max(over)
+    return next(t for t in bounds if t > last and usage(t) != usage(last))
+
+
+def _check_queries(bounds, fast, windows):
+    """The skyline queries and the all-active test against the oracles;
+    ``bounds`` draws the ``blocked_until`` bounds (its own stream, so the
+    mutation streams stay as they were)."""
+    live = fast.profile()
+    reservations = fast.reservations()
+    assert live.booked == sum(len(r.nodes) for r in reservations)
+    assert fast._start_times == sorted(r.start for r in reservations)
+    for start, end in windows:
+        most = oracle_max_usage(reservations, start, end)
+        assert live.max_usage(start, end) == most
+        if reservations:
+            assert fast._all_active(start, end) == (most == live.booked)
+        most_busy = bounds.randint(-1, live.booked + 2)
+        assert live.blocked_until(start, end, most_busy) == oracle_blocked_until(
+            reservations, start, end, most_busy
+        )
+
+
+def _check_equivalence(
+    rng, fast: ReservationLedger, seed: SeedReservationLedger, bounds
+):
     assert fast.reservations() == seed.reservations()
     assert fast.candidate_times(0.0) == seed.candidate_times(0.0)
 
     live = fast.profile()
     rebuilt = CapacityProfile(fast.reservations())
     assert (live.times, live.levels) == (rebuilt.times, rebuilt.levels)
-    reservations = fast.reservations()
-    for start, end in _probe_windows(rng, fast):
-        assert live.max_usage(start, end) == oracle_max_usage(
-            reservations, start, end
-        )
+    windows = _probe_windows(rng, fast)
+    _check_queries(bounds, fast, windows)
+    for start, end in windows:
         assert fast.free_nodes(start, end) == seed.free_nodes(start, end)
 
     size = rng.randint(1, NODES)
@@ -146,12 +189,13 @@ def test_incremental_profile_matches_seed_ledger(chunk):
     per_chunk = NUM_SEQUENCES // 4
     for sequence in range(per_chunk):
         rng = random.Random(chunk * per_chunk + sequence)
+        bounds = random.Random(-1 - chunk * per_chunk - sequence)
         fast = ReservationLedger(NODES)
         seed = SeedReservationLedger(NODES)
         next_id = 1
         for _ in range(OPS_PER_SEQUENCE):
             next_id = _apply_random_op(rng, fast, seed, next_id)
-            _check_equivalence(rng, fast, seed)
+            _check_equivalence(rng, fast, seed, bounds)
 
 
 def test_live_profile_follows_every_mutation():
@@ -258,14 +302,15 @@ def _check_unheld(fast):
         assert (fast._unheld, fast._unheld_size) == _unheld_oracle(fast)
 
 
-def _check_wide(rng, fast, seed, now, tally):
+def _check_wide(rng, fast, seed, now, tally, bounds):
     assert fast.reservations() == seed.reservations()
     _check_unheld(fast)
     windows = [(now, now + rng.uniform(1.0, 300.0)) for _ in range(3)]
     windows += [(r.start, r.end) for r in fast.reservations()[:2]]
+    _check_queries(bounds, fast, windows)
     for start, end in windows:
         tally["queries"] += 1
-        if fast.profile().max_usage(start, end) == fast._booked:
+        if fast.profile().max_usage(start, end) == fast.profile().booked:
             tally["all_active"] += 1
         assert fast.free_nodes(start, end) == seed.free_nodes(start, end)
     size = rng.randint(1, WIDE_NODES)
@@ -340,6 +385,7 @@ def test_wide_cluster_unheld_set_matches_seed_ledger():
     tally = {"queries": 0, "all_active": 0, "dropped": 0, "rebuilt": 0}
     for sequence in range(WIDE_SEQUENCES):
         rng = random.Random(10_000 + sequence)
+        bounds = random.Random(-10_000 - sequence)
         fast = ReservationLedger(WIDE_NODES)
         seed = SeedReservationLedger(WIDE_NODES)
         now, next_id = 0.0, 1
@@ -347,7 +393,7 @@ def test_wide_cluster_unheld_set_matches_seed_ledger():
             now, next_id = _apply_wide_op(rng, fast, seed, now, next_id)
             dropped = fast._unheld is None
             tally["dropped"] += dropped
-            _check_wide(rng, fast, seed, now, tally)
+            _check_wide(rng, fast, seed, now, tally, bounds)
             tally["rebuilt"] += dropped and fast._unheld is not None
     # The stream must exercise the new answer and the drop/rebuild cycle.
     assert tally["all_active"] > tally["queries"] // 2

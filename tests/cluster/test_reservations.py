@@ -460,7 +460,7 @@ class TestUnheldSet:
         ledger.release(1)
         # Job 2 still holds node 0; every live booking is active in the
         # window, and the answer must not free the node.
-        assert ledger.profile().max_usage(10.0, 20.0) == ledger._booked
+        assert ledger.profile().max_usage(10.0, 20.0) == ledger.profile().booked
         assert ledger.free_nodes_set(10.0, 20.0) == list(range(1, 8))
 
     def test_booking_ahead_across_a_held_node(self, ledger):
@@ -491,3 +491,36 @@ class TestUnheldSet:
             ledger.reserve(3, [6, 7, 8], 20.0, 30.0)
         assert (ledger._unheld, ledger._unheld_size) == kept
         assert ledger.free_nodes_set(0.0, 10.0) == list(range(3, 8))
+
+
+class TestTimeMultisets:
+    """The sorted start and end time multisets lose exactly the removed
+    booking's times; a time missing from them means the bookkeeping is
+    corrupt, and removing it raises instead of passing silently."""
+
+    def test_release_and_resize_keep_both_multisets(self, ledger):
+        ledger.reserve(1, [0], 0.0, 10.0)
+        ledger.reserve(2, [1], 0.0, 10.0)
+        ledger.reserve(3, [2], 5.0, 20.0)
+        ledger.truncate(3, 15.0)
+        ledger.release(1)
+        assert (ledger._start_times, ledger._end_times) == ([0.0, 5.0], [10.0, 15.0])
+
+    def test_release_with_a_missing_end_time_raises(self, ledger):
+        ledger.reserve(1, [0], 0.0, 10.0)
+        ledger._end_times.remove(10.0)
+        with pytest.raises(RuntimeError, match="bookkeeping corrupt"):
+            ledger.release(1)
+
+    def test_release_with_a_missing_start_time_raises(self, ledger):
+        ledger.reserve(1, [0], 0.0, 10.0)
+        ledger._start_times.remove(0.0)
+        with pytest.raises(RuntimeError, match="bookkeeping corrupt"):
+            ledger.release(1)
+
+    def test_resize_with_a_missing_end_time_raises(self, ledger):
+        ledger.reserve(1, [0], 0.0, 10.0)
+        ledger.reserve(2, [1], 0.0, 12.0)
+        ledger._end_times.remove(10.0)
+        with pytest.raises(RuntimeError, match="bookkeeping corrupt"):
+            ledger.extend(1, 20.0)

@@ -116,6 +116,24 @@ class TestEdgeCollection:
         )
         assert [e.imported for e in edges] == ["repro.core.metrics"]
 
+    def test_names_from_one_module_make_one_edge(self):
+        tree = ast.parse("from repro.core.metrics import a, b, c\n")
+        edges = collect_import_edges(
+            tree, "repro.scheduling.easy", "x.py",
+            ["repro", "repro.core", "repro.core.metrics"],
+        )
+        assert [e.imported for e in edges] == ["repro.core.metrics", "repro.core"]
+
+    def test_submodules_share_one_ancestor_edge(self):
+        tree = ast.parse("from repro.core import metrics, system\n")
+        edges = collect_import_edges(
+            tree, "repro.scheduling.easy", "x.py",
+            ["repro.core", "repro.core.metrics", "repro.core.system"],
+        )
+        assert [e.imported for e in edges] == [
+            "repro.core.metrics", "repro.core", "repro.core.system"
+        ]
+
     def test_try_fallback_import_counted(self):
         source = """
             try:
@@ -196,6 +214,24 @@ class TestCycles:
             )
         )
         assert [f.code for f in findings] == ["QOS502"] * 3
+
+    def test_multi_name_imports_flag_each_line_once(self):
+        findings = check_architecture(
+            modules_from(
+                {
+                    "repro.sim.a": "from repro.sim.b import x, y, z\n",
+                    "repro.sim.b": (
+                        "import os\n"
+                        "from repro.sim.a import p, q\n"
+                    ),
+                }
+            )
+        )
+        assert sorted((f.path, f.line) for f in findings) == [
+            ("src/repro/sim/a.py", 1),
+            ("src/repro/sim/b.py", 2),
+        ]
+        assert {f.code for f in findings} == {"QOS502"}
 
     def test_diamond_is_not_a_cycle(self):
         findings = check_architecture(

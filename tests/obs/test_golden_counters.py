@@ -17,18 +17,22 @@ aggregate metrics, so EASY, evacuation, opportunistic start, restores and
 the online predictor keep their per-job trajectories too.
 
 Regenerate (only when a change is *meant* to move a counter) with
-``PYTHONPATH=src python tests/obs/test_golden_counters.py``.
+``PYTHONPATH=src python tests/obs/test_golden_counters.py``.  The writer
+keeps the committed values of the deleted metrics, which the code can no
+longer capture.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -178,18 +182,27 @@ def table(rows):
     ]
 
 
-def figure_obs(tmp_dir) -> dict:
+@functools.lru_cache(maxsize=None)
+def run_case(name):
+    """The case's result and sampler rows, run once per process."""
+    system = golden_system(CASES[name])
+    return system.run(), system.sampler.rows
+
+
+@functools.lru_cache(maxsize=None)
+def figure_obs() -> dict:
     """The obs report metrics of the golden figure run."""
-    path = os.path.join(str(tmp_dir), "figure_obs.json")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     for var in ("REPRO_BENCH_JOBS", "REPRO_SEED", "REPRO_FULL"):
         env.pop(var, None)
-    subprocess.run(
-        [sys.executable, "-m", "repro.cli", "figure", *FIGURE, "--obs", path],
-        check=True, stdout=subprocess.DEVNULL, env=env, cwd=str(REPO),
-    )
-    with open(path) as fh:
-        return json.load(fh)["metrics"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "figure_obs.json")
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "figure", *FIGURE, "--obs", path],
+            check=True, stdout=subprocess.DEVNULL, env=env, cwd=str(REPO),
+        )
+        with open(path) as fh:
+            return json.load(fh)["metrics"]
 
 
 def _kept(name: str) -> bool:
@@ -215,13 +228,12 @@ def test_fixture_differs_only_by_deleted_metrics(golden):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_case_reproduces_golden(golden, name):
     expected = golden["cases"][name]
-    system = golden_system(CASES[name])
-    result = system.run()
+    result, rows = run_case(name)
     assert set(result.obs) == {"counters", "gauges"}
     assert result.obs["counters"] == expected["counters"]
     assert result.obs["gauges"] == expected["gauges"]
     assert outcomes_digest(result) == expected["outcomes_sha256"]
-    columns, samples = table(system.sampler.rows)
+    columns, samples = table(rows)
     keep = [i for i, c in enumerate(expected["sample_columns"]) if _kept(c)]
     assert columns == [expected["sample_columns"][i] for i in keep]
     assert samples == [
@@ -233,52 +245,128 @@ def test_metric_names_follow_the_scheme():
     """``<layer>.<component>.<name>``: lowercase, dot-separated, at least
     three components; counters never go negative."""
     scheme = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+){2,}$")
-    obs = golden_system(CASES["sdsc_conservative"]).run().obs
+    obs = run_case("sdsc_conservative")[0].obs
     for name in list(obs["counters"]) + list(obs["gauges"]):
         assert scheme.match(name), name
     assert min(obs["counters"].values()) >= 0
 
 
-def test_figure_aggregate_reproduces_golden(golden, tmp_path):
+def test_figure_aggregate_reproduces_golden(golden):
     expected = golden["figure"]
-    metrics = figure_obs(tmp_path)
+    metrics = figure_obs()
     assert set(metrics) == {"counters", "gauges"}
     assert metrics["counters"] == expected["counters"]
     assert metrics["gauges"] == expected["gauges"]
 
 
-def _capture() -> dict:
-    """The fixture document."""
-    import tempfile
+def test_regenerate_on_the_unchanged_tree_rewrites_the_fixture(tmp_path):
+    """The writer's output is the committed fixture, byte for byte: the
+    capture agrees with it and the merge keeps the deleted metrics."""
+    out = tmp_path / FIXTURE.name
+    regenerate(out)
+    assert out.read_bytes() == FIXTURE.read_bytes()
 
+
+def test_merge_writes_moved_values_and_keeps_deleted_ones():
+    gone = DELETED_PREFIX + "finish.count"
+    committed = {
+        "figure": {"counters": {}, "gauges": {}, "histogram_counts": {DELETED[0]: 3}},
+        "cases": {"k": {
+            "counters": {"a.b.c": 0, "a.b.d": 1}, "gauges": {},
+            "histogram_counts": {DELETED[0]: 3},
+            "sample_columns": ["a.b.c", gone], "samples": [[0.0, 0, 2], [1.0, 1, 5]],
+        }},
+    }
+    doc = {
+        "figure": {"counters": {}, "gauges": {}, "histogram_counts": {}},
+        "cases": {"k": {
+            "counters": {"a.b.c": 0.0, "a.b.d": 2, "a.b.e": 0.0}, "gauges": {},
+            "histogram_counts": {},
+            "sample_columns": ["a.b.c"], "samples": [[0.0, 0.0], [1.0, 3]],
+        }},
+    }
+    case = _merge(committed, doc)["cases"]["k"]
+    assert json.dumps(case["counters"]) == '{"a.b.c": 0, "a.b.d": 2, "a.b.e": 0.0}'
+    assert case["histogram_counts"] == {DELETED[0]: 3}
+    assert case["sample_columns"] == ["a.b.c", gone]
+    assert json.dumps(case["samples"]) == "[[0.0, 0, 2], [1.0, 3, 5]]"
+
+
+def _capture() -> dict:
+    """The fixture document as the code captures it: no deleted metric."""
     doc = {"interval": INTERVAL, "cases": {}}
-    for name, case in sorted(CASES.items()):
-        system = golden_system(case)
-        result = system.run()
-        columns, samples = table(system.sampler.rows)
+    for name in sorted(CASES):
+        result, rows = run_case(name)
+        columns, samples = table(rows)
         doc["cases"][name] = {
             "counters": result.obs["counters"],
             "gauges": result.obs["gauges"],
-            "histogram_counts": {
-                n: h["count"] for n, h in result.obs.get("histograms", {}).items()
-            },
+            "histogram_counts": {},
             "outcomes_sha256": outcomes_digest(result),
             "sample_columns": columns,
             "samples": samples,
         }
-    with tempfile.TemporaryDirectory() as tmp:
-        metrics = figure_obs(tmp)
+    metrics = figure_obs()
     doc["figure"] = {
         "counters": metrics["counters"],
         "gauges": metrics["gauges"],
-        "histogram_counts": {
-            n: h["count"] for n, h in metrics.get("histograms", {}).items()
-        },
+        "histogram_counts": {},
     }
     return doc
 
 
-if __name__ == "__main__":
-    with open(FIXTURE, "w") as fh:
-        json.dump(_capture(), fh, sort_keys=True, separators=(",", ":"))
+def _spelled_as(committed: dict, values: dict) -> dict:
+    """``values``, each one equal to its ``committed`` value written as
+    committed (``0`` for ``0.0``)."""
+    return {
+        name: (
+            committed[name]
+            if name in committed and committed[name] == value
+            else value
+        )
+        for name, value in values.items()
+    }
+
+
+def _merge(committed: dict, doc: dict) -> dict:
+    """``doc`` merged into the ``committed`` fixture: unchanged values keep
+    their committed spelling, and the deleted metrics keep their
+    committed values (each histogram count, and each deleted sample
+    column while the case samples at the committed times)."""
+    pairs = [(committed["figure"], doc["figure"])] + [
+        (committed["cases"][name], case)
+        for name, case in doc["cases"].items()
+        if name in committed["cases"]
+    ]
+    for old, new in pairs:
+        new["histogram_counts"] = old["histogram_counts"]
+        for kind in ("counters", "gauges"):
+            new[kind] = _spelled_as(old[kind], new[kind])
+    for old, new in pairs[1:]:
+        if [r[0] for r in old["samples"]] != [r[0] for r in new["samples"]]:
+            continue
+        deleted = [c for c in old["sample_columns"] if not _kept(c)]
+        columns = sorted(new["sample_columns"] + deleted)
+        rows = []
+        for was, row in zip(old["samples"], new["samples"]):
+            was = dict(zip(old["sample_columns"], was[1:]))
+            merged = _spelled_as(was, dict(zip(new["sample_columns"], row[1:])))
+            merged.update((c, was[c]) for c in deleted)
+            rows.append([row[0]] + [merged[c] for c in columns])
+        new["sample_columns"], new["samples"] = columns, rows
+    return doc
+
+
+def regenerate(path: Path = FIXTURE) -> None:
+    """Write the fixture document to ``path``: the capture, with the
+    committed fixture's deleted metrics merged in."""
+    with open(FIXTURE) as fh:
+        committed = json.load(fh)
+    doc = _merge(committed, _capture())
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+if __name__ == "__main__":
+    regenerate()
