@@ -1,6 +1,6 @@
 """Canonical banned-call sets shared by pattern rules and flow analyses.
 
-The QOS1xx pattern rules and the QOS2xx/3xx taint analyses must agree on
+The QOS1xx pattern rules and the QOS2xx taint analyses must agree on
 what counts as a wall-clock read or a global-RNG draw — one definition,
 imported by both, keeps the direct-use rules and the through-a-variable
 rules from drifting apart.  This module has no intra-package imports so

@@ -1,7 +1,7 @@
 """Per-function control-flow graphs for the flow-aware lint rules.
 
 The single-pass pattern rules (QOS1xx) see one AST node at a time; the
-flow rules (QOS2xx/QOS3xx) need to know what a *variable* holds when it
+flow rules (QOS2xx) need to know what a *variable* holds when it
 reaches a sink, which requires statement ordering, branching, and loops.
 :func:`build_cfg` lowers one function body (or a whole module body, for
 module-level flows in test files) into basic blocks of *elements*:

@@ -10,20 +10,17 @@ with a powerset lattice of :class:`Taint` facts.
 Taint labels:
 
 * ``WALL_CLOCK`` — value derived from a host-clock read (``time.time()``
-  and friends); also implies ``WALL_SECONDS``.
+  and friends).
 * ``GLOBAL_RNG`` — value derived from the process-global RNG streams.
 * ``UNORDERED`` — a set/dict-key view whose iteration order is an
   accident of insertion history.
-* ``WALL_SECONDS`` / ``SIM_SECONDS`` — the units dimension for QOS302:
-  seeded by ``WallSeconds``/``SimSeconds`` parameter annotations, clock
-  reads, and ``.now`` property reads.
 
-``WALL_CLOCK``/``GLOBAL_RNG``/``WALL_SECONDS``/``SIM_SECONDS`` are
-*sticky*: they survive arithmetic and arbitrary calls (``round(time.time())``
-is still wall-clock data).  ``UNORDERED`` is *fragile*: it describes the
-container's iteration order, so it survives only set algebra and copies —
-an unknown call may well impose an order, and assuming it does not would
-drown the rules in false positives.
+``WALL_CLOCK``/``GLOBAL_RNG`` are *sticky*: they survive arithmetic and
+arbitrary calls (``round(time.time())`` is still wall-clock data).
+``UNORDERED`` is *fragile*: it describes the container's iteration order,
+so it survives only set algebra and copies — an unknown call may well
+impose an order, and assuming it does not would drown the rules in false
+positives.
 """
 
 from __future__ import annotations
@@ -36,12 +33,11 @@ from typing import (
     FrozenSet,
     List,
     Optional,
-    Tuple,
     TYPE_CHECKING,
 )
 
 from repro.lint.banned import WALLCLOCK_CALLS, is_global_rng
-from repro.lint.cfg import CFG, Element, assigned_names, build_cfg
+from repro.lint.cfg import CFG, Element, assigned_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import ModuleContext
@@ -61,27 +57,19 @@ def forward_fixpoint(
     transfer: Callable[[Element, Dict[str, object]], Dict[str, object]],
     join: Callable[[Dict[str, object], Dict[str, object]], Dict[str, object]],
     equal: Callable[[Dict[str, object], Dict[str, object]], bool],
-    widen: Optional[
-        Callable[[Dict[str, object], Dict[str, object]], Dict[str, object]]
-    ] = None,
-    widen_after: int = 4,
 ) -> Dict[int, Dict[str, object]]:
     """Run a forward analysis to fixpoint.
 
     Returns a map from ``id(element.node)`` to the environment holding
     immediately *before* that element executes.  Unreachable elements are
     absent from the map.
-
-    For lattices with unbounded ascending chains (intervals), pass
-    ``widen``: from pass ``widen_after`` onward each block's new input is
-    widened against its previous input, forcing convergence.
     """
     blocks = cfg.reachable_blocks()
     block_in: Dict[int, Dict[str, object]] = {cfg.entry.index: dict(initial)}
     block_out: Dict[int, Dict[str, object]] = {}
     before: Dict[int, Dict[str, object]] = {}
 
-    for pass_no in range(MAX_PASSES):
+    for _ in range(MAX_PASSES):
         changed = False
         for block in blocks:
             env: Optional[Dict[str, object]] = None
@@ -96,12 +84,6 @@ def forward_fixpoint(
                     )
             if env is None:
                 continue  # nothing reaches this block yet
-            if (
-                widen is not None
-                and pass_no >= widen_after
-                and block.index in block_in
-            ):
-                env = widen(block_in[block.index], env)
             if block.index in block_in and equal(block_in[block.index], env):
                 env = dict(block_in[block.index])
             else:
@@ -127,11 +109,9 @@ def forward_fixpoint(
 WALL_CLOCK = "wall-clock"
 GLOBAL_RNG = "global-rng"
 UNORDERED = "unordered"
-WALL_SECONDS = "wall-seconds"
-SIM_SECONDS = "sim-seconds"
 
 #: Labels that survive arithmetic and unknown calls.
-STICKY_LABELS = frozenset({WALL_CLOCK, GLOBAL_RNG, WALL_SECONDS, SIM_SECONDS})
+STICKY_LABELS = frozenset({WALL_CLOCK, GLOBAL_RNG})
 
 
 @dataclass(frozen=True)
@@ -191,48 +171,13 @@ class TaintAnalysis:
     def __init__(self, cfg: CFG, ctx: "ModuleContext") -> None:
         self._ctx = ctx
         self.cfg = cfg
-        initial = self._parameter_env()
         self.before = forward_fixpoint(
             cfg,
-            initial,
+            {},
             self._transfer,
             _taint_join,
             _taint_equal,
         )
-
-    # -- environment plumbing ------------------------------------------------
-
-    def _parameter_env(self) -> Dict[str, object]:
-        env: Dict[str, object] = {}
-        function = self.cfg.function
-        if isinstance(function, ast.Module):
-            return env
-        args = function.args
-        for arg in (
-            list(args.posonlyargs)
-            + list(args.args)
-            + list(args.kwonlyargs)
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        ):
-            label = _annotation_unit(arg.annotation)
-            if label is not None:
-                env[arg.arg] = frozenset(
-                    {
-                        Taint(
-                            label=label,
-                            line=arg.lineno,
-                            origin=f"parameter {arg.arg}: "
-                            f"{'WallSeconds' if label == WALL_SECONDS else 'SimSeconds'}",
-                        )
-                    }
-                )
-        return env
-
-    def env_before(self, node: ast.stmt) -> Optional[Dict[str, TaintSet]]:
-        """Environment before the element lowered from ``node``, or None
-        when the element is unreachable."""
-        return self.before.get(id(node))  # type: ignore[return-value]
 
     # -- expression evaluation ----------------------------------------------
 
@@ -275,18 +220,6 @@ class TaintAnalysis:
                 out |= self._eval(operand, env)
             return self._sticky(out)
         if isinstance(expr, ast.Attribute):
-            if expr.attr == "now":
-                # ``loop.now`` / ``self.engine.now`` property reads are the
-                # canonical simulated-time source.
-                return frozenset(
-                    {
-                        Taint(
-                            label=SIM_SECONDS,
-                            line=expr.lineno,
-                            origin=f"simulated-time read .{expr.attr}",
-                        )
-                    }
-                )
             if expr.attr == "keys":
                 # A bare ``d.keys`` reference (no call) — rare; treat like
                 # the call for safety.
@@ -384,10 +317,7 @@ class TaintAnalysis:
         if qualified is not None:
             if qualified in WALLCLOCK_CALLS:
                 return frozenset(
-                    {
-                        Taint(WALL_CLOCK, expr.lineno, f"{qualified}()"),
-                        Taint(WALL_SECONDS, expr.lineno, f"{qualified}()"),
-                    }
+                    {Taint(WALL_CLOCK, expr.lineno, f"{qualified}()")}
                 )
             if is_global_rng(qualified):
                 return frozenset(
@@ -460,21 +390,8 @@ class TaintAnalysis:
                     )
             return out
         if isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name):
-                if node.value is not None:
-                    out[node.target.id] = self._eval(node.value, tenv)
-                else:
-                    unit = _annotation_unit(node.annotation)
-                    if unit is not None:
-                        out[node.target.id] = frozenset(
-                            {
-                                Taint(
-                                    unit,
-                                    node.lineno,
-                                    f"declared {node.target.id}",
-                                )
-                            }
-                        )
+            if isinstance(node.target, ast.Name) and node.value is not None:
+                out[node.target.id] = self._eval(node.value, tenv)
             return out
         if isinstance(node, ast.AugAssign):
             if isinstance(node.target, ast.Name):
@@ -529,37 +446,8 @@ def _taint_equal(a: Dict[str, object], b: Dict[str, object]) -> bool:
     return a == b
 
 
-def _annotation_unit(annotation: Optional[ast.expr]) -> Optional[str]:
-    """Map a ``SimSeconds``/``WallSeconds`` annotation to its taint label."""
-    if annotation is None:
-        return None
-    node = annotation
-    if isinstance(node, ast.Attribute):
-        name = node.attr
-    elif isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-        name = node.value
-    else:
-        return None
-    if name == "SimSeconds":
-        return SIM_SECONDS
-    if name == "WallSeconds":
-        return WALL_SECONDS
-    return None
-
-
-def labels_of(taints: TaintSet) -> FrozenSet[str]:
-    return frozenset(t.label for t in taints)
-
-
 def taints_with_label(taints: TaintSet, label: str) -> List[Taint]:
     return sorted(
         (t for t in taints if t.label == label), key=lambda t: t.line
     )
 
-
-def analyse_function(function, ctx: "ModuleContext") -> Tuple[CFG, TaintAnalysis]:
-    """Convenience: build the CFG and run taint for one function-like node."""
-    cfg = build_cfg(function)
-    return cfg, TaintAnalysis(cfg, ctx)

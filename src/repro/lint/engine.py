@@ -9,9 +9,9 @@ dotted names (``np.random.seed`` and ``from numpy import random`` both
 resolve to ``numpy.random.seed``).
 
 After the pattern pass, :class:`FlowRule` subclasses run once per function
-scope over a shared :class:`FunctionAnalysis` bundle — the CFG, taint, and
-interval analyses are built lazily and at most once per function, however
-many flow rules consult them.
+scope over a shared :class:`FunctionAnalysis` bundle — the CFG and taint
+analysis are built lazily and at most once per function, however many flow
+rules consult them.  Rules disabled by ``--select``/``--ignore`` never run.
 
 Infrastructure codes (not suppressible rules):
 
@@ -165,9 +165,9 @@ class FunctionAnalysis:
     """Lazily computed flow analyses for one function scope.
 
     One instance exists per function (or per module body, for module-level
-    flows) per lint pass; the CFG and each abstract interpretation are
-    built on first access and shared by every flow rule.  Laziness matters:
-    a run with only taint rules selected never pays for interval fixpoints.
+    flows) per lint pass; the CFG and the taint analysis are built on first
+    access and shared by every flow rule.  Laziness matters: a run with only
+    pattern rules selected never builds a CFG.
     """
 
     def __init__(self, function: ast.AST, ctx: ModuleContext) -> None:
@@ -175,7 +175,6 @@ class FunctionAnalysis:
         self.ctx = ctx
         self._cfg: Optional[object] = None
         self._taint: Optional[object] = None
-        self._intervals: Optional[object] = None
 
     @property
     def is_module(self) -> bool:
@@ -196,14 +195,6 @@ class FunctionAnalysis:
 
             self._taint = TaintAnalysis(self.cfg, self.ctx)
         return self._taint
-
-    @property
-    def intervals(self):  # -> repro.lint.intervals.IntervalAnalysis
-        if self._intervals is None:
-            from repro.lint.intervals import IntervalAnalysis
-
-            self._intervals = IntervalAnalysis(self.cfg, self.ctx)
-        return self._intervals
 
 
 class FlowRule(Rule):
@@ -341,7 +332,11 @@ def lint_source(
 ) -> List[Finding]:
     """Lint one module's source text; returns sorted, filtered findings."""
     config = config if config is not None else LintConfig()
-    rules = rules if rules is not None else all_rules()
+    rules = [
+        rule
+        for rule in (rules if rules is not None else all_rules())
+        if config.code_enabled(rule.code)
+    ]
     try:
         tree = ast.parse(source, filename=path)
     except (SyntaxError, ValueError) as exc:
@@ -378,8 +373,7 @@ def lint_source(
     findings = [
         finding
         for finding in dispatcher.findings
-        if config.code_enabled(finding.code)
-        and not suppressions.is_suppressed(finding.line, finding.code)
+        if not suppressions.is_suppressed(finding.line, finding.code)
     ]
     if config.code_enabled(UNKNOWN_SUPPRESSION_CODE):
         for line, code in suppressions.unknown_codes(known_codes()):
@@ -404,8 +398,7 @@ def lint_source(
         checked = {
             rule.code
             for rule in rules
-            if (rule.node_types or isinstance(rule, FlowRule))
-            and config.code_enabled(rule.code)
+            if rule.node_types or isinstance(rule, FlowRule)
         }
         for suppression in suppressions.suppressions:
             for code in suppression.codes:

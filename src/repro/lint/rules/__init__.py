@@ -1,4 +1,4 @@
-"""The repo-specific rule set (QOS1xx-QOS5xx).
+"""The repo-specific rule set (QOS1xx, QOS2xx, QOS5xx).
 
 Importing this package registers every rule with the engine registry;
 :func:`repro.lint.engine.all_rules` does so lazily.  Each module groups the
@@ -7,9 +7,8 @@ rules policing one determinism failure mode; the rule docstrings and
 (DESIGN.md "Static analysis & the determinism contract" mirrors them).
 
 Families: QOS1xx are single-pass pattern rules; QOS2xx follow taint
-through per-function dataflow; QOS3xx check the probability and time-unit
-domains; QOS5xx (in :mod:`repro.lint.arch`, run by ``--arch``) enforce
-the layer DAG.
+through per-function dataflow; QOS5xx (in :mod:`repro.lint.arch`, run by
+``--arch``) enforce the layer DAG.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from repro.lint.rules import (  # noqa: F401
     floats,
     hashing,
     ordering,
-    pickling,
-    probability,
     rng,
     state,
     wallclock,

@@ -35,8 +35,8 @@ class PredictedFailure:
 
     def __post_init__(self) -> None:
         # The [0, 1] domain is the contract every consumer (negotiation,
-        # checkpointing, the QOS301 interval analysis) assumes; enforce it
-        # where the prediction enters the system.
+        # checkpointing) assumes; enforce it where the prediction enters
+        # the system.
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(
                 f"predicted failure probability {self.probability} "

@@ -28,7 +28,6 @@ import heapq
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.events import Event, EventKind
-from repro.sim.units import SimSeconds
 
 Handler = Callable[[Event], None]
 
@@ -76,7 +75,7 @@ class EventLoop:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def now(self) -> SimSeconds:
+    def now(self) -> float:
         """Current simulated time (seconds)."""
         return self._now
 
@@ -120,7 +119,7 @@ class EventLoop:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(
-        self, time: SimSeconds, kind: EventKind, **payload: Any
+        self, time: float, kind: EventKind, **payload: Any
     ) -> Event:
         """Schedule an event at absolute simulated ``time``.
 
@@ -148,7 +147,7 @@ class EventLoop:
         return event
 
     def schedule_in(
-        self, delay: SimSeconds, kind: EventKind, **payload: Any
+        self, delay: float, kind: EventKind, **payload: Any
     ) -> Event:
         """Schedule an event ``delay`` seconds after the current time."""
         if delay < 0:

@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.sim.units import SimSeconds
-
 
 class EventKind(enum.Enum):
     """The kinds of events the cluster simulator processes."""
@@ -115,7 +113,7 @@ class Event:
             popped rather than removed from the heap.
     """
 
-    time: SimSeconds
+    time: float
     kind: EventKind
     payload: Dict[str, Any] = field(default_factory=dict)
     seq: int = 0

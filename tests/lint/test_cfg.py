@@ -1,8 +1,8 @@
 """CFG builder unit tests plus the whole-repo corpus invariant.
 
 The corpus test is the load-bearing one: every function in ``src/`` must
-lower to a CFG whose elements cover each statement exactly once, and both
-abstract interpretations (taint, intervals) must reach a fixpoint on it.
+lower to a CFG whose elements cover each statement exactly once, and the
+taint analysis must reach a fixpoint on it.
 A builder bug that only bites on some real control-flow shape (nested
 try/finally, loop-else, match) shows up here before it ships as a
 mysteriously silent rule.
@@ -20,7 +20,6 @@ from repro.lint.cfg import build_cfg, element_expressions
 from repro.lint.config import LintConfig, module_name_for
 from repro.lint.dataflow import TaintAnalysis
 from repro.lint.engine import ModuleContext, _collect_aliases
-from repro.lint.intervals import IntervalAnalysis
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -212,6 +211,5 @@ def test_corpus_every_function_lowers_and_converges(path):
         assert set(seen) == expected, (
             f"CFG element set diverges from scope statements in {path}"
         )
-        # Both abstract interpretations must terminate on real code.
+        # The taint analysis must terminate on real code.
         TaintAnalysis(cfg, ctx)
-        IntervalAnalysis(cfg, ctx)

@@ -116,6 +116,20 @@ class TestEngineOutput:
         findings = lint_source(source, SIM, config)
         assert [f.code for f in findings] == ["QOS110"]
 
+    def test_deselected_flow_rules_build_no_cfg(self, monkeypatch):
+        # A run limited to a pattern rule must not pay for flow analysis:
+        # disabled rules are dropped before dispatch, not filtered after.
+        import repro.lint.cfg
+
+        def forbidden(function):
+            raise AssertionError("build_cfg called for a deselected flow rule")
+
+        monkeypatch.setattr(repro.lint.cfg, "build_cfg", forbidden)
+        source = "import random\n\ndef f(xs):\n    return random.choice(xs)\n"
+        config = LintConfig(select=frozenset({"QOS101"}))
+        findings = lint_source(source, SIM, config)
+        assert [f.code for f in findings] == ["QOS101"]
+
     def test_finding_render_format(self):
         (finding,) = lint_source("x = hash(n)\n", SIM)
         rendered = finding.render()

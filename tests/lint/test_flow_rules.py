@@ -43,6 +43,19 @@ class TestQOS201WallClockFlow:
         """
         assert codes(bad, select=["QOS201"]) == ["QOS201"]
 
+    def test_bad_wall_clock_read_scheduled(self):
+        # The full rule set, not one family: the read is a QOS102 finding
+        # and its flow into the event loop a QOS201 one, so this defect
+        # needs no unit-annotation rule of its own.
+        bad = """
+            import time
+
+            def mark(loop, kind):
+                stamp = time.time()
+                loop.schedule(stamp, kind)
+        """
+        assert codes(bad) == ["QOS102", "QOS201"]
+
     def test_bad_laundered_through_arithmetic(self):
         bad = """
             import time

@@ -11,20 +11,30 @@ from __future__ import annotations
 
 import pathlib
 
+import pytest
+
 from repro.lint import SuppressionIndex, lint_paths
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
-def test_src_tree_is_clean():
-    findings, scanned = lint_paths([str(REPO_ROOT / "src")])
+@pytest.fixture(scope="module")
+def src_lint():
+    # One pass serves both src tests: the arch run reports every per-file
+    # finding too, then adds the import-graph checks.
+    return lint_paths([str(REPO_ROOT / "src")], arch=True)
+
+
+def test_src_tree_is_clean(src_lint):
+    findings, scanned = src_lint
+    findings = [f for f in findings if not f.code.startswith("QOS5")]
     assert scanned > 0
     assert findings == [], "\n" + "\n".join(f.render() for f in findings)
 
 
-def test_architecture_holds():
+def test_architecture_holds(src_lint):
     # The whole-program pass: layer DAG respected, no import cycles.
-    findings, scanned = lint_paths([str(REPO_ROOT / "src")], arch=True)
+    findings, scanned = src_lint
     assert scanned > 0
     assert findings == [], "\n" + "\n".join(f.render() for f in findings)
 

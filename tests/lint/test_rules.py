@@ -217,30 +217,6 @@ class TestQOS107ModuleMutableState:
         assert codes("CACHE = {}\n", LIB) == []
 
 
-class TestQOS108UnpicklableCallable:
-    def test_bad_lambda_argument(self):
-        assert codes(
-            "run_points(grid, lambda p: simulate(p))\n", LIB
-        ) == ["QOS108"]
-
-    def test_bad_lambda_inside_list(self):
-        assert codes(
-            "specs = PointSpec(fns=[lambda p: p])\n", LIB
-        ) == ["QOS108"]
-
-    def test_good_module_level_function(self):
-        good = """
-            def score(p):
-                return simulate(p)
-
-            run_points(grid, score)
-        """
-        assert codes(good, LIB) == []
-
-    def test_good_lambda_to_unrelated_call(self):
-        assert codes("xs.sort(key=lambda x: x.time)\n", LIB) == []
-
-
 class TestQOS109AmbientEnvironment:
     def test_bad_environ_get(self):
         assert codes(
