@@ -21,16 +21,24 @@ Quick start::
     print(result.metrics.qos, result.metrics.utilization)
 """
 
-from repro.core.guarantee import QoSGuarantee
-from repro.core.metrics import SimulationMetrics
-from repro.core.system import (
-    ProbabilisticQoSSystem,
-    SimulationResult,
-    SystemConfig,
-    simulate,
-)
+import importlib
+from typing import Any, List
 
 __version__ = "1.0.0"
+
+#: Each re-export and the module that defines it.  They resolve on first
+#: access (PEP 562), so importing a submodule such as ``repro.lint`` or
+#: ``repro.cli`` does not import the simulator: ``probqos lint --arch``
+#: can then report an import-time cycle as a finding instead of dying in
+#: the cycle itself.
+_EXPORTS = {
+    "ProbabilisticQoSSystem": "repro.core.system",
+    "QoSGuarantee": "repro.core.guarantee",
+    "SimulationMetrics": "repro.core.metrics",
+    "SimulationResult": "repro.core.system",
+    "SystemConfig": "repro.core.system",
+    "simulate": "repro.core.system",
+}
 
 __all__ = [
     "ProbabilisticQoSSystem",
@@ -41,3 +49,17 @@ __all__ = [
     "simulate",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -117,6 +117,14 @@ class CheckpointDecision:
     failure_probability: Optional[float] = None
     at_risk: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        # Same boundary discipline as DeadlineOffer: the p_f a decision
+        # reports reaches only trace records, so an out-of-range value
+        # must fail here rather than pass silently into the audit trail.
+        p_f = self.failure_probability
+        if p_f is not None and not 0.0 <= p_f <= 1.0:
+            raise ValueError(f"decision failure probability {p_f} not in [0, 1]")
+
 
 class CheckpointPolicy(abc.ABC):
     """Decides, per request, whether a checkpoint is performed."""

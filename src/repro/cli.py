@@ -42,18 +42,13 @@ import argparse
 import contextlib
 import math
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.experiments.config import ExperimentSetup, bench_seed
-from repro.experiments.figures import FigureCatalog
-from repro.experiments.reporting import (
-    format_figure,
-    format_headline,
-    format_pairs,
-    format_table1,
-)
-from repro.experiments.runner import ExperimentContext
-from repro.experiments.tables import table_1, table_2
+# The experiment stack is imported inside the subcommands that use it, so
+# ``probqos lint`` never imports the simulator it checks: an import-time
+# cycle in the checked tree is then a finding, not a crash of the linter.
+if TYPE_CHECKING:
+    from repro.experiments.config import ExperimentSetup
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -604,6 +599,8 @@ def _write_audit_report(args: argparse.Namespace, report) -> None:
 
 
 def _setup(args: argparse.Namespace) -> ExperimentSetup:
+    from repro.experiments.config import ExperimentSetup, bench_seed
+
     seed = args.seed if args.seed is not None else bench_seed()
     return ExperimentSetup(
         workload=args.workload, job_count=args.job_count, seed=seed
@@ -626,6 +623,11 @@ def _report_cache(cache) -> None:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.config import ExperimentSetup
+    from repro.experiments.figures import FigureCatalog
+    from repro.experiments.reporting import format_figure
+    from repro.experiments.runner import ExperimentContext
+
     jobs = args.jobs
     cache = _point_cache(args)
     trace_stream = recorder = audit = None
@@ -699,6 +701,9 @@ def _figure_workload(number: int) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from repro.experiments.reporting import format_pairs, format_table1
+    from repro.experiments.tables import table_1, table_2
+
     # Tables run no simulation points; --jobs/--cache-dir are accepted so
     # batch pipelines can pass one flag set to every subcommand.
     if args.number == 1:
@@ -743,6 +748,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("--obs-interval needs --obs (the report the samples go to)",
               file=sys.stderr)
         return 2
+    from repro.experiments.reporting import format_pairs
+    from repro.experiments.runner import ExperimentContext
+
     ctx = ExperimentContext.prepare(_setup(args))
     result = sampler = None
     spans = None
@@ -843,6 +851,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_headline(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import FigureCatalog
+    from repro.experiments.reporting import format_headline
+    from repro.experiments.runner import ExperimentContext
+
     ctx = ExperimentContext.prepare(_setup(args))
     catalog = FigureCatalog(**{args.workload: ctx})
     print(format_headline(catalog.headline_comparison(args.workload)))
@@ -851,6 +863,8 @@ def _cmd_headline(args: argparse.Namespace) -> int:
 
 def _cmd_suggest(args: argparse.Namespace) -> int:
     from repro.core.system import ProbabilisticQoSSystem, SystemConfig
+    from repro.experiments.reporting import format_pairs
+    from repro.experiments.runner import ExperimentContext
     from repro.workload.job import Job, JobLog
 
     setup = _setup(args)

@@ -12,7 +12,7 @@ configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 
@@ -136,16 +136,13 @@ class JobLog:
         return JobLog(self._jobs[:max_jobs], name=f"{self.name}[:{max_jobs}]")
 
     def scaled_sizes(self, max_size: int) -> "JobLog":
-        """Return a copy with sizes clipped to ``max_size`` (cluster width)."""
+        """Return a copy with sizes clipped to ``max_size`` (cluster width).
+
+        Jobs are frozen, so the copy shares every job that already fits;
+        only a job wider than ``max_size`` is rebuilt.
+        """
         clipped = [
-            Job(
-                job_id=j.job_id,
-                arrival_time=j.arrival_time,
-                size=min(j.size, max_size),
-                runtime=j.runtime,
-                user_id=j.user_id,
-                requested_time=j.requested_time,
-            )
+            j if j.size <= max_size else replace(j, size=max_size)
             for j in self._jobs
         ]
         return JobLog(clipped, name=f"{self.name}(<= {max_size} nodes)")

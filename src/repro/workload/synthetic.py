@@ -203,16 +203,26 @@ def generate_workload(
         rng, count, span=span, burstiness=spec.burstiness
     )
 
+    # One vector draw gives the same ids as one scalar draw per job
+    # (pinned by tests/workload/test_input_digests.py); ``tolist`` turns
+    # each array into Python numbers once instead of once per field read.
+    users = rng.integers(1, 200, size=count)
     jobs = [
         Job(
-            job_id=i + 1,
-            arrival_time=float(arrivals[i]),
-            size=int(sizes[i]),
-            runtime=float(runtimes[i]),
-            user_id=int(rng.integers(1, 200)),
-            requested_time=float(runtimes[i]),
+            job_id=job_id,
+            arrival_time=arrival,
+            size=size,
+            runtime=runtime,
+            user_id=user,
+            requested_time=runtime,
         )
-        for i in range(count)
+        for job_id, arrival, size, runtime, user in zip(
+            range(1, count + 1),
+            arrivals.tolist(),
+            sizes.tolist(),
+            runtimes.tolist(),
+            users.tolist(),
+        )
     ]
     return JobLog(jobs, name=spec.name)
 
@@ -321,15 +331,16 @@ def stream_jobs(
         )
         gaps = rng.exponential(sizes * runtimes / capacity)
         users = rng.integers(1, 1000, size=n)
-        for i in range(n):
-            clock += float(gaps[i])
-            runtime = float(runtimes[i])
+        for gap, size, runtime, user in zip(
+            gaps.tolist(), sizes.tolist(), runtimes.tolist(), users.tolist()
+        ):
+            clock += gap
             yield Job(
                 job_id=job_id,
                 arrival_time=clock,
-                size=int(sizes[i]),
+                size=size,
                 runtime=runtime,
-                user_id=int(users[i]),
+                user_id=user,
                 requested_time=runtime,
             )
             job_id += 1

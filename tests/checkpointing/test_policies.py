@@ -160,6 +160,35 @@ class TestDecisionRationale:
         )
 
 
+class TestDecisionRange:
+    """A decision's reported p_f is held to [0, 1] when it is built."""
+
+    @pytest.mark.parametrize("p_f", [None, 0.0, 0.25, 1.0])
+    def test_in_range_accepted(self, p_f):
+        assert CheckpointDecision(True, "x", failure_probability=p_f)
+
+    @pytest.mark.parametrize("p_f", [-0.1, 1.2, float("nan"), float("inf")])
+    def test_out_of_range_rejected(self, p_f):
+        with pytest.raises(ValueError, match="not in \\[0, 1\\]"):
+            CheckpointDecision(True, "x", failure_probability=p_f)
+
+    def test_doubled_probability_fails_at_the_decision(self):
+        # A risk-free policy that reports p_f + p_f: the result reaches
+        # only trace records, so the decision itself must reject it.
+        class DoubledRiskFree(RiskFreePolicy):
+            def decide(self, ctx):
+                p_f = ctx.failure_probability()
+                return CheckpointDecision(
+                    perform=p_f > 0.0,
+                    reason="failure-predicted",
+                    failure_probability=p_f + p_f,
+                )
+
+        assert DoubledRiskFree().decide(ctx(p_f=0.25)).failure_probability == 0.5
+        with pytest.raises(ValueError, match="failure probability"):
+            DoubledRiskFree().decide(ctx(p_f=0.6))
+
+
 class TestClearWindowDecision:
     """The skip a policy commits to at every p_f = 0 request is exactly
     what decide() returns there."""

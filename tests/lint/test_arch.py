@@ -8,6 +8,8 @@ means something if a broken tree fails it.
 from __future__ import annotations
 
 import ast
+import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -382,3 +384,33 @@ class TestEndToEnd:
         config = LintConfig(ignore=frozenset({"QOS501"}))
         findings, _ = lint_paths([str(tmp_path)], config, arch=True)
         assert findings == []
+
+    def test_cli_reports_import_time_cycle(self, tmp_path):
+        """A cycle that fails at import time is a QOS502 finding of
+        ``probqos lint --arch``, not a traceback from importing the tree
+        the linter is checking."""
+        src = tmp_path / "src"
+        shutil.copytree(
+            PACKAGE.parent, src, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        runtime = src / "repro" / "checkpointing" / "runtime.py"
+        runtime.write_text(
+            runtime.read_text(encoding="utf-8").replace(
+                "from __future__ import annotations\n",
+                "from __future__ import annotations\n\n"
+                "from repro.core.metrics import JobOutcome\n",
+                1,
+            ),
+            encoding="utf-8",
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "lint", "--arch", "src"],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        output = done.stdout + done.stderr
+        assert done.returncode != 0
+        assert "QOS502" in output
+        assert "Traceback" not in output

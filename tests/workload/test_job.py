@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -89,6 +90,38 @@ class TestJobLog:
         clipped = tiny_jobs.scaled_sizes(2)
         assert max(j.size for j in clipped) == 2
         assert [j.job_id for j in clipped] == [j.job_id for j in tiny_jobs]
+
+    def test_scaled_sizes_shares_jobs_that_fit(self, tiny_jobs):
+        clipped = tiny_jobs.scaled_sizes(4)
+        for before, after in zip(tiny_jobs, clipped):
+            if before.size <= 4:
+                assert after is before
+            else:
+                assert after is not before
+
+    def test_scaled_sizes_rebuilds_only_the_size(self, tiny_jobs):
+        wide = Job(
+            job_id=9,
+            arrival_time=30.0,
+            size=64,
+            runtime=900.0,
+            user_id=17,
+            requested_time=1200.0,
+        )
+        log = JobLog([*tiny_jobs, wide], name="tiny")
+        clipped = {j.job_id: j for j in log.scaled_sizes(4)}
+        assert clipped[9] == dataclasses.replace(wide, size=4)
+        assert clipped[4] == dataclasses.replace(tiny_jobs[3], size=4)
+
+    def test_scaled_sizes_keeps_the_duplicate_id_check(self, tiny_jobs):
+        # A log holding a duplicate id cannot be built; plant one behind the
+        # constructor's back to show the clipped copy is still checked.
+        tiny_jobs._jobs.append(make_job(1, arrival=9000.0))
+        with pytest.raises(ValueError, match="duplicate"):
+            tiny_jobs.scaled_sizes(4)
+
+    def test_scaled_sizes_name(self, tiny_jobs):
+        assert tiny_jobs.scaled_sizes(4).name == "tiny(<= 4 nodes)"
 
     def test_stats_aggregates(self, tiny_jobs):
         stats = tiny_jobs.stats()
