@@ -11,13 +11,12 @@ reliability diagram at a = 0.7.
 from __future__ import annotations
 
 from _support import time_representative_point
-from repro.core.calibration import (
-    brier_score,
-    calibration_buckets,
-    calibration_gap,
-    reliability_diagram,
-)
 from repro.core.system import simulate
+from repro.obs.audit import (
+    audit_outcomes,
+    calibration_gap,
+    reliability_diagram_text,
+)
 
 USER = 0.5
 
@@ -33,14 +32,15 @@ def test_promise_honesty(benchmark, sdsc_context):
     print()
     print(f"{'a':>4}  {'honesty gap':>12}  {'Brier':>8}")
     gaps = {}
+    reports = {}
     for accuracy, result in results.items():
         gap = calibration_gap(result.outcomes)
-        score = brier_score(result.outcomes)
+        reports[accuracy] = audit_outcomes(result.outcomes).report()
         gaps[accuracy] = gap
-        print(f"{accuracy:4.1f}  {gap:12.4f}  {score:8.4f}")
+        print(f"{accuracy:4.1f}  {gap:12.4f}  {reports[accuracy].brier:8.4f}")
 
     print("\nreliability diagram at a = 0.7:")
-    print(reliability_diagram(calibration_buckets(results[0.7].outcomes)))
+    print(reliability_diagram_text(reports[0.7].bins))
 
     # More accurate prediction -> more honest promises.
     assert gaps[1.0] <= gaps[0.0] + 1e-9

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import io
 
-from repro.analysis import TraceRecorder, render_gantt
 from repro.core.system import ProbabilisticQoSSystem, SystemConfig
 from repro.failures.events import FailureEvent, FailureTrace
+from repro.obs import TraceRecorder, render_gantt
 from repro.workload.job import Job, JobLog
 
 HOUR = 3600.0

@@ -18,10 +18,9 @@ Examples::
     probqos trace export trace.jsonl --format chrome --out trace.json
     probqos trace explain trace.jsonl --job 17
     probqos trace explain trace.jsonl --job 17 --format json
-    probqos run --workload nasa --audit audit.json
     probqos audit trace.jsonl
     probqos audit trace.jsonl --format json --out audit.json
-    probqos audit audit.json --diagram-csv reliability.csv
+    probqos audit trace.jsonl --diagram-csv reliability.csv
     probqos run --workload nasa --prof prof.json
     probqos prof report prof.json
     probqos prof export prof.json --format collapsed
@@ -66,17 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_env_args(fig)
     _add_obs_args(fig)
     _add_trace_args(fig)
-    _add_audit_args(fig)
     _add_prof_args(fig)
     _add_parallel_args(fig)
 
     tab = sub.add_parser("table", help="regenerate a paper table (1-2)")
     tab.add_argument("number", type=int, help="table number, 1 or 2")
     _add_env_args(tab)
-    _add_obs_args(tab)
-    _add_trace_args(tab)
-    _add_audit_args(tab)
-    _add_prof_args(tab)
     _add_parallel_args(tab)
 
     run = sub.add_parser("run", help="simulate one (a, U) point")
@@ -89,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_env_args(run)
     _add_obs_args(run)
     _add_trace_args(run)
-    _add_audit_args(run)
     _add_prof_args(run)
     run.add_argument(
         "--obs-interval",
@@ -272,14 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser(
         "audit",
-        help="promise-vs-outcome calibration & SLO audit of a JSONL trace "
-        "(or re-render a saved audit report)",
+        help="promise-vs-outcome calibration & SLO audit of a JSONL trace",
     )
-    audit.add_argument(
-        "path",
-        help="JSONL trace written by --trace PATH, or an audit report "
-        "written by --audit PATH / --out PATH",
-    )
+    audit.add_argument("path", help="JSONL trace written by --trace PATH")
     audit.add_argument(
         "--format",
         choices=["text", "json"],
@@ -305,8 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10,
         metavar="N",
-        help="reliability-diagram bins over [0,1] (trace input only; "
-        "default 10)",
+        help="reliability-diagram bins over [0,1] (default 10)",
     )
     audit.add_argument(
         "--node-block",
@@ -314,8 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=32,
         metavar="N",
         dest="node_block",
-        help="partition-rollup node-block width (trace input only; "
-        "default 32)",
+        help="partition-rollup node-block width (default 32)",
     )
     audit.add_argument(
         "--max-breach-rate",
@@ -324,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="RATE",
         dest="max_breach_rate",
         help="per-rollup-key SLO: breach rates above RATE mark the run "
-        "DEGRADED (trace input only; default: disabled)",
+        "DEGRADED (default: disabled)",
     )
     audit.add_argument(
         "--fail-on",
@@ -477,18 +463,8 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         default=None,
         help="stream every semantic transition to PATH as a JSONL flight "
-        "recorder; inspect with 'probqos trace export/explain'",
-    )
-
-
-def _add_audit_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--audit",
-        metavar="PATH",
-        default=None,
-        help="audit every promise against its outcome and write the "
-        "calibration/SLO report (JSON) to PATH; render with "
-        "'probqos audit PATH'",
+        "recorder; its views are 'probqos trace export/explain' and "
+        "'probqos audit'",
     )
 
 
@@ -579,25 +555,6 @@ def _write_obs_report(args: argparse.Namespace, obs, sampler=None) -> None:
     )
 
 
-def _write_audit_report(args: argparse.Namespace, report) -> None:
-    meta = dict(report.meta)
-    meta["command"] = args.command
-    for key in ("workload", "job_count", "seed", "accuracy", "user_threshold", "number"):
-        if getattr(args, key, None) is not None:
-            meta[key] = getattr(args, key)
-    import dataclasses
-
-    report = dataclasses.replace(report, meta=meta)
-    with open(args.audit, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
-    print(
-        f"\naudit report written to {args.audit}: status {report.status}, "
-        f"{report.total} promises (honoured {report.honoured}, broken "
-        f"{report.broken}); render with 'probqos audit {args.audit}'"
-    )
-
-
 def _setup(args: argparse.Namespace) -> ExperimentSetup:
     from repro.experiments.config import ExperimentSetup, bench_seed
 
@@ -630,24 +587,17 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
     jobs = args.jobs
     cache = _point_cache(args)
-    trace_stream = recorder = audit = None
-    if args.trace or args.audit:
-        # Recorders and audits cannot cross process boundaries and cache
-        # hits skip the simulations that would produce records/promises,
-        # so instrumented figures force the sequential uncached path.
-        if jobs != 1 or cache is not None:
-            flag = "--trace" if args.trace else "--audit"
-            print(f"{flag} forces --jobs 1 and ignores --cache-dir")
-            jobs, cache = 1, None
+    trace_stream = recorder = None
     if args.trace:
+        # Recorders cannot cross process boundaries and cache hits skip
+        # the simulations that would produce records, so a traced figure
+        # forces the sequential uncached path.
+        if jobs != 1 or cache is not None:
+            print("--trace forces --jobs 1 and ignores --cache-dir")
+            jobs, cache = 1, None
+        from repro.obs.tracelog import TraceRecorder
+
         trace_stream = open(args.trace, "w")
-    if args.audit:
-        from repro.obs.audit import GuaranteeAudit
-
-        recorder = audit = GuaranteeAudit(stream=trace_stream)
-    elif args.trace:
-        from repro.analysis.tracelog import TraceRecorder
-
         recorder = TraceRecorder(stream=trace_stream, keep_in_memory=False)
     # Profiles DO cross process boundaries (workers ship snapshots that
     # the parent folds), so --prof neither forces --jobs 1 nor disables
@@ -677,11 +627,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.trace:
         print(
             f"\ntrace written to {args.trace} (all simulated points share "
-            "the file); inspect with 'probqos trace export/explain'"
-        )
-    if audit is not None:
-        _write_audit_report(
-            args, audit.report(meta={"source": "figure", "figure": args.number})
+            "the file); views: 'probqos trace export/explain' and "
+            "'probqos audit'"
         )
     if args.obs:
         from repro.obs.export import empty_obs, merge_obs
@@ -705,7 +652,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     from repro.experiments.tables import table_1, table_2
 
     # Tables run no simulation points; --jobs/--cache-dir are accepted so
-    # batch pipelines can pass one flag set to every subcommand.
+    # batch pipelines can pass one sweep flag set to every subcommand.
     if args.number == 1:
         print(
             format_table1(
@@ -717,29 +664,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     else:
         print(f"the paper has tables 1 and 2; got {args.number}", file=sys.stderr)
         return 2
-    if args.trace:
-        # Tables run no traced simulations; an empty (but valid) JSONL file
-        # still lands so batch pipelines can pass one flag set everywhere.
-        with open(args.trace, "w"):
-            pass
-        print(f"trace written to {args.trace}: tables simulate nothing (0 records)")
-    if args.audit:
-        # Likewise: an empty (but valid, status OK) audit report.
-        from repro.obs.audit import GuaranteeAudit
-
-        _write_audit_report(
-            args, GuaranteeAudit().report(meta={"source": "table"})
-        )
-    if args.obs:
-        # Tables run no simulations; the report still round-trips so
-        # batch pipelines can treat every subcommand uniformly.
-        from repro.obs.export import empty_obs
-
-        _write_obs_report(args, empty_obs())
-    if args.prof:
-        # Likewise: an empty (but valid) profile.
-        profiler = _make_profiler(args)
-        _write_profile(args, profiler)
     return 0
 
 
@@ -753,23 +677,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     ctx = ExperimentContext.prepare(_setup(args))
     result = sampler = None
-    spans = None
-    audit_report = None
     profiler = _make_profiler(args)
-    if args.obs or args.trace or args.audit or args.prof:
+    if args.obs or args.trace or args.prof:
         recorder = trace_stream = None
         if args.trace:
-            from repro.obs.trace import SpanBuilder
+            from repro.obs.tracelog import TraceRecorder
 
             trace_stream = open(args.trace, "w")
-            # With --audit as well, keep the records for the audit to fold.
-            recorder = SpanBuilder(
-                stream=trace_stream, keep_in_memory=bool(args.audit)
-            )
-        elif args.audit:
-            from repro.obs.audit import GuaranteeAudit
-
-            recorder = GuaranteeAudit()
+            recorder = TraceRecorder(stream=trace_stream, keep_in_memory=False)
         interval = args.obs_interval if args.obs_interval is not None else 3600.0
         try:
             with _attached(profiler):
@@ -787,19 +702,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if trace_stream is not None:
                 trace_stream.close()
         metrics = result.metrics
-        spans = result.spans
-        if args.audit:
-            from repro.obs.audit import GuaranteeAudit
-
-            # Replaying the builder's records equals the live fold.
-            audit = GuaranteeAudit().consume(recorder) if args.trace else recorder
-            audit_report = audit.report(
-                meta={
-                    "source": "live",
-                    "workload_jobs": len(ctx.log),
-                    "events_processed": result.events_processed,
-                }
-            )
     else:
         metrics = ctx.run_point(
             args.accuracy,
@@ -831,18 +733,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             pairs,
         )
     )
-    if spans is not None:
-        from repro.obs.trace import summarize_timeline
-
-        print()
-        print(summarize_timeline(spans))
+    if args.trace:
         print(
-            f"trace written to {args.trace}; inspect with "
-            f"'probqos trace export {args.trace}' or "
-            f"'probqos trace explain {args.trace} --job N'"
+            f"\ntrace written to {args.trace}; views: 'probqos trace export "
+            f"{args.trace}', 'probqos trace explain {args.trace} --job N', "
+            f"'probqos audit {args.trace}'"
         )
-    if audit_report is not None:
-        _write_audit_report(args, audit_report)
     if args.obs:
         _write_obs_report(args, result.obs, sampler=sampler)
     if profiler is not None:
@@ -936,10 +832,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
-    from repro.analysis import TraceRecorder, render_gantt
     from repro.core.system import ProbabilisticQoSSystem, SystemConfig
     from repro.experiments.runner import estimate_horizon
     from repro.failures.generator import FailureModelSpec, generate_failure_trace
+    from repro.obs.gantt import render_gantt
+    from repro.obs.tracelog import TraceRecorder
     from repro.workload.synthetic import log_by_name
 
     setup = _setup(args)
@@ -1103,7 +1000,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis.tracelog import load_jsonl
     from repro.obs.trace import (
         explain_job,
         summarize_timeline,
@@ -1111,6 +1007,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         to_chrome_trace,
         validate_chrome_trace,
     )
+    from repro.obs.tracelog import load_jsonl
 
     try:
         with open(args.path) as fh:
@@ -1170,63 +1067,37 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.audit import (
         AUDIT_STATUS_OK,
         AUDIT_STATUS_VIOLATED,
         AuditConfig,
-        AuditReport,
         audit_from_records,
         reliability_diagram_csv,
         render_report,
     )
+    from repro.obs.tracelog import load_jsonl
 
-    # The input is either a saved AuditReport (one JSON object: re-render
-    # mode, binning flags ignored) or a JSONL guarantee trace (replay mode).
+    try:
+        config = AuditConfig(
+            bin_count=args.bins,
+            node_block=args.node_block,
+            max_breach_rate=args.max_breach_rate,
+        )
+    except ValueError as exc:
+        print(f"invalid audit configuration: {exc}", file=sys.stderr)
+        return 2
     try:
         with open(args.path) as fh:
-            text = fh.read()
+            records = load_jsonl(fh)
+        report = audit_from_records(
+            records, config=config, meta={"source": args.path}
+        )
     except OSError as exc:
         print(f"cannot read audit input: {exc}", file=sys.stderr)
         return 2
-    report = None
-    try:
-        doc = json.loads(text)
-    except ValueError:
-        doc = None
-    if isinstance(doc, dict) and "schema" in doc:
-        try:
-            report = AuditReport.from_dict(doc)
-        except (ValueError, KeyError, TypeError) as exc:
-            print(f"cannot parse audit report: {exc}", file=sys.stderr)
-            return 2
-    if report is None:
-        import io
-
-        from repro.analysis.tracelog import load_jsonl
-
-        try:
-            records = load_jsonl(io.StringIO(text))
-        except (ValueError, KeyError) as exc:
-            print(f"cannot parse trace: {exc}", file=sys.stderr)
-            return 2
-        try:
-            config = AuditConfig(
-                bin_count=args.bins,
-                node_block=args.node_block,
-                max_breach_rate=args.max_breach_rate,
-            )
-        except ValueError as exc:
-            print(f"invalid audit configuration: {exc}", file=sys.stderr)
-            return 2
-        try:
-            report = audit_from_records(
-                records, config=config, meta={"source": args.path}
-            )
-        except ValueError as exc:
-            print(f"cannot parse trace: {exc}", file=sys.stderr)
-            return 2
+    except (ValueError, KeyError) as exc:
+        print(f"cannot parse trace: {exc}", file=sys.stderr)
+        return 2
 
     if args.audit_format == "json":
         print(report.to_json())

@@ -6,13 +6,6 @@ drive :mod:`repro.scheduling`, which uses this package's negotiation, so
 re-exporting them here would make the two packages' initialisation a cycle.
 """
 
-from repro.core.calibration import (
-    CalibrationBucket,
-    brier_score,
-    calibration_buckets,
-    calibration_gap,
-    reliability_diagram,
-)
 from repro.core.fastpath import AnalyticalEvaluator
 from repro.core.guarantee import DeadlineOffer, QoSGuarantee
 from repro.core.metrics import JobOutcome, SimulationMetrics, finalize
@@ -29,11 +22,6 @@ from repro.core.users import (
 )
 
 __all__ = [
-    "CalibrationBucket",
-    "brier_score",
-    "calibration_buckets",
-    "calibration_gap",
-    "reliability_diagram",
     "AnalyticalEvaluator",
     "DeadlineOffer",
     "QoSGuarantee",

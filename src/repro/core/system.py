@@ -24,10 +24,9 @@ seed, configuration).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.analysis.tracelog import TraceRecorder
 from repro.checkpointing.policies import (
     CheckpointDecision,
     CheckpointDecisionContext,
@@ -42,7 +41,7 @@ from repro.core.metrics import JobOutcome, SimulationMetrics, finalize
 from repro.core.users import RiskThresholdUser, UserModel
 from repro.failures.events import FailureTrace
 from repro.obs.sampler import Sampler
-from repro.obs.trace import SpanBuilder, SpanTimeline
+from repro.obs.tracelog import TraceRecorder
 from repro.prediction.base import Predictor
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.fcfs import ConservativeBackfillScheduler
@@ -133,9 +132,6 @@ class SimulationResult:
             by job id: the objects the simulation updated in place.
         obs: Final observability snapshot: every component's counters and
             gauges by metric name (``{"counters": ..., "gauges": ...}``).
-        spans: Assembled :class:`~repro.obs.trace.SpanTimeline` when the
-            system ran with a live :class:`~repro.obs.trace.SpanBuilder`;
-            None otherwise.
     """
 
     metrics: SimulationMetrics
@@ -143,7 +139,6 @@ class SimulationResult:
     outcomes: list
     events_processed: int
     obs: Optional[dict] = None
-    spans: Optional[SpanTimeline] = None
 
 
 class ProbabilisticQoSSystem:
@@ -161,13 +156,13 @@ class ProbabilisticQoSSystem:
         user: Optional override of the user model; defaults to
             :class:`RiskThresholdUser` at ``config.user_threshold``.
         recorder: Optional trace recorder capturing every semantic
-            transition (see :mod:`repro.analysis.tracelog`).  None (the
-            default) records nothing and builds no record.  Pass a
-            :class:`~repro.obs.trace.SpanBuilder` to get the assembled
-            span timeline on :attr:`SimulationResult.spans` as well, or a
-            :class:`~repro.obs.audit.GuaranteeAudit` to fold every promise
-            and outcome into a calibration audit (take it afterwards with
-            ``audit.report(meta=...)``).
+            transition (see :mod:`repro.obs.tracelog`).  None (the
+            default) records nothing and builds no record.  The folds over
+            the records are recorders too: pass a
+            :class:`~repro.obs.trace.SpanBuilder` and call its ``build()``
+            after the run for the span timeline, or a
+            :class:`~repro.obs.audit.GuaranteeAudit` and take
+            ``audit.report(meta=...)`` for the calibration audit.
         sample_interval: Sim-seconds between samples of every counter and
             gauge; when set a :class:`~repro.obs.sampler.Sampler` records
             a time-series via recurring ``OBS_SAMPLE`` events, reachable
@@ -228,9 +223,6 @@ class ProbabilisticQoSSystem:
             is not None
         )
         self.recorder: Optional[TraceRecorder] = recorder
-        self._span_builder: Optional[SpanBuilder] = (
-            recorder if isinstance(recorder, SpanBuilder) else None
-        )
 
         self.loop = EventLoop()
         self.sampler: Optional[Sampler] = None
@@ -305,17 +297,6 @@ class ProbabilisticQoSSystem:
         self.loop.run(max_events=max_events)
         if self.sampler is not None:
             self.sampler.sample(self.loop.now)
-        spans: Optional[SpanTimeline] = None
-        if self._span_builder is not None:
-            spans = self._span_builder.build(
-                end_time=self.loop.now,
-                meta={
-                    "workload_jobs": len(self.workload),
-                    "events_processed": self.loop.processed_events,
-                    "dispatch_counts": self.loop.dispatch_counts(),
-                    "config": asdict(self.config),
-                },
-            )
         outcomes = [self._states[k] for k in sorted(self._states)]
         return SimulationResult(
             metrics=finalize(
@@ -331,7 +312,6 @@ class ProbabilisticQoSSystem:
                 "counters": dict(sorted(self.counters().items())),
                 "gauges": dict(sorted(self.gauges().items())),
             },
-            spans=spans,
         )
 
     # ------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 import time
 from typing import List, Optional, TextIO
 
-from repro.core.calibration import brier_score, calibration_gap
 from repro.core.system import simulate
 from repro.experiments.config import ExperimentSetup
 from repro.experiments.figures import FigureCatalog
@@ -30,6 +29,7 @@ from repro.experiments.reporting import (
 )
 from repro.experiments.runner import ExperimentContext
 from repro.experiments.tables import table_1, table_2
+from repro.obs.audit import audit_outcomes, calibration_gap
 
 _RULE = "=" * 72
 
@@ -105,7 +105,7 @@ def generate_report(
     for accuracy in (0.0, 1.0):
         result = simulate(ctx.config(accuracy, 0.5), ctx.log, ctx.failures)
         gap = calibration_gap(result.outcomes)
-        score = brier_score(result.outcomes)
+        score = audit_outcomes(result.outcomes).report().brier
         sections.append(
             f"  a={accuracy:3.1f}: gap={gap:.4f}  brier={score:.4f}"
         )

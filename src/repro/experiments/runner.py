@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.tracelog import TraceRecorder
+from repro.obs.tracelog import TraceRecorder
 from repro.core.metrics import SimulationMetrics
 from repro.core.system import SimulationResult, SystemConfig, simulate
 from repro.experiments.cache import PointCache
@@ -63,11 +63,9 @@ class ExperimentContext:
             simulated point.
         recorder: Optional trace recorder threaded into every simulation
             this context executes in-process (``--trace`` on batch
-            commands; a :class:`~repro.obs.audit.GuaranteeAudit` recorder
-            for ``--audit``).  Memo/cache hits skip simulation and
-            therefore contribute no records; recorders do not cross
-            process boundaries, so callers should keep ``jobs=1`` when
-            tracing or auditing.
+            commands).  Memo/cache hits skip simulation and therefore
+            contribute no records; recorders do not cross process
+            boundaries, so callers should keep ``jobs=1`` when tracing.
         obs: Counters and gauges summed over the distinct points this
             context simulated, in submission order (the "what did
             producing this figure actually do" view); memo and cache hits
@@ -234,8 +232,8 @@ class ExperimentContext:
 
         Returns:
             ``(result, sampler)`` — the full :class:`SimulationResult`
-            (with ``.spans`` attached as applicable) and the system's
-            sampler (None unless ``sample_interval`` was given).
+            and the system's sampler (None unless ``sample_interval`` was
+            given).
         """
         from repro.core.system import ProbabilisticQoSSystem
 

@@ -42,7 +42,6 @@ from repro.lint.findings import Finding, LintSeverity
 #: failure generators consume each other's models) — within a band only the
 #: cycle check (QOS502) constrains imports.
 LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("analysis", ("repro.analysis",)),
     ("obs", ("repro.obs",)),
     ("sim", ("repro.sim",)),
     ("inputs", ("repro.workload", "repro.failures")),

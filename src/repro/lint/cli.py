@@ -113,3 +113,17 @@ def run_lint(
     else:
         render_text(findings, files_scanned, stdout)
     return 1 if findings else 0
+
+
+def _main() -> int:
+    """``python -m repro.lint.cli ARGS``: the same run as ``probqos lint ARGS``.
+
+    Imported here, not at module level: the CLI sits above the linter.
+    """
+    from repro.cli import main
+
+    return main(["lint", *sys.argv[1:]])
+
+
+if __name__ == "__main__":
+    sys.exit(_main())

@@ -7,12 +7,14 @@ counts its decision points as plain state and reports them through
 ``<layer>.<component>.<name>``; the simulated system collects them into
 its result's ``obs`` snapshot, which ``repro.obs.export`` writes and
 renders and :class:`Sampler` records over sim time.
-``repro.obs.trace`` assembles causal per-job spans and
-``repro.obs.audit`` folds promise/outcome pairs into calibration & SLO
-audit reports — both are trace recorders, views over the simulator's
-one record stream.  ``repro.obs.prof`` attributes wall time to
-hierarchical zones (same naming scheme) by wrapping layer methods from
-outside, only while a profiler is attached, and ``repro.obs.bench``
+``repro.obs.tracelog`` records the simulator's one record stream, the
+JSONL trace a run writes; ``repro.obs.trace`` assembles causal per-job
+spans from it, ``repro.obs.audit`` folds its promise/outcome pairs into
+calibration & SLO audit reports and ``repro.obs.gantt`` draws the
+schedule — views over the records, not recording paths of their own.
+``repro.obs.prof`` attributes wall time to hierarchical zones (same
+naming scheme) by wrapping layer methods from outside, only while a
+profiler is attached, and ``repro.obs.bench``
 diffs BENCH ledgers for perf-regression gating.
 See DESIGN.md "Observability" for the naming scheme and the overhead
 budget.
@@ -31,7 +33,9 @@ from repro.obs.audit import (
     ReliabilityBin,
     RollupStat,
     audit_from_records,
+    audit_outcomes,
     breach_excess_pvalue,
+    calibration_gap,
     margin_honours,
     merge_reports,
     poisson_tail,
@@ -60,6 +64,12 @@ from repro.obs.export import (
     summarize_data,
     write_report,
 )
+from repro.obs.gantt import (
+    Occupancy,
+    downtime_intervals,
+    occupancy_intervals,
+    render_gantt,
+)
 from repro.obs.prof import (
     DEFAULT_BUCKET_WIDTH,
     PROF_SCHEMA_VERSION,
@@ -72,6 +82,12 @@ from repro.obs.prof import (
     write_profile,
 )
 from repro.obs.sampler import Sampler
+from repro.obs.tracelog import (
+    RECORD_KINDS,
+    TraceRecord,
+    TraceRecorder,
+    load_jsonl,
+)
 from repro.obs.trace import (
     SPAN_SCHEMA_VERSION,
     Mark,
@@ -87,6 +103,14 @@ from repro.obs.trace import (
 )
 
 __all__ = [
+    "RECORD_KINDS",
+    "TraceRecord",
+    "TraceRecorder",
+    "load_jsonl",
+    "Occupancy",
+    "downtime_intervals",
+    "occupancy_intervals",
+    "render_gantt",
     "SPAN_SCHEMA_VERSION",
     "Mark",
     "Span",
@@ -110,7 +134,9 @@ __all__ = [
     "ReliabilityBin",
     "RollupStat",
     "audit_from_records",
+    "audit_outcomes",
     "breach_excess_pvalue",
+    "calibration_gap",
     "margin_honours",
     "merge_reports",
     "poisson_tail",

@@ -15,15 +15,20 @@ aggregate :class:`AuditReport`:
   thresholds that mark a run ``DEGRADED`` or ``VIOLATED``.
 
 :class:`GuaranteeAudit` is a view over the simulator's record stream: a
-:class:`~repro.analysis.tracelog.TraceRecorder` that folds the
+:class:`~repro.obs.tracelog.TraceRecorder` that folds the
 ``negotiated`` (promise) and ``finish`` (outcome) records as they arrive
 and keeps none of them.  The one fold serves two feeds, which therefore
 produce *identical* reports (tested property):
 
 * **live** — pass the audit as the simulator's trace recorder
-  (``recorder=GuaranteeAudit()``);
+  (``recorder=GuaranteeAudit()``), as replicated sweeps do;
 * **replay** — :func:`audit_from_records` folds a loaded JSONL trace (or
-  any record iterable) through :meth:`GuaranteeAudit.consume`.
+  any record iterable) through :meth:`GuaranteeAudit.consume`; this is
+  ``probqos audit TRACE``.
+
+A finished run's :class:`~repro.core.metrics.JobOutcome` list feeds the
+same fold through :func:`audit_outcomes`; :func:`calibration_gap` adds
+the one score the audit does not keep, the work-weighted honesty gap.
 
 Verdicts are always recomputed inside the aggregator from
 ``(deadline, finish_time)`` using the canonical epsilon comparison
@@ -39,7 +44,7 @@ replication shards is exact up to float summation order, mirroring
 alerts) are recomputed after every merge.
 
 This module is dependency-light by design: it imports only the stdlib
-and ``repro.analysis.tracelog``, so ``repro.core`` and
+and ``repro.obs.tracelog``, so ``repro.core`` and
 ``repro.prediction`` may import it freely without cycles.
 """
 
@@ -48,9 +53,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.tracelog import TraceRecord, TraceRecorder, check_record
+from repro.obs.tracelog import TraceRecord, TraceRecorder, check_record
 
 #: Version stamp embedded in every serialized :class:`AuditReport`.
 AUDIT_SCHEMA_VERSION = 1
@@ -296,9 +301,9 @@ class CalibrationSummary:
 class CalibrationCurve:
     """Streaming (forecast, outcome) accumulator behind reliability math.
 
-    One implementation shared by guarantee auditing, predictor evaluation
-    (``repro.prediction.evaluation``) and the offline calibration module
-    (``repro.core.calibration``).  Holds only raw additive sums, so two
+    One implementation shared by guarantee auditing and predictor
+    evaluation (``repro.prediction.evaluation``).  Holds only raw
+    additive sums, so two
     curves over the same observations in any split are mergeable.
     """
 
@@ -851,26 +856,24 @@ def _build_report(
 class GuaranteeAudit(TraceRecorder):
     """Streaming promise-vs-outcome aggregator over the record stream.
 
-    A :class:`~repro.analysis.tracelog.TraceRecorder` whose :meth:`_ingest`
+    A :class:`~repro.obs.tracelog.TraceRecorder` whose :meth:`_ingest`
     folds ``negotiated`` records into pending promises and ``finish``
     records into verdicts, so it is fed live as the simulator's
-    ``recorder`` or offline from a trace via :meth:`consume`.  It retains
-    no records; ``stream`` still writes each one as JSONL (the
-    ``--trace PATH`` flight recorder).  :meth:`report` is non-destructive:
+    ``recorder`` or offline from a trace via :meth:`consume`.  It neither
+    retains nor writes records: streaming the trace is the plain
+    recorder's job.  :meth:`report` is non-destructive:
     pending promises are folded in as BROKEN in the report without
     mutating the aggregator, so it can be called mid-stream.
 
     Raises:
         ValueError: from the fold, on any record
-            :func:`~repro.analysis.tracelog.check_record` rejects (a job
+            :func:`~repro.obs.tracelog.check_record` rejects (a job
             record with no ``job_id``, a ``negotiated`` record whose
             ``probability`` or ``deadline`` is missing or not finite, ...).
     """
 
-    def __init__(
-        self, config: Optional[AuditConfig] = None, stream: Optional[TextIO] = None
-    ) -> None:
-        super().__init__(stream=stream, keep_in_memory=False)
+    def __init__(self, config: Optional[AuditConfig] = None) -> None:
+        super().__init__(keep_in_memory=False)
         self.config = config if config is not None else AuditConfig()
         self._curve = CalibrationCurve(self.config.bin_count, self.config.confidence_z)
         self._rollups: Dict[str, Dict[str, List[float]]] = {
@@ -945,12 +948,6 @@ class GuaranteeAudit(TraceRecorder):
         else:
             self.observe_outcome(job_id=job_id, finish_time=record.time)
 
-    def consume(self, records: Iterable[TraceRecord]) -> "GuaranteeAudit":
-        """Fold a whole record stream; returns self for chaining."""
-        for record in records:
-            self._ingest(record)
-        return self
-
     def _score(self, promise: _Promise, honoured: bool) -> None:
         self._curve.observe(promise.probability, honoured)
         for dim, key in zip(AUDIT_DIMENSIONS, promise.keys):
@@ -1008,6 +1005,57 @@ def audit_from_records(
 ) -> AuditReport:
     """One-shot replay audit of a trace record stream."""
     return GuaranteeAudit(config).consume(records).report(meta=meta)
+
+
+def audit_outcomes(
+    outcomes: Iterable[Any], config: Optional[AuditConfig] = None
+) -> GuaranteeAudit:
+    """Fold a finished run's promises and outcomes into an audit.
+
+    ``outcomes`` are :class:`~repro.core.metrics.JobOutcome` records, as
+    ``SimulationResult.outcomes`` lists them: by job id, which is the order
+    they are folded in (a live fold scores in finish order instead, so its
+    sums can differ in the last bits).  Jobs with no guarantee are skipped;
+    a job that never finished is scored BROKEN.
+    """
+    audit = GuaranteeAudit(config)
+    for outcome in outcomes:
+        guarantee = outcome.guarantee
+        if guarantee is None:
+            continue
+        job = outcome.job
+        audit.observe_promise(
+            job.job_id,
+            guarantee.probability,
+            guarantee.deadline,
+            size=job.size,
+            user_id=job.user_id,
+            nodes=guarantee.planned_nodes,
+        )
+        audit.observe_outcome(job.job_id, outcome.finish)
+    return audit
+
+
+def calibration_gap(outcomes: Iterable[Any]) -> Optional[float]:
+    """Work-weighted mean absolute honesty gap, |promised − kept|.
+
+    Weighted by ``e_j n_j`` (the QoS metric's weighting), so over-promising
+    on big jobs counts for more — exactly where broken promises hurt.
+    ``outcomes`` are :class:`~repro.core.metrics.JobOutcome` records;
+    returns None when none carries a promise.
+    """
+    total_work = 0.0
+    weighted_gap = 0.0
+    for outcome in outcomes:
+        if outcome.guarantee is None:
+            continue
+        work = outcome.job.work
+        kept = 1.0 if outcome.met_deadline else 0.0
+        weighted_gap += work * abs(outcome.guarantee.probability - kept)
+        total_work += work
+    if total_work == 0.0:  # qoslint: disable=QOS104 -- exact-zero guard: only the empty sum produces literal 0.0 here
+        return None
+    return weighted_gap / total_work
 
 
 def validate_audit_report(doc: Mapping[str, Any]) -> List[str]:

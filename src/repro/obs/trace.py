@@ -1,6 +1,6 @@
 """Causal span tracing: per-job lifecycles and guarantee audit trails.
 
-The point records of :mod:`repro.analysis.tracelog` say *what happened*;
+The point records of :mod:`repro.obs.tracelog` say *what happened*;
 this layer assembles them into *stories*.  A :class:`SpanBuilder` folds the
 record stream — live, as the simulation emits it, or replayed from a JSONL
 trace — into interval **spans** on per-job and per-node tracks::
@@ -19,17 +19,18 @@ consumers make the stories usable:
   trail of one job's guarantee: what was promised, what the predictor
   believed, every checkpoint decision, and whether the promise was honoured.
 
-Zero-cost default: unless a builder is attached the simulator's
-``recorder`` is None, and every record call site sits behind one
-``is not None`` test — uninstrumented sweeps build no record at all.
+The timeline is a view over the records, not a second recording path:
+the CLI streams a run's records to a JSONL trace through a plain
+:class:`~repro.obs.tracelog.TraceRecorder`, and ``trace export`` /
+``trace explain`` fold that file with :func:`timeline_from_records`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.tracelog import TraceRecord, TraceRecorder, check_record
+from repro.obs.tracelog import TraceRecord, TraceRecorder, check_record
 from repro.obs.audit import margin_honours, promise_margin
 
 #: Version stamp embedded in timeline metadata and Chrome exports.
@@ -92,9 +93,8 @@ class Mark:
 class SpanTimeline:
     """The assembled product: spans + marks + run metadata.
 
-    Surfaced on :attr:`repro.core.system.SimulationResult.spans` when the
-    system ran with a live :class:`SpanBuilder`, and rebuilt from JSONL
-    traces by :func:`timeline_from_records`.
+    Built by :meth:`SpanBuilder.build`, or from a JSONL trace by
+    :func:`timeline_from_records`.
     """
 
     spans: List[Span]
@@ -127,28 +127,24 @@ class SpanTimeline:
 
 
 class SpanBuilder(TraceRecorder):
-    """A trace recorder that assembles lifecycle spans as records arrive.
+    """A fold that assembles lifecycle spans as records arrive.
 
-    It *is* a :class:`~repro.analysis.tracelog.TraceRecorder` — pass it to
-    :class:`~repro.core.system.ProbabilisticQoSSystem` as ``recorder=`` and
-    it captures the JSONL-able record stream and the span timeline in one
-    pass.  Replaying a loaded trace through
-    :meth:`from_records` produces the identical timeline, so spans are
-    reconstructible offline from the flight-recorder file alone.  Every
-    record passes :func:`~repro.analysis.tracelog.check_record` first, so
-    a malformed one raises ValueError, as in the guarantee audit.
+    It *is* a :class:`~repro.obs.tracelog.TraceRecorder`, so it folds
+    live — pass it to :class:`~repro.core.system.ProbabilisticQoSSystem`
+    as ``recorder=`` and call :meth:`build` after the run — or offline,
+    through :meth:`consume` over a loaded trace; both give the identical
+    timeline.  It writes nothing: streaming the trace is the plain
+    recorder's job.  Every record passes
+    :func:`~repro.obs.tracelog.check_record` first, so a malformed one
+    raises ValueError, as in the guarantee audit.
 
     Args:
-        stream: Optional text stream each record is streamed to as JSONL
-            (the ``--trace PATH`` flight recorder).
         keep_in_memory: Retain the raw records too (defaults off here —
             the spans usually *are* the memory the caller wants).
     """
 
-    def __init__(
-        self, stream: Optional[TextIO] = None, keep_in_memory: bool = False
-    ) -> None:
-        super().__init__(stream=stream, keep_in_memory=keep_in_memory)
+    def __init__(self, keep_in_memory: bool = False) -> None:
+        super().__init__(keep_in_memory=keep_in_memory)
         self._spans: List[Span] = []
         self._marks: List[Mark] = []
         #: job_id -> its open queued/running span, at most one per job.
@@ -160,7 +156,7 @@ class SpanBuilder(TraceRecorder):
         self._last_time: float = 0.0
 
     # ------------------------------------------------------------------
-    # Assembly (fed by TraceRecorder.record / from_records)
+    # Assembly (fed by TraceRecorder.record / consume)
     # ------------------------------------------------------------------
     def _ingest(self, record: TraceRecord) -> None:
         check_record(record)
@@ -371,8 +367,7 @@ def timeline_from_records(
     ``end_time`` defaults to the last record's timestamp, so spans still
     open when the trace stopped are closed there and flagged ``open``.
     """
-    builder = SpanBuilder.from_records(records, keep_in_memory=False)
-    assert isinstance(builder, SpanBuilder)
+    builder = SpanBuilder().consume(records)
     if end_time is None:
         end_time = builder.last_time
     return builder.build(end_time=end_time, meta=meta)

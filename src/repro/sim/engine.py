@@ -223,7 +223,7 @@ class EventLoop:
     # ------------------------------------------------------------------
     def dispatch_counts(self) -> Dict[str, int]:
         """Dispatched events per kind value (kinds never dispatched are
-        left out); exported timelines carry it as their event mix."""
+        left out); the ``sim.engine.dispatched.*`` counters report it."""
         return {
             kind.value: self._dispatched[kind.tie]
             for kind in EventKind

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from repro.analysis.gantt import (
+from repro.obs.gantt import (
     downtime_intervals,
     occupancy_intervals,
     render_gantt,
 )
-from repro.analysis.tracelog import TraceRecorder
+from repro.obs.tracelog import TraceRecorder
 
 
 def scripted_trace():

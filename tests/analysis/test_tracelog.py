@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from repro.analysis.tracelog import (
+from repro.obs.tracelog import (
     TraceRecord,
     TraceRecorder,
     check_record,
@@ -111,7 +111,7 @@ class TestFromRecords:
 
     def test_replay_rebuilds_the_indexes(self):
         live = self.live_recorder()
-        replayed = TraceRecorder.from_records(live.records)
+        replayed = TraceRecorder().consume(live.records)
         assert replayed.records == live.records
         assert replayed.counts() == live.counts()
         assert replayed.of_kind("start") == live.of_kind("start")
@@ -122,7 +122,7 @@ class TestFromRecords:
         live = TraceRecorder(stream=stream)
         live.record(1.5, "negotiated", job_id=4, probability=0.75)
         live.record(3.0, "finish", job_id=4, met=True)
-        replayed = TraceRecorder.from_records(
+        replayed = TraceRecorder().consume(
             load_jsonl(stream.getvalue().splitlines())
         )
         assert replayed.records == live.records
@@ -130,13 +130,13 @@ class TestFromRecords:
     def test_replay_validates_kinds(self):
         bogus = TraceRecord(time=1.0, kind="teleported", job_id=1)
         with pytest.raises(ValueError, match="teleported"):
-            TraceRecorder.from_records([bogus])
+            TraceRecorder().consume([bogus])
 
     def test_replay_can_restream(self):
         stream = io.StringIO()
         live = self.live_recorder()
-        TraceRecorder.from_records(
-            live.records, stream=stream, keep_in_memory=False
+        TraceRecorder(stream=stream, keep_in_memory=False).consume(
+            live.records
         )
         assert load_jsonl(stream.getvalue().splitlines()) == live.records
 

@@ -57,6 +57,11 @@ def replay(monkeypatch, evaluator, config, log, failures, interval=HOUR):
     return system, system.run(), decided
 
 
+def timeline(system):
+    """The span timeline of a finished replay."""
+    return system.recorder.build(end_time=system.loop.now)
+
+
 def observed(system, result):
     """Everything the two paths must agree on."""
     runtime = {
@@ -77,8 +82,8 @@ def observed(system, result):
         result.metrics,
         runtime,
         samples,
-        result.spans.spans,
-        result.spans.marks,
+        timeline(system).spans,
+        timeline(system).marks,
     )
 
 
@@ -98,7 +103,9 @@ def requests(run) -> int:
 
 
 def skip_marks(run) -> List[float]:
-    return [m.time for m in run[1].spans.marks if m.name == "checkpoint_skipped"]
+    return [
+        m.time for m in timeline(run[0]).marks if m.name == "checkpoint_skipped"
+    ]
 
 
 def test_kill_exactly_at_a_planned_request_counts_only_the_ones_before(

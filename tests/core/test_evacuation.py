@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.tracelog import TraceRecorder
 from repro.core.system import ProbabilisticQoSSystem, SystemConfig, simulate
 from repro.failures.events import FailureEvent, FailureTrace
+from repro.obs.tracelog import TraceRecorder
 from repro.workload.job import Job, JobLog
 
 HOUR = 3600.0

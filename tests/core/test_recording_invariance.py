@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.tracelog import TraceRecorder
 from repro.core.easy import EasyBackfillSystem
 from repro.core.system import ProbabilisticQoSSystem, SystemConfig
 from repro.experiments.runner import estimate_horizon
 from repro.failures.generator import FailureModelSpec, generate_failure_trace
 from repro.obs.audit import GuaranteeAudit
 from repro.obs.trace import SpanBuilder
+from repro.obs.tracelog import TraceRecorder
 from repro.workload.synthetic import log_by_name
 
 NODES = 32

@@ -385,32 +385,61 @@ class TestEndToEnd:
         findings, _ = lint_paths([str(tmp_path)], config, arch=True)
         assert findings == []
 
-    def test_cli_reports_import_time_cycle(self, tmp_path):
-        """A cycle that fails at import time is a QOS502 finding of
-        ``probqos lint --arch``, not a traceback from importing the tree
-        the linter is checking."""
+    @staticmethod
+    def _tree_with_import(tmp_path, module: str, line: str):
+        """A copy of the package under ``tmp_path/src`` with ``line``
+        added to ``module``'s imports."""
         src = tmp_path / "src"
         shutil.copytree(
             PACKAGE.parent, src, ignore=shutil.ignore_patterns("__pycache__")
         )
-        runtime = src / "repro" / "checkpointing" / "runtime.py"
-        runtime.write_text(
-            runtime.read_text(encoding="utf-8").replace(
+        path = src / "repro" / module
+        path.write_text(
+            path.read_text(encoding="utf-8").replace(
                 "from __future__ import annotations\n",
-                "from __future__ import annotations\n\n"
-                "from repro.core.metrics import JobOutcome\n",
+                f"from __future__ import annotations\n\n{line}\n",
                 1,
             ),
             encoding="utf-8",
         )
-        done = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "lint", "--arch", "src"],
+        return src
+
+    @staticmethod
+    def _lint(tmp_path, src, *command: str):
+        return subprocess.run(
+            [sys.executable, "-m", *command, "--arch", "src"],
             cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True,
             text=True,
         )
+
+    def test_cli_reports_import_time_cycle(self, tmp_path):
+        """A cycle that fails at import time is a QOS502 finding of
+        ``probqos lint --arch``, not a traceback from importing the tree
+        the linter is checking."""
+        src = self._tree_with_import(
+            tmp_path,
+            "checkpointing/runtime.py",
+            "from repro.core.metrics import JobOutcome",
+        )
+        done = self._lint(tmp_path, src, "repro.cli", "lint")
         output = done.stdout + done.stderr
         assert done.returncode != 0
         assert "QOS502" in output
         assert "Traceback" not in output
+
+    def test_module_entry_point_runs_probqos_lint(self, tmp_path):
+        """``python -m repro.lint.cli`` is ``probqos lint``: same findings,
+        same exit code, on a tree with an import-time cycle."""
+        src = self._tree_with_import(
+            tmp_path,
+            "core/fastpath.py",
+            "from repro.scheduling.placement import random_scorer",
+        )
+        module = self._lint(tmp_path, src, "repro.lint.cli")
+        probqos = self._lint(tmp_path, src, "repro.cli", "lint")
+        assert module.returncode == probqos.returncode == 1
+        assert "QOS502" in module.stdout
+        assert "Traceback" not in module.stdout + module.stderr
+        assert module.stdout == probqos.stdout

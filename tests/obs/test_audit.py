@@ -8,7 +8,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.tracelog import TraceRecorder, load_jsonl
 from repro.core.guarantee import QoSGuarantee
 from repro.core.system import ProbabilisticQoSSystem, SystemConfig
 from repro.obs.audit import (
@@ -33,6 +32,7 @@ from repro.obs.audit import (
     validate_audit_report,
     wilson_interval,
 )
+from repro.obs.tracelog import TraceRecorder, load_jsonl
 
 
 def feed(audit: GuaranteeAudit, rows) -> None:
@@ -513,7 +513,11 @@ class TestLiveReplayEquivalence:
     ):
         path = tmp_path / "trace.jsonl"
         with open(path, "w") as fh:
-            live = self.run(tiny_jobs, tiny_failures, GuaranteeAudit(stream=fh))
+            self.run(
+                tiny_jobs, tiny_failures,
+                TraceRecorder(stream=fh, keep_in_memory=False),
+            )
+        live = self.run(tiny_jobs, tiny_failures, GuaranteeAudit())
         with open(path) as fh:
             records = load_jsonl(fh)
         assert audit_from_records(records) == live.report()

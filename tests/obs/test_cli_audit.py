@@ -1,4 +1,4 @@
-"""End-to-end CLI tests for `probqos audit` and the --audit flag."""
+"""End-to-end CLI tests for `probqos audit`, the audit view of a trace."""
 
 from __future__ import annotations
 
@@ -7,7 +7,39 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.audit import AUDIT_SCHEMA_VERSION, validate_audit_report
+from repro.obs.audit import (
+    AUDIT_SCHEMA_VERSION,
+    GuaranteeAudit,
+    validate_audit_report,
+)
+from repro.obs.trace import SpanBuilder, to_chrome_trace
+
+#: The CI trace-smoke points: NASA, and SDSC with its event-less
+#: checkpoint-skip records.
+POINTS = {
+    "nasa": ["--workload", "nasa", "--job-count", "120", "--seed", "3",
+             "-a", "0.5", "-U", "0.5"],
+    "sdsc": ["--workload", "sdsc", "--job-count", "300", "--seed", "3",
+             "-a", "0.7", "-U", "0.9"],
+}
+
+
+def _live_fold(argv, recorder):
+    """Fold ``recorder`` live over the point ``run argv`` simulates."""
+    from repro.cli import _build_parser, _setup
+    from repro.experiments.runner import ExperimentContext
+
+    args = _build_parser().parse_args(["run", *argv])
+    ExperimentContext.prepare(_setup(args)).run_instrumented(
+        args.accuracy,
+        args.user_threshold,
+        recorder=recorder,
+        checkpoint_policy=args.policy,
+        placement=args.placement,
+        topology=args.topology,
+        failure_jump_epsilon=args.jump_epsilon,
+    )
+    return recorder
 
 
 class TestRunWithAudit:
@@ -16,7 +48,7 @@ class TestRunWithAudit:
         root = tmp_path_factory.mktemp("audit")
         trace = root / "run.jsonl"
         audit = root / "run.audit.json"
-        code = main(
+        assert main(
             [
                 "run",
                 "--workload", "nasa",
@@ -25,10 +57,9 @@ class TestRunWithAudit:
                 "-a", "0.5",
                 "-U", "0.5",
                 "--trace", str(trace),
-                "--audit", str(audit),
             ]
-        )
-        assert code == 0
+        ) == 0
+        assert main(["audit", str(trace), "--out", str(audit)]) == 0
         return trace, audit
 
     def test_report_file_is_valid_and_covers_every_job(self, paths):
@@ -39,24 +70,38 @@ class TestRunWithAudit:
         assert doc["schema"] == AUDIT_SCHEMA_VERSION
         assert doc["total"] == 60
 
-    def test_report_meta_records_the_run_parameters(self, paths):
-        _, audit = paths
-        with open(audit) as fh:
-            meta = json.load(fh)["meta"]
-        assert meta["source"] == "live"
-        assert meta["workload"] == "nasa"
-        assert meta["seed"] == 3
-
-    def test_replaying_the_trace_reproduces_the_live_report(self, paths, capsys):
-        trace, audit = paths
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    def test_replaying_the_trace_reproduces_the_live_report(
+        self, point, tmp_path, capsys
+    ):
+        """The views over a ``run --trace`` file equal the folds run live
+        over the same point: the audit report (all but its provenance)
+        and the Chrome export of the span timeline."""
+        trace = tmp_path / "run.jsonl"
+        chrome = tmp_path / "run.chrome.json"
+        assert main(["run", *POINTS[point], "--trace", str(trace)]) == 0
+        capsys.readouterr()
         assert main(["audit", str(trace), "--format", "json"]) == 0
         replayed = json.loads(capsys.readouterr().out)
-        with open(audit) as fh:
-            live = json.load(fh)
-        # Provenance differs; everything the audit measured must not.
-        for doc in (replayed, live):
+        assert main(["trace", "export", str(trace), "--out", str(chrome)]) == 0
+        with open(chrome) as fh:
+            exported = json.load(fh)
+
+        live = _live_fold(POINTS[point], GuaranteeAudit()).report()
+        live_doc = json.loads(live.to_json())
+        for doc in (replayed, live_doc):
             doc.pop("meta")
-        assert replayed == live
+        assert replayed == live_doc
+        assert replayed["total"] > 0
+
+        builder = _live_fold(POINTS[point], SpanBuilder())
+        timeline = builder.build(
+            end_time=builder.last_time, meta={"source": str(trace)}
+        )
+        # Through JSON, as the export is: tuples become lists.
+        assert exported == json.loads(json.dumps(to_chrome_trace(timeline)))
+        if point == "sdsc":
+            assert any(m.name == "checkpoint_skipped" for m in timeline.marks)
 
 
 class TestAuditCommand:
@@ -92,14 +137,12 @@ class TestAuditCommand:
         header = csv.read_text().splitlines()[0]
         assert header.startswith("low,high,count")
 
-    def test_rerendering_a_saved_report_round_trips(self, trace_path, tmp_path, capsys):
+    def test_saved_report_is_not_a_trace(self, trace_path, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["audit", str(trace_path), "--out", str(out)]) == 0
         capsys.readouterr()
-        assert main(["audit", str(out), "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert validate_audit_report(doc) == []
-        assert doc["total"] == 40
+        assert main(["audit", str(out)]) == 2
+        assert "cannot parse trace" in capsys.readouterr().err
 
     def test_custom_binning_flags(self, trace_path, capsys):
         assert main(["audit", str(trace_path), "--format", "json",
@@ -206,35 +249,3 @@ class TestExplainJson:
              "--format", "json"]
         ) == 1
         assert "no trace of job 9999" in capsys.readouterr().err
-
-
-class TestBatchCommandsWithAudit:
-    def test_figure_audit_forces_sequential_execution(self, tmp_path, capsys):
-        path = tmp_path / "fig.audit.json"
-        code = main(
-            [
-                "figure", "7",
-                "--job-count", "30",
-                "--seed", "5",
-                "--jobs", "4",
-                "--audit", str(path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "--audit forces --jobs 1" in out
-        assert "audit report written to" in out
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert validate_audit_report(doc) == []
-        assert doc["total"] > 0
-        assert doc["meta"]["figure"] == 7
-
-    def test_table_audit_writes_an_empty_valid_report(self, tmp_path, capsys):
-        path = tmp_path / "table.audit.json"
-        assert main(["table", "2", "--audit", str(path)]) == 0
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert validate_audit_report(doc) == []
-        assert doc["total"] == 0
-        assert doc["status"] == "OK"

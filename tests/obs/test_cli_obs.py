@@ -103,10 +103,3 @@ class TestFigureAndTableWithObs:
         # aggregate across every distinct simulation the sweep executed.
         assert counters["negotiation.dialogue.dialogues"] >= 40
         assert "observability report written" in capsys.readouterr().out
-
-    def test_table_obs_writes_an_empty_but_valid_report(self, tmp_path, capsys):
-        path = tmp_path / "table.json"
-        assert main(["table", "2", "--obs", str(path)]) == 0
-        report = load_report(str(path))
-        assert report["metric_names"] == []
-        assert main(["obs", "summarize", str(path)]) == 0

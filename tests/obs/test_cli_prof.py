@@ -134,12 +134,6 @@ class TestRunWithProf:
         point = snapshot["root"]["children"]["experiments.runner.point"]
         assert point["calls"] > 1  # one zone entry per distinct sweep point
 
-    def test_table_prof_writes_an_empty_but_valid_profile(self, tmp_path):
-        path = tmp_path / "tab.json"
-        assert main(["table", "2", "--prof", str(path)]) == 0
-        snapshot = load_profile(str(path))
-        assert snapshot["root"]["children"] == {}
-
 
 class TestBenchCli:
     def test_self_compare_exits_zero(self, capsys):
@@ -215,10 +209,10 @@ class TestBenchCli:
 
 class TestObsSummarizeJson:
     def test_json_format_matches_the_text_data(self, tmp_path, capsys):
+        from repro.obs.export import empty_obs, write_report
+
         path = tmp_path / "obs.json"
-        assert main(["table", "2", "--prof", str(tmp_path / "p.json"),
-                     "--obs", str(path)]) == 0
-        capsys.readouterr()
+        write_report(str(path), empty_obs())
         assert main(["obs", "summarize", str(path), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["metric_count"] == 0

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from repro.analysis.tracelog import load_jsonl
 from repro.cli import main
 from repro.obs.trace import validate_chrome_trace
+from repro.obs.tracelog import load_jsonl
 
 
 class TestRunWithTrace:
@@ -36,20 +36,24 @@ class TestRunWithTrace:
         assert {"negotiated", "start", "finish"} <= kinds
         assert len([r for r in records if r.kind == "negotiated"]) == 60
 
-    def test_run_prints_the_span_summary(self, trace_path, capsys):
+    def test_run_points_at_the_views(self, trace_path, capsys):
+        again = trace_path.parent / "again.jsonl"
         code = main(
             [
                 "run",
                 "--workload", "nasa",
                 "--job-count", "30",
                 "--seed", "3",
-                "--trace", str(trace_path.parent / "again.jsonl"),
+                "--trace", str(again),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "Span timeline:" in out
-        assert "probqos trace export" in out
+        # The run records; folding the records is the views' job.
+        assert "Span timeline:" not in out
+        (pointer,) = [line for line in out.splitlines() if str(again) in line]
+        for view in ("trace export", "trace explain", "audit"):
+            assert f"probqos {view} {again}" in pointer
 
     def test_export_writes_valid_chrome_json(self, trace_path, tmp_path, capsys):
         out = tmp_path / "trace.chrome.json"
@@ -111,8 +115,27 @@ class TestBatchCommandsWithTrace:
             records = load_jsonl(fh)
         assert len(records) > 0
 
-    def test_table_trace_writes_an_empty_file_with_a_note(self, tmp_path, capsys):
-        path = tmp_path / "table.jsonl"
-        assert main(["table", "2", "--trace", str(path)]) == 0
-        assert "tables simulate nothing" in capsys.readouterr().out
-        assert path.read_text() == ""
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--audit", "a.json"],
+        ["figure", "7", "--audit", "a.json"],
+        ["table", "2", "--trace", "t.jsonl"],
+        ["table", "2", "--audit", "a.json"],
+        ["table", "2", "--obs", "o.json"],
+        ["table", "2", "--prof", "p.json"],
+        ["table", "2", "--prof-bucket", "60"],
+    ],
+    ids=[
+        "run-audit", "figure-audit", "table-trace", "table-audit",
+        "table-obs", "table-prof", "table-prof-bucket",
+    ],
+)
+def test_retired_instrument_options_are_usage_errors(argv, capsys):
+    """The audit is a view over a trace, and tables simulate nothing, so
+    these options are gone; argparse rejects them before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

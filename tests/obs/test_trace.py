@@ -217,27 +217,13 @@ class TestReplayEquivalence:
             tiny_failures,
             recorder=builder,
         )
-        result = system.run()
-        assert result.spans is not None
+        system.run()
+        live = builder.build(end_time=system.loop.now)
         replayed = timeline_from_records(
             builder.records, end_time=system.loop.now
         )
-        assert replayed.spans == result.spans.spans
-        assert replayed.marks == result.spans.marks
-
-    def test_simulation_meta_carries_run_context(self, tiny_jobs, tiny_failures):
-        from repro.core.system import ProbabilisticQoSSystem, SystemConfig
-
-        system = ProbabilisticQoSSystem(
-            SystemConfig(node_count=16, accuracy=0.5, seed=7),
-            tiny_jobs,
-            tiny_failures,
-            recorder=SpanBuilder(),
-        )
-        meta = system.run().spans.meta
-        assert meta["workload_jobs"] == 5
-        assert meta["dispatch_counts"]["arrival"] == 5
-        assert meta["config"]["accuracy"] == 0.5
+        assert replayed.spans == live.spans
+        assert replayed.marks == live.marks
 
 
 class TestChromeExport:

@@ -96,7 +96,7 @@ class TestBackfilling:
 
 class TestTracing:
     def test_recorder_captures_the_schedule(self, tiny_jobs, empty_failures):
-        from repro.analysis.tracelog import TraceRecorder
+        from repro.obs.tracelog import TraceRecorder
 
         recorder = TraceRecorder()
         simulate_easy(periodic(16), tiny_jobs, empty_failures, recorder=recorder)
@@ -106,7 +106,7 @@ class TestTracing:
         assert "negotiated" not in counts  # EASY makes no promises
 
     def test_failure_story_is_recorded(self):
-        from repro.analysis.tracelog import TraceRecorder
+        from repro.obs.tracelog import TraceRecorder
 
         log = JobLog([Job(1, 0.0, 16, 2 * HOUR)], name="wide")
         failures = FailureTrace([FailureEvent(1, HOUR, 0)])
@@ -121,7 +121,7 @@ class TestTracing:
         assert killed.detail["lost_wall_seconds"] == pytest.approx(HOUR)
 
     def test_trace_feeds_the_span_layer(self, tiny_jobs, tiny_failures):
-        from repro.analysis.tracelog import TraceRecorder
+        from repro.obs.tracelog import TraceRecorder
         from repro.obs.trace import timeline_from_records
 
         recorder = TraceRecorder()

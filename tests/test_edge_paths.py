@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.gantt import render_gantt
-from repro.analysis.tracelog import TraceRecorder, load_jsonl
 from repro.cluster.reservations import ReservationLedger
 from repro.cluster.topology import RingTopology
 from repro.core.easy import EasyBackfillSystem
@@ -13,6 +11,8 @@ from repro.core.negotiation import Negotiator
 from repro.core.system import SystemConfig, simulate
 from repro.core.users import EarliestDeadlineUser
 from repro.failures.events import FailureEvent, FailureTrace
+from repro.obs.gantt import render_gantt
+from repro.obs.tracelog import TraceRecorder, load_jsonl
 from repro.prediction.trace import TracePredictor
 from repro.sim.engine import EventLoop
 from repro.sim.events import EventKind

@@ -19,7 +19,7 @@ PUBLIC_MODULES = [
     "repro.scheduling",
     "repro.checkpointing",
     "repro.core",
-    "repro.analysis",
+    "repro.obs",
     "repro.experiments",
     "repro.cli",
 ]
