@@ -4,16 +4,12 @@ This module preserves the original (pre-optimisation) ledger verbatim:
 every query rebuilds its answer from scratch — ``reservations()`` re-sorts
 the live bookings, ``node_free`` scans every predecessor interval, and
 ``find_slot``/``profile`` reconstruct a full :class:`CapacityProfile` per
-call.  It exists for two reasons and must not be "improved":
-
-* **Equivalence testing** — the optimised
-  :class:`~repro.cluster.reservations.ReservationLedger` must return
-  byte-identical ``find_slot`` results and identical ``max_usage`` values
-  under any mutation sequence (see
-  ``tests/cluster/test_profile_equivalence.py``).
-* **Performance baselines** — ``benchmarks/perf/run.py`` times the seed
-  code path against the incremental one and records the speedup in
-  ``BENCH_ledger.json``.
+call.  It is the reference for equivalence testing and must not be
+"improved": the optimised
+:class:`~repro.cluster.reservations.ReservationLedger` must return
+byte-identical ``find_slot`` results and identical ``max_usage`` values
+under any mutation sequence, and identical negotiation outcomes (see
+``tests/cluster/test_profile_equivalence.py``).
 
 The two additions over the seed are :meth:`SeedReservationLedger.profile`
 and :meth:`SeedReservationLedger.iter_candidate_times`, which reproduce

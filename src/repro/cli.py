@@ -24,8 +24,6 @@ Examples::
     probqos run --workload nasa --prof prof.json
     probqos prof report prof.json
     probqos prof export prof.json --format collapsed
-    probqos bench compare old_ledger.json new_ledger.json --fail-on-regression
-    probqos bench trend ledgers/*.json
     probqos lint src tests
     probqos lint --format json --select QOS101,QOS102 src
 
@@ -151,76 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="output file (default: <profile>.collapsed / stdout for json)",
-    )
-
-    bench = sub.add_parser(
-        "bench", help="compare and trend BENCH perf ledgers"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="diff two BENCH ledgers with noise-tolerant regression gates",
-    )
-    bench_compare.add_argument("old", help="baseline ledger (JSON)")
-    bench_compare.add_argument("new", help="candidate ledger (JSON)")
-    bench_compare.add_argument(
-        "--time-ratio",
-        type=float,
-        default=None,
-        metavar="X",
-        dest="time_ratio",
-        help="slowdown factor a timing median must exceed to regress "
-        "(default 1.5)",
-    )
-    bench_compare.add_argument(
-        "--min-abs-s",
-        type=float,
-        default=None,
-        metavar="S",
-        dest="min_abs_s",
-        help="absolute seconds a timing median must additionally lose "
-        "(default 0.05)",
-    )
-    bench_compare.add_argument(
-        "--count-ratio",
-        type=float,
-        default=None,
-        metavar="X",
-        dest="count_ratio",
-        help="relative growth an obs work counter must exceed to regress "
-        "(default 1.25)",
-    )
-    bench_compare.add_argument(
-        "--counts-only",
-        action="store_true",
-        dest="counts_only",
-        help="gate only the machine-independent obs.* work counters "
-        "(for CI against a baseline timed on different hardware)",
-    )
-    bench_compare.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        dest="fail_on_regression",
-        help="exit 1 when any metric regresses",
-    )
-    bench_compare.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        dest="bench_format",
-        help="report format (default: text)",
-    )
-    bench_compare.add_argument(
-        "--verbose",
-        action="store_true",
-        help="show every gated metric, not just the flagged ones",
-    )
-    bench_trend = bench_sub.add_parser(
-        "trend",
-        help="sparkline metric history across a sequence of ledgers",
-    )
-    bench_trend.add_argument(
-        "paths", nargs="+", help="BENCH ledgers, oldest first"
     )
 
     trace = sub.add_parser(
@@ -931,72 +859,6 @@ def _cmd_prof(args: argparse.Namespace) -> int:
     return 2
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.bench import (
-        DEFAULT_COUNT_RATIO,
-        DEFAULT_MIN_ABS_S,
-        DEFAULT_TIME_RATIO,
-        compare_ledgers,
-        load_ledger,
-        render_compare,
-        render_trend,
-    )
-
-    if args.bench_command == "compare":
-        try:
-            old_doc = load_ledger(args.old)
-            new_doc = load_ledger(args.new)
-            result = compare_ledgers(
-                old_doc,
-                new_doc,
-                time_ratio=(
-                    args.time_ratio if args.time_ratio is not None
-                    else DEFAULT_TIME_RATIO
-                ),
-                min_abs_s=(
-                    args.min_abs_s if args.min_abs_s is not None
-                    else DEFAULT_MIN_ABS_S
-                ),
-                count_ratio=(
-                    args.count_ratio if args.count_ratio is not None
-                    else DEFAULT_COUNT_RATIO
-                ),
-                counts_only=args.counts_only,
-            )
-        except (OSError, ValueError) as exc:
-            print(f"cannot compare ledgers: {exc}", file=sys.stderr)
-            return 2
-        if args.bench_format == "json":
-            print(json.dumps(result, indent=2, sort_keys=True))
-        else:
-            print(render_compare(result, verbose=args.verbose))
-        if args.fail_on_regression and result["verdict"] == "regressed":
-            print(
-                f"{len(result['regressions'])} perf regression(s) past the "
-                "noise gate (failing on regression)",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    if args.bench_command == "trend":
-        import os
-
-        docs = []
-        try:
-            for path in args.paths:
-                label = os.path.basename(path)
-                docs.append((label, load_ledger(path)))
-        except (OSError, ValueError) as exc:
-            print(f"cannot read ledger: {exc}", file=sys.stderr)
-            return 2
-        print(render_trend(docs))
-        return 0
-    return 2
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
@@ -1167,7 +1029,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "report": _cmd_report,
         "obs": _cmd_obs,
         "prof": _cmd_prof,
-        "bench": _cmd_bench,
         "trace": _cmd_trace,
         "audit": _cmd_audit,
         "lint": _cmd_lint,

@@ -14,8 +14,7 @@ calibration & SLO audit reports and ``repro.obs.gantt`` draws the
 schedule — views over the records, not recording paths of their own.
 ``repro.obs.prof`` attributes wall time to hierarchical zones (same
 naming scheme) by wrapping layer methods from outside, only while a
-profiler is attached, and ``repro.obs.bench``
-diffs BENCH ledgers for perf-regression gating.
+profiler is attached.
 See DESIGN.md "Observability" for the naming scheme and the overhead
 budget.
 """
@@ -45,14 +44,6 @@ from repro.obs.audit import (
     render_report,
     validate_audit_report,
     wilson_interval,
-)
-from repro.obs.bench import (
-    BENCH_COMPARE_SCHEMA_VERSION,
-    compare_ledgers,
-    load_ledger,
-    render_compare,
-    render_trend,
-    trend_data,
 )
 from repro.obs.export import (
     OBS_SCHEMA_VERSION,
@@ -154,12 +145,6 @@ __all__ = [
     "summarize",
     "summarize_data",
     "write_report",
-    "BENCH_COMPARE_SCHEMA_VERSION",
-    "compare_ledgers",
-    "load_ledger",
-    "render_compare",
-    "render_trend",
-    "trend_data",
     "DEFAULT_BUCKET_WIDTH",
     "PROF_SCHEMA_VERSION",
     "ZONE_POINTS",

@@ -520,22 +520,6 @@ class AuditConfig:
             "max_breach_rate": self.max_breach_rate,
         }
 
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "AuditConfig":
-        return cls(
-            bin_count=int(doc["bin_count"]),
-            confidence_z=float(doc["confidence_z"]),
-            node_block=int(doc["node_block"]),
-            min_slo_count=int(doc["min_slo_count"]),
-            degraded_overpromise_bins=int(doc["degraded_overpromise_bins"]),
-            violated_overpromise_share=float(doc["violated_overpromise_share"]),
-            max_breach_rate=(
-                None
-                if doc["max_breach_rate"] is None
-                else float(doc["max_breach_rate"])
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class RollupStat:
@@ -736,47 +720,6 @@ class AuditReport:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "AuditReport":
-        """Rebuild a report from its JSON form.
-
-        Derived fields (bins, status, alerts) are recomputed from the raw
-        sums, so a loaded report is `==` to the one that was saved.
-        """
-        schema = doc.get("schema")
-        if schema != AUDIT_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported audit schema {schema!r} "
-                f"(expected {AUDIT_SCHEMA_VERSION})"
-            )
-        config = AuditConfig.from_dict(doc["config"])
-        curve = CalibrationCurve(config.bin_count, config.confidence_z)
-        raw_bins = doc["bins"]
-        if len(raw_bins) != config.bin_count:
-            raise ValueError(
-                f"expected {config.bin_count} bins, got {len(raw_bins)}"
-            )
-        for k, b in enumerate(raw_bins):
-            curve.add_raw(k, int(b["count"]), int(b["successes"]), float(b["forecast_sum"]))
-        curve.brier_sum = float(doc["brier_sum"])
-        curve.log_loss_sum = float(doc["log_loss_sum"])
-        rollups: Dict[str, Dict[str, List[float]]] = {}
-        for dim, keys in doc["rollups"].items():
-            accs = rollups.setdefault(str(dim), {})
-            for key, stat in keys.items():
-                accs[str(key)] = [
-                    int(stat["count"]),
-                    int(stat["honoured"]),
-                    float(stat["promise_sum"]),
-                ]
-        return _build_report(
-            curve=curve,
-            rollup_accs=rollups,
-            unfinished=int(doc["unfinished"]),
-            config=config,
-            meta=dict(doc.get("meta", {})),
-        )
 
 
 def _evaluate_status(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, TextIO, TypeVar
 
@@ -98,11 +99,6 @@ class TraceRecorder:
         self._stream = stream
         self._keep = keep_in_memory
         self._records: List[TraceRecord] = []
-        # Indexes maintained in record() so the post-run queries below are
-        # O(result) instead of O(trace) — a gantt render walks the per-kind
-        # lists dozens of times over traces with tens of thousands of rows.
-        self._by_kind: Dict[str, List[TraceRecord]] = {}
-        self._by_job: Dict[int, List[TraceRecord]] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -123,7 +119,7 @@ class TraceRecorder:
         )
 
     def _ingest(self, record: TraceRecord) -> None:
-        """Index/stream one already-validated record.
+        """Keep/stream one already-validated record.
 
         The single sink behind both live recording (:meth:`record`) and
         replay (:meth:`consume`); the folds over the record stream
@@ -133,9 +129,6 @@ class TraceRecorder:
         """
         if self._keep:
             self._records.append(record)
-            self._by_kind.setdefault(record.kind, []).append(record)
-            if record.job_id is not None:
-                self._by_job.setdefault(record.job_id, []).append(record)
         if self._stream is not None:
             self._stream.write(record.to_json() + "\n")
 
@@ -172,15 +165,15 @@ class TraceRecorder:
         """All records of one kind, in time order."""
         if kind not in RECORD_KINDS:
             raise ValueError(f"unknown trace record kind {kind!r}")
-        return list(self._by_kind.get(kind, ()))
+        return [r for r in self._records if r.kind == kind]
 
     def for_job(self, job_id: int) -> List[TraceRecord]:
         """A job's full life story, in time order."""
-        return list(self._by_job.get(job_id, ()))
+        return [r for r in self._records if r.job_id == job_id]
 
     def counts(self) -> Dict[str, int]:
         """Record count per kind (only kinds that occurred)."""
-        return {kind: len(rows) for kind, rows in self._by_kind.items()}
+        return dict(Counter(r.kind for r in self._records))
 
 
 def _describe(record: TraceRecord) -> str:

@@ -22,7 +22,8 @@ into both ledgers side by side and cross-checks after each op; with
 second driver books at a moving "now" on a wide cluster, so most queries
 see every live booking active at once and take the ledger's unheld-set
 answer; it also checks the kept set against one rebuilt from the
-bookings.
+bookings.  A third runs whole negotiation dialogues against a deep
+queue on both ledgers and requires identical outcomes.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ import pytest
 from repro.cluster.nodeset import NodeSet
 from repro.cluster.reservations import CapacityProfile, ReservationLedger
 from repro.cluster.topology import FlatTopology
+from repro.core.negotiation import Negotiator
+from repro.core.users import RiskThresholdUser
+from repro.failures.generator import FailureModelSpec, generate_failure_trace
+from repro.prediction.trace import TracePredictor
 
 _SEED = Path(__file__).resolve().parents[2] / "benchmarks" / "perf" / "seed_ledger.py"
 _spec = importlib.util.spec_from_file_location("seed_ledger", _SEED)
@@ -398,3 +403,59 @@ def test_wide_cluster_unheld_set_matches_seed_ledger():
     # The stream must exercise the new answer and the drop/rebuild cycle.
     assert tally["all_active"] > tally["queries"] // 2
     assert tally["dropped"] > 0 and tally["rebuilt"] > 0
+
+
+# ----------------------------------------------------------------------
+# Negotiation dialogues against a deep queue
+# ----------------------------------------------------------------------
+DIALOGUE_SEED = 20050628
+
+
+def build_deep_ledger(ledger_cls, nodes, bookings, seed):
+    """A deep conservative-backfilling queue: ``bookings`` jobs packed by
+    ``find_slot`` itself."""
+    rng = random.Random(seed)
+    ledger = ledger_cls(nodes)
+    clock = 0.0
+    for job_id in range(1, bookings + 1):
+        size = rng.randint(1, max(1, nodes // 2))
+        duration = rng.uniform(600.0, 6.0 * 3600.0)
+        start, chosen = ledger.find_slot(size, duration, clock)
+        ledger.reserve(job_id, chosen, start, start + duration)
+        clock += rng.uniform(0.0, 120.0)
+    return ledger
+
+
+def run_dialogues(ledger, nodes, jobs, seed):
+    """Negotiate and book ``jobs`` submissions back to back for a picky
+    user: ``(outcomes, counters)``, the counters being the negotiator's
+    and its evaluator's."""
+    rng = random.Random(seed + 2)
+    failures = generate_failure_trace(
+        60.0 * 86400.0, spec=FailureModelSpec(nodes=nodes), seed=seed
+    )
+    predictor = TracePredictor(failures, accuracy=0.7, seed=seed)
+    user = RiskThresholdUser(0.9)
+    negotiator = Negotiator(ledger, FlatTopology(nodes), predictor, scorer=None)
+    outcomes = []
+    clock = 0.0
+    for job_id in range(10_000, 10_000 + jobs):
+        size = rng.randint(1, max(1, nodes // 2))
+        duration = rng.uniform(1800.0, 8.0 * 3600.0)
+        outcome = negotiator.negotiate(job_id, size, duration, clock, user)
+        outcomes.append(
+            (outcome.start, outcome.nodes, outcome.reserved_end, outcome.offers_made)
+        )
+        clock += rng.uniform(0.0, 60.0)
+    return outcomes, {**negotiator.counters(), **negotiator.evaluator.counters()}
+
+
+def test_dialogues_on_a_deep_queue_match_seed_ledger():
+    # 32 nodes, 20 warm bookings, 8 dialogues: offers, prefilter, free-set
+    # checks and bookings interleave the way the simulator drives them.
+    outcomes = {}
+    for cls in (ReservationLedger, SeedReservationLedger):
+        ledger = build_deep_ledger(cls, 32, 20, DIALOGUE_SEED)
+        outcomes[cls] = run_dialogues(ledger, 32, 8, DIALOGUE_SEED)[0]
+        assert len(ledger.reservations()) == 28
+    assert outcomes[ReservationLedger] == outcomes[SeedReservationLedger]

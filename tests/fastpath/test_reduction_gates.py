@@ -12,52 +12,99 @@ immune to timer noise:
 * on a small figures grid (SDSC, 50 jobs, a in {0, 0.5, 1}, U=0.9), at
   least 10x fewer predictor queries with bit-identical metrics.
 
-The dialogues are the ``negotiation_fastpath`` fixture of
-``benchmarks/perf/ledger_bench.py`` (smoke size: 32 nodes, 12 jobs),
-which times them on the fast path alone; here the oracle is swapped in
-for its evaluator.
+The dialogues are :func:`run_fastpath_dialogues` (32 nodes, 12 jobs),
+priced by the evaluator class each gate passes in.
 """
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
+import random
 
 import repro.core.system
+from repro.cluster.reservations import ReservationLedger
+from repro.cluster.topology import FlatTopology
+from repro.core.fastpath import AnalyticalEvaluator
+from repro.core.negotiation import Negotiator
+from repro.core.users import RiskThresholdUser
 from repro.experiments.config import ExperimentSetup
 from repro.experiments.runner import ExperimentContext
+from repro.failures.generator import FailureModelSpec, generate_failure_trace
+from repro.prediction.trace import TracePredictor
+from repro.scheduling.placement import fault_aware_scorer
 from tests.fastpath.probe_oracle import PRICING
-
-_BENCH = Path(__file__).resolve().parents[2] / "benchmarks" / "perf" / "ledger_bench.py"
-_spec = importlib.util.spec_from_file_location("ledger_bench", _BENCH)
-ledger_bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ledger_bench)
 
 SEED = 20050628
 
 
-def counted_run(mode, monkeypatch):
-    """The bench's picky dialogues at smoke size, priced by ``mode``:
-    ``(bookings, counters)``."""
-    monkeypatch.setattr(ledger_bench, "AnalyticalEvaluator", PRICING[mode])
-    return ledger_bench.run_fastpath_dialogues(32, 12, SEED)
+def run_fastpath_dialogues(nodes, jobs, seed, evaluator_cls=AnalyticalEvaluator):
+    """``jobs`` picky, near-full-cluster dialogues priced by
+    ``evaluator_cls``: ``(bookings, counters)``, the counters being the
+    negotiator's, evaluator's and predictor's.
+
+    Engineered so a per-candidate probe loop hurts: requests want (nearly)
+    the whole cluster, the failure trace is dense enough that every long
+    window is dirty, and at accuracy 1.0 a U=0.97 user only accepts once
+    the first detectable failure in the window carries ``p_x <= 0.03``,
+    so the probe loop prices ~30 candidates per dialogue while the
+    analytical bound (exact at full cluster, near-exact one node short of
+    it) prunes the hopeless ones without ever touching the predictor.
+    """
+    rng = random.Random(seed + 3)
+    failures = generate_failure_trace(
+        120.0 * 86400.0,
+        spec=FailureModelSpec(nodes=nodes, rate_per_day=24.0),
+        seed=seed,
+    )
+    predictor = TracePredictor(failures, accuracy=1.0, seed=seed)
+    # Mirror the system wiring: the placement scorer reads the
+    # evaluator's cached terms.
+    evaluator = evaluator_cls(predictor, nodes)
+    negotiator = Negotiator(
+        ReservationLedger(nodes),
+        FlatTopology(nodes),
+        predictor,
+        fault_aware_scorer(evaluator),
+        evaluator=evaluator,
+    )
+    user = RiskThresholdUser(0.97)
+    bookings = []
+    clock = 0.0
+    for job_id in range(20_000, 20_000 + jobs):
+        size = rng.randint(max(1, nodes - 1), nodes)
+        duration = rng.uniform(6.0 * 3600.0, 12.0 * 3600.0)
+        outcome = negotiator.negotiate(job_id, size, duration, clock, user)
+        bookings.append(
+            (
+                outcome.start,
+                outcome.nodes,
+                outcome.reserved_end,
+                outcome.guarantee.probability,
+                outcome.forced,
+            )
+        )
+        clock += rng.uniform(0.0, 600.0)
+    counters = {
+        **negotiator.counters(), **evaluator.counters(), **predictor.counters()
+    }
+    return bookings, counters
 
 
-def run_fastpath_dialogues(mode, monkeypatch):
-    return counted_run(mode, monkeypatch)[0]
+def counted_run(mode):
+    """The picky dialogues priced by ``mode``: ``(bookings, counters)``."""
+    return run_fastpath_dialogues(32, 12, SEED, PRICING[mode])
 
 
 class TestDialogueGates:
-    def test_bookings_identical_to_both_oracles(self, monkeypatch):
-        analytical = run_fastpath_dialogues("analytical", monkeypatch)
-        assert analytical == run_fastpath_dialogues("probe", monkeypatch)
+    def test_bookings_identical_to_both_oracles(self):
+        analytical = counted_run("analytical")[0]
+        assert analytical == counted_run("probe")[0]
         # The checking oracle raises on any offer priced more than 1e-9
         # away from the analytical value.
-        assert analytical == run_fastpath_dialogues("oracle", monkeypatch)
+        assert analytical == counted_run("oracle")[0]
 
-    def test_probes_and_predictor_queries_drop_tenfold(self, monkeypatch):
-        probe_bookings, probe = counted_run("probe", monkeypatch)
-        fast_bookings, fast = counted_run("analytical", monkeypatch)
+    def test_probes_and_predictor_queries_drop_tenfold(self):
+        probe_bookings, probe = counted_run("probe")
+        fast_bookings, fast = counted_run("analytical")
         assert fast_bookings == probe_bookings
         assert fast["negotiation.dialogue.pruned"] > 0
         assert probe.get("negotiation.dialogue.pruned", 0) == 0

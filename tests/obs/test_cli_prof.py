@@ -1,4 +1,4 @@
-"""End-to-end CLI tests for --prof, `probqos prof`, and `probqos bench`."""
+"""End-to-end CLI tests for --prof and `probqos prof`."""
 
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ from repro.obs.prof import (
     validate_collapsed,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-COMMITTED_LEDGER = REPO_ROOT / "benchmarks" / "perf" / "BENCH_ledger.json"
 
 
 class TestRunWithProf:
@@ -133,78 +131,6 @@ class TestRunWithProf:
         snapshot = load_profile(str(path))
         point = snapshot["root"]["children"]["experiments.runner.point"]
         assert point["calls"] > 1  # one zone entry per distinct sweep point
-
-
-class TestBenchCli:
-    def test_self_compare_exits_zero(self, capsys):
-        code = main(
-            [
-                "bench", "compare",
-                str(COMMITTED_LEDGER), str(COMMITTED_LEDGER),
-                "--fail-on-regression",
-            ]
-        )
-        assert code == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_regression_fails_loudly_with_the_zone_diff(self, tmp_path, capsys):
-        doc = json.loads(COMMITTED_LEDGER.read_text())
-        grid = doc["scenarios"]["figures_grid"]
-        # Twice as slow and a full second slower: past both the ratio and
-        # the absolute gate, whatever the committed baseline's own timing.
-        grid["sequential"]["median_s"] = 2.0 * grid["sequential"]["median_s"] + 1.0
-        slow = tmp_path / "slow.json"
-        slow.write_text(json.dumps(doc))
-        code = main(
-            [
-                "bench", "compare",
-                str(COMMITTED_LEDGER), str(slow),
-                "--fail-on-regression",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "figures_grid" in captured.out
-        assert "sequential.median_s" in captured.out
-        assert "regression" in captured.err
-
-    def test_json_format_is_machine_readable(self, capsys):
-        code = main(
-            [
-                "bench", "compare",
-                str(COMMITTED_LEDGER), str(COMMITTED_LEDGER),
-                "--format", "json",
-            ]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["verdict"] == "ok"
-
-    def test_counts_only_flag_reaches_the_comparison(self, capsys):
-        code = main(
-            [
-                "bench", "compare",
-                str(COMMITTED_LEDGER), str(COMMITTED_LEDGER),
-                "--counts-only", "--format", "json",
-            ]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["thresholds"]["counts_only"] is True
-
-    def test_trend_renders_over_ledger_history(self, capsys):
-        code = main(
-            ["bench", "trend", str(COMMITTED_LEDGER), str(COMMITTED_LEDGER)]
-        )
-        assert code == 0
-        assert "figures_grid" in capsys.readouterr().out
-
-    def test_compare_rejects_a_non_ledger(self, tmp_path, capsys):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text("{}")
-        code = main(["bench", "compare", str(COMMITTED_LEDGER), str(bogus)])
-        assert code == 2
-        assert "cannot compare" in capsys.readouterr().err
 
 
 class TestObsSummarizeJson:

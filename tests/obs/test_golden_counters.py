@@ -16,10 +16,17 @@ checkpoint with a recovery time.  Each case also pins an
 aggregate metrics, so EASY, evacuation, opportunistic start, restores and
 the online predictor keep their per-job trajectories too.
 
-Regenerate (only when a change is *meant* to move a counter) with
-``PYTHONPATH=src python tests/obs/test_golden_counters.py``.  The writer
-keeps the committed values of the deleted metrics, which the code can no
-longer capture.
+Three component runs outside a simulation pin the ledger's and the
+negotiator's work counters, which no simulation case moves off zero
+(``find_slot`` calls, probes, prefilter rejects, pruned candidates):
+``find_slot`` probes against a deep queue, negotiation dialogues
+against a deep queue, and the fast path's picky near-full-cluster
+dialogues.
+
+Regenerate (only when a change is *meant* to move a counter) from the
+repository root with ``PYTHONPATH=src python -m
+tests.obs.test_golden_counters``.  The writer keeps the committed values
+of the deleted metrics, which the code can no longer capture.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -37,6 +45,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.reservations import ReservationLedger
 from repro.core.easy import EasyBackfillSystem
 from repro.core.system import ProbabilisticQoSSystem
 from repro.experiments.config import ExperimentSetup
@@ -48,6 +57,8 @@ from repro.failures.generator import (
 )
 from repro.prediction.online import OnlinePredictor, OnlinePredictorConfig
 from repro.workload.synthetic import log_by_name
+from tests.cluster.test_profile_equivalence import build_deep_ledger, run_dialogues
+from tests.fastpath.test_reduction_gates import run_fastpath_dialogues
 
 FIXTURE = Path(__file__).with_name("golden_counters.json")
 REPO = Path(__file__).resolve().parents[2]
@@ -109,6 +120,46 @@ DELETED = (
     "scheduling.fcfs.restart_delay_candidates",
 )
 DELETED_PREFIX = "sim.engine.handler_seconds."
+
+#: Seed of the component runs.
+COMPONENT_SEED = 20050628
+
+
+def find_slot_deep_queue() -> dict:
+    """Ledger counters of 15 ``find_slot`` probes, with no mutation
+    between them, against 40 bookings packed on 32 nodes."""
+    ledger = build_deep_ledger(ReservationLedger, 32, 40, COMPONENT_SEED)
+    horizon = max(r.end for r in ledger.reservations())
+    rng = random.Random(COMPONENT_SEED + 1)
+    for _ in range(15):
+        ledger.find_slot(
+            rng.randint(1, 16),
+            rng.uniform(600.0, 6.0 * 3600.0),
+            rng.uniform(0.0, horizon),
+        )
+    return ledger.counters()
+
+
+def negotiation_dialogue() -> dict:
+    """Ledger, negotiator and evaluator counters of 8 dialogues against
+    20 bookings packed on 32 nodes."""
+    ledger = build_deep_ledger(ReservationLedger, 32, 20, COMPONENT_SEED)
+    counters = run_dialogues(ledger, 32, 8, COMPONENT_SEED)[1]
+    return {**ledger.counters(), **counters}
+
+
+def negotiation_fastpath() -> dict:
+    """Negotiator, evaluator and predictor counters of 12 picky dialogues
+    on 32 nodes."""
+    return run_fastpath_dialogues(32, 12, COMPONENT_SEED)[1]
+
+
+#: name -> counters of one component run.
+COMPONENTS = {
+    "find_slot_deep_queue": find_slot_deep_queue,
+    "negotiation_dialogue": negotiation_dialogue,
+    "negotiation_fastpath": negotiation_fastpath,
+}
 
 
 def golden_context(case) -> ExperimentContext:
@@ -259,6 +310,11 @@ def test_figure_aggregate_reproduces_golden(golden):
     assert metrics["gauges"] == expected["gauges"]
 
 
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_component_run_reproduces_golden(golden, name):
+    assert COMPONENTS[name]() == golden["components"][name]
+
+
 def test_regenerate_on_the_unchanged_tree_rewrites_the_fixture(tmp_path):
     """The writer's output is the committed fixture, byte for byte: the
     capture agrees with it and the merge keeps the deleted metrics."""
@@ -270,6 +326,7 @@ def test_regenerate_on_the_unchanged_tree_rewrites_the_fixture(tmp_path):
 def test_merge_writes_moved_values_and_keeps_deleted_ones():
     gone = DELETED_PREFIX + "finish.count"
     committed = {
+        "components": {"r": {"a.b.f": 0}},
         "figure": {"counters": {}, "gauges": {}, "histogram_counts": {DELETED[0]: 3}},
         "cases": {"k": {
             "counters": {"a.b.c": 0, "a.b.d": 1}, "gauges": {},
@@ -278,6 +335,7 @@ def test_merge_writes_moved_values_and_keeps_deleted_ones():
         }},
     }
     doc = {
+        "components": {"r": {"a.b.f": 0.0, "a.b.g": 1}},
         "figure": {"counters": {}, "gauges": {}, "histogram_counts": {}},
         "cases": {"k": {
             "counters": {"a.b.c": 0.0, "a.b.d": 2, "a.b.e": 0.0}, "gauges": {},
@@ -285,7 +343,9 @@ def test_merge_writes_moved_values_and_keeps_deleted_ones():
             "sample_columns": ["a.b.c"], "samples": [[0.0, 0.0], [1.0, 3]],
         }},
     }
-    case = _merge(committed, doc)["cases"]["k"]
+    merged = _merge(committed, doc)
+    assert json.dumps(merged["components"]["r"]) == '{"a.b.f": 0, "a.b.g": 1}'
+    case = merged["cases"]["k"]
     assert json.dumps(case["counters"]) == '{"a.b.c": 0, "a.b.d": 2, "a.b.e": 0.0}'
     assert case["histogram_counts"] == {DELETED[0]: 3}
     assert case["sample_columns"] == ["a.b.c", gone]
@@ -294,7 +354,11 @@ def test_merge_writes_moved_values_and_keeps_deleted_ones():
 
 def _capture() -> dict:
     """The fixture document as the code captures it: no deleted metric."""
-    doc = {"interval": INTERVAL, "cases": {}}
+    doc = {
+        "interval": INTERVAL,
+        "cases": {},
+        "components": {name: run() for name, run in COMPONENTS.items()},
+    }
     for name in sorted(CASES):
         result, rows = run_case(name)
         columns, samples = table(rows)
@@ -342,6 +406,9 @@ def _merge(committed: dict, doc: dict) -> dict:
         new["histogram_counts"] = old["histogram_counts"]
         for kind in ("counters", "gauges"):
             new[kind] = _spelled_as(old[kind], new[kind])
+    components = committed.get("components", {})
+    for name, counters in doc["components"].items():
+        doc["components"][name] = _spelled_as(components.get(name, {}), counters)
     for old, new in pairs[1:]:
         if [r[0] for r in old["samples"]] != [r[0] for r in new["samples"]]:
             continue
