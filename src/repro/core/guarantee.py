@@ -9,8 +9,8 @@ failure that delays a job past ``deadline`` costs the full promised weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import List, Optional, Tuple
 
 from repro.obs.audit import margin_honours, promise_margin
 
@@ -31,7 +31,16 @@ class QoSGuarantee:
         planned_nodes: Reserved partition backing the promise.
         offers_declined: Earlier (tighter) offers the user turned down
             before accepting this one — 0 means the first offer was taken.
+
+    One is kept per job for the whole run, so it has slots instead of a
+    ``__dict__`` (spelled out: ``dataclass(slots=True)`` needs Python
+    3.10), and therefore no field defaults.
     """
+
+    __slots__ = (
+        "job_id", "deadline", "probability", "predicted_failure_probability",
+        "negotiated_at", "planned_start", "planned_nodes", "offers_declined",
+    )
 
     job_id: int
     deadline: float
@@ -40,7 +49,7 @@ class QoSGuarantee:
     negotiated_at: float
     planned_start: float
     planned_nodes: Tuple[int, ...]
-    offers_declined: int = 0
+    offers_declined: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:
@@ -52,6 +61,15 @@ class QoSGuarantee:
                 f"job {self.job_id}: deadline {self.deadline} precedes "
                 f"negotiation time {self.negotiated_at}"
             )
+
+    # Pickle by field values: the default slot-state restore assigns
+    # through the frozen ``__setattr__``, which raises.
+    def __getstate__(self) -> List[object]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __setstate__(self, state: List[object]) -> None:
+        for f, value in zip(fields(self), state):
+            object.__setattr__(self, f.name, value)
 
     @property
     def slack(self) -> float:

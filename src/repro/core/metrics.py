@@ -331,6 +331,10 @@ class SimulationMetrics:
         return self.deadlines_met / self.job_count
 
 
+def _mean(total: float, count: int) -> float:
+    return total / count if count else 0.0
+
+
 def finalize(
     outcomes: Sequence[JobOutcome],
     node_count: int,
@@ -368,6 +372,8 @@ def finalize(
             evacuations=0,
         )
 
+    # Sums over generators, not lists: every record is alive here, at the
+    # run's memory peak.  ``sum`` adds in the same order either way.
     total_work = sum(o.job.work for o in outcomes)
     qos_numerator = sum(
         o.job.work * o.guarantee.probability
@@ -376,20 +382,19 @@ def finalize(
     )
     qos = qos_numerator / total_work if total_work > 0 else 1.0
 
-    finishes = [o.finish for o in outcomes if o.finish is not None]
-    arrivals = [o.job.arrival_time for o in outcomes]
-    span = (max(finishes) - min(arrivals)) if finishes else 0.0
+    completed = sum(1 for o in outcomes if o.finish is not None)
+    span = (
+        max(o.finish for o in outcomes if o.finish is not None)
+        - min(o.job.arrival_time for o in outcomes)
+        if completed
+        else 0.0
+    )
     utilization = (
         total_work / (span * node_count) if span > 0 and node_count > 0 else 0.0
     )
 
-    waits = [o.wait for o in outcomes if o.wait is not None]
-    slowdowns = [
-        o.bounded_slowdown for o in outcomes if o.bounded_slowdown is not None
-    ]
-    promised = [
-        o.guarantee.probability for o in outcomes if o.guarantee is not None
-    ]
+    started = sum(1 for o in outcomes if o.last_start is not None)
+    promised = sum(1 for o in outcomes if o.guarantee is not None)
 
     return SimulationMetrics(
         qos=qos,
@@ -398,18 +403,26 @@ def finalize(
         span=span,
         total_work=total_work,
         job_count=len(outcomes),
-        completed_jobs=len(finishes),
+        completed_jobs=completed,
         deadlines_met=sum(1 for o in outcomes if o.met_deadline),
         failures_hitting_jobs=sum(o.failures for o in outcomes),
         checkpoints_performed=sum(o.checkpoints_performed for o in outcomes),
         checkpoints_skipped=sum(o.checkpoints_skipped for o in outcomes),
         checkpoint_overhead=sum(o.checkpoint_overhead for o in outcomes),
-        mean_wait=sum(waits) / len(waits) if waits else 0.0,
-        mean_bounded_slowdown=(
-            sum(slowdowns) / len(slowdowns) if slowdowns else 0.0
+        mean_wait=_mean(
+            sum(o.wait for o in outcomes if o.wait is not None), started
         ),
-        mean_promised_probability=(
-            sum(promised) / len(promised) if promised else 0.0
+        mean_bounded_slowdown=_mean(
+            sum(
+                o.bounded_slowdown
+                for o in outcomes
+                if o.bounded_slowdown is not None
+            ),
+            completed,
+        ),
+        mean_promised_probability=_mean(
+            sum(o.guarantee.probability for o in outcomes if o.guarantee is not None),
+            promised,
         ),
         forced_negotiations=forced_negotiations,
         evacuations=sum(o.evacuations for o in outcomes),

@@ -30,9 +30,10 @@ bound on the promise any partition could earn there is compared against
 the user's threshold, and provably-declined candidates are skipped without
 partition selection or pricing.  Pruned candidates still count toward the
 dialogue cap (keeping the enumeration aligned with an unpruned dialogue),
-and if a pruned dialogue ends without acceptance the negotiator reruns it
-unpruned, so the accepted/imposed outcome is always identical to pricing
-every candidate with the live predictor — only ``offers_made`` /
+and if a dialogue that pruned a candidate ends without acceptance the
+negotiator reruns it unpruned (one that pruned nothing already was an
+unpruned dialogue), so the accepted/imposed outcome is always identical to
+pricing every candidate with the live predictor — only ``offers_made`` /
 ``offers_declined`` shrink, because pruned offers were never laid on the
 table.  The test suite keeps that per-candidate probe loop as its
 reference oracle (``tests/fastpath/probe_oracle.py``).
@@ -397,14 +398,15 @@ class Negotiator:
         if type(user) is RiskThresholdUser:
             threshold = user.risk_threshold
 
+        pruned = self._pruned
         best, accepted, offers_made = self._run_dialogue(
             size, duration, now, user, threshold
         )
-        if accepted is None and threshold is not None:
+        if accepted is None and self._pruned > pruned:
             # The pruned pass ended without acceptance (cap or exhaustion).
             # Rerun unpruned so the imposed offer — and the RuntimeError
             # below, if it comes to that — are bit-identical to an unpruned
-            # dialogue.
+            # dialogue.  A pass that pruned nothing already was one.
             best, accepted, offers_made = self._run_dialogue(
                 size, duration, now, user, None
             )
@@ -483,10 +485,11 @@ class Negotiator:
         a failure-free offer always satisfies any target ``<= 1``).
         """
         self._advisories += 1
+        pruned = self._pruned
         suggestion = self._advise(
             size, duration, now, target_probability, target_probability
         )
-        if suggestion.status == "cap_reached":
+        if suggestion.status == "cap_reached" and self._pruned > pruned:
             # Pruned candidates count toward the cap (including ones an
             # unpruned pass would have skipped as infeasible), so the
             # pruned pass can exhaust the cap slightly early; rerun

@@ -17,6 +17,9 @@ into the event loop and replays a job log against a failure trace:
   bring nodes back after the fixed downtime;
 * every promise is scored by the **QoS metric** at the end (Section 3.5).
 
+Both traces are replayed lazily, one event ahead: the queue holds at most
+one pending arrival and one pending failure, plus the live jobs' events.
+
 The simulation is fully deterministic given (workload, failure trace,
 seed, configuration).
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Optional
 
 from repro.checkpointing.policies import (
@@ -237,6 +241,10 @@ class ProbabilisticQoSSystem:
         self._checkpoint_overhead_s = 0.0
         self._lost_wall_s = 0.0
         self._lost_work = 0.0
+        # The workload in arrival order (stable, so simultaneous arrivals
+        # keep workload order), replayed one arrival at a time.
+        self._arrivals = sorted(workload, key=attrgetter("arrival_time"))
+        self._arrival_cursor = 0
         self._failure_cursor = 0
         self._wakeup_scheduled = False
         self._register_handlers()
@@ -246,7 +254,7 @@ class ProbabilisticQoSSystem:
     # ------------------------------------------------------------------
     def _register_handlers(self) -> None:
         register = self.loop.register
-        register(EventKind.ARRIVAL, self._on_arrival)
+        register(EventKind.ARRIVAL, self._dispatch_arrival)
         register(EventKind.START, self._on_start)
         register(EventKind.FINISH, self._on_finish)
         register(EventKind.FAILURE, self._on_failure)
@@ -264,9 +272,20 @@ class ProbabilisticQoSSystem:
                     f"job {job.job_id} needs {job.size} nodes on a "
                     f"{self.config.node_count}-node cluster; clip the log first"
                 )
-            self.loop.schedule(job.arrival_time, EventKind.ARRIVAL, job_id=job.job_id)
             self._states[job.job_id] = JobOutcome(job)
+        self._schedule_next_arrival()
         self._schedule_next_failure()
+
+    def _schedule_next_arrival(self) -> None:
+        """Lazily replay the workload: one arrival is queued at a time.
+
+        Only arrivals share the ARRIVAL tie-break rank, so simultaneous
+        arrivals still dispatch in workload order.
+        """
+        if self._arrival_cursor < len(self._arrivals):
+            job = self._arrivals[self._arrival_cursor]
+            self._arrival_cursor += 1
+            self.loop.schedule(job.arrival_time, EventKind.ARRIVAL, job_id=job.job_id)
 
     def _schedule_next_failure(self) -> None:
         """Lazily replay the failure trace while work remains."""
@@ -317,6 +336,11 @@ class ProbabilisticQoSSystem:
     # ------------------------------------------------------------------
     # Arrival and negotiation
     # ------------------------------------------------------------------
+    def _dispatch_arrival(self, event: Event) -> None:
+        """Queue the next arrival, then run the (overridable) arrival hook."""
+        self._schedule_next_arrival()
+        self._on_arrival(event)
+
     def _on_arrival(self, event: Event) -> None:
         state = self._states[event.payload["job_id"]]
         job = state.job

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 
@@ -108,7 +109,9 @@ class JobLog:
 
     def __init__(self, jobs: Iterable[Job], name: str = "unnamed") -> None:
         self.name = name
-        self._jobs: List[Job] = sorted(jobs, key=lambda j: (j.arrival_time, j.job_id))
+        self._jobs: List[Job] = sorted(
+            jobs, key=attrgetter("arrival_time", "job_id")
+        )
         ids = [j.job_id for j in self._jobs]
         if len(set(ids)) != len(ids):
             raise ValueError(f"job log {name!r} contains duplicate job ids")

@@ -32,6 +32,7 @@ def outcome(job_id, promised, kept, work_size=1):
         negotiated_at=0.0,
         planned_start=0.0,
         planned_nodes=(0,),
+        offers_declined=0,
     )
     record = JobOutcome(job, guarantee)
     record.start(0.0, recovery_time=0.0)

@@ -3,11 +3,17 @@ over the per-job records."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.guarantee import QoSGuarantee
-from repro.core.metrics import JobOutcome, finalize
+from repro.core.metrics import JobOutcome, SimulationMetrics, finalize
+from repro.core.system import SystemConfig, simulate
+from repro.experiments.runner import estimate_horizon
+from repro.failures.generator import FailureModelSpec, generate_failure_trace
 from repro.workload.job import Job, JobLog
+from repro.workload.synthetic import log_by_name
 
 
 def guarantee(job_id, deadline, probability, negotiated_at=0.0):
@@ -19,6 +25,7 @@ def guarantee(job_id, deadline, probability, negotiated_at=0.0):
         negotiated_at=negotiated_at,
         planned_start=negotiated_at,
         planned_nodes=(0,),
+        offers_declined=0,
     )
 
 
@@ -162,3 +169,105 @@ class TestRecordEquality:
         b.reserved_end = 1.0
         assert a != b
         assert JobOutcome(job) != object()
+
+
+def finalize_with_lists(outcomes, node_count, lost_work, forced_negotiations):
+    """The list-building ``finalize`` that the generator sums replaced,
+    kept verbatim as the oracle (non-empty input only)."""
+    total_work = sum(o.job.work for o in outcomes)
+    qos_numerator = sum(
+        o.job.work * o.guarantee.probability
+        for o in outcomes
+        if o.guarantee is not None and o.met_deadline
+    )
+    qos = qos_numerator / total_work if total_work > 0 else 1.0
+
+    finishes = [o.finish for o in outcomes if o.finish is not None]
+    arrivals = [o.job.arrival_time for o in outcomes]
+    span = (max(finishes) - min(arrivals)) if finishes else 0.0
+    utilization = (
+        total_work / (span * node_count) if span > 0 and node_count > 0 else 0.0
+    )
+
+    waits = [o.wait for o in outcomes if o.wait is not None]
+    slowdowns = [
+        o.bounded_slowdown for o in outcomes if o.bounded_slowdown is not None
+    ]
+    promised = [
+        o.guarantee.probability for o in outcomes if o.guarantee is not None
+    ]
+
+    return SimulationMetrics(
+        qos=qos,
+        utilization=utilization,
+        lost_work=lost_work,
+        span=span,
+        total_work=total_work,
+        job_count=len(outcomes),
+        completed_jobs=len(finishes),
+        deadlines_met=sum(1 for o in outcomes if o.met_deadline),
+        failures_hitting_jobs=sum(o.failures for o in outcomes),
+        checkpoints_performed=sum(o.checkpoints_performed for o in outcomes),
+        checkpoints_skipped=sum(o.checkpoints_skipped for o in outcomes),
+        checkpoint_overhead=sum(o.checkpoint_overhead for o in outcomes),
+        mean_wait=sum(waits) / len(waits) if waits else 0.0,
+        mean_bounded_slowdown=(
+            sum(slowdowns) / len(slowdowns) if slowdowns else 0.0
+        ),
+        mean_promised_probability=(
+            sum(promised) / len(promised) if promised else 0.0
+        ),
+        forced_negotiations=forced_negotiations,
+        evacuations=sum(o.evacuations for o in outcomes),
+    )
+
+
+def exactly(metrics):
+    """Every field, floats by ``repr``: equal means bit-identical."""
+    return repr(dataclasses.astuple(metrics))
+
+
+class TestFinalizeOracle:
+    """``finalize`` sums over generators; the list-based version is the
+    oracle, and the two must agree to the last bit."""
+
+    @pytest.mark.parametrize(
+        "workload, user", [("nasa", 0.5), ("sdsc", 0.9), ("sdsc", 0.99)]
+    )
+    def test_equals_the_list_version_on_a_run(self, workload, user):
+        log = log_by_name(workload, seed=4, job_count=300).scaled_sizes(128)
+        failures = generate_failure_trace(
+            estimate_horizon(log, 128),
+            spec=FailureModelSpec(nodes=128, rate_per_day=40.0),
+            seed=4,
+        )
+        config = SystemConfig(accuracy=0.7, user_threshold=user, seed=4)
+        result = simulate(config, log, failures)
+        args = (
+            result.outcomes,
+            config.node_count,
+            result.metrics.lost_work,
+            result.metrics.forced_negotiations,
+        )
+        assert exactly(finalize(*args)) == exactly(finalize_with_lists(*args))
+        assert result.metrics.failures_hitting_jobs > 0
+
+    def test_equals_the_list_version_on_partial_records(self):
+        jobs = [
+            Job(job_id=i, arrival_time=10.0 * i, size=1 + i % 3, runtime=700.0 + i)
+            for i in range(1, 7)
+        ]
+        records = [
+            ran(promised(jobs[0], 2000.0, 0.7), 15.0, 716.0),
+            ran(JobOutcome(jobs[1]), 40.0, 742.0),  # finished, no promise
+            promised(jobs[2], 2000.0, 0.9),  # promised, never started
+            JobOutcome(jobs[3]),  # nothing at all
+        ]
+        started = promised(jobs[4], 3000.0, 0.3)
+        started.start(100.0, recovery_time=0.0)  # running at the end
+        records.append(started)
+        records.append(ran(promised(jobs[5], 900.0, 1.0), 200.0, 906.0))
+        for subset in (records, records[2:5], records[3:4]):
+            assert exactly(finalize(subset, 8, 12.5, 1)) == exactly(
+                finalize_with_lists(subset, 8, 12.5, 1)
+            )

@@ -126,20 +126,43 @@ class TestDialogue:
         # Low accuracy: detectable failure probability stays below 0.3, so
         # promised p stays below 0.95 only when a failure is detected; make
         # every window contain a detected failure by flooding the trace.
-        failures = FailureTrace(
-            [
-                FailureEvent(event_id=i + 1, time=i * 100.0, node=i % 4)
-                for i in range(2000)
-            ]
-        )
         negotiator, _, _ = make_negotiator(
-            node_count=4, failures=failures, accuracy=1.0, max_offers=5
+            node_count=4, failures=flooded_trace(), accuracy=1.0, max_offers=5
         )
         outcome = negotiator.negotiate(
             1, size=4, duration=50 * HOUR, now=0.0, user=RiskThresholdUser(1.0)
         )
         assert outcome.forced
         assert outcome.offers_made == 5
+
+    def test_capped_dialogue_that_prunes_nothing_probes_each_candidate_once(
+        self,
+    ):
+        # The probe evaluator's bound is 1.0, so the threshold dialogue
+        # prunes nothing and hits the cap; it already was an unpruned
+        # dialogue, so it is not rerun.
+        def capped():
+            return make_negotiator(
+                node_count=4, failures=flooded_trace(), max_offers=5,
+                mode="probe",
+            )[0]
+
+        class LookAlikeUser(RiskThresholdUser):
+            """Accepts like its base, but only the base class is pruned."""
+
+        pruning, plain = capped(), capped()
+        outcome = pruning.negotiate(
+            1, size=4, duration=50 * HOUR, now=0.0, user=RiskThresholdUser(1.0)
+        )
+        imposed = plain.negotiate(
+            1, size=4, duration=50 * HOUR, now=0.0, user=LookAlikeUser(1.0)
+        )
+        assert outcome.forced
+        assert outcome == imposed
+        for negotiator in (pruning, plain):
+            counts = negotiator.counters()
+            assert counts["negotiation.dialogue.pruned"] == 0
+            assert counts["negotiation.dialogue.probes"] == 5
 
     def test_sequential_negotiations_respect_bookings(self):
         negotiator, ledger, _ = make_negotiator()
@@ -150,6 +173,16 @@ class TestDialogue:
             2, size=8, duration=HOUR, now=0.0, user=EarliestDeadlineUser()
         )
         assert second.start >= first.reserved_end
+
+
+def flooded_trace():
+    """A failure every 100 s, round-robin over four nodes."""
+    return FailureTrace(
+        [
+            FailureEvent(event_id=i + 1, time=i * 100.0, node=i % 4)
+            for i in range(2000)
+        ]
+    )
 
 
 class TestSuggestDeadline:
@@ -170,14 +203,8 @@ class TestSuggestDeadline:
 
     @pytest.mark.parametrize("mode", ["probe", "analytical"])
     def test_unreachable_target_reports_cap(self, mode):
-        failures = FailureTrace(
-            [
-                FailureEvent(event_id=i + 1, time=i * 100.0, node=i % 4)
-                for i in range(2000)
-            ]
-        )
         negotiator, _, _ = make_negotiator(
-            node_count=4, failures=failures, max_offers=5, mode=mode
+            node_count=4, failures=flooded_trace(), max_offers=5, mode=mode
         )
         result = negotiator.suggest_deadline(
             4, 50 * HOUR, 0.0, target_probability=1.0
@@ -186,6 +213,17 @@ class TestSuggestDeadline:
         assert not result.found
         assert result.status == "cap_reached"
         assert result.offers_examined >= 5
+
+    def test_capped_search_that_prunes_nothing_is_not_rerun(self):
+        negotiator, _, _ = make_negotiator(
+            node_count=4, failures=flooded_trace(), max_offers=5, mode="probe"
+        )
+        result = negotiator.suggest_deadline(
+            4, 50 * HOUR, 0.0, target_probability=1.0
+        )
+        assert result.status == "cap_reached"
+        assert result.offers_examined == 5
+        assert negotiator.counters()["negotiation.dialogue.probes"] == 5
 
     @pytest.mark.parametrize("mode", ["probe", "analytical"])
     def test_oversized_job_reports_infeasible(self, mode):

@@ -82,6 +82,7 @@ class TestVerdictEpsilon:
             negotiated_at=100.0,
             planned_start=1000.0,
             planned_nodes=(0, 1),
+            offers_declined=0,
         )
         assert g.margin(4900.0) == 100.0
         assert g.kept(5000.0 + VERDICT_EPSILON / 2.0)

@@ -26,7 +26,10 @@ dialogues.
 Regenerate (only when a change is *meant* to move a counter) from the
 repository root with ``PYTHONPATH=src python -m
 tests.obs.test_golden_counters``.  The writer keeps the committed values
-of the deleted metrics, which the code can no longer capture.
+of the deleted metrics, which the code can no longer capture.  With
+``--moved`` it writes nothing and prints one line per counter, gauge,
+component entry, outcomes digest and sample column that differs from the
+committed fixture.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import List
 
 import pytest
 
@@ -323,6 +327,49 @@ def test_regenerate_on_the_unchanged_tree_rewrites_the_fixture(tmp_path):
     assert out.read_bytes() == FIXTURE.read_bytes()
 
 
+def test_moved_reports_every_doctored_value_and_writes_nothing(
+    tmp_path, capsys
+):
+    """``--moved`` against a doctored copy of the fixture names exactly
+    the doctored values, and leaves both fixtures as they were."""
+    with open(FIXTURE) as fh:
+        doc = json.load(fh)
+    case = doc["cases"]["nasa_easy"]
+    case["counters"]["sim.engine.scheduled"] += 1
+    case["gauges"]["sim.engine.pending_total"] = 7.0
+    case["outcomes_sha256"] = "0" * 64
+    column = case["sample_columns"].index("core.system.running_jobs")
+    case["samples"][2][1 + column] = -1
+    doc["figure"]["counters"]["zz.test.only"] = 1
+    doc["components"]["negotiation_fastpath"]["negotiation.dialogue.probes"] = 0
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(doc))
+    before, committed = doctored.read_bytes(), FIXTURE.read_bytes()
+
+    report_moved(doctored)
+
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == [
+        "components.negotiation_fastpath.negotiation.dialogue.probes",
+        "figure.counters.zz.test.only",
+        "cases.nasa_easy.counters.sim.engine.scheduled",
+        "cases.nasa_easy.gauges.sim.engine.pending_total",
+        "cases.nasa_easy.outcomes_sha256",
+        "cases.nasa_easy.samples.core.system.running_jobs",
+    ]
+    assert printed[1] == "figure.counters.zz.test.only: 1 -> None"
+    assert printed[-1].startswith(
+        "cases.nasa_easy.samples.core.system.running_jobs: 1 of "
+    )
+    assert doctored.read_bytes() == before
+    assert FIXTURE.read_bytes() == committed
+
+
+def test_moved_is_empty_on_the_committed_fixture():
+    with open(FIXTURE) as fh:
+        assert moved(json.load(fh), _capture()) == []
+
+
 def test_merge_writes_moved_values_and_keeps_deleted_ones():
     gone = DELETED_PREFIX + "finish.count"
     committed = {
@@ -424,6 +471,71 @@ def _merge(committed: dict, doc: dict) -> dict:
     return doc
 
 
+_MISSING = object()
+
+
+def _moved_values(where: str, old: dict, new: dict) -> List[str]:
+    """A line per kept name whose value differs (``0 == 0.0``) or that
+    only one side has."""
+    return [
+        f"{where}.{name}: {old.get(name)!r} -> {new.get(name)!r}"
+        for name in sorted(set(old) | set(new))
+        if _kept(name) and old.get(name, _MISSING) != new.get(name, _MISSING)
+    ]
+
+
+def _columns(case: dict) -> dict:
+    """Sample column name -> its values, one per row."""
+    rows = case.get("samples", [])
+    return {
+        column: [row[1 + i] for row in rows]
+        for i, column in enumerate(case.get("sample_columns", []))
+    }
+
+
+def moved(committed: dict, doc: dict) -> List[str]:
+    """One line per value of the capture ``doc`` that differs from the
+    ``committed`` fixture: counters, gauges, component entries, outcome
+    digests, and sample columns (with how many rows differ and the first).
+    Deleted metrics, which the capture cannot hold, are not compared."""
+    old_parts, new_parts = committed["components"], doc["components"]
+    lines = []
+    for name in sorted(set(old_parts) | set(new_parts)):
+        lines += _moved_values(
+            f"components.{name}", old_parts.get(name, {}), new_parts.get(name, {})
+        )
+    old_cases, new_cases = committed["cases"], doc["cases"]
+    pairs = [("figure", committed["figure"], doc["figure"])] + [
+        (f"cases.{name}", old_cases.get(name, {}), new_cases.get(name, {}))
+        for name in sorted(set(old_cases) | set(new_cases))
+    ]
+    for where, old, new in pairs:
+        for kind in ("counters", "gauges"):
+            lines += _moved_values(
+                f"{where}.{kind}", old.get(kind, {}), new.get(kind, {})
+            )
+        digest = "outcomes_sha256"
+        if old.get(digest) != new.get(digest):
+            lines.append(f"{where}.{digest}: {old.get(digest)} -> {new.get(digest)}")
+        times = [row[0] for row in new.get("samples", [])]
+        if [row[0] for row in old.get("samples", [])] != times:
+            lines.append(f"{where}.samples: sampled at different times")
+            continue
+        was, now = _columns(old), _columns(new)
+        for column in sorted(set(was) | set(now)):
+            before = was.get(column, [None] * len(times))
+            after = now.get(column, [None] * len(times))
+            rows = [i for i in range(len(times)) if before[i] != after[i]]
+            if rows and _kept(column):
+                first = rows[0]
+                lines.append(
+                    f"{where}.samples.{column}: {len(rows)} of {len(times)} "
+                    f"rows, first at t={times[first]!r} "
+                    f"({before[first]!r} -> {after[first]!r})"
+                )
+    return lines
+
+
 def regenerate(path: Path = FIXTURE) -> None:
     """Write the fixture document to ``path``: the capture, with the
     committed fixture's deleted metrics merged in."""
@@ -435,5 +547,18 @@ def regenerate(path: Path = FIXTURE) -> None:
         fh.write("\n")
 
 
+def report_moved(fixture: Path = FIXTURE) -> None:
+    """Print :func:`moved` against ``fixture``; write nothing."""
+    with open(fixture) as fh:
+        committed = json.load(fh)
+    for line in moved(committed, _capture()):
+        print(line)
+
+
 if __name__ == "__main__":
-    regenerate()
+    if sys.argv[1:] == ["--moved"]:
+        report_moved()
+    elif sys.argv[1:]:
+        sys.exit("usage: python -m tests.obs.test_golden_counters [--moved]")
+    else:
+        regenerate()

@@ -73,6 +73,14 @@ class TestJobLog:
         )
         assert [j.job_id for j in log] == [2, 1]
 
+    def test_simultaneous_arrivals_sorted_by_job_id(self):
+        jobs = [
+            make_job(job_id, arrival=arrival)
+            for job_id, arrival in ((7, 5.0), (3, 5.0), (9, 1.0), (1, 5.0), (4, 1.0))
+        ]
+        for order in (jobs, jobs[::-1]):
+            assert [j.job_id for j in JobLog(order)] == [4, 9, 1, 3, 7]
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             JobLog([make_job(1), make_job(1, arrival=1.0)])
