@@ -224,7 +224,10 @@ class Reservation:
     ``nodes`` is an ascending sequence — the legacy sorted tuple, or a
     run-length :class:`NodeSet` when the booking came through the
     NodeSet-aware fast path; the two compare equal for the same members.
+    One is built per booking and per change to one, so it is slotted.
     """
+
+    __slots__ = ("job_id", "nodes", "start", "end")
 
     job_id: int
     nodes: Sequence[int]
@@ -390,7 +393,7 @@ class ReservationLedger:
                     f"job {job_id}: node {clash.min_node} not free over "
                     f"[{start}, {end})"
                 )
-        reservation = Reservation(job_id=job_id, nodes=node_seq, start=start, end=end)
+        reservation = Reservation(job_id, node_seq, start, end)
         self._by_job[job_id] = reservation
         for lo, hi in runs:
             bisect.insort(self._busy_runs, (lo, hi, start, end, job_id))

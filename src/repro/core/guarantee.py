@@ -9,14 +9,34 @@ failure that delays a job past ``deadline`` costs the full promised weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.obs.audit import margin_honours, promise_margin
 
 
+class FrozenRecord:
+    """Base of the frozen per-job records of a dialogue.
+
+    Each subclass is a ``@dataclass(frozen=True)`` whose ``__slots__`` are
+    its fields, spelled out (``dataclass(slots=True)`` needs Python 3.10),
+    so it has no ``__dict__`` and no field defaults.
+    """
+
+    __slots__: Tuple[str, ...] = ()
+
+    # Pickle by field values: the default slot-state restore assigns
+    # through the frozen ``__setattr__``, which raises.
+    def __getstate__(self) -> List[object]:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __setstate__(self, state: List[object]) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
-class QoSGuarantee:
+class QoSGuarantee(FrozenRecord):
     """One promise: job ``job_id`` completes by ``deadline`` w.p. ``probability``.
 
     Attributes:
@@ -33,8 +53,7 @@ class QoSGuarantee:
             before accepting this one — 0 means the first offer was taken.
 
     One is kept per job for the whole run, so it has slots instead of a
-    ``__dict__`` (spelled out: ``dataclass(slots=True)`` needs Python
-    3.10), and therefore no field defaults.
+    ``__dict__`` (see :class:`FrozenRecord`).
     """
 
     __slots__ = (
@@ -62,15 +81,6 @@ class QoSGuarantee:
                 f"negotiation time {self.negotiated_at}"
             )
 
-    # Pickle by field values: the default slot-state restore assigns
-    # through the frozen ``__setattr__``, which raises.
-    def __getstate__(self) -> List[object]:
-        return [getattr(self, f.name) for f in fields(self)]
-
-    def __setstate__(self, state: List[object]) -> None:
-        for f, value in zip(fields(self), state):
-            object.__setattr__(self, f.name, value)
-
     @property
     def slack(self) -> float:
         """Seconds between negotiation and the promised deadline."""
@@ -95,7 +105,7 @@ class QoSGuarantee:
 
 
 @dataclass(frozen=True)
-class DeadlineOffer:
+class DeadlineOffer(FrozenRecord):
     """One option laid on the table during negotiation.
 
     Attributes:
@@ -104,7 +114,14 @@ class DeadlineOffer:
         deadline: Completion time if the job runs to plan (start + E_j).
         probability: Promised success probability ``1 - p_f``.
         failure_probability: Predicted ``p_f`` for this window/partition.
+
+    Several are built per dialogue, so it is a slotted
+    :class:`FrozenRecord`.
     """
+
+    __slots__ = (
+        "start", "nodes", "deadline", "probability", "failure_probability",
+    )
 
     start: float
     nodes: Tuple[int, ...]

@@ -48,7 +48,7 @@ from repro.cluster.nodeset import freeze_nodes
 from repro.cluster.reservations import ReservationLedger
 from repro.cluster.topology import Topology, WindowScorer
 from repro.core.fastpath import AnalyticalEvaluator
-from repro.core.guarantee import DeadlineOffer, QoSGuarantee
+from repro.core.guarantee import DeadlineOffer, FrozenRecord, QoSGuarantee
 from repro.core.users import RiskThresholdUser, UserModel
 from repro.prediction.base import Predictor
 
@@ -59,7 +59,7 @@ _ACCEPT_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
-class NegotiationOutcome:
+class NegotiationOutcome(FrozenRecord):
     """Result of one submission dialogue.
 
     Attributes:
@@ -72,7 +72,14 @@ class NegotiationOutcome:
             (pruned candidates were never on the table and do not count).
         forced: True if the safety cap ended the dialogue and the best
             offer was imposed rather than accepted.
+
+    One is built per dialogue, so it is a slotted
+    :class:`~repro.core.guarantee.FrozenRecord`.
     """
+
+    __slots__ = (
+        "guarantee", "start", "nodes", "reserved_end", "offers_made", "forced",
+    )
 
     guarantee: QoSGuarantee
     start: float
@@ -209,13 +216,7 @@ class Negotiator:
             return None
         partition = freeze_nodes(nodes)
         p_f = self._eval.failure_probability(partition, start, start + duration)
-        return DeadlineOffer(
-            start=start,
-            nodes=partition,
-            deadline=start + duration,
-            probability=1.0 - p_f,
-            failure_probability=p_f,
-        )
+        return DeadlineOffer(start, partition, start + duration, 1.0 - p_f, p_f)
 
     def iter_offers(
         self,
@@ -424,23 +425,24 @@ class Negotiator:
         self._forced += forced
 
         self._ledger.reserve(job_id, accepted.nodes, accepted.start, accepted.deadline)
+        # Built positionally, in field order: one of each per dialogue.
         guarantee = QoSGuarantee(
-            job_id=job_id,
-            deadline=accepted.deadline,
-            probability=accepted.probability,
-            predicted_failure_probability=accepted.failure_probability,
-            negotiated_at=now,
-            planned_start=accepted.start,
-            planned_nodes=accepted.nodes,
-            offers_declined=offers_made - (0 if forced else 1),
+            job_id,
+            accepted.deadline,
+            accepted.probability,
+            accepted.failure_probability,
+            now,
+            accepted.start,
+            accepted.nodes,
+            offers_made - (0 if forced else 1),
         )
         return NegotiationOutcome(
-            guarantee=guarantee,
-            start=accepted.start,
-            nodes=accepted.nodes,
-            reserved_end=accepted.deadline,
-            offers_made=offers_made,
-            forced=forced,
+            guarantee,
+            accepted.start,
+            accepted.nodes,
+            accepted.deadline,
+            offers_made,
+            forced,
         )
 
     # ------------------------------------------------------------------

@@ -309,8 +309,8 @@ class ProbabilisticQoSSystem:
         self._prime()
         if self.sampler is not None:
             # First row at the origin, then one per interval; the chain
-            # stops rescheduling itself once all jobs finished, so the
-            # loop still drains.
+            # stops rescheduling itself once all jobs finished or nothing
+            # else is queued, so the loop still drains.
             self.sampler.sample(self.loop.now)
             self.loop.schedule_in(self.sampler.interval, EventKind.OBS_SAMPLE)
         self.loop.run(max_events=max_events)
@@ -827,7 +827,9 @@ class ProbabilisticQoSSystem:
     def _on_obs_sample(self, event: Event) -> None:
         assert self.sampler is not None
         self.sampler.sample(self.loop.now)
-        if self._unfinished > 0:
+        # Only while something else can still happen: with nothing else
+        # queued, no job can finish, and the chain alone would never end.
+        if self._unfinished > 0 and self.loop.pending_events > 0:
             self.loop.schedule_in(self.sampler.interval, EventKind.OBS_SAMPLE)
 
 

@@ -17,14 +17,20 @@ Design notes
   skipped when popped.  This keeps cancellation O(1) and is the standard
   approach for simulators whose events are frequently superseded (e.g. a
   job's finish event is cancelled when a node failure kills the job).
-* **Monotonic time.**  Scheduling an event in the past raises
-  :class:`SimulationError`; this catches logic bugs early instead of silently
-  reordering history.
+* **Monotonic time.**  Scheduling an event in the past (or at NaN, which
+  would break the heap order) raises :class:`SimulationError`; this
+  catches logic bugs early instead of silently reordering history.
+* **One dispatch loop.**  :meth:`EventLoop.run` is the only loop body
+  (:meth:`EventLoop.step` runs it for one event); it calls
+  :meth:`EventLoop._invoke` once per event, so a profiler can wrap
+  dispatch (``repro.obs.prof``).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.events import Event, EventKind
@@ -60,6 +66,8 @@ class EventLoop:
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._live = 0
+        # One bound cancel hook shared by every event this loop schedules.
+        self._cancel_hook = self._on_cancel
         # Handlers indexed by the kind's tie-break rank (distinct per kind),
         # so dispatch does not hash the kind.
         self._handlers: List[Optional[Handler]] = [None] * len(EventKind)
@@ -132,18 +140,20 @@ class EventLoop:
             The scheduled :class:`Event`; keep it to :meth:`Event.cancel`.
 
         Raises:
-            SimulationError: If ``time`` precedes the current time.
+            SimulationError: If ``time`` precedes the current time or is NaN.
         """
-        if time < self._now:
+        # Written so that NaN fails too: it would break the heap order.
+        if not time >= self._now:
             raise SimulationError(
-                f"cannot schedule {kind.value} at t={time} before now={self._now}"
+                f"cannot schedule {kind.value} at t={time}: not at or after "
+                f"now={self._now}"
             )
+        time = float(time)
         seq = self._seq
-        event = Event(time=float(time), kind=kind, payload=payload, seq=seq)
-        event.on_cancel = self._on_cancel
+        event = Event(time, kind, payload, seq, False, self._cancel_hook)
         self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._heap, (event.time, kind.tie, seq, event))
+        heapq.heappush(self._heap, (time, kind.tie, seq, event))
         return event
 
     def schedule_in(
@@ -165,20 +175,8 @@ class EventLoop:
         """Dispatch the next live event; returns it, or None if drained."""
         if self.peek_time() is None:
             return None
-        event = heapq.heappop(self._heap)[3]
-        # Off the queue: a late cancel() must not touch the live count.
-        event.on_cancel = None
-        self._live -= 1
-        self._now = event.time
-        tie = event.kind.tie
-        handler = self._handlers[tie]
-        if handler is None:
-            raise SimulationError(f"no handler registered for {event.kind.value}")
-        # Counted before the handler runs, so a sample taken by an
-        # ``OBS_SAMPLE`` handler includes its own event.
-        self._dispatched[tie] += 1
-        self._invoke(handler, event)
-        self._processed += 1
+        event = self._heap[0][3]
+        self.run(max_events=1)
         return event
 
     def _invoke(self, handler: Handler, event: Event) -> None:
@@ -188,6 +186,8 @@ class EventLoop:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or stopped.
+
+        The one dispatch loop: :meth:`step` runs it for one event.
 
         Args:
             until: Optional horizon; events strictly after it are left queued
@@ -201,18 +201,43 @@ class EventLoop:
             raise SimulationError("event loop is not reentrant")
         self._running = True
         self._stopped = False
+        heap = self._heap
+        pop = heapq.heappop
+        handlers = self._handlers
+        dispatched_per_kind = self._dispatched
+        # Bound once per run: an attached profiler has already wrapped it.
+        invoke = self._invoke
+        horizon = math.inf if until is None else until
+        budget = sys.maxsize if max_events is None else max_events
         dispatched = 0
         try:
-            while not self._stopped:
-                if max_events is not None and dispatched >= max_events:
+            while heap and dispatched < budget and not self._stopped:
+                entry = heap[0]
+                event = entry[3]
+                if event.cancelled:
+                    # Lazy cancellation: purge the dead head and look again.
+                    pop(heap)
+                    continue
+                time = entry[0]
+                if time > horizon:
+                    self._now = max(self._now, horizon)
                     break
-                next_time = self.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self._now = max(self._now, until)
-                    break
-                self.step()
+                pop(heap)
+                # Off the queue: a late cancel() must not touch the live count.
+                event.on_cancel = None
+                self._live -= 1
+                self._now = time
+                tie = entry[1]
+                handler = handlers[tie]
+                if handler is None:
+                    raise SimulationError(
+                        f"no handler registered for {event.kind.value}"
+                    )
+                # Counted before the handler runs, so a sample taken by an
+                # ``OBS_SAMPLE`` handler includes its own event.
+                dispatched_per_kind[tie] += 1
+                invoke(handler, event)
+                self._processed += 1
                 dispatched += 1
         finally:
             self._running = False

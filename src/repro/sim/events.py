@@ -26,7 +26,6 @@ the same instant as a finish does not kill the finished job.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -96,7 +95,6 @@ for _kind, _tie in TIE_BREAK_ORDER.items():
 del _kind, _tie
 
 
-@dataclass
 class Event:
     """A scheduled occurrence in simulated time.
 
@@ -111,19 +109,43 @@ class Event:
             makes processing order total and deterministic.
         cancelled: Lazily-deleted flag; cancelled events are skipped when
             popped rather than removed from the heap.
+        on_cancel: Set by the owning loop so it can keep an O(1)
+            live-event count and count cancellations; called with the
+            event, and cleared once the event leaves the heap.  Not part
+            of the public API, nor of equality.
+
+    One is built per scheduled event, so the class is slotted and built
+    positionally by the loop; equality compares the fields as a
+    dataclass would (``on_cancel`` excluded), and events are unhashable.
     """
 
-    time: float
-    kind: EventKind
-    payload: Dict[str, Any] = field(default_factory=dict)
-    seq: int = 0
-    cancelled: bool = False
-    #: Set by the owning loop so it can keep an O(1) live-event count and
-    #: count cancellations; called with the event, and cleared once the
-    #: event leaves the heap.  Not part of the public API.
-    on_cancel: Optional[Callable[["Event"], None]] = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("time", "kind", "payload", "seq", "cancelled", "on_cancel")
+
+    def __init__(
+        self,
+        time: float,
+        kind: EventKind,
+        payload: Optional[Dict[str, Any]] = None,
+        seq: int = 0,
+        cancelled: bool = False,
+        on_cancel: Optional[Callable[["Event"], None]] = None,
+    ) -> None:
+        self.time = time
+        self.kind = kind
+        self.payload: Dict[str, Any] = {} if payload is None else payload
+        self.seq = seq
+        self.cancelled = cancelled
+        self.on_cancel = on_cancel
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return (self.time, self.kind, self.payload, self.seq, self.cancelled)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Event):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]  # mutable: unhashable
 
     def cancel(self) -> None:
         """Mark the event so the loop discards it instead of dispatching."""

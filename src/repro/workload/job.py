@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence
 
+_INF = math.inf
+
 
 @dataclass(frozen=True)
 class Job:
@@ -42,13 +44,17 @@ class Job:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"job {self.job_id}: size must be >= 1, got {self.size}")
-        if self.runtime <= 0:
+        # Chained comparisons fail on NaN as well as out of range; float
+        # bounds keep both on the interpreter's float-compare fast path.
+        if not 0.0 < self.runtime < _INF:
             raise ValueError(
-                f"job {self.job_id}: runtime must be > 0, got {self.runtime}"
+                f"job {self.job_id}: runtime must be finite and > 0, "
+                f"got {self.runtime}"
             )
-        if self.arrival_time < 0:
+        if not 0.0 <= self.arrival_time < _INF:
             raise ValueError(
-                f"job {self.job_id}: arrival must be >= 0, got {self.arrival_time}"
+                f"job {self.job_id}: arrival must be finite and >= 0, "
+                f"got {self.arrival_time}"
             )
 
     @property

@@ -31,6 +31,7 @@ scheduling studies on these traces.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
@@ -55,9 +56,12 @@ def _parse_fields(line: str, line_no: int) -> List[float]:
     if len(parts) < 5:
         raise SWFParseError(line_no, line, "fewer than 5 fields")
     try:
-        return [float(p) for p in parts]
+        fields = [float(p) for p in parts]
     except ValueError as exc:
         raise SWFParseError(line_no, line, f"non-numeric field ({exc})") from None
+    if not all(map(math.isfinite, fields)):
+        raise SWFParseError(line_no, line, "non-finite field")
+    return fields
 
 
 def iter_swf(

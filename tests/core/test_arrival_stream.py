@@ -91,3 +91,29 @@ def test_simultaneous_arrivals_dispatch_in_workload_order():
         recorder = TraceRecorder()
         system(discipline, jobs, FailureTrace([]), recorder=recorder).run()
         assert [r.job_id for r in recorder.of_kind(kind)] == order, discipline
+
+
+class _FirstArrivalOnly(ProbabilisticQoSSystem):
+    """Queues only the first arrival: every later job is stranded."""
+
+    def _schedule_next_arrival(self):
+        if self._arrival_cursor == 0:
+            super()._schedule_next_arrival()
+
+
+def test_a_sampled_run_ends_once_nothing_else_can_happen():
+    log, failures = inputs("sdsc")
+    bound = 1_000_000
+    sim = _FirstArrivalOnly(
+        SystemConfig(node_count=NODES, accuracy=0.7, user_threshold=0.9, seed=11),
+        log,
+        failures,
+        sample_interval=600.0,
+    )
+    result = sim.run(max_events=bound)
+    # The sample chain stops once it is the only thing queued, long
+    # before the bound, with the stranded jobs still unfinished.
+    assert result.events_processed < bound // 10
+    assert sim.loop.pending_events == 0
+    assert result.metrics.completed_jobs == 1
+    assert result.obs["gauges"]["core.system.unfinished_jobs"] == len(log) - 1

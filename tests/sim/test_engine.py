@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.sim.engine import EventLoop, SimulationError
@@ -50,6 +52,22 @@ class TestScheduling:
         loop.run()
         with pytest.raises(SimulationError):
             loop.schedule(5.0, EventKind.WAKEUP)
+
+    def test_nan_time_raises_and_keeps_heap_order(self):
+        loop, log = make_loop_with_log()
+        loop.schedule(5.0, EventKind.WAKEUP)
+        with pytest.raises(SimulationError):
+            loop.schedule(math.nan, EventKind.WAKEUP)
+        loop.schedule(1.0, EventKind.WAKEUP)
+        loop.run()
+        assert [t for t, _, _ in log] == [1.0, 5.0]
+        assert loop.now == 5.0
+
+    def test_nan_delay_raises(self):
+        loop, _ = make_loop_with_log()
+        with pytest.raises(SimulationError):
+            loop.schedule_in(math.nan, EventKind.WAKEUP)
+        assert loop.pending_events == 0
 
     def test_negative_delay_raises(self):
         loop, _ = make_loop_with_log()

@@ -28,6 +28,19 @@ class TestJobValidation:
         with pytest.raises(ValueError, match="arrival"):
             make_job(arrival=-1.0)
 
+    @pytest.mark.parametrize(
+        "arrival, runtime, field",
+        [
+            (math.nan, 3600.0, "arrival"),
+            (math.inf, 3600.0, "arrival"),
+            (0.0, math.nan, "runtime"),
+            (0.0, math.inf, "runtime"),
+        ],
+    )
+    def test_non_finite_times_rejected(self, arrival, runtime, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_job(arrival=arrival, runtime=runtime)
+
     def test_work_is_runtime_times_size(self):
         assert make_job(size=3, runtime=100.0).work == 300.0
 

@@ -70,6 +70,20 @@ class TestParsing:
         with pytest.raises(SWFParseError, match="non-numeric"):
             parse_swf(io.StringIO("1 2 3 four 5\n"))
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1 nan 5 3600 4\n",  # arrival
+            "1 100 5 nan 4\n",  # runtime
+            "1 100 5 inf 4\n",
+            "1 100 5 3600 4 -1 -1 4 -inf\n",  # requested time
+            "nan 100 5 3600 4\n",  # job id
+        ],
+    )
+    def test_non_finite_field_raises(self, line):
+        with pytest.raises(SWFParseError, match="non-finite"):
+            parse_swf(io.StringIO(line))
+
     def test_parse_from_path(self, tmp_path):
         path = tmp_path / "log.swf"
         path.write_text(SAMPLE)
