@@ -5,7 +5,7 @@ Examples::
     probqos table 1
     probqos table 2
     probqos figure 5 --job-count 2000 --seed 7
-    probqos figure 1 --jobs 4 --cache-dir .probqos-cache
+    probqos figure 1 --jobs 4
     probqos run --workload sdsc --accuracy 0.8 --user 0.9 --job-count 1500
     probqos headline --workload sdsc
     probqos suggest --workload sdsc --size 32 --runtime 7200 --target 0.95
@@ -27,10 +27,9 @@ Examples::
     probqos lint src tests
     probqos lint --format json --select QOS101,QOS102 src
 
-``--jobs N`` fans independent simulation points out over N worker
-processes; ``--cache-dir PATH`` persists every simulated point on disk so
-re-running any figure, table, or report is (nearly) free.  Both default
-off (``--jobs 1``, no cache), which is the exact sequential behaviour.
+``--jobs N`` (on ``figure`` and ``report``) fans independent simulation
+points out over N worker processes.  The default, ``--jobs 1``, is the
+exact sequential behaviour, and every worker count prints the same output.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tab = sub.add_parser("table", help="regenerate a paper table (1-2)")
     tab.add_argument("number", type=int, help="table number, 1 or 2")
     _add_env_args(tab)
-    _add_parallel_args(tab)
 
     run = sub.add_parser("run", help="simulate one (a, U) point")
     run.add_argument("--accuracy", "-a", type=float, default=0.5)
@@ -263,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     suggest.add_argument("--accuracy", "-a", type=float, default=0.7)
     _add_negotiation_args(suggest)
     _add_env_args(suggest)
-    _add_parallel_args(suggest)
 
     export = sub.add_parser(
         "export", help="write an experiment bundle (SWF + failures) to disk"
@@ -351,8 +348,7 @@ def _add_env_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1500,
         dest="job_count",
-        help="jobs in the synthetic log (was --jobs before the parallel "
-        "executor claimed that name)",
+        help="jobs in the synthetic log",
     )
     parser.add_argument("--seed", type=int, default=None)
 
@@ -365,13 +361,6 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="worker processes for independent simulation points "
         "(default 1 = sequential)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="persistent on-disk cache of simulated points; reruns "
-        "against a warm cache skip the simulations entirely",
     )
 
 
@@ -492,21 +481,6 @@ def _setup(args: argparse.Namespace) -> ExperimentSetup:
     )
 
 
-def _point_cache(args: argparse.Namespace):
-    """The persistent cache named by ``--cache-dir``, or None."""
-    if getattr(args, "cache_dir", None) is None:
-        return None
-    from repro.experiments.cache import PointCache
-
-    return PointCache(args.cache_dir)
-
-
-def _report_cache(cache) -> None:
-    """Print the cache summary line batch pipelines (and CI) parse."""
-    if cache is not None:
-        print(f"\n{cache.summary()}")
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.config import ExperimentSetup
     from repro.experiments.figures import FigureCatalog
@@ -514,44 +488,43 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.runner import ExperimentContext
 
     jobs = args.jobs
-    cache = _point_cache(args)
     trace_stream = recorder = None
     if args.trace:
-        # Recorders cannot cross process boundaries and cache hits skip
-        # the simulations that would produce records, so a traced figure
-        # forces the sequential uncached path.
-        if jobs != 1 or cache is not None:
-            print("--trace forces --jobs 1 and ignores --cache-dir")
-            jobs, cache = 1, None
+        # Recorders cannot cross process boundaries, so a traced figure
+        # runs every point in this process.
+        if jobs != 1:
+            print("--trace forces --jobs 1")
+            jobs = 1
         from repro.obs.tracelog import TraceRecorder
 
         trace_stream = open(args.trace, "w")
         recorder = TraceRecorder(stream=trace_stream, keep_in_memory=False)
     # Profiles DO cross process boundaries (workers ship snapshots that
-    # the parent folds), so --prof neither forces --jobs 1 nor disables
-    # the cache — cache hits simply contribute no zones.
+    # the parent folds), so --prof does not force --jobs 1.
     profiler = _make_profiler(args)
     try:
-        catalog = FigureCatalog()
         workloads = (
             ("sdsc", "nasa") if args.number == 8 else (_figure_workload(args.number),)
         )
-        for name in workloads:
-            catalog._contexts[name] = ExperimentContext.prepare(
-                ExperimentSetup(
-                    workload=name, job_count=args.job_count, seed=_setup(args).seed
-                ),
-                jobs=jobs,
-                cache=cache,
-                recorder=recorder,
-            )
+        seed = _setup(args).seed
+        catalog = FigureCatalog(
+            **{
+                name: ExperimentContext.prepare(
+                    ExperimentSetup(
+                        workload=name, job_count=args.job_count, seed=seed
+                    ),
+                    jobs=jobs,
+                    recorder=recorder,
+                )
+                for name in workloads
+            }
+        )
         with _attached(profiler):
             figure = catalog.figure(args.number)
         print(format_figure(figure))
     finally:
         if trace_stream is not None:
             trace_stream.close()
-    _report_cache(cache)
     if args.trace:
         print(
             f"\ntrace written to {args.trace} (all simulated points share "
@@ -563,7 +536,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
         obs = empty_obs()
         for name in workloads:
-            merge_obs(obs, catalog._contexts[name].obs)
+            merge_obs(obs, catalog.context(name).obs)
         _write_obs_report(args, obs)
     if profiler is not None:
         _write_profile(args, profiler)
@@ -579,8 +552,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import format_pairs, format_table1
     from repro.experiments.tables import table_1, table_2
 
-    # Tables run no simulation points; --jobs/--cache-dir are accepted so
-    # batch pipelines can pass one sweep flag set to every subcommand.
     if args.number == 1:
         print(
             format_table1(
@@ -692,9 +663,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     from repro.workload.job import Job, JobLog
 
     setup = _setup(args)
-    ctx = ExperimentContext.prepare(
-        setup, jobs=args.jobs, cache=_point_cache(args)
-    )
+    ctx = ExperimentContext.prepare(setup)
     config = SystemConfig(
         accuracy=args.accuracy,
         seed=setup.seed,
@@ -999,19 +968,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
 
     setup = _setup(args)
-    cache = _point_cache(args)
     print(
         generate_report(
             job_count=args.job_count,
             seed=setup.seed,
             figures=args.figures,
             jobs=args.jobs,
-            cache=cache,
             # Timing is progress output, not part of the archival artifact.
             elapsed_to=sys.stderr,
         )
     )
-    _report_cache(cache)
     return 0
 
 

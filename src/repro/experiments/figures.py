@@ -79,31 +79,22 @@ class FigureCatalog:
         sdsc: Context for the SDSC log (built from the benchmark setup if
             omitted).
         nasa: Context for the NASA log (likewise).
-        jobs: Worker processes for contexts the catalog builds itself
-            (supplied contexts keep their own settings).
-        cache: Persistent point cache for catalog-built contexts.
     """
 
     def __init__(
         self,
         sdsc: Optional[ExperimentContext] = None,
         nasa: Optional[ExperimentContext] = None,
-        jobs: int = 1,
-        cache=None,
     ) -> None:
         self._contexts: Dict[str, Optional[ExperimentContext]] = {
             "sdsc": sdsc,
             "nasa": nasa,
         }
-        self._jobs = jobs
-        self._cache = cache
 
     def context(self, workload: str) -> ExperimentContext:
         ctx = self._contexts.get(workload)
         if ctx is None:
-            ctx = ExperimentContext.prepare(
-                bench_setup(workload), jobs=self._jobs, cache=self._cache
-            )
+            ctx = ExperimentContext.prepare(bench_setup(workload))
             self._contexts[workload] = ctx
         return ctx
 

@@ -2,9 +2,8 @@
 
 The evaluation is embarrassingly parallel: every figure is a grid of
 ``(a, U)`` points, every replication multiplies the grid by seeds, and no
-point depends on any other.  This module fans point *misses* (after the
-in-memory memo and the on-disk :class:`~repro.experiments.cache.PointCache`
-have been consulted) out across worker processes:
+point depends on any other.  This module fans the points the in-memory
+memo does not hold out across worker processes:
 
 * :class:`PointSpec` is the picklable, hermetic description of one point —
   the full :class:`~repro.experiments.config.ExperimentSetup` plus the
@@ -12,10 +11,10 @@ have been consulted) out across worker processes:
   the exact :class:`~repro.experiments.runner.ExperimentContext`
   (workload synthesis and failure-trace generation are deterministic in
   the setup's seed) and simulate without talking to the parent.
-* :func:`run_specs` resolves a batch of specs in order: disk cache first,
-  then a :class:`concurrent.futures.ProcessPoolExecutor` for the misses
-  (``jobs > 1``) or the plain in-process path (``jobs == 1``, exactly the
-  pre-parallel behaviour).  Results are returned in *submission* order
+* :func:`run_specs` resolves a batch of specs in order: a
+  :class:`concurrent.futures.ProcessPoolExecutor` (``jobs > 1``) or the
+  plain in-process path (``jobs == 1``, exactly the pre-parallel
+  behaviour).  Results are returned in *submission* order
   regardless of worker count or completion order, so callers observe
   bit-identical output either way.
 
@@ -30,7 +29,7 @@ parent folds it into the calling context's
 :attr:`~repro.experiments.runner.ExperimentContext.obs` with
 :func:`~repro.obs.export.merge_obs`, in submission order — the order the
 sequential path folds in, so the totals do not depend on the worker
-count; cache hits (memo or disk) contribute no counters in either mode.
+count; memo hits contribute no counters in either mode.
 Profiles travel the same way: while a
 :class:`~repro.obs.prof.Profiler` is attached in the parent, each worker
 attaches its own (same bucket width) around every point and ships its
@@ -44,7 +43,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import SimulationMetrics
-from repro.experiments.cache import PointCache
 from repro.experiments.config import ExperimentSetup
 from repro.obs.export import ObsSnapshot, merge_obs
 from repro.obs.prof import Profiler, attached
@@ -60,8 +58,7 @@ class PointSpec:
 
     The spec carries the *exact* sweep coordinates it was created with
     (so a worker reproduces the caller's arithmetic to the bit) while its
-    :meth:`canonical` form rounds them exactly like the in-memory memo
-    key, so near-identical floats address one cache entry.
+    :meth:`memo_key` rounds them, so near-identical floats are one point.
     """
 
     setup: ExperimentSetup
@@ -91,17 +88,6 @@ class PointSpec:
             round(self.user_threshold, KEY_DECIMALS),
             self.overrides,
         )
-
-    def canonical(self) -> Dict[str, Any]:
-        """A JSON-serialisable form stable across processes and sessions."""
-        import dataclasses
-
-        return {
-            "setup": dataclasses.asdict(self.setup),
-            "accuracy": round(self.accuracy, KEY_DECIMALS),
-            "user_threshold": round(self.user_threshold, KEY_DECIMALS),
-            "overrides": [[k, v] for k, v in self.overrides],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -157,22 +143,19 @@ def _run_spec_task(
 def run_specs(
     specs: Sequence[PointSpec],
     jobs: int = 1,
-    cache: Optional[PointCache] = None,
     contexts: Optional[Dict[ExperimentSetup, Any]] = None,
 ) -> List[SimulationMetrics]:
     """Resolve every spec to its metrics, in input order.
 
-    Resolution per spec: the on-disk ``cache`` (if given), then one
-    simulation — pooled across ``jobs`` worker processes when ``jobs > 1``
-    and more than one distinct point misses, in-process otherwise.
-    Duplicate specs (same canonical key) are simulated once.
+    Each distinct spec is simulated once — pooled across ``jobs`` worker
+    processes when ``jobs > 1`` and there is more than one distinct
+    point, in-process otherwise.  Duplicate specs (same setup and memo
+    key) share the first one's result.
 
     Args:
         specs: Points to resolve.
         jobs: Worker processes; 1 keeps everything in this process and is
             byte-identical to the pre-parallel sequential path.
-        cache: Optional persistent cache consulted before, and populated
-            after, every simulation.
         contexts: Optional mutable ``{setup: ExperimentContext}`` map for
             in-process execution; prepared contexts are reused and fresh
             ones are stored back for the caller (lazy construction).  Each
@@ -186,20 +169,11 @@ def run_specs(
     """
     results: List[Optional[SimulationMetrics]] = [None] * len(specs)
 
-    missing: List[int] = []
-    for index, spec in enumerate(specs):
-        cached = cache.get(spec) if cache is not None else None
-        if cached is not None:
-            results[index] = cached
-        else:
-            missing.append(index)
-
-    # Deduplicate misses on the canonical key; first occurrence wins,
-    # mirroring the in-memory memo's first-call-wins semantics.
+    # Deduplicate on the memo key; first occurrence wins, mirroring the
+    # in-memory memo's first-call-wins semantics.
     order: Dict[Tuple, List[int]] = {}
     unique: List[PointSpec] = []
-    for index in missing:
-        spec = specs[index]
+    for index, spec in enumerate(specs):
         key = (spec.setup, spec.memo_key())
         slot = order.get(key)
         if slot is None:
@@ -207,9 +181,6 @@ def run_specs(
             unique.append(spec)
         else:
             slot.append(index)
-
-    if not unique:
-        return results  # type: ignore[return-value]
 
     if jobs > 1 and len(unique) > 1:
         for context in (contexts or {}).values():
@@ -219,8 +190,6 @@ def run_specs(
         computed = _run_local(unique, contexts)
 
     for spec, metrics in zip(unique, computed):
-        if cache is not None:
-            cache.put(spec, metrics)
         for index in order[(spec.setup, spec.memo_key())]:
             results[index] = metrics
     return results  # type: ignore[return-value]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import SimulationMetrics
-from repro.experiments.cache import PointCache
 from repro.experiments.config import ExperimentSetup
 from repro.experiments.runner import ExperimentContext
 from repro.experiments.sweeps import METRIC_EXTRACTORS
@@ -91,10 +90,9 @@ class ReplicatedExperiment:
 
     Per-seed contexts (workload synthesis plus a worst-case-horizon
     failure trace each) are built *lazily*, on first use: constructing a
-    20-seed experiment is free, and when every requested point resolves
-    from the persistent cache — or runs inside pool workers, which
-    rebuild contexts hermetically from the setup — the parent process
-    never prepares a context at all.
+    20-seed experiment is free, and when every requested point runs
+    inside pool workers, which rebuild contexts hermetically from the
+    setup, the parent process never prepares a context at all.
 
     Args:
         workload: ``"nasa"`` or ``"sdsc"``.
@@ -103,7 +101,6 @@ class ReplicatedExperiment:
             trace and detectability assignment (fully independent draws).
         jobs: Worker processes for fanning per-seed points out (1 =
             sequential, the pre-parallel behaviour).
-        cache: Optional persistent point cache shared by every seed.
     """
 
     def __init__(
@@ -112,13 +109,11 @@ class ReplicatedExperiment:
         job_count: int,
         seeds: Sequence[int],
         jobs: int = 1,
-        cache: Optional[PointCache] = None,
     ) -> None:
         if not seeds:
             raise ValueError("at least one seed is required")
         self.seeds = tuple(seeds)
         self.jobs = jobs
-        self.cache = cache
         self._setups: List[ExperimentSetup] = [
             ExperimentSetup(workload=workload, job_count=job_count, seed=seed)
             for seed in self.seeds
@@ -126,7 +121,7 @@ class ReplicatedExperiment:
         # Lazily populated by _run_specs' local path (keyed by setup) —
         # exposed to tests as the "which seeds were actually prepared" map.
         self._contexts: Dict[ExperimentSetup, ExperimentContext] = {}
-        # Parallel/cached paths bypass the per-context memo, so keep a
+        # The pooled path bypasses the per-context memo, so keep a
         # replication-level one: {(a, U, overrides) -> per-seed metrics}.
         self._memo: Dict[Tuple, List[SimulationMetrics]] = {}
 
@@ -142,7 +137,7 @@ class ReplicatedExperiment:
     def _seed_metrics(
         self, accuracy: float, user_threshold: float, overrides: Dict
     ) -> List[SimulationMetrics]:
-        """One point's metrics across all seeds, via cache/pool/memo."""
+        """One point's metrics across all seeds, via memo, then simulation."""
         from repro.experiments.parallel import PointSpec, run_specs
 
         specs = [
@@ -153,12 +148,7 @@ class ReplicatedExperiment:
         memoised = self._memo.get(key)
         if memoised is not None:
             return memoised
-        metrics = run_specs(
-            specs,
-            jobs=self.jobs,
-            cache=self.cache,
-            contexts=self._contexts,
-        )
+        metrics = run_specs(specs, jobs=self.jobs, contexts=self._contexts)
         self._memo[key] = metrics
         return metrics
 
@@ -203,7 +193,7 @@ class ReplicatedExperiment:
     ) -> AuditReport:
         """Merged promise audit of one ``(a, U)`` point across all seeds.
 
-        Each seed runs instrumented (never memoised — a cached metrics
+        Each seed runs instrumented (never memoised — a memoised metrics
         object carries no promises) with its own
         :class:`~repro.obs.audit.GuaranteeAudit` as the recorder; the
         per-seed :class:`~repro.obs.audit.AuditReport` shards are folded with

@@ -40,7 +40,6 @@ def generate_report(
     figures: Optional[List[int]] = None,
     catalog: Optional[FigureCatalog] = None,
     jobs: int = 1,
-    cache=None,
     elapsed_to: Optional[TextIO] = None,
 ) -> str:
     """Regenerate tables, figures and audits; return the full text report.
@@ -53,8 +52,6 @@ def generate_report(
             reused; ``job_count``/``seed`` are ignored for workloads it
             already holds).
         jobs: Worker processes for the sweep grids (1 = sequential).
-        cache: Optional persistent :class:`~repro.experiments.cache
-            .PointCache` making reruns of the whole report nearly free.
         elapsed_to: Where to write the human-facing "generated in Ns"
             line, or None to skip it.  Kept out of the returned report so
             identical inputs yield byte-identical artifacts.
@@ -68,12 +65,10 @@ def generate_report(
             sdsc=ExperimentContext.prepare(
                 ExperimentSetup(workload="sdsc", job_count=job_count, seed=seed),
                 jobs=jobs,
-                cache=cache,
             ),
             nasa=ExperimentContext.prepare(
                 ExperimentSetup(workload="nasa", job_count=job_count, seed=seed),
                 jobs=jobs,
-                cache=cache,
             ),
         )
     figure_ids = figures if figures is not None else list(range(1, 13))

@@ -5,7 +5,9 @@ share points (e.g. every "vs accuracy" figure uses the same 33-run grid).
 :class:`ExperimentContext` prepares the workload and a failure trace long
 enough to cover any makespan the sweep can produce, then memoises
 :meth:`run_point` results, so regenerating all twelve figures costs one
-simulation per distinct parameter combination.
+simulation per distinct parameter combination.  A point is resolved one
+way: from the memo, or else by one simulation — in this process, or in a
+worker of :mod:`repro.experiments.parallel`'s pool when ``jobs > 1``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.obs.tracelog import TraceRecorder
 from repro.core.metrics import SimulationMetrics
 from repro.core.system import SimulationResult, SystemConfig, simulate
-from repro.experiments.cache import PointCache
 from repro.experiments.config import ExperimentSetup
 from repro.failures.events import FailureTrace
 from repro.failures.generator import FailureModelSpec, generate_failure_trace
@@ -49,35 +50,31 @@ def estimate_horizon(log: JobLog, node_count: int) -> float:
 
 @dataclass
 class ExperimentContext:
-    """A prepared (workload, failure trace) pair with a result cache.
+    """A prepared (workload, failure trace) pair with a memo of point results.
 
     Attributes:
         setup: The experiment environment description.
         log: The synthesized (or loaded) job log.
         failures: A failure trace covering the worst-case horizon.
-        jobs: Worker processes :meth:`run_points` fans cache misses out
+        jobs: Worker processes :meth:`run_points` fans memo misses out
             across (1 = fully sequential, the default and the byte-exact
             pre-parallel behaviour).
-        cache: Optional persistent :class:`~repro.experiments.cache
-            .PointCache` consulted before, and populated after, every
-            simulated point.
         recorder: Optional trace recorder threaded into every simulation
             this context executes in-process (``--trace`` on batch
-            commands).  Memo/cache hits skip simulation and therefore
+            commands).  Memo hits skip simulation and therefore
             contribute no records; recorders do not cross process
             boundaries, so callers should keep ``jobs=1`` when tracing.
         obs: Counters and gauges summed over the distinct points this
             context simulated, in submission order (the "what did
-            producing this figure actually do" view); memo and cache hits
+            producing this figure actually do" view); memo hits
             simulate nothing and add nothing.
     """
 
     setup: ExperimentSetup
     log: JobLog
     failures: FailureTrace
-    _cache: Dict[Tuple, SimulationMetrics] = field(default_factory=dict)
+    _memo: Dict[Tuple, SimulationMetrics] = field(default_factory=dict)
     jobs: int = 1
-    cache: Optional[PointCache] = None
     recorder: Optional[TraceRecorder] = None
     obs: ObsSnapshot = field(default_factory=empty_obs)
 
@@ -88,7 +85,6 @@ class ExperimentContext:
         log: Optional[JobLog] = None,
         failures: Optional[FailureTrace] = None,
         jobs: int = 1,
-        cache: Optional[PointCache] = None,
         recorder: Optional[TraceRecorder] = None,
     ) -> "ExperimentContext":
         """Build the context, synthesising whatever is not supplied.
@@ -110,7 +106,7 @@ class ExperimentContext:
             )
         return cls(
             setup=setup, log=log, failures=failures,
-            jobs=jobs, cache=cache, recorder=recorder,
+            jobs=jobs, recorder=recorder,
         )
 
     # ------------------------------------------------------------------
@@ -136,7 +132,7 @@ class ExperimentContext:
         """Simulate one ``(a, U)`` point (memoised).
 
         Keyword overrides (checkpoint policy, placement, topology, ...)
-        participate in the cache key, so ablations coexist safely in one
+        participate in the memo key, so ablations coexist safely in one
         context.
         """
         key = (
@@ -144,13 +140,13 @@ class ExperimentContext:
             round(user_threshold, 6),
             tuple(sorted(overrides.items())),
         )
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        memoised = self._memo.get(key)
+        if memoised is not None:
+            return memoised
         config = self.config(accuracy, user_threshold, **overrides)
         result = self.simulate_point(config, self.recorder)
         merge_obs(self.obs, result.obs)
-        self._cache[key] = result.metrics
+        self._memo[key] = result.metrics
         return result.metrics
 
     def simulate_point(
@@ -166,25 +162,19 @@ class ExperimentContext:
     def run_points(
         self,
         points: Sequence[Point],
-        jobs: Optional[int] = None,
-        cache: Optional[PointCache] = None,
         **overrides,
     ) -> List[SimulationMetrics]:
         """Resolve a batch of sweep points, in order (memoised).
 
         Each point is ``(a, U)`` or ``(a, U, per_point_overrides)``; the
         keyword ``overrides`` apply to every point (per-point entries
-        win).  Resolution order per point: the in-memory memo, then the
-        persistent cache, then simulation — misses fan out across
-        ``jobs`` worker processes when ``jobs > 1``.  Results are
-        identical to calling :meth:`run_point` sequentially regardless of
-        worker count, completion order, or cache warmth; with ``jobs=1``
-        and no cache the execution path *is* the sequential one.
+        win).  Each point is served from the in-memory memo or simulated;
+        memo misses fan out across :attr:`jobs` worker processes when
+        ``jobs > 1``.  Results are identical to calling :meth:`run_point`
+        sequentially regardless of worker count or completion order; with
+        ``jobs=1`` the execution path *is* the sequential one.
         """
         from repro.experiments.parallel import PointSpec, run_specs
-
-        jobs = self.jobs if jobs is None else jobs
-        cache = self.cache if cache is None else cache
 
         keys = []
         specs = []
@@ -198,18 +188,17 @@ class ExperimentContext:
             keys.append(spec.memo_key())
 
         results: List[Optional[SimulationMetrics]] = [
-            self._cache.get(key) for key in keys
+            self._memo.get(key) for key in keys
         ]
         todo = [i for i, metrics in enumerate(results) if metrics is None]
         if todo:
             computed = run_specs(
                 [specs[i] for i in todo],
-                jobs=jobs,
-                cache=cache,
+                jobs=self.jobs,
                 contexts={self.setup: self},
             )
             for i, metrics in zip(todo, computed):
-                self._cache[keys[i]] = metrics
+                self._memo[keys[i]] = metrics
                 results[i] = metrics
         return results  # type: ignore[return-value]
 
@@ -223,7 +212,7 @@ class ExperimentContext:
     ):
         """Simulate one point with live instrumentation (never memoised).
 
-        Instrumented runs bypass the cache in both directions: a cached
+        Instrumented runs bypass the memo in both directions: a memoised
         metrics object carries no counters or records, and the output of a
         fresh run must reflect exactly one simulation, not whichever point
         happened to run first.  A trace ``recorder`` (e.g. a
@@ -247,4 +236,4 @@ class ExperimentContext:
     @property
     def cached_points(self) -> int:
         """Number of memoised simulation results."""
-        return len(self._cache)
+        return len(self._memo)

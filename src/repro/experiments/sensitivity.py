@@ -49,7 +49,7 @@ def sweep_checkpoint_interval(
 
     The sweep is submitted as one ``run_points`` batch (one point per
     interval, via per-point overrides), so contexts configured with
-    ``jobs > 1`` or a persistent cache accelerate it like any figure grid.
+    ``jobs > 1`` fan it out like any figure grid.
     """
     batch = [
         (
@@ -105,7 +105,7 @@ def sweep_failure_rate(
     burst structure is held statistically constant while intensity scales.
     Because the *trace* — not the config — varies, these points are outside
     what a :class:`~repro.experiments.parallel.PointSpec` can describe and
-    the sweep stays sequential and uncached.
+    the sweep stays sequential and unmemoised.
     """
     points = []
     horizon = estimate_horizon(ctx.log, ctx.setup.node_count)

@@ -48,9 +48,7 @@ def table_1(
 ) -> List[Table1Row]:
     """Compute Table 1 for the given (or bundled synthetic) logs.
 
-    Tables are pure workload statistics — no simulation points run — so
-    the ``probqos table`` subcommand accepts ``--jobs``/``--cache-dir``
-    only for batch-pipeline uniformity; neither affects this function.
+    Tables are pure workload statistics: no simulation points run.
     """
     if logs is None:
         logs = [

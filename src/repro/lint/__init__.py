@@ -1,7 +1,7 @@
 """``repro.lint`` — the determinism & sim-safety static-analysis pass.
 
 The reproduction's guarantees are *exact*: tier-1 tests assert bit-identical
-results across seed replays, worker counts, and warm caches.  This package
+results across seed replays and worker counts.  This package
 encodes the coding contract that makes those assertions hold — no hidden
 global RNG state, no wall-clock reads on sim paths, no set-order
 dependence — as machine-checked AST rules (QOS101-QOS110), so the contract

@@ -1,7 +1,7 @@
 """QOS107 — module-level mutable state in sim packages.
 
 A module-level list/dict/set in a sim layer is process-global state shared
-by every simulation in the process: warm-cache reruns, parallel workers
+by every simulation in the process: memoised sweeps, parallel workers
 after fork, and back-to-back replication runs all see whatever the previous
 run left behind.  Constants belong in immutable containers (tuple,
 frozenset, ``types.MappingProxyType``); anything genuinely mutable belongs

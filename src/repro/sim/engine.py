@@ -191,14 +191,21 @@ class EventLoop:
 
         Args:
             until: Optional horizon; events strictly after it are left queued
-                and the clock is advanced to ``until``.
+                and the clock is advanced to ``until``.  A horizon in the
+                past dispatches nothing and leaves the clock alone.
             max_events: Optional safety valve on dispatched events.
 
         Returns:
             The number of events dispatched by this call.
+
+        Raises:
+            SimulationError: if ``until`` is NaN (no event time compares
+                greater than it, so it would run every queued event).
         """
         if self._running:
             raise SimulationError("event loop is not reentrant")
+        if until is not None and math.isnan(until):
+            raise SimulationError("run(until=nan): the horizon must be a number")
         self._running = True
         self._stopped = False
         heap = self._heap

@@ -1,9 +1,9 @@
-"""Determinism and equivalence tests for parallel execution + caching.
+"""Determinism and equivalence tests for parallel execution.
 
-The tentpole guarantee: ``run_points`` returns bit-identical metrics
-whether points run sequentially, across a process pool, or from a warm
-on-disk cache — and per-worker obs snapshots merge into the same counter
-totals the sequential path accumulates.
+The guarantee: ``run_points`` returns bit-identical metrics whether
+points run sequentially or across a process pool — and per-worker obs
+snapshots merge into the same counter totals the sequential path
+accumulates.
 """
 
 from __future__ import annotations
@@ -13,13 +13,6 @@ import pickle
 
 import pytest
 
-from repro.experiments.cache import (
-    CACHE_FORMAT_VERSION,
-    PointCache,
-    metrics_from_dict,
-    metrics_to_dict,
-    spec_key,
-)
 from repro.experiments.config import ExperimentSetup
 from repro.experiments.parallel import PointSpec, run_specs
 from repro.experiments.replication import ReplicatedExperiment
@@ -45,103 +38,33 @@ class TestPointSpec:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
 
-    def test_canonical_is_json_stable(self):
-        spec = PointSpec.create(SETUP, 0.5, 0.9, {"placement": "random"})
-        a = json.dumps(spec.canonical(), sort_keys=True)
-        b = json.dumps(spec.canonical(), sort_keys=True)
-        assert a == b
-
     def test_memo_key_matches_runner_rounding(self):
         # 0.1 * 3 != 0.3 exactly; the memo key must treat them as one point.
         lhs = PointSpec.create(SETUP, 0.1 * 3, 0.9, {})
         rhs = PointSpec.create(SETUP, 0.3, 0.9, {})
         assert lhs.memo_key() == rhs.memo_key()
-        assert spec_key(lhs) == spec_key(rhs)
-
-    def test_key_depends_on_setup_and_overrides(self):
-        base = PointSpec.create(SETUP, 0.5, 0.9, {})
-        other_seed = PointSpec.create(
-            ExperimentSetup(workload="sdsc", job_count=60, seed=8), 0.5, 0.9, {}
-        )
-        other_override = PointSpec.create(SETUP, 0.5, 0.9, {"topology": "ring"})
-        keys = {spec_key(base), spec_key(other_seed), spec_key(other_override)}
-        assert len(keys) == 3
-
-
-class TestPointCache:
-    def test_round_trip_is_exact(self, tmp_path, sequential_metrics):
-        cache = PointCache(tmp_path)
-        spec = PointSpec.create(SETUP, 0.0, 0.1, {})
-        cache.put(spec, sequential_metrics[0])
-        loaded = cache.get(spec)
-        # Frozen dataclass equality covers every field; floats must
-        # round-trip bit-identically through JSON.
-        assert loaded == sequential_metrics[0]
-        assert cache.stats == {"hits": 1, "misses": 0, "writes": 1}
-
-    def test_miss_then_hit(self, tmp_path, sequential_metrics):
-        cache = PointCache(tmp_path)
-        spec = PointSpec.create(SETUP, 1.0, 0.9, {})
-        assert cache.get(spec) is None
-        cache.put(spec, sequential_metrics[-1])
-        assert cache.get(spec) is not None
-        assert cache.misses == 1 and cache.hits == 1
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path, sequential_metrics):
-        cache = PointCache(tmp_path)
-        spec = PointSpec.create(SETUP, 0.5, 0.1, {})
-        cache.put(spec, sequential_metrics[0])
-        (path,) = list(cache.root.glob("*/*.json"))
-        path.write_text("{ truncated")
-        assert cache.get(spec) is None
-
-    def test_format_version_in_key(self, sequential_metrics):
-        spec = PointSpec.create(SETUP, 0.5, 0.1, {})
-        payload = json.dumps(
-            {"format": CACHE_FORMAT_VERSION, "spec": spec.canonical()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        import hashlib
-
-        assert spec_key(spec) == hashlib.sha256(payload.encode()).hexdigest()
-
-    def test_metrics_dict_round_trip(self, sequential_metrics):
-        m = sequential_metrics[0]
-        assert metrics_from_dict(json.loads(json.dumps(metrics_to_dict(m)))) == m
 
 
 class TestRunPointsDeterminism:
-    """jobs=1, jobs=4, and a warm cache must agree bit for bit."""
+    """jobs=1 and jobs=4 must agree bit for bit."""
 
     def test_pool_matches_sequential(self, sequential_metrics):
         pooled = ExperimentContext.prepare(SETUP, jobs=4).run_points(GRID)
         assert pooled == sequential_metrics
-
-    def test_warm_cache_matches_sequential(self, tmp_path, sequential_metrics):
-        cache = PointCache(tmp_path)
-        cold = ExperimentContext.prepare(SETUP, jobs=4, cache=cache).run_points(GRID)
-        assert cold == sequential_metrics
-        assert cache.writes == len(GRID)
-
-        warm_cache = PointCache(tmp_path)
-        warm = ExperimentContext.prepare(SETUP, cache=warm_cache).run_points(GRID)
-        assert warm == sequential_metrics
-        assert warm_cache.stats == {
-            "hits": len(GRID), "misses": 0, "writes": 0,
-        }
 
     def test_result_order_is_submission_order(self, sequential_metrics):
         reversed_grid = list(reversed(GRID))
         pooled = ExperimentContext.prepare(SETUP, jobs=2).run_points(reversed_grid)
         assert pooled == list(reversed(sequential_metrics))
 
-    def test_duplicate_points_simulated_once(self, tmp_path):
-        cache = PointCache(tmp_path)
-        ctx = ExperimentContext.prepare(SETUP, jobs=2, cache=cache)
+    def test_duplicate_points_simulated_once(self):
+        ctx = ExperimentContext.prepare(SETUP, jobs=2)
         twice = ctx.run_points([(0.5, 0.5), (0.5, 0.5)])
         assert twice[0] == twice[1]
-        assert cache.writes == 1
+        once = ExperimentContext.prepare(SETUP)
+        once.run_points([(0.5, 0.5)])
+        # One simulation's counters, not two.
+        assert ctx.obs == once.obs
 
     def test_per_point_overrides_match_run_point(self):
         ctx = ExperimentContext.prepare(SETUP)
@@ -230,22 +153,6 @@ class TestLazyReplication:
         experiment = ReplicatedExperiment("sdsc", job_count=40, seeds=[1, 2, 3])
         experiment.run_point(0.5, 0.5)
         assert experiment.prepared_contexts == 3
-
-    def test_warm_cache_run_builds_no_contexts(self, tmp_path):
-        seeds = [1, 2, 3]
-        warmup = ReplicatedExperiment(
-            "sdsc", job_count=40, seeds=seeds, cache=PointCache(tmp_path)
-        )
-        expected = warmup.run_point(0.5, 0.5)
-
-        cached = ReplicatedExperiment(
-            "sdsc", job_count=40, seeds=seeds, cache=PointCache(tmp_path)
-        )
-        summaries = cached.run_point(0.5, 0.5)
-        assert cached.prepared_contexts == 0  # every seed hit the cache
-        assert {
-            name: summary.values for name, summary in summaries.items()
-        } == {name: summary.values for name, summary in expected.items()}
 
     def test_parallel_replication_matches_sequential(self):
         sequential = ReplicatedExperiment("sdsc", job_count=40, seeds=[1, 2, 3])

@@ -109,7 +109,7 @@ class TestBatchCommandsWithTrace:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "--trace forces --jobs 1" in out
+        assert out.startswith("--trace forces --jobs 1\n")
         assert "trace written to" in out
         with open(path) as fh:
             records = load_jsonl(fh)
@@ -126,15 +126,23 @@ class TestBatchCommandsWithTrace:
         ["table", "2", "--obs", "o.json"],
         ["table", "2", "--prof", "p.json"],
         ["table", "2", "--prof-bucket", "60"],
+        ["figure", "7", "--cache-dir", "d"],
+        ["report", "--cache-dir", "d"],
+        ["suggest", "--size", "4", "--runtime", "60", "--cache-dir", "d"],
+        ["table", "2", "--jobs", "2"],
+        ["suggest", "--size", "4", "--runtime", "60", "--jobs", "2"],
     ],
     ids=[
         "run-audit", "figure-audit", "table-trace", "table-audit",
         "table-obs", "table-prof", "table-prof-bucket",
+        "figure-disk-cache", "report-disk-cache", "suggest-disk-cache",
+        "table-jobs", "suggest-jobs",
     ],
 )
 def test_retired_instrument_options_are_usage_errors(argv, capsys):
-    """The audit is a view over a trace, and tables simulate nothing, so
-    these options are gone; argparse rejects them before anything runs."""
+    """The audit is a view over a trace, tables and suggestions simulate no
+    sweep, and sweep points have no on-disk cache, so these options are
+    gone; argparse rejects them before anything runs."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -170,6 +170,26 @@ class TestRunControl:
         assert loop.now == 5.0
         assert loop.pending_events == 1
 
+    def test_run_until_nan_raises_and_dispatches_nothing(self):
+        loop, log = make_loop_with_log()
+        for t in (1.0, 5.0, 9.0):
+            loop.schedule(t, EventKind.WAKEUP)
+        with pytest.raises(SimulationError, match="nan"):
+            loop.run(until=math.nan)
+        assert log == []
+        assert loop.now == 0.0
+        assert loop.pending_events == 3
+        assert loop.run() == 3  # the loop is still usable afterwards
+
+    def test_run_until_in_the_past_dispatches_nothing(self):
+        loop, log = make_loop_with_log()
+        loop.schedule(10.0, EventKind.WAKEUP)
+        loop.run(until=10.0)
+        loop.schedule(20.0, EventKind.WAKEUP)
+        assert loop.run(until=5.0) == 0
+        assert loop.now == 10.0
+        assert loop.pending_events == 1
+
     def test_run_resumes_after_until(self):
         loop, log = make_loop_with_log()
         loop.schedule(1.0, EventKind.WAKEUP)

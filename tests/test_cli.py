@@ -71,6 +71,14 @@ class TestFigureAndHeadline:
         assert "Figure 7" in out
         assert "User Parameter (U)" in out
 
+    def test_figure_jobs_2_prints_what_jobs_1_prints(self, capsys):
+        argv = ["figure", "7", "--job-count", "30", "--seed", "5"]
+        assert main(argv + ["--jobs", "1"]) == 0
+        sequential = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == sequential
+        assert "Figure 7" in sequential
+
     def test_headline_small(self, capsys):
         assert (
             main(["headline", "--workload", "nasa", "--job-count", "40", "--seed", "5"])
