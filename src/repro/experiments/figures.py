@@ -28,14 +28,9 @@ all figures, so the full set costs one simulation per distinct sweep point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.experiments.config import (
-    ExperimentSetup,
-    HIGHLIGHT_USERS,
-    SWEEP_GRID,
-    bench_setup,
-)
+from repro.experiments.config import HIGHLIGHT_USERS, bench_setup
 from repro.experiments.runner import ExperimentContext
 from repro.experiments.sweeps import (
     Series,

@@ -9,8 +9,9 @@ to EXPERIMENTS.md.
 The returned report is byte-identical across runs with the same inputs —
 that is the point of an archival artifact.  Wall-clock timing therefore
 never enters the document: the elapsed line goes to ``elapsed_to`` (the
-CLI passes stderr), not into the report.  The flow linter enforces this
-(QOS201 tracks wall-clock taint into library return values).
+CLI passes stderr), not into the report.  ``tests/test_ambient_state.py``
+checks this under a skewed clock, and ``test_byte_identical_across_runs``
+across two runs.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.figures import FigureResult
-from repro.experiments.sweeps import Series
 from repro.experiments.tables import Table1Row
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.metrics import SimulationMetrics
-from repro.core.system import SystemConfig, simulate
+from repro.core.system import simulate
 from repro.experiments.runner import ExperimentContext, estimate_horizon
 from repro.failures.generator import FailureModelSpec, generate_failure_trace
 

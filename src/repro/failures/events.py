@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 
 class Severity(enum.IntEnum):

@@ -21,7 +21,7 @@ the recovered trace is to the truth) is measurable; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.failures.events import FailureEvent, FailureTrace, RawEvent, Severity
 

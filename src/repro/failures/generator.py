@@ -25,7 +25,6 @@ records and uncorrelated noise around each failure) so that
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 

@@ -5,7 +5,9 @@ results across seed replays and worker counts.  This package
 encodes the coding contract that makes those assertions hold — no hidden
 global RNG state, no wall-clock reads on sim paths, no set-order
 dependence — as machine-checked AST rules (QOS101-QOS110), so the contract
-survives contributors who never read DESIGN.md.
+survives contributors who never read DESIGN.md.  Whether any ambient state
+actually reaches a result is checked by running the code, in
+``tests/test_ambient_state.py``.
 
 Run it as ``probqos lint [PATHS] [--format text|json] [--select/--ignore]``;
 silence a deliberate exception inline with

@@ -6,12 +6,8 @@ the engine dispatches each visited node to every interested rule, tracking
 the lexical scope stack so rules can ask "is this module level?" without
 re-walking.  Import aliases are resolved up front so rules match *canonical*
 dotted names (``np.random.seed`` and ``from numpy import random`` both
-resolve to ``numpy.random.seed``).
-
-After the pattern pass, :class:`FlowRule` subclasses run once per function
-scope over a shared :class:`FunctionAnalysis` bundle — the CFG and taint
-analysis are built lazily and at most once per function, however many flow
-rules consult them.  Rules disabled by ``--select``/``--ignore`` never run.
+resolve to ``numpy.random.seed``).  Rules disabled by ``--select``/
+``--ignore`` never run.
 
 Infrastructure codes (not suppressible rules):
 
@@ -27,18 +23,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Type,
-    TypeVar,
-)
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Type
 
 from repro.lint.config import LintConfig, module_name_for
 from repro.lint.findings import Finding, LintSeverity
@@ -53,8 +38,6 @@ UNKNOWN_SUPPRESSION_CODE = "QOS001"
 #: Code attached to suppressions that silenced nothing on a run where the
 #: named rule actually executed.
 UNUSED_SUPPRESSION_CODE = "QOS002"
-
-_T = TypeVar("_T")
 
 
 @dataclass
@@ -71,9 +54,6 @@ class ModuleContext:
         scope_stack: Enclosing ``FunctionDef``/``ClassDef`` nodes, outermost
             first; empty at module level.  Maintained by the engine during
             traversal.
-        tree: The parsed module, for rules that need a whole-module view
-            (flow rules, module pre-passes).  None only in hand-built
-            contexts.
     """
 
     path: str
@@ -81,18 +61,6 @@ class ModuleContext:
     config: LintConfig
     aliases: Dict[str, str] = field(default_factory=dict)
     scope_stack: List[ast.AST] = field(default_factory=list)
-    tree: Optional[ast.Module] = None
-    _memo: Dict[str, object] = field(default_factory=dict, repr=False)
-
-    def memo(self, key: str, compute: Callable[[], _T]) -> _T:
-        """Cache a module-level pre-pass under ``key``.
-
-        Flow rules share one context per file; pre-passes (module-level
-        mutable bindings, ...) run once however many rules ask for them.
-        """
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]  # type: ignore[return-value]
 
     @property
     def at_module_level(self) -> bool:
@@ -161,64 +129,6 @@ class Rule:
         )
 
 
-class FunctionAnalysis:
-    """Lazily computed flow analyses for one function scope.
-
-    One instance exists per function (or per module body, for module-level
-    flows) per lint pass; the CFG and the taint analysis are built on first
-    access and shared by every flow rule.  Laziness matters: a run with only
-    pattern rules selected never builds a CFG.
-    """
-
-    def __init__(self, function: ast.AST, ctx: ModuleContext) -> None:
-        self.function = function
-        self.ctx = ctx
-        self._cfg: Optional[object] = None
-        self._taint: Optional[object] = None
-
-    @property
-    def is_module(self) -> bool:
-        return isinstance(self.function, ast.Module)
-
-    @property
-    def cfg(self):  # -> repro.lint.cfg.CFG
-        if self._cfg is None:
-            from repro.lint.cfg import build_cfg
-
-            self._cfg = build_cfg(self.function)
-        return self._cfg
-
-    @property
-    def taint(self):  # -> repro.lint.dataflow.TaintAnalysis
-        if self._taint is None:
-            from repro.lint.dataflow import TaintAnalysis
-
-            self._taint = TaintAnalysis(self.cfg, self.ctx)
-        return self._taint
-
-
-class FlowRule(Rule):
-    """Base class for rules driven by per-function flow analysis.
-
-    Flow rules are not dispatched per node; after the pattern pass the
-    engine calls :meth:`check_module` once and :meth:`check_function` for
-    every function scope (including the module body, whose "function" is
-    the :class:`ast.Module` itself — module-level flows are real flows).
-    """
-
-    node_types: Tuple[Type[ast.AST], ...] = ()
-
-    def check_module(
-        self, tree: ast.Module, ctx: ModuleContext
-    ) -> Iterator[Finding]:
-        return iter(())
-
-    def check_function(
-        self, analysis: FunctionAnalysis, ctx: ModuleContext
-    ) -> Iterator[Finding]:
-        return iter(())
-
-
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
 
@@ -278,15 +188,11 @@ def _collect_aliases(tree: ast.Module) -> Dict[str, str]:
 
 
 class _Dispatcher:
-    """Single-pass traversal dispatching nodes to interested rules, then a
-    flow pass handing each function scope to every :class:`FlowRule`."""
+    """Single-pass traversal dispatching nodes to interested rules."""
 
     def __init__(self, rules: List[Rule], ctx: ModuleContext) -> None:
         self._ctx = ctx
         self._interest: Dict[Type[ast.AST], List[Rule]] = {}
-        self._flow_rules: List[FlowRule] = [
-            rule for rule in rules if isinstance(rule, FlowRule)
-        ]
         for rule in rules:
             for node_type in rule.node_types:
                 self._interest.setdefault(node_type, []).append(rule)
@@ -306,22 +212,6 @@ class _Dispatcher:
         finally:
             if opens_scope:
                 self._ctx.scope_stack.pop()
-
-    def run_flow_rules(self, tree: ast.Module) -> None:
-        if not self._flow_rules:
-            return
-        for rule in self._flow_rules:
-            self.findings.extend(rule.check_module(tree, self._ctx))
-        scopes: List[ast.AST] = [tree]
-        scopes.extend(
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        )
-        for scope in scopes:
-            analysis = FunctionAnalysis(scope, self._ctx)
-            for rule in self._flow_rules:
-                self.findings.extend(rule.check_function(analysis, self._ctx))
 
 
 def lint_source(
@@ -358,11 +248,9 @@ def lint_source(
         module=module_name_for(path),
         config=config,
         aliases=_collect_aliases(tree),
-        tree=tree,
     )
     dispatcher = _Dispatcher(rules, ctx)
     dispatcher.traverse(tree)
-    dispatcher.run_flow_rules(tree)
 
     suppressions = SuppressionIndex.scan(source)
     used: Set[Tuple[int, str]] = {
@@ -395,11 +283,7 @@ def lint_source(
         # ``--select QOS101`` a dormant ``disable=QOS104`` is not evidence
         # of staleness, and arch codes (checked in a separate graph pass)
         # are never judged here.
-        checked = {
-            rule.code
-            for rule in rules
-            if rule.node_types or isinstance(rule, FlowRule)
-        }
+        checked = {rule.code for rule in rules if rule.node_types}
         for suppression in suppressions.suppressions:
             for code in suppression.codes:
                 if code not in checked:

@@ -14,13 +14,65 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.banned import (
-    NUMPY_EXPLICIT_RNG as NUMPY_EXPLICIT,
-    STDLIB_GLOBAL_RNG_FUNCTIONS as STDLIB_GLOBAL_FUNCTIONS,
-    is_global_rng as _banned,
-)
 from repro.lint.engine import ModuleContext, Rule, register
 from repro.lint.findings import Finding, LintSeverity
+
+#: ``random.<name>`` module-level functions that read or mutate the hidden
+#: global Mersenne Twister.
+STDLIB_GLOBAL_RNG_FUNCTIONS = frozenset(
+    {
+        "betavariate",
+        "choice",
+        "choices",
+        "expovariate",
+        "gammavariate",
+        "gauss",
+        "getrandbits",
+        "getstate",
+        "lognormvariate",
+        "normalvariate",
+        "paretovariate",
+        "randbytes",
+        "randint",
+        "random",
+        "randrange",
+        "sample",
+        "seed",
+        "setstate",
+        "shuffle",
+        "triangular",
+        "uniform",
+        "vonmisesvariate",
+        "weibullvariate",
+    }
+)
+
+#: ``numpy.random`` attributes that do NOT touch the legacy global state:
+#: explicit generator/bit-generator constructors and seed plumbing.
+NUMPY_EXPLICIT_RNG = frozenset(
+    {
+        "BitGenerator",
+        "Generator",
+        "MT19937",
+        "PCG64",
+        "PCG64DXSM",
+        "Philox",
+        "RandomState",
+        "SFC64",
+        "SeedSequence",
+        "default_rng",
+    }
+)
+
+
+def _is_global_rng(qualified: str) -> bool:
+    """Whether a canonical dotted name is a process-global RNG access."""
+    if qualified.startswith("random."):
+        return qualified[len("random.") :] in STDLIB_GLOBAL_RNG_FUNCTIONS
+    if qualified.startswith("numpy.random."):
+        rest = qualified[len("numpy.random.") :]
+        return "." not in rest and rest not in NUMPY_EXPLICIT_RNG
+    return False
 
 
 @register
@@ -41,7 +93,7 @@ class GlobalRandomRule(Rule):
             if node.level or node.module not in ("random", "numpy.random"):
                 return
             for alias in node.names:
-                if _banned(f"{node.module}.{alias.name}"):
+                if _is_global_rng(f"{node.module}.{alias.name}"):
                     yield self.finding(
                         node,
                         ctx,
@@ -55,7 +107,7 @@ class GlobalRandomRule(Rule):
         # report when the *full* chain is the banned name (the sub-chain
         # ``numpy.random`` alone is not banned, avoiding duplicates).
         qualified = ctx.qualified_name(node)
-        if qualified is not None and _banned(qualified):
+        if qualified is not None and _is_global_rng(qualified):
             yield self.finding(
                 node,
                 ctx,

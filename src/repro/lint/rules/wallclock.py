@@ -15,11 +15,26 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.banned import WALLCLOCK_CALLS
 from repro.lint.engine import ModuleContext, Rule, register
 from repro.lint.findings import Finding, LintSeverity
 
-__all__ = ["WALLCLOCK_CALLS", "WallClockRule"]
+#: Canonical dotted names of wall-clock sources.
+WALLCLOCK_CALLS = frozenset(
+    {
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "time.time",
+        "time.time_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.today",
+        "datetime.datetime.utcnow",
+        "datetime.date.today",
+    }
+)
 
 
 @register

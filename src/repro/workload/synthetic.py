@@ -24,7 +24,7 @@ Real archive files can be substituted at any time via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np

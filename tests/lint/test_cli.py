@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.lint import lint_source
 from repro.lint.cli import LINT_SCHEMA_VERSION, run_lint
 
 DIRTY = "import time\nt = time.time()\nx = hash(t)\n"
@@ -53,6 +54,23 @@ class TestExitCodes:
         code, _, err = lint([tree], select=" , ")
         assert code == 2
         assert "empty" in err
+
+
+class TestRetiredCodes:
+    """The flow rules' codes are gone: stale configs and suppressions that
+    still name them fail loudly instead of silently checking nothing."""
+
+    @pytest.mark.parametrize("code", ["QOS201", "QOS202", "QOS203"])
+    def test_select_exits_two(self, tree, code):
+        status, _, err = lint([tree], select=code)
+        assert status == 2
+        assert f"unknown code(s): {code}" in err
+
+    @pytest.mark.parametrize("code", ["QOS201", "QOS202", "QOS203"])
+    def test_suppression_is_unknown(self, code):
+        source = f"x = 1  # qoslint: disable={code} -- stale excuse\n"
+        findings = lint_source(source, "src/repro/sim/fake.py")
+        assert [f.code for f in findings] == ["QOS001"]
 
 
 class TestSelection:

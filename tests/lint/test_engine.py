@@ -116,15 +116,15 @@ class TestEngineOutput:
         findings = lint_source(source, SIM, config)
         assert [f.code for f in findings] == ["QOS110"]
 
-    def test_deselected_flow_rules_build_no_cfg(self, monkeypatch):
-        # A run limited to a pattern rule must not pay for flow analysis:
-        # disabled rules are dropped before dispatch, not filtered after.
-        import repro.lint.cfg
+    def test_deselected_rules_never_visit(self, monkeypatch):
+        # A run limited to one rule must not pay for the others: disabled
+        # rules are dropped before dispatch, not filtered after.
+        from repro.lint.rules.ordering import UnorderedIterationRule
 
-        def forbidden(function):
-            raise AssertionError("build_cfg called for a deselected flow rule")
+        def forbidden(self, node, ctx):
+            raise AssertionError("a deselected rule visited a node")
 
-        monkeypatch.setattr(repro.lint.cfg, "build_cfg", forbidden)
+        monkeypatch.setattr(UnorderedIterationRule, "visit", forbidden)
         source = "import random\n\ndef f(xs):\n    return random.choice(xs)\n"
         config = LintConfig(select=frozenset({"QOS101"}))
         findings = lint_source(source, SIM, config)

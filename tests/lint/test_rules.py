@@ -104,6 +104,76 @@ class TestQOS103UnorderedIteration:
     def test_good_outside_sim_layer(self):
         assert codes("for x in {3, 1, 2}:\n    print(x)\n", LIB) == []
 
+    def test_bad_set_variable_iterated_later(self):
+        bad = """
+            def drain(jobs):
+                pending = set(jobs)
+                for job in pending:
+                    job.run()
+        """
+        assert codes(bad) == ["QOS103"]
+
+    def test_bad_materialized_same_line(self):
+        bad = """
+            def order(jobs):
+                queue = list(set(jobs))
+                return queue
+        """
+        assert codes(bad) == ["QOS103"]
+
+    def test_bad_returned_from_sim_layer(self):
+        bad = """
+            def snapshot(jobs):
+                pending = set(jobs)
+                return pending
+        """
+        assert codes(bad) == ["QOS103"]
+
+    def test_good_sorted_launders(self):
+        good = """
+            def drain(jobs):
+                pending = set(jobs)
+                for job in sorted(pending):
+                    job.run()
+        """
+        assert codes(good) == []
+
+    def test_good_set_algebra_then_sorted(self):
+        good = """
+            def free(nodes, busy):
+                idle = set(nodes) - set(busy)
+                return sorted(idle)
+        """
+        assert codes(good) == []
+
+    def test_good_set_name_outside_sim_layer(self):
+        bad = """
+            def snapshot(jobs):
+                pending = set(jobs)
+                return pending
+        """
+        assert codes(bad, LIB) == []
+
+    def test_good_membership_tests_only(self):
+        # Sets used as sets (membership, len) never expose their order.
+        good = """
+            def admit(job, allowed):
+                members = set(allowed)
+                return job in members
+        """
+        assert codes(good) == []
+
+    def test_good_rebound_name_not_tracked(self):
+        # Flow-insensitive by design: one non-set binding clears the name.
+        good = """
+            def drain(jobs):
+                pending = set(jobs)
+                pending = sorted(pending)
+                for job in pending:
+                    job.run()
+        """
+        assert codes(good) == []
+
 
 class TestQOS104FloatEquality:
     def test_bad_float_literal_compare(self):
@@ -265,17 +335,11 @@ class TestRuleMetadata:
 
     def test_every_rule_documents_itself(self):
         from repro.lint import all_rules
-        from repro.lint.engine import FlowRule
 
         for rule in all_rules():
             assert rule.code.startswith("QOS")
             assert rule.name
             assert rule.rationale
-            # Pattern rules declare node interest; flow rules are
-            # dispatched per function scope; arch rules (QOS5xx) are
+            # Pattern rules declare node interest; arch rules (QOS5xx) are
             # driven by the whole-program graph pass.
-            assert (
-                rule.node_types
-                or isinstance(rule, FlowRule)
-                or rule.code.startswith("QOS5")
-            )
+            assert rule.node_types or rule.code.startswith("QOS5")

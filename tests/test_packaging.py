@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +66,35 @@ class TestPublicApi:
             obj = getattr(repro, name)
             if callable(obj):
                 assert obj.__doc__, f"repro.{name} lacks a docstring"
+
+
+def test_no_unused_top_level_imports():
+    # A module-level import that is never read and not re-exported in
+    # ``__all__`` is dead weight.  Package ``__init__`` files are skipped:
+    # their imports are re-exports or rule registration.
+    src = Path(repro.__file__).resolve().parent
+    unused = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in {
+                getattr(target, "id", None) for target in node.targets
+            }:
+                read.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path}:{node.lineno}: {name}")
+    assert unused == [], "unused imports:\n" + "\n".join(unused)
