@@ -107,22 +107,37 @@ class Cluster:
     # ------------------------------------------------------------------
     # Job placement
     # ------------------------------------------------------------------
-    def start_job(self, job_id: int, node_indexes: Sequence[int]) -> None:
-        """Occupy ``node_indexes`` with ``job_id`` (all must be up+idle)."""
+    def try_start(self, job_id: int, node_indexes: Sequence[int]) -> bool:
+        """Occupy ``node_indexes`` with ``job_id`` if all are up and idle.
+
+        Returns False, occupying nothing, when a listed node is down, held
+        by a job or outside the cluster: the one availability check of a
+        start.
+
+        Raises:
+            ValueError: If ``job_id`` is already running, or the list is
+                empty or repeats a node.
+        """
         if job_id in self._job_nodes:
             raise ValueError(f"job {job_id} is already running")
         if not node_indexes:
             raise ValueError(f"job {job_id}: empty node list")
         partition = NodeSet.from_iterable(node_indexes)
         # A repeated index would occupy its node twice.
-        if len(partition) != len(node_indexes) or not self.nodes_available(partition):
-            raise ValueError(
-                f"job {job_id}: nodes {list(node_indexes)} not all up and idle"
-            )
+        if len(partition) != len(node_indexes):
+            raise _unavailable(job_id, node_indexes)
+        if not self.nodes_available(partition):
+            return False
         owner = self._owner
         for lo, hi in partition.runs:
             owner[lo:hi] = [job_id] * (hi - lo)
         self._job_nodes[job_id] = partition
+        return True
+
+    def start_job(self, job_id: int, node_indexes: Sequence[int]) -> None:
+        """Occupy ``node_indexes`` with ``job_id`` (all must be up+idle)."""
+        if not self.try_start(job_id, node_indexes):
+            raise _unavailable(job_id, node_indexes)
 
     def remove_job(self, job_id: int) -> NodeSet:
         """Release a job's nodes (finish or kill); returns them ascending."""
@@ -168,3 +183,8 @@ class Cluster:
     def latest_recovery(self, node_indexes: Sequence[int]) -> float:
         """Latest ``down_until`` among the listed nodes (0.0 if all up)."""
         return max((self.down_until(i) for i in node_indexes), default=0.0)
+
+
+def _unavailable(job_id: int, node_indexes: Sequence[int]) -> ValueError:
+    """The error of a start on nodes that are not all up and idle."""
+    return ValueError(f"job {job_id}: nodes {list(node_indexes)} not all up and idle")

@@ -37,7 +37,8 @@ mutations as much as by queries.  Each booking is therefore stored once
   run-length :class:`~repro.cluster.nodeset.NodeSet`.  The cost is the
   live *run* count, never the cluster width, and the answer is memoised
   on ``(start, end, mutation version)`` so the overlap check in
-  ``reserve`` right after the placement query is one set difference;
+  ``reserve`` right after the placement query is one subset query, a
+  bisection of the free runs per booked run;
 * the pass is skipped when every live booking is active at one instant
   of the window, an O(1) test against the latest live start and the
   earliest live end (the ledger keeps the start and end times as sorted
@@ -383,15 +384,14 @@ class ReservationLedger:
         self._check_node(runs[-1][1] - 1)
         if not allow_overlap and self._end_times and start < self._end_times[-1]:
             # Usually the window the placement was just chosen in, so the
-            # free set is memoised and this is one difference.
+            # free set is memoised and this is one subset query.
             requested = (
                 node_seq if isinstance(node_seq, NodeSet) else NodeSet.from_runs(runs)
             )
-            clash = requested.difference(self._free_window(start, end))
-            if clash:
+            clash = requested.lowest_outside(self._free_window(start, end))
+            if clash is not None:
                 raise ValueError(
-                    f"job {job_id}: node {clash.min_node} not free over "
-                    f"[{start}, {end})"
+                    f"job {job_id}: node {clash} not free over [{start}, {end})"
                 )
         reservation = Reservation(job_id, node_seq, start, end)
         self._by_job[job_id] = reservation
@@ -621,11 +621,11 @@ class ReservationLedger:
         free: List[Tuple[int, int]] = []
         cursor = 0  # lowest node not yet known busy
         for lo, hi, r_start, r_end, _job in self._busy_runs:
-            if r_start < end and r_end > start:
+            # A run ending at or below the cursor adds no gap and no reach.
+            if r_start < end and r_end > start and hi > cursor:
                 if lo > cursor:
                     free.append((cursor, lo))
-                if hi > cursor:
-                    cursor = hi
+                cursor = hi
         if cursor < self._n:
             free.append((cursor, self._n))
         return NodeSet.from_runs(free)
@@ -687,10 +687,11 @@ class ReservationLedger:
                 unheld.insert(i, (lo, hi))
 
     @staticmethod
-    def _node_runs(nodes: Sequence[int]) -> List[Tuple[int, int]]:
-        """``nodes`` (ascending, duplicate-free) as half-open runs."""
+    def _node_runs(nodes: Sequence[int]) -> Sequence[Tuple[int, int]]:
+        """``nodes`` (ascending, duplicate-free) as half-open runs (a
+        :class:`NodeSet`'s own run tuple, not a copy)."""
         if isinstance(nodes, NodeSet):
-            return list(nodes.runs)
+            return nodes.runs
         runs: List[Tuple[int, int]] = []
         for node in nodes:
             if runs and runs[-1][1] == node:

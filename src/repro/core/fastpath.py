@@ -13,7 +13,8 @@ queries analytically:
 * **Trace predictors** (the paper's simulation device) get an exact fast
   path: a :class:`~repro.prediction.index.FailureIntervalIndex` over the
   detectable failures answers set-level queries in O(log f) per node, and
-  placement and the pruning bound from one window query
+  the pruning bound, placement and the placed partition's price from one
+  memoised window query
   (:meth:`~repro.prediction.index.FailureIntervalIndex.window_firsts`)
   that lists the few dirty nodes of the window — no per-node query at
   all.  Floats are *bit-identical* to the predictor's: the

@@ -373,7 +373,9 @@ def finalize(
         )
 
     # Sums over generators, not lists: every record is alive here, at the
-    # run's memory peak.  ``sum`` adds in the same order either way.
+    # run's memory peak.  The float totals stay with ``sum``, whose rounding
+    # is the interpreter's (compensated summation from Python 3.12 on); the
+    # counts and extremes take one pass, asking each record once.
     total_work = sum(o.job.work for o in outcomes)
     qos_numerator = sum(
         o.job.work * o.guarantee.probability
@@ -382,19 +384,33 @@ def finalize(
     )
     qos = qos_numerator / total_work if total_work > 0 else 1.0
 
-    completed = sum(1 for o in outcomes if o.finish is not None)
-    span = (
-        max(o.finish for o in outcomes if o.finish is not None)
-        - min(o.job.arrival_time for o in outcomes)
-        if completed
-        else 0.0
-    )
+    completed = started = promised = deadlines_met = 0
+    failures = performed = skipped = evacuations = 0
+    last_finish = 0.0
+    first_arrival = outcomes[0].job.arrival_time
+    for o in outcomes:
+        finish = o.finish
+        if finish is not None:
+            if not completed or finish > last_finish:
+                last_finish = finish
+            completed += 1
+        arrival = o.job.arrival_time
+        if arrival < first_arrival:
+            first_arrival = arrival
+        if o.last_start is not None:
+            started += 1
+        if o.guarantee is not None:
+            promised += 1
+            if o.met_deadline:
+                deadlines_met += 1
+        failures += o.failures
+        performed += o.checkpoints_performed
+        skipped += o.checkpoints_skipped
+        evacuations += o.evacuations
+    span = last_finish - first_arrival if completed else 0.0
     utilization = (
         total_work / (span * node_count) if span > 0 and node_count > 0 else 0.0
     )
-
-    started = sum(1 for o in outcomes if o.last_start is not None)
-    promised = sum(1 for o in outcomes if o.guarantee is not None)
 
     return SimulationMetrics(
         qos=qos,
@@ -404,20 +420,16 @@ def finalize(
         total_work=total_work,
         job_count=len(outcomes),
         completed_jobs=completed,
-        deadlines_met=sum(1 for o in outcomes if o.met_deadline),
-        failures_hitting_jobs=sum(o.failures for o in outcomes),
-        checkpoints_performed=sum(o.checkpoints_performed for o in outcomes),
-        checkpoints_skipped=sum(o.checkpoints_skipped for o in outcomes),
+        deadlines_met=deadlines_met,
+        failures_hitting_jobs=failures,
+        checkpoints_performed=performed,
+        checkpoints_skipped=skipped,
         checkpoint_overhead=sum(o.checkpoint_overhead for o in outcomes),
         mean_wait=_mean(
-            sum(o.wait for o in outcomes if o.wait is not None), started
+            sum(w for o in outcomes if (w := o.wait) is not None), started
         ),
         mean_bounded_slowdown=_mean(
-            sum(
-                o.bounded_slowdown
-                for o in outcomes
-                if o.bounded_slowdown is not None
-            ),
+            sum(b for o in outcomes if (b := o.bounded_slowdown) is not None),
             completed,
         ),
         mean_promised_probability=_mean(
@@ -425,5 +437,5 @@ def finalize(
             promised,
         ),
         forced_negotiations=forced_negotiations,
-        evacuations=sum(o.evacuations for o in outcomes),
+        evacuations=evacuations,
     )

@@ -390,7 +390,7 @@ class ProbabilisticQoSSystem:
         if state.finish is not None or state.running:
             return
         now = self.loop.now
-        if not self.cluster.nodes_available(state.reserved_nodes):
+        if not self.cluster.try_start(job_id, state.reserved_nodes):
             self._pending.add(job_id)
             # If a node is mid-repair, make sure a retry fires at recovery.
             recovery = self.cluster.latest_recovery(state.reserved_nodes)
@@ -399,7 +399,6 @@ class ProbabilisticQoSSystem:
             return
 
         self._pending.remove(job_id)
-        self.cluster.start_job(job_id, state.reserved_nodes)
         if self.recorder is not None:
             self.recorder.record(
                 now, "start", job_id=job_id, nodes=list(state.reserved_nodes)

@@ -177,8 +177,22 @@ class FailureIntervalIndex:
         """``p_x`` of the first detectable failure on the set, or 0.
 
         Bit-identical to ``TracePredictor.failure_probability`` — same
-        events, same ``(time, event_id)`` tie-break, same float.
+        events, same ``(time, event_id)`` tie-break, same float.  A
+        :class:`NodeSet` priced in the memoised window (the one placement
+        just ranked) is answered from :meth:`window_firsts`: the map lists
+        each dirty node's first failure in ``(time, event_id)`` order, so
+        the first entry on the set is the set's first failure.
         """
+        if isinstance(nodes, NodeSet) and (start, end) == self._window:
+            # Membership by bisection on a local list of run starts, so
+            # the partition (which a booking keeps) caches nothing.
+            runs = nodes.runs
+            starts = [run[0] for run in runs]
+            for node, first in self._firsts.items():
+                i = bisect.bisect_right(starts, node)
+                if i and node < runs[i - 1][1]:
+                    return first[2]
+            return 0.0
         first = self.first_detectable(nodes, start, end)
         return first[2] if first is not None else 0.0
 

@@ -132,6 +132,39 @@ class TestPartitions:
         with pytest.raises(ValueError, match="not all up and idle"):
             small_cluster.start_job(1, [16])
 
+    @pytest.mark.parametrize(
+        "down, held", [(True, False), (False, True), (True, True)]
+    )
+    def test_try_start_refuses_without_occupying(self, small_cluster, down, held):
+        small_cluster.start_job(9, [7])
+        if down:
+            small_cluster.fail_node(4, now=0.0)
+        if held:
+            small_cluster.start_job(8, [5])
+        owners = [small_cluster.job_on(i) for i in range(16)]
+        running = small_cluster.running_jobs()
+        assert small_cluster.try_start(1, [3, 4, 5, 6]) is False
+        assert small_cluster.running_jobs() == running
+        assert [small_cluster.job_on(i) for i in range(16)] == owners
+        with pytest.raises(ValueError, match="not all up and idle"):
+            small_cluster.start_job(1, [3, 4, 5, 6])
+        assert small_cluster.running_jobs() == running
+        assert [small_cluster.job_on(i) for i in range(16)] == owners
+
+    def test_try_start_occupies_free_nodes(self, small_cluster):
+        assert small_cluster.try_start(1, NodeSet.from_iterable([3, 6])) is True
+        assert small_cluster.nodes_of(1) == [3, 6]
+
+    def test_try_start_still_raises_on_misuse(self, small_cluster):
+        small_cluster.start_job(1, [0])
+        with pytest.raises(ValueError, match="already running"):
+            small_cluster.try_start(1, [1])
+        with pytest.raises(ValueError, match="empty"):
+            small_cluster.try_start(2, [])
+        with pytest.raises(ValueError, match="not all up and idle"):
+            small_cluster.try_start(2, [3, 3])
+        assert small_cluster.running_jobs() == [1]
+
     def test_idle_nodes_skip_down_and_busy(self, small_cluster):
         small_cluster.start_job(1, [0, 1])
         small_cluster.fail_node(3, now=0.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.cluster.nodeset import NodeSet, freeze_nodes
 
@@ -108,6 +109,38 @@ def test_set_algebra_matches_python_sets_randomized():
         assert list(na & nb) == sorted(a & b)
         assert list(na - nb) == sorted(a - b)
         assert na.isdisjoint(nb) == a.isdisjoint(b)
+
+
+@st.composite
+def node_sets(draw):
+    """Normalised run lists: gaps of at least one node between runs of
+    one to eight nodes, so runs of two draws may touch, abut, nest or
+    miss each other."""
+    runs = []
+    cursor = draw(st.integers(0, 4))
+    for gap, width in draw(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 8)), max_size=6)
+    ):
+        runs.append((cursor, cursor + width))
+        cursor += width + gap
+    return NodeSet(runs)
+
+
+@given(a=node_sets(), b=node_sets(), widen=st.booleans())
+@example(a=NodeSet(), b=NodeSet(), widen=False)
+@example(a=NodeSet([(0, 3)]), b=NodeSet(), widen=False)
+@example(a=NodeSet([(2, 5)]), b=NodeSet([(0, 2), (5, 7)]), widen=False)  # touching
+@example(a=NodeSet([(0, 4)]), b=NodeSet([(0, 2)]), widen=False)  # covers a head
+@example(a=NodeSet([(1, 3), (6, 8)]), b=NodeSet([(0, 4), (5, 9)]), widen=False)
+def test_lowest_outside_is_the_difference_minimum(a, b, widen):
+    if widen:
+        b = b | a  # a subset of b whose runs may merge with a's
+    rest = a.difference(b)
+    got = a.lowest_outside(b)
+    if rest:
+        assert got == rest.min_node
+    else:
+        assert got is None
 
 
 def test_slicing_matches_list_randomized():

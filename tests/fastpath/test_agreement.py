@@ -89,6 +89,13 @@ class TestTraceAgreement:
                 assert index.predicted_failures(
                     as_set, start, end
                 ) == predictor.predicted_failures(subset, start, end)
+                # Once placement has ranked the window, a run-length set
+                # in it is priced from the memoised window map.
+                index.window_firsts(start, end)
+                first = index.first_detectable(as_set, start, end)
+                assert index.failure_probability(as_set, start, end) == (
+                    first[2] if first is not None else 0.0
+                ) == expected
                 node = rng.randrange(nodes)
                 assert index.node_term(
                     node, start, end

@@ -2,10 +2,14 @@
 
 A trajectory may read only its inputs: never the host clock, the
 process-global ``random``/``numpy.random`` streams, or the interpreter's
-string-hash salt.  These tests perturb each of those and check that one
-golden simulation (sampler attached) and one small evaluation report come
+string-hash salt.  These tests perturb each of those and check that two
+golden simulations (sampler attached) and one small evaluation report come
 out byte-identical to a plain run.  They judge the outputs, so a leak is
 caught however many functions it passes through on its way there.
+
+The second golden case starts jobs opportunistically: its pull-forward
+pass runs on every wake-up, so its counters and samples move with the
+time of a WAKEUP event, which no other output depends on.
 """
 
 from __future__ import annotations
@@ -29,17 +33,24 @@ REPO = Path(__file__).resolve().parents[1]
 _PROBE = "from tests.test_ambient_state import fingerprint; print(*fingerprint())"
 
 
+#: The golden cases the fingerprint runs.
+_CASES = ("sdsc_conservative", "sdsc_opportunistic")
+
+
 def fingerprint():
-    """sha256s of the golden case's outcomes and sampler rows, and of the
-    small report's text."""
-    system = golden_system(CASES["sdsc_conservative"])
-    digest = outcomes_digest(system.run())
+    """sha256s of each golden case's outcomes, counters and sampler rows,
+    and of the small report's text."""
+    digests = []
+    for name in _CASES:
+        system = golden_system(CASES[name])
+        result = system.run()
+        digests += [
+            outcomes_digest(result),
+            hashlib.sha256(repr(result.obs["counters"]).encode()).hexdigest(),
+            hashlib.sha256(repr(system.sampler.rows).encode()).hexdigest(),
+        ]
     report = generate_report(job_count=50, seed=5, figures=[7])
-    return [
-        digest,
-        hashlib.sha256(repr(system.sampler.rows).encode()).hexdigest(),
-        hashlib.sha256(report.encode()).hexdigest(),
-    ]
+    return digests + [hashlib.sha256(report.encode()).hexdigest()]
 
 
 def skewed_clock(monkeypatch, origin: float) -> None:
