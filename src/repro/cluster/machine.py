@@ -94,8 +94,12 @@ class Cluster:
 
         An index outside the cluster is never available.
         """
+        return self._runs_available(NodeSet.from_iterable(node_indexes).runs)
+
+    def _runs_available(self, runs: Sequence[Tuple[int, int]]) -> bool:
+        """:meth:`nodes_available` of a partition given as its runs."""
         down, owner = self._down, self._owner
-        for lo, hi in NodeSet.from_iterable(node_indexes).runs:
+        for lo, hi in runs:
             if lo < 0 or True in down[lo:hi] or owner[lo:hi].count(None) != hi - lo:
                 return False
         return True
@@ -120,16 +124,18 @@ class Cluster:
         """
         if job_id in self._job_nodes:
             raise ValueError(f"job {job_id} is already running")
-        if not node_indexes:
-            raise ValueError(f"job {job_id}: empty node list")
+        # A NodeSet argument comes back as is.
         partition = NodeSet.from_iterable(node_indexes)
+        runs = partition.runs
+        if not runs:
+            raise ValueError(f"job {job_id}: empty node list")
         # A repeated index would occupy its node twice.
-        if len(partition) != len(node_indexes):
+        if partition is not node_indexes and len(partition) != len(node_indexes):
             raise _unavailable(job_id, node_indexes)
-        if not self.nodes_available(partition):
+        if not self._runs_available(runs):
             return False
         owner = self._owner
-        for lo, hi in partition.runs:
+        for lo, hi in runs:
             owner[lo:hi] = [job_id] * (hi - lo)
         self._job_nodes[job_id] = partition
         return True

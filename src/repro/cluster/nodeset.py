@@ -12,9 +12,9 @@ O(nodes).
 Compatibility contract
 ----------------------
 The rest of the codebase passes node sets around as sorted tuples or
-lists (``Reservation.nodes``, ``DeadlineOffer.nodes``,
-``QoSGuarantee.planned_nodes``).  ``NodeSet`` is a drop-in for those
-uses:
+lists (``DeadlineOffer.nodes``, ``QoSGuarantee.planned_nodes``; a
+ledger booking's ``Reservation.nodes`` is always a ``NodeSet``).
+``NodeSet`` is a drop-in for those uses:
 
 * it iterates ascending, supports ``len``, ``in``, indexing and
   step-1 slicing (``free[:size]`` stays a ``NodeSet``);
@@ -60,9 +60,14 @@ def _runs_from_sorted(values: Sequence[int]) -> List[Run]:
 
 
 class NodeSet:
-    """An immutable set of node indexes stored as sorted interval runs."""
+    """An immutable set of node indexes stored as sorted interval runs.
 
-    __slots__ = ("_runs", "_starts", "_size", "_hash")
+    ``runs`` is the normalised ``(start, stop)`` half-open run tuple: a
+    plain slot rather than a property, since every booking, start and
+    release reads it.  Treat it as read-only.
+    """
+
+    __slots__ = ("runs", "_starts", "_size", "_hash")
 
     def __init__(self, runs: Iterable[Run] = ()) -> None:
         """Build from *normalised* runs: sorted, non-empty, non-adjacent,
@@ -80,7 +85,7 @@ class NodeSet:
                 )
             size += stop - start
             prev_stop = stop
-        self._runs: Tuple[Run, ...] = tuple(run_list)
+        self.runs: Tuple[Run, ...] = tuple(run_list)
         # Parallel array of run starts for O(log runs) membership tests,
         # built on the first test.
         self._starts: Optional[List[int]] = None
@@ -96,7 +101,7 @@ class NodeSet:
         ``size`` nodes when the caller knows it: the fast path for
         results of set algebra and of the ledger's sweeps."""
         node_set = cls.__new__(cls)
-        node_set._runs = tuple(runs)
+        node_set.runs = tuple(runs)
         node_set._starts = None
         if size is None:
             size = 0
@@ -141,16 +146,16 @@ class NodeSet:
         return self._size > 0
 
     def __iter__(self) -> Iterator[int]:
-        for start, stop in self._runs:
+        for start, stop in self.runs:
             yield from range(start, stop)
 
     def __contains__(self, node: object) -> bool:
         if not isinstance(node, int):
             return False
         if self._starts is None:
-            self._starts = [r[0] for r in self._runs]
+            self._starts = [r[0] for r in self.runs]
         idx = bisect.bisect_right(self._starts, node) - 1
-        return idx >= 0 and node < self._runs[idx][1]
+        return idx >= 0 and node < self.runs[idx][1]
 
     @overload
     def __getitem__(self, index: int) -> int: ...
@@ -160,49 +165,48 @@ class NodeSet:
 
     def __getitem__(self, index: Union[int, slice]) -> Union[int, "NodeSet"]:
         if isinstance(index, slice):
+            # The members with iteration rank in [start, stop), walked
+            # here rather than in a helper: a placement takes one slice
+            # per offer.
             start, stop, step = index.indices(self._size)
             if step != 1:
                 raise ValueError("NodeSet slicing supports step 1 only")
-            return self._slice(start, stop)
+            if stop <= start:
+                return NodeSet()
+            runs: List[Run] = []
+            skip = start
+            take = stop - start
+            for run_start, run_stop in self.runs:
+                width = run_stop - run_start
+                if skip >= width:
+                    skip -= width
+                    continue
+                lo = run_start + skip
+                skip = 0
+                hi = min(run_stop, lo + take)
+                runs.append((lo, hi))
+                take -= hi - lo
+                if take == 0:
+                    break
+            return NodeSet.from_runs(runs, stop - start)
         if index < 0:
             index += self._size
         if not 0 <= index < self._size:
             raise IndexError("NodeSet index out of range")
         remaining = index
-        for run_start, run_stop in self._runs:
+        for run_start, run_stop in self.runs:
             width = run_stop - run_start
             if remaining < width:
                 return run_start + remaining
             remaining -= width
         raise IndexError("NodeSet index out of range")  # pragma: no cover
 
-    def _slice(self, start: int, stop: int) -> "NodeSet":
-        """Elements with iteration rank in ``[start, stop)``, as a NodeSet."""
-        if stop <= start:
-            return NodeSet()
-        runs: List[Run] = []
-        skip = start
-        take = stop - start
-        for run_start, run_stop in self._runs:
-            width = run_stop - run_start
-            if skip >= width:
-                skip -= width
-                continue
-            lo = run_start + skip
-            skip = 0
-            hi = min(run_stop, lo + take)
-            runs.append((lo, hi))
-            take -= hi - lo
-            if take == 0:
-                break
-        return NodeSet.from_runs(runs, stop - start)
-
     # ------------------------------------------------------------------
     # Equality / hashing (tuple-compatible)
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if isinstance(other, NodeSet):
-            return self._runs == other._runs
+            return self.runs == other.runs
         if isinstance(other, (tuple, list)):
             if len(other) != self._size:
                 return False
@@ -226,7 +230,7 @@ class NodeSet:
 
     def __repr__(self) -> str:
         parts = ", ".join(
-            str(a) if b == a + 1 else f"{a}-{b - 1}" for a, b in self._runs
+            str(a) if b == a + 1 else f"{a}-{b - 1}" for a, b in self.runs
         )
         return f"NodeSet([{parts}])"
 
@@ -234,27 +238,22 @@ class NodeSet:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def runs(self) -> Tuple[Run, ...]:
-        """The normalised ``(start, stop)`` half-open runs."""
-        return self._runs
-
-    @property
     def run_count(self) -> int:
-        return len(self._runs)
+        return len(self.runs)
 
     @property
     def min_node(self) -> int:
         """Smallest member (O(1)); raises ValueError on the empty set."""
-        if not self._runs:
+        if not self.runs:
             raise ValueError("empty NodeSet has no minimum")
-        return self._runs[0][0]
+        return self.runs[0][0]
 
     @property
     def max_node(self) -> int:
         """Largest member (O(1)); raises ValueError on the empty set."""
-        if not self._runs:
+        if not self.runs:
             raise ValueError("empty NodeSet has no maximum")
-        return self._runs[-1][1] - 1
+        return self.runs[-1][1] - 1
 
     def to_list(self) -> List[int]:
         """Materialise as an ascending list (the legacy representation)."""
@@ -265,7 +264,7 @@ class NodeSet:
     # ------------------------------------------------------------------
     def union(self, other: "NodeSet") -> "NodeSet":
         merged: List[Run] = []
-        for start, stop in sorted(self._runs + other._runs):
+        for start, stop in sorted(self.runs + other.runs):
             if merged and start <= merged[-1][1]:
                 if stop > merged[-1][1]:
                     merged[-1] = (merged[-1][0], stop)
@@ -276,7 +275,7 @@ class NodeSet:
     def intersection(self, other: "NodeSet") -> "NodeSet":
         result: List[Run] = []
         i = j = 0
-        a, b = self._runs, other._runs
+        a, b = self.runs, other.runs
         while i < len(a) and j < len(b):
             lo = max(a[i][0], b[j][0])
             hi = min(a[i][1], b[j][1])
@@ -291,8 +290,8 @@ class NodeSet:
     def difference(self, other: "NodeSet") -> "NodeSet":
         result: List[Run] = []
         j = 0
-        b = other._runs
-        for start, stop in self._runs:
+        b = other.runs
+        for start, stop in self.runs:
             cursor = start
             while j < len(b) and b[j][1] <= cursor:
                 j += 1
@@ -313,8 +312,8 @@ class NodeSet:
         set is a subset of it: ``(self - other).min_node`` without
         building the difference, one bisection of ``other``'s runs per
         run of this set."""
-        b = other._runs
-        for lo, hi in self._runs:
+        b = other.runs
+        for lo, hi in self.runs:
             # The last run of other starting at or before lo, if any.
             j = bisect.bisect_right(b, (lo, _NO_NODE)) - 1
             if j < 0 or b[j][1] <= lo:
@@ -338,7 +337,7 @@ class NodeSet:
 
     def isdisjoint(self, other: "NodeSet") -> bool:
         i = j = 0
-        a, b = self._runs, other._runs
+        a, b = self.runs, other.runs
         while i < len(a) and j < len(b):
             if a[i][1] <= b[j][0]:
                 i += 1

@@ -222,16 +222,16 @@ class CapacityProfile:
 class Reservation:
     """A booked slot: ``job_id`` holds ``nodes`` during ``[start, end)``.
 
-    ``nodes`` is an ascending sequence — the legacy sorted tuple, or a
-    run-length :class:`NodeSet` when the booking came through the
-    NodeSet-aware fast path; the two compare equal for the same members.
-    One is built per booking and per change to one, so it is slotted.
+    ``nodes`` is a run-length :class:`NodeSet` (the ledger normalises any
+    other iterable when it books one); it compares equal to the sorted
+    tuple of its members.  One is built per booking and per change to
+    one, so it is slotted.
     """
 
     __slots__ = ("job_id", "nodes", "start", "end")
 
     job_id: int
-    nodes: Sequence[int]
+    nodes: NodeSet
     start: float
     end: float
 
@@ -267,10 +267,12 @@ class ReservationLedger:
         # Aggregate usage skyline and live booked width, edited in place
         # by every mutation.
         self._profile = CapacityProfile()
-        # Every mutation bumps _version; the sorted reservation view and
-        # the free-set memo are only valid within one version.
+        # Every mutation bumps _version, and nothing else: the sorted
+        # reservation view and the free-set memo each record the version
+        # they were built at.
         self._version = 0
-        self._sorted: Optional[List[Reservation]] = None
+        self._sorted: List[Reservation] = []
+        self._sorted_version = 0
         self._sweep_key: Optional[Tuple[float, float, int]] = None
         self._sweep_free = self._full
         # The nodes no live booking holds at any time, as (lo, hi) runs
@@ -324,10 +326,11 @@ class ReservationLedger:
         The sorted view is cached between mutations; callers receive a
         fresh copy they may mutate freely.
         """
-        if self._sorted is None:
+        if self._sorted_version != self._version:
             self._sorted = sorted(
                 self._by_job.values(), key=lambda r: (r.start, r.job_id)
             )
+            self._sorted_version = self._version
         return list(self._sorted)
 
     def profile(self) -> CapacityProfile:
@@ -351,10 +354,9 @@ class ReservationLedger:
     ) -> Reservation:
         """Book ``nodes`` for ``job_id`` over ``[start, end)``.
 
-        A :class:`NodeSet` argument is taken as already normalised
-        (ascending, duplicate-free) and skips the sort entirely — the hot
-        path for placements coming straight out of :meth:`find_slot`.
-        Any other iterable pays the legacy ``tuple(sorted(set(...)))``.
+        A :class:`NodeSet` argument is booked as it is — the hot path for
+        placements coming straight out of :meth:`find_slot`.  Any other
+        iterable is normalised into one first.
 
         Args:
             allow_overlap: Skip the free-window validation.  Only for
@@ -367,42 +369,38 @@ class ReservationLedger:
                 ``allow_overlap``), a duplicate job id, an out-of-range
                 node, or a degenerate window.
         """
-        node_seq: Sequence[int]
-        if isinstance(nodes, NodeSet):
-            node_seq = nodes
-        else:
-            node_seq = tuple(sorted(set(nodes)))
-        if not node_seq:
+        node_set = nodes if isinstance(nodes, NodeSet) else NodeSet.from_iterable(nodes)
+        runs = node_set.runs
+        if not runs:
             raise ValueError(f"job {job_id}: empty node set")
         if end <= start:
             raise ValueError(f"job {job_id}: end {end} <= start {start}")
         if job_id in self._by_job:
             raise ValueError(f"job {job_id} already has a reservation")
-        runs = self._node_runs(node_seq)
         # Ascending runs: bounds-checking the extremes covers every node.
-        self._check_node(runs[0][0])
-        self._check_node(runs[-1][1] - 1)
+        if runs[0][0] < 0 or runs[-1][1] > self._n:
+            self._check_node(runs[0][0])
+            self._check_node(runs[-1][1] - 1)
         if not allow_overlap and self._end_times and start < self._end_times[-1]:
             # Usually the window the placement was just chosen in, so the
             # free set is memoised and this is one subset query.
-            requested = (
-                node_seq if isinstance(node_seq, NodeSet) else NodeSet.from_runs(runs)
-            )
-            clash = requested.lowest_outside(self._free_window(start, end))
+            clash = node_set.lowest_outside(self.free_nodes_set(start, end))
             if clash is not None:
                 raise ValueError(
                     f"job {job_id}: node {clash} not free over [{start}, {end})"
                 )
-        reservation = Reservation(job_id, node_seq, start, end)
+        reservation = Reservation(job_id, node_set, start, end)
         self._by_job[job_id] = reservation
+        width = 0
         for lo, hi in runs:
             bisect.insort(self._busy_runs, (lo, hi, start, end, job_id))
+            width += hi - lo
         bisect.insort(self._end_times, end)
         bisect.insort(self._start_times, start)
-        self._profile.add(start, end, len(node_seq))
+        self._profile.add(start, end, width)
         if self._unheld is not None:
             self._unheld_size -= self._hold(self._unheld, runs)
-        self._invalidate()
+        self._version += 1
         return reservation
 
     def release(self, job_id: int) -> Reservation:
@@ -410,23 +408,21 @@ class ReservationLedger:
         reservation = self._by_job.pop(job_id, None)
         if reservation is None:
             raise KeyError(f"job {job_id} has no reservation")
-        runs = self._node_runs(reservation.nodes)
-        self._remove_runs(reservation, runs)
+        width = self._remove_runs(reservation)
         self._remove_time(self._end_times, reservation.end)
         self._remove_time(self._start_times, reservation.start)
-        width = len(reservation.nodes)
         if self._unheld is not None:
             # The booked width counts each held node once per booking
             # holding it, and n - unheld_size counts it once: they agree
             # exactly when no node is held twice, and only then is the
             # release exact.
             if self._profile.booked + self._unheld_size == self._n:
-                self._unhold(self._unheld, runs)
+                self._unhold(self._unheld, reservation.nodes.runs)
                 self._unheld_size += width
             else:
                 self._unheld = None
         self._profile.add(reservation.start, reservation.end, -width)
-        self._invalidate()
+        self._version += 1
         return reservation
 
     def truncate(self, job_id: int, new_end: float) -> Reservation:
@@ -464,14 +460,13 @@ class ReservationLedger:
     def _resize(self, reservation: Reservation, new_end: float) -> Reservation:
         """Shared tail of truncate/extend: move ``end`` to ``new_end``."""
         job_id, start, end = reservation.job_id, reservation.start, reservation.end
-        runs = self._node_runs(reservation.nodes)
-        self._remove_runs(reservation, runs)
-        for lo, hi in runs:
+        width = self._remove_runs(reservation)
+        for lo, hi in reservation.nodes.runs:
             bisect.insort(self._busy_runs, (lo, hi, start, new_end, job_id))
         self._remove_time(self._end_times, end)
         bisect.insort(self._end_times, new_end)
-        self._profile.move_end(end, new_end, len(reservation.nodes))
-        self._invalidate()
+        self._profile.move_end(end, new_end, width)
+        self._version += 1
         updated = Reservation(job_id, reservation.nodes, start, new_end)
         self._by_job[job_id] = updated
         return updated
@@ -491,10 +486,34 @@ class ReservationLedger:
         """All nodes free throughout ``[start, end)``, as a run-length set.
 
         A window past the last booking end, or one the skyline shows as
-        entirely unbooked, is free on every node; otherwise the answer is
-        the complement of the runs that overlap the window in time.
+        entirely unbooked, is free on every node; a window in which every
+        live booking is active at one instant is answered from the unheld
+        set; otherwise the answer is the complement of the runs that
+        overlap the window in time.
+
+        Memoised on ``(start, end, version)``: the validation in
+        :meth:`reserve` usually asks for the window the placement query
+        just answered, and any mutation in between bumps the version; the
+        early-outs are memoised too, so that check never sweeps a window
+        the placement query did not.
         """
-        return self._free_window(start, end)
+        key = (start, end, self._version)
+        if key != self._sweep_key:
+            if not self._end_times or start >= self._end_times[-1]:
+                free = self._full
+            elif self._all_active(start, end):
+                # The free nodes are the unheld ones.
+                if self._unheld is None:
+                    rebuilt = self._free_sweep(-math.inf, math.inf)
+                    self._unheld = list(rebuilt.runs)
+                    self._unheld_size = len(rebuilt)
+                free = NodeSet.from_runs(self._unheld, self._unheld_size)
+            elif self._profile.max_usage(start, end) == 0:
+                free = self._full
+            else:
+                free = self._free_sweep(start, end)
+            self._sweep_key, self._sweep_free = key, free
+        return self._sweep_free
 
     def free_nodes(self, start: float, end: float) -> List[int]:
         """All nodes free throughout ``[start, end)``, ascending (legacy
@@ -578,34 +597,6 @@ class ReservationLedger:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _free_window(self, start: float, end: float) -> NodeSet:
-        """:meth:`free_nodes_set`, memoised on ``(start, end, version)``.
-
-        The validation in :meth:`reserve` usually asks for the window the
-        placement query just answered, and any mutation in between bumps
-        the version; the early-outs are memoised too, so that check never
-        sweeps a window the placement query did not.  A window in which
-        every live booking is active at one instant is answered from the
-        unheld set without a sweep.
-        """
-        key = (start, end, self._version)
-        if key != self._sweep_key:
-            if not self._end_times or start >= self._end_times[-1]:
-                free = self._full
-            elif self._all_active(start, end):
-                # The free nodes are the unheld ones.
-                if self._unheld is None:
-                    rebuilt = self._free_sweep(-math.inf, math.inf)
-                    self._unheld = list(rebuilt.runs)
-                    self._unheld_size = len(rebuilt)
-                free = NodeSet.from_runs(self._unheld, self._unheld_size)
-            elif self._profile.max_usage(start, end) == 0:
-                free = self._full
-            else:
-                free = self._free_sweep(start, end)
-            self._sweep_key, self._sweep_free = key, free
-        return self._sweep_free
-
     def _all_active(self, start: float, end: float) -> bool:
         """Whether every live booking (there must be one) is active at one
         instant of ``[start, end)``: after the last start and before the
@@ -686,37 +677,20 @@ class ReservationLedger:
             else:
                 unheld.insert(i, (lo, hi))
 
-    @staticmethod
-    def _node_runs(nodes: Sequence[int]) -> Sequence[Tuple[int, int]]:
-        """``nodes`` (ascending, duplicate-free) as half-open runs (a
-        :class:`NodeSet`'s own run tuple, not a copy)."""
-        if isinstance(nodes, NodeSet):
-            return nodes.runs
-        runs: List[Tuple[int, int]] = []
-        for node in nodes:
-            if runs and runs[-1][1] == node:
-                runs[-1] = (runs[-1][0], node + 1)
-            else:
-                runs.append((node, node + 1))
-        return runs
-
-    def _remove_runs(
-        self, reservation: Reservation, runs: Sequence[Tuple[int, int]]
-    ) -> None:
-        """Delete a booking's entries, its node ``runs``, from ``_busy_runs``."""
+    def _remove_runs(self, reservation: Reservation) -> int:
+        """Delete a booking's entries, one per node run, from
+        ``_busy_runs``; returns the booking's width."""
         busy_runs = self._busy_runs
         start, end, job_id = reservation.start, reservation.end, reservation.job_id
-        for lo, hi in runs:
+        width = 0
+        for lo, hi in reservation.nodes.runs:
             del busy_runs[bisect.bisect_left(busy_runs, (lo, hi, start, end, job_id))]
+            width += hi - lo
+        return width
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self._n:
             raise ValueError(f"node {node} out of range [0, {self._n})")
-
-    def _invalidate(self) -> None:
-        """Bump the mutation version; the sorted view rebuilds lazily."""
-        self._version += 1
-        self._sorted = None
 
     @staticmethod
     def _remove_time(times: List[float], t: float) -> None:

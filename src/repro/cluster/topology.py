@@ -94,15 +94,15 @@ class FlatTopology(Topology):
         if len(free_nodes) < size:
             return None
         is_set = isinstance(free_nodes, NodeSet)
-        scores = scorer(free_nodes, start, end) if scorer is not None else {}
-        members: Container[int] = free_nodes
-        if scores and not is_set:
-            members = set(free_nodes)
-        dirty = sorted(
-            (score, node)
-            for node, score in scores.items()
-            if score and node in members
-        )
+        scores = scorer(free_nodes, start, end) if scorer is not None else None
+        dirty = None
+        if scores:
+            members: Container[int] = free_nodes if is_set else set(free_nodes)
+            dirty = sorted(
+                (score, node)
+                for node, score in scores.items()
+                if score and node in members
+            )
         if not dirty:
             # A NodeSet stays in run-length form: on a 100k-node cluster
             # the partition is O(runs), never a boxed-int list.

@@ -117,7 +117,7 @@ class EasyBackfillSystem(ProbabilisticQoSSystem):
         )
         self.cluster.ledger.reserve(job_id, nodes, now, end)
         state.reserved_start, state.reserved_end, state.reserved_nodes = now, end, nodes
-        self._try_start(job_id, state)
+        self._try_start(job_id, state, now)
         return True
 
     def _padded(self, remaining: float) -> float:

@@ -52,7 +52,8 @@ simulator skip clear checkpoint requests without an event each.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.prediction.base import (
     PredictedFailure,
@@ -61,6 +62,9 @@ from repro.prediction.base import (
 )
 from repro.prediction.index import FailureIntervalIndex
 from repro.prediction.trace import TracePredictor
+
+#: The scores of a window with no detectable failure.
+_NO_SCORES: Mapping[int, float] = MappingProxyType({})
 
 
 class AnalyticalEvaluator(Predictor):
@@ -164,7 +168,7 @@ class AnalyticalEvaluator(Predictor):
 
     def window_scores(
         self, nodes: Iterable[int], start: float, end: float
-    ) -> Dict[int, float]:
+    ) -> Mapping[int, float]:
         """Sparse per-node failure probability over the window.
 
         Trace-backed evaluators answer from one index window query: the
@@ -175,10 +179,11 @@ class AnalyticalEvaluator(Predictor):
         if end <= start:
             return {}
         if self._index is not None:
-            return {
-                node: first[2]
-                for node, first in self._index.window_firsts(start, end).items()
-            }
+            firsts = self._index.window_firsts(start, end)
+            if not firsts:
+                # Most windows are clean: one shared, read-only empty map.
+                return _NO_SCORES
+            return {node: first[2] for node, first in firsts.items()}
         return {node: self._term(node, start, end) for node in nodes}
 
     def predicted_failures(

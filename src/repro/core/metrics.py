@@ -23,11 +23,14 @@ checkpoint counts) used by the extended analyses and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import partial
+from operator import attrgetter, is_not
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.checkpointing.policies import CheckpointDecision
 from repro.checkpointing.runtime import decision_window, delay_from
 from repro.core.guarantee import QoSGuarantee
+from repro.obs.audit import margin_honours, promise_margin
 from repro.sim.events import Event
 from repro.workload.job import Job
 
@@ -335,6 +338,16 @@ def _mean(total: float, count: int) -> float:
     return total / count if count else 0.0
 
 
+# The per-record reads of finalize's C-level sums.
+_WORK = attrgetter("job.work")
+_CHECKPOINT_OVERHEAD = attrgetter("checkpoint_overhead")
+_WAIT = attrgetter("wait")
+_BOUNDED_SLOWDOWN = attrgetter("bounded_slowdown")
+_GUARANTEE = attrgetter("guarantee")
+_PROBABILITY = attrgetter("probability")
+_not_none = partial(is_not, None)
+
+
 def finalize(
     outcomes: Sequence[JobOutcome],
     node_count: int,
@@ -372,41 +385,51 @@ def finalize(
             evacuations=0,
         )
 
-    # Sums over generators, not lists: every record is alive here, at the
-    # run's memory peak.  The float totals stay with ``sum``, whose rounding
-    # is the interpreter's (compensated summation from Python 3.12 on); the
-    # counts and extremes take one pass, asking each record once.
-    total_work = sum(o.job.work for o in outcomes)
-    qos_numerator = sum(
-        o.job.work * o.guarantee.probability
-        for o in outcomes
-        if o.guarantee is not None and o.met_deadline
-    )
-    qos = qos_numerator / total_work if total_work > 0 else 1.0
-
+    # Every record is alive here, at the run's memory peak, so nothing
+    # builds a per-record list.  The float totals stay with ``sum``, whose
+    # rounding is the interpreter's (compensated summation from Python
+    # 3.12 on), over the same values in record order; all but the QoS
+    # numerator iterate in C (map, filter, attrgetter), with no Python
+    # frame per record.  One pass asks each record once: it tallies the
+    # counts and extremes, judges each promise, and yields the QoS terms
+    # of the kept ones.
     completed = started = promised = deadlines_met = 0
     failures = performed = skipped = evacuations = 0
     last_finish = 0.0
     first_arrival = outcomes[0].job.arrival_time
-    for o in outcomes:
-        finish = o.finish
-        if finish is not None:
-            if not completed or finish > last_finish:
-                last_finish = finish
-            completed += 1
-        arrival = o.job.arrival_time
-        if arrival < first_arrival:
-            first_arrival = arrival
-        if o.last_start is not None:
-            started += 1
-        if o.guarantee is not None:
-            promised += 1
-            if o.met_deadline:
-                deadlines_met += 1
-        failures += o.failures
-        performed += o.checkpoints_performed
-        skipped += o.checkpoints_skipped
-        evacuations += o.evacuations
+
+    def kept_terms() -> Iterator[float]:
+        nonlocal completed, started, promised, deadlines_met
+        nonlocal failures, performed, skipped, evacuations
+        nonlocal last_finish, first_arrival
+        for o in outcomes:
+            job = o.job
+            finish = o.finish
+            if finish is not None:
+                if not completed or finish > last_finish:
+                    last_finish = finish
+                completed += 1
+            arrival = job.arrival_time
+            if arrival < first_arrival:
+                first_arrival = arrival
+            if o.last_start is not None:
+                started += 1
+            failures += o.failures
+            performed += o.checkpoints_performed
+            skipped += o.checkpoints_skipped
+            evacuations += o.evacuations
+            guarantee = o.guarantee
+            if guarantee is not None:
+                promised += 1
+                if finish is not None and margin_honours(
+                    promise_margin(guarantee.deadline, finish)
+                ):
+                    deadlines_met += 1
+                    yield job.work * guarantee.probability
+
+    qos_numerator = sum(kept_terms())
+    total_work = sum(map(_WORK, outcomes))
+    qos = qos_numerator / total_work if total_work > 0 else 1.0
     span = last_finish - first_arrival if completed else 0.0
     utilization = (
         total_work / (span * node_count) if span > 0 and node_count > 0 else 0.0
@@ -424,16 +447,13 @@ def finalize(
         failures_hitting_jobs=failures,
         checkpoints_performed=performed,
         checkpoints_skipped=skipped,
-        checkpoint_overhead=sum(o.checkpoint_overhead for o in outcomes),
-        mean_wait=_mean(
-            sum(w for o in outcomes if (w := o.wait) is not None), started
-        ),
+        checkpoint_overhead=sum(map(_CHECKPOINT_OVERHEAD, outcomes)),
+        mean_wait=_mean(sum(filter(_not_none, map(_WAIT, outcomes))), started),
         mean_bounded_slowdown=_mean(
-            sum(b for o in outcomes if (b := o.bounded_slowdown) is not None),
-            completed,
+            sum(filter(_not_none, map(_BOUNDED_SLOWDOWN, outcomes))), completed
         ),
         mean_promised_probability=_mean(
-            sum(o.guarantee.probability for o in outcomes if o.guarantee is not None),
+            sum(map(_PROBABILITY, filter(_not_none, map(_GUARANTEE, outcomes)))),
             promised,
         ),
         forced_negotiations=forced_negotiations,

@@ -154,6 +154,8 @@ class Negotiator:
                 f"{failure_jump_epsilon}"
             )
         self._ledger = ledger
+        # The ledger's width is fixed: read once, not per dialogue.
+        self._node_count = ledger.node_count
         self._topology = topology
         # Prefer the run-length free-set query when the ledger offers one
         # (the frozen seed ledger only speaks lists); both iterate the same
@@ -165,7 +167,7 @@ class Negotiator:
         self._eval = (
             evaluator
             if evaluator is not None
-            else AnalyticalEvaluator(predictor, ledger.node_count)
+            else AnalyticalEvaluator(predictor, self._node_count)
         )
         self._dialogues = 0
         self._probes = 0
@@ -256,7 +258,7 @@ class Negotiator:
         # does).  The ledger is not mutated during one dialogue, so one
         # read of its live profile serves the whole enumeration.
         blocked_until = self._ledger.profile().blocked_until
-        most_busy = self._ledger.node_count - size
+        most_busy = self._node_count - size
         blocked = earliest
         for start in self._ledger.iter_candidate_times(earliest):
             last_start = start
@@ -385,10 +387,10 @@ class Negotiator:
         Raises:
             ValueError: If the job can never fit (size > cluster width).
         """
-        if size > self._ledger.node_count:
+        if size > self._node_count:
             raise ValueError(
                 f"job {job_id}: size {size} exceeds cluster width "
-                f"{self._ledger.node_count}"
+                f"{self._node_count}"
             )
 
         # Pruning is only sound when acceptance is *exactly* the Equation 3

@@ -246,7 +246,6 @@ class ProbabilisticQoSSystem:
         self._arrivals = sorted(workload, key=attrgetter("arrival_time"))
         self._arrival_cursor = 0
         self._failure_cursor = 0
-        self._wakeup_scheduled = False
         self._register_handlers()
 
     # ------------------------------------------------------------------
@@ -262,7 +261,6 @@ class ProbabilisticQoSSystem:
         register(EventKind.CHECKPOINT_REQUEST, self._on_checkpoint_request)
         register(EventKind.CHECKPOINT_START, self._on_checkpoint_start)
         register(EventKind.CHECKPOINT_FINISH, self._on_checkpoint_finish)
-        register(EventKind.WAKEUP, self._on_wakeup)
         register(EventKind.OBS_SAMPLE, self._on_obs_sample)
 
     def _prime(self) -> None:
@@ -274,7 +272,7 @@ class ProbabilisticQoSSystem:
                 )
             self._states[job.job_id] = JobOutcome(job)
         self._schedule_next_arrival()
-        self._schedule_next_failure()
+        self._schedule_next_failure(self.loop.now)
 
     def _schedule_next_arrival(self) -> None:
         """Lazily replay the workload: one arrival is queued at a time.
@@ -287,14 +285,15 @@ class ProbabilisticQoSSystem:
             self._arrival_cursor += 1
             self.loop.schedule(job.arrival_time, EventKind.ARRIVAL, job_id=job.job_id)
 
-    def _schedule_next_failure(self) -> None:
-        """Lazily replay the failure trace while work remains."""
+    def _schedule_next_failure(self, now: float) -> None:
+        """Lazily replay the failure trace while work remains (``now`` is
+        the current time)."""
         while self._failure_cursor < len(self.failures):
             event = self.failures[self._failure_cursor]
             self._failure_cursor += 1
             if event.node >= self.config.node_count:
                 continue
-            if event.time < self.loop.now:
+            if event.time < now:
                 continue  # trace began before the simulation origin
             self.loop.schedule(
                 event.time, EventKind.FAILURE, node=event.node, event_id=event.event_id
@@ -342,13 +341,14 @@ class ProbabilisticQoSSystem:
         self._on_arrival(event)
 
     def _on_arrival(self, event: Event) -> None:
+        now = event.time
         state = self._states[event.payload["job_id"]]
         job = state.job
         padded = job.padded_runtime(
             self.config.checkpoint_interval, self.config.checkpoint_overhead
         )
         outcome = self.scheduler.schedule_arrival(
-            job.job_id, job.size, padded, self.loop.now, self.user
+            job.job_id, job.size, padded, now, self.user
         )
         state.guarantee = outcome.guarantee
         state.reserved_start = outcome.start
@@ -357,7 +357,7 @@ class ProbabilisticQoSSystem:
         self._forced_negotiations += outcome.forced
         if self.recorder is not None:
             self.recorder.record(
-                self.loop.now,
+                now,
                 "negotiated",
                 job_id=job.job_id,
                 deadline=outcome.guarantee.deadline,
@@ -383,19 +383,16 @@ class ProbabilisticQoSSystem:
         job_id = event.payload["job_id"]
         state = self._states[job_id]
         state.start_event = None
-        self._try_start(job_id, state)
+        self._try_start(job_id, state, event.time)
 
-    def _try_start(self, job_id: int, state: JobOutcome) -> None:
-        """Start now if the reserved nodes are up and idle, else block."""
+    def _try_start(self, job_id: int, state: JobOutcome, now: float) -> None:
+        """Start at ``now`` if the reserved nodes are up and idle, else
+        block until capacity frees: a finish, a kill, or the RECOVERY
+        event of a node in repair retries the blocked starts."""
         if state.finish is not None or state.running:
             return
-        now = self.loop.now
         if not self.cluster.try_start(job_id, state.reserved_nodes):
             self._pending.add(job_id)
-            # If a node is mid-repair, make sure a retry fires at recovery.
-            recovery = self.cluster.latest_recovery(state.reserved_nodes)
-            if recovery > now:
-                self._schedule_wakeup(recovery)
             return
 
         self._pending.remove(job_id)
@@ -413,21 +410,22 @@ class ProbabilisticQoSSystem:
         if planned_end > state.reserved_end:
             self.cluster.ledger.extend(job_id, planned_end)
             state.reserved_end = planned_end
-        self._schedule_run_event(state)
+        self._schedule_run_event(state, now)
 
-    def _schedule_run_event(self, state: JobOutcome) -> None:
+    def _schedule_run_event(self, state: JobOutcome, now: float) -> None:
         job_id = state.job.job_id
         interval = self.config.checkpoint_interval
         kind, delay = state.next_event_delay(interval)
         # Delays are execution time from the current segment start, which
         # sits past ``now`` while a restart is still restoring (R > 0).
-        fire_at = max(self.loop.now, state.segment_start) + delay
+        fire_at = max(now, state.segment_start) + delay
         if kind == "request" and self._plans_skips:
             # Requests whose window ends before the partition's next
             # predicted failure see p_f = 0 and are skipped: plan them and
             # schedule only the first request that can see the failure.
+            # A running job occupies exactly its reserved nodes.
             clear_until = self.evaluator.first_failure_time(
-                self.cluster.nodes_of(job_id), fire_at
+                state.reserved_nodes, fire_at
             )
             if clear_until is not None:
                 kind, fire_at = state.plan_skips(
@@ -483,7 +481,7 @@ class ProbabilisticQoSSystem:
         if not state.running:
             return  # stale event for a killed run (should have been cancelled)
         state.run_event = None
-        now = self.loop.now
+        now = event.time
         self._settle_skips(state, math.inf)
         state.reach_request(now)
         ctx = CheckpointDecisionContext(
@@ -507,14 +505,14 @@ class ProbabilisticQoSSystem:
             state.skip_checkpoint(now)
             if self.recorder is not None:
                 self._record_skip(now, job_id, decision)
-            self._schedule_run_event(state)
+            self._schedule_run_event(state, now)
 
     def _on_checkpoint_start(self, event: Event) -> None:
         job_id = event.payload["job_id"]
         state = self._states[job_id]
         if not state.running:
             return
-        state.begin_checkpoint(self.loop.now)
+        state.begin_checkpoint(event.time)
         state.run_event = self.loop.schedule_in(
             self.config.checkpoint_overhead, EventKind.CHECKPOINT_FINISH, job_id=job_id
         )
@@ -525,14 +523,15 @@ class ProbabilisticQoSSystem:
         if not state.running:
             return
         state.run_event = None
+        now = event.time
         self._checkpoint_overhead_s += state.complete_checkpoint(
-            self.loop.now, self.config.checkpoint_overhead
+            now, self.config.checkpoint_overhead
         )
         decision = state.pending_decision
         state.pending_decision = None
         if self.recorder is not None:
             self.recorder.record(
-                self.loop.now, "checkpoint_performed", job_id=job_id,
+                now, "checkpoint_performed", job_id=job_id,
                 saved_progress=state.saved_progress,
                 began_at=state.last_checkpoint_start,
                 reason=decision.reason if decision is not None else None,
@@ -540,7 +539,7 @@ class ProbabilisticQoSSystem:
             )
         if self.config.proactive_evacuation and self._maybe_evacuate(state):
             return
-        self._schedule_run_event(state)
+        self._schedule_run_event(state, now)
 
     # ------------------------------------------------------------------
     # Finishing
@@ -550,7 +549,7 @@ class ProbabilisticQoSSystem:
         state = self._states[job_id]
         if not state.running:
             return
-        now = self.loop.now
+        now = event.time
         self._settle_skips(state, math.inf)
         state.complete(now)
         self._unfinished -= 1
@@ -574,7 +573,7 @@ class ProbabilisticQoSSystem:
     # ------------------------------------------------------------------
     def _on_failure(self, event: Event) -> None:
         node = event.payload["node"]
-        now = self.loop.now
+        now = event.time
         victim_id, recovery = self.cluster.fail_node(node, now)
         self.loop.schedule(recovery, EventKind.RECOVERY, node=node)
         if self.recorder is not None:
@@ -585,7 +584,7 @@ class ProbabilisticQoSSystem:
             self._kill_job(victim_id, now)
 
         if self._unfinished > 0:
-            self._schedule_next_failure()
+            self._schedule_next_failure(now)
         self._after_capacity_freed(now)
 
     def _kill_job(self, job_id: int, now: float) -> None:
@@ -713,10 +712,11 @@ class ProbabilisticQoSSystem:
 
     def _on_recovery(self, event: Event) -> None:
         node = event.payload["node"]
-        self.cluster.recover_node(node, self.loop.now)
+        now = event.time
+        self.cluster.recover_node(node, now)
         if self.recorder is not None and self.cluster.is_up(node):
-            self.recorder.record(self.loop.now, "node_up", node=node)
-        self._after_capacity_freed(self.loop.now)
+            self.recorder.record(now, "node_up", node=node)
+        self._after_capacity_freed(now)
 
     # ------------------------------------------------------------------
     # Blocked-start retries and opportunistic backfill
@@ -724,7 +724,7 @@ class ProbabilisticQoSSystem:
     def _after_capacity_freed(self, now: float) -> None:
         """Resources changed: retry blocked starts, optionally pull forward."""
         for job_id in self._pending.snapshot():
-            self._try_start(job_id, self._states[job_id])
+            self._try_start(job_id, self._states[job_id], now)
         if self.config.opportunistic_start:
             self._opportunistic_pass(now)
 
@@ -751,16 +751,6 @@ class ProbabilisticQoSSystem:
             state.start_event = self.loop.schedule(
                 improved.start, EventKind.START, job_id=state.job.job_id
             )
-
-    def _schedule_wakeup(self, at_time: float) -> None:
-        if self._wakeup_scheduled:
-            return
-        self._wakeup_scheduled = True
-        self.loop.schedule(at_time, EventKind.WAKEUP)
-
-    def _on_wakeup(self, event: Event) -> None:
-        self._wakeup_scheduled = False
-        self._after_capacity_freed(self.loop.now)
 
     # ------------------------------------------------------------------
     # Observability

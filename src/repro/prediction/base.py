@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,11 @@ class Predictor(abc.ABC):
 
     def window_scores(
         self, nodes: Iterable[int], start: float, end: float
-    ) -> Dict[int, float]:
+    ) -> Mapping[int, float]:
         """Per-node failure probability over the window, for placement.
 
         The map is sparse: a node it omits scores 0.0, and it may name
-        nodes outside ``nodes``.  This default asks
+        nodes outside ``nodes``; callers must not mutate it.  This default asks
         :meth:`node_failure_probability` once per member of ``nodes``;
         the analytical evaluator (:mod:`repro.core.fastpath`) answers
         from one window query instead.

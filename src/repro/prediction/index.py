@@ -184,6 +184,8 @@ class FailureIntervalIndex:
         the first entry on the set is the set's first failure.
         """
         if isinstance(nodes, NodeSet) and (start, end) == self._window:
+            if not self._firsts:
+                return 0.0
             # Membership by bisection on a local list of run starts, so
             # the partition (which a booking keeps) caches nothing.
             runs = nodes.runs

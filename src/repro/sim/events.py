@@ -13,7 +13,9 @@ event-driven simulator:
 
 This module defines those kinds plus two bookkeeping kinds used internally
 (checkpoint *requests*, which the cooperative policy may skip before a
-checkpoint ever starts, and *wakeups* used to re-test start conditions).
+checkpoint ever starts, and *wakeups*, a generic kind for re-testing a
+condition at a given time; the simulator itself retries blocked starts on
+the events that free capacity, so it schedules none).
 
 Ordering: events are processed in time order; ties are broken by an explicit
 per-kind priority (see :data:`TIE_BREAK_ORDER`) and then by insertion order,
@@ -54,7 +56,8 @@ class EventKind(enum.Enum):
     CHECKPOINT_REQUEST = "checkpoint_request"
     #: A checkpoint write begins (job progress pauses for the overhead C).
     CHECKPOINT_START = "checkpoint_start"
-    #: Internal: re-evaluate pending starts after resources changed.
+    #: Internal: re-test a condition at a given time (the simulator
+    #: itself schedules none).
     WAKEUP = "wakeup"
     #: Internal: sample the components' obs counters and gauges
     #: (repro.obs) at a fixed sim-time cadence.  Never scheduled unless a

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, ge
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 _INF = math.inf
@@ -105,6 +106,11 @@ class WorkloadStats:
         return self.total_work / (self.span * nodes)
 
 
+#: The order a :class:`JobLog` keeps its jobs in.
+_ARRIVAL_ORDER = attrgetter("arrival_time", "job_id")
+_ARRIVAL = attrgetter("arrival_time")
+
+
 class JobLog:
     """An ordered collection of jobs (a workload trace).
 
@@ -115,9 +121,15 @@ class JobLog:
 
     def __init__(self, jobs: Iterable[Job], name: str = "unnamed") -> None:
         self.name = name
-        self._jobs: List[Job] = sorted(
-            jobs, key=attrgetter("arrival_time", "job_id")
-        )
+        self._jobs: List[Job] = list(jobs)
+        # Generated and truncated logs arrive in order.  Strictly rising
+        # arrivals are already in (arrival_time, job_id) order, and one
+        # pass of float comparisons over neighbours says so without the
+        # sort's key tuples; a tie or an inversion sorts.
+        arrivals = map(_ARRIVAL, self._jobs)
+        next_arrivals = map(_ARRIVAL, islice(self._jobs, 1, None))
+        if any(map(ge, arrivals, next_arrivals)):
+            self._jobs.sort(key=_ARRIVAL_ORDER)
         ids = [j.job_id for j in self._jobs]
         if len(set(ids)) != len(ids):
             raise ValueError(f"job log {name!r} contains duplicate job ids")

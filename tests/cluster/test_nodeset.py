@@ -9,11 +9,14 @@ cross-checked against Python sets on randomized inputs.
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import repro
 from repro.cluster.nodeset import NodeSet, freeze_nodes
 
 
@@ -141,6 +144,30 @@ def test_lowest_outside_is_the_difference_minimum(a, b, widen):
         assert got == rest.min_node
     else:
         assert got is None
+
+
+def test_only_nodeset_writes_runs():
+    """``runs`` is a public slot for read speed, so nothing stops a write;
+    one elsewhere would leave ``_size``, ``_starts`` and a cached hash
+    out of step with it (and corrupt a set used as a key or booked in
+    the ledger).  Only ``nodeset.py`` may assign an attribute so named."""
+    src = Path(repro.__file__).resolve().parent
+    writes = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "nodeset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and sub.attr == "runs":
+                        writes.append(f"{path.relative_to(src)}:{sub.lineno}")
+    assert writes == []
 
 
 def test_slicing_matches_list_randomized():

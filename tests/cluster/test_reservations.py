@@ -328,9 +328,9 @@ class TestIncrementalCaches:
     def test_reservations_cached_between_mutations(self, ledger):
         ledger.reserve(1, [0], 10.0, 20.0)
         ledger.reservations()
-        assert ledger._sorted is not None
+        assert ledger._sorted_version == ledger._version
         ledger.truncate(1, 15.0)
-        assert ledger._sorted is None  # mutation invalidated the view
+        assert ledger._sorted_version != ledger._version  # view is stale
         assert ledger.reservations()[0].end == 15.0
 
     def test_profile_tracks_every_mutation_kind(self, ledger):

@@ -8,8 +8,8 @@ out byte-identical to a plain run.  They judge the outputs, so a leak is
 caught however many functions it passes through on its way there.
 
 The second golden case starts jobs opportunistically: its pull-forward
-pass runs on every wake-up, so its counters and samples move with the
-time of a WAKEUP event, which no other output depends on.
+pass runs on every capacity change (finish, kill, recovery), so its
+counters and samples move with the order of those events.
 """
 
 from __future__ import annotations

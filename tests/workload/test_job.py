@@ -98,6 +98,32 @@ class TestJobLog:
         with pytest.raises(ValueError, match="duplicate"):
             JobLog([make_job(1), make_job(1, arrival=1.0)])
 
+    def test_sorted_input_keeps_its_order(self):
+        # Ids against arrival order: a sort by id alone would move them.
+        jobs = [make_job(job_id, arrival=float(t)) for t, job_id in enumerate((5, 2, 9, 1))]
+        log = JobLog(jobs)
+        assert all(a is b for a, b in zip(log, jobs)) and len(log) == len(jobs)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 30)),
+            max_size=12,
+            unique_by=lambda pair: pair[1],
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_input_order_gives_arrival_then_id_order(self, pairs, rnd):
+        # Few distinct arrivals, so ties are common and break by job id.
+        jobs = [make_job(job_id, arrival=float(t)) for t, job_id in pairs]
+        rnd.shuffle(jobs)
+        expected = sorted(jobs, key=lambda j: (j.arrival_time, j.job_id))
+        assert list(JobLog(jobs)) == expected
+        assert list(JobLog(expected)) == expected
+
+    def test_equal_arrivals_sort_by_job_id_even_when_rising_elsewhere(self):
+        jobs = [make_job(1, arrival=0.0), make_job(8, arrival=3.0), make_job(4, arrival=3.0)]
+        assert [j.job_id for j in JobLog(jobs)] == [1, 4, 8]
+
     def test_len_and_indexing(self, tiny_jobs):
         assert len(tiny_jobs) == 5
         assert tiny_jobs[0].job_id == 1
